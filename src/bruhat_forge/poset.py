@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence
 
 from . import closedform, regions, weyl
 from .laurent import QPoly, Q_PLUS_ONE
@@ -45,8 +46,9 @@ class NotComparableError(ValueError):
 class Interval:
     """The graded poset on {z : x <= z <= y}, rank = l(z) - l(x).
 
-    Members are indexed in (rank, canonical word) order; covers are the
-    comparabilities between adjacent ranks (Bruhat order is graded by
+    Members are indexed in (rank, canonical word) order.  Order relations
+    are the members' lower ideals restricted to the interval; covers are
+    the comparabilities between adjacent ranks (Bruhat order is graded by
     length, so these are exactly the cover relations).
     """
 
@@ -77,33 +79,25 @@ class Interval:
         for r in self.ranks:
             sizes[r] += 1
         self.rank_sizes = tuple(sizes)
-        self.down_masks: tuple[int, ...] = self._cover_masks()
-        up = [0] * len(self.members)
-        for j, mask in enumerate(self.down_masks):
-            m = mask
-            while m:
-                low = m & -m
-                up[low.bit_length() - 1] |= 1 << j
-                m ^= low
-        self.up_masks = tuple(up)
+        # members come in rank order: rank r fills positions starts[r]..starts[r+1]-1
+        starts = list(accumulate(sizes, initial=0))
+        self.down_masks = tuple(
+            self._restrict(z.ideal, starts[r - 1], starts[r]) if r else 0
+            for z, r in zip(self.members, self.ranks)
+        )
+        self.up_masks = _transpose(self.down_masks)
         self._leq_masks: Optional[tuple[int, ...]] = None
         self._colors: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[str] = None
 
-    def _cover_masks(self) -> tuple[int, ...]:
-        by_rank: dict[int, list[int]] = {}
-        for i, r in enumerate(self.ranks):
-            by_rank.setdefault(r, []).append(i)
-        down = [0] * len(self.members)
-        for r in range(1, self.span + 1):
-            for j in by_rank.get(r, ()):
-                zj = self.members[j]
-                acc = 0
-                for i in by_rank.get(r - 1, ()):
-                    if weyl.bruhat_leq(self.members[i], zj):
-                        acc |= 1 << i
-                down[j] = acc
-        return tuple(down)
+    def _restrict(self, ideal: int, lo: int, hi: int) -> int:
+        """Members lo..hi-1 that lie in ``ideal``, as a member-position bitset."""
+        members = self.members
+        acc = 0
+        for i in range(lo, hi):
+            if ideal >> members[i].ball_index & 1:
+                acc |= 1 << i
+        return acc
 
     def __len__(self) -> int:
         return len(self.members)
@@ -124,27 +118,17 @@ class Interval:
     def leq_masks(self) -> tuple[int, ...]:
         """leq_masks[i] has bit j set when member i <= member j."""
         if self._leq_masks is None:
-            masks = []
-            for i, zi in enumerate(self.members):
-                acc = 0
-                for j, zj in enumerate(self.members):
-                    if weyl.bruhat_leq(zi, zj):
-                        acc |= 1 << j
-                masks.append(acc)
-            self._leq_masks = tuple(masks)
+            # column j is the ideal of member j restricted to the interval
+            self._leq_masks = _transpose(
+                [self._restrict(z.ideal, 0, j + 1) for j, z in enumerate(self.members)]
+            )
         return self._leq_masks
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) with member i covered by member j."""
-        out = []
-        for j, mask in enumerate(self.down_masks):
-            m = mask
-            while m:
-                low = m & -m
-                out.append((low.bit_length() - 1, j))
-                m ^= low
-        out.sort()
-        return out
+        return sorted(
+            (i, j) for j, mask in enumerate(self.down_masks) for i in _bits(mask)
+        )
 
     def is_graded(self) -> bool:
         """Every maximal chain climbs one rank at a time from x to y."""
@@ -165,14 +149,14 @@ class Interval:
     def colors(self) -> tuple[int, ...]:
         """Stable colors from iterated (rank, neighbor-multiset) refinement."""
         if self._colors is None:
-            n = len(self.members)
+            downs = [list(_bits(m)) for m in self.down_masks]
+            ups = [list(_bits(m)) for m in self.up_masks]
             colors = list(self.ranks)
             while True:
-                data = []
-                for i in range(n):
-                    down = _mask_colors(self.down_masks[i], colors)
-                    up = _mask_colors(self.up_masks[i], colors)
-                    data.append((colors[i], down, up))
+                data = [
+                    (c, _multiset(down, colors), _multiset(up, colors))
+                    for c, down, up in zip(colors, downs, ups)
+                ]
                 palette = {d: c for c, d in enumerate(sorted(set(data)))}
                 new = [palette[d] for d in data]
                 if new == colors:
@@ -190,13 +174,25 @@ class Interval:
         }
 
 
-def _mask_colors(mask: int, colors: list[int]) -> tuple[int, ...]:
-    out = []
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
-        out.append(colors[low.bit_length() - 1])
+        yield low.bit_length() - 1
         mask ^= low
-    return tuple(sorted(out))
+
+
+def _transpose(masks: Sequence[int]) -> tuple[int, ...]:
+    """Bit i of out[j] is bit j of masks[i]."""
+    out = [0] * len(masks)
+    for j, mask in enumerate(masks):
+        for i in _bits(mask):
+            out[i] |= 1 << j
+    return tuple(out)
+
+
+def _multiset(positions: list[int], colors: list[int]) -> tuple[int, ...]:
+    return tuple(sorted([colors[i] for i in positions]))
 
 
 _INTERVAL_CACHE: dict[tuple[Element, Element], Interval] = {}
@@ -213,7 +209,6 @@ def build_interval(x: Element, y: Element) -> Interval:
             f"{x.word() or 'id'!s} is not below {y.word() or 'id'!s} in Bruhat order"
         )
     members = [z for z in weyl.lower_interval(y) if weyl.bruhat_leq(x, z)]
-    members.sort(key=Element.sort_key)
     out = Interval(x, y, members)
     _INTERVAL_CACHE[key] = out
     return out
@@ -252,13 +247,7 @@ class IsoCertificate:
         la, lb = a.leq_masks, b.leq_masks
         n = len(a.members)
         for i in range(n):
-            row = la[i]
-            img_row = 0
-            m = row
-            while m:
-                low = m & -m
-                img_row |= 1 << perm[low.bit_length() - 1]
-                m ^= low
+            img_row = sum(1 << perm[j] for j in _bits(la[i]))
             if img_row != lb[perm[i]]:
                 return False
         return True
@@ -292,12 +281,7 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
         if pos == n:
             return True
         i = order[pos]
-        req = 0
-        m = a.down_masks[i]
-        while m:
-            low = m & -m
-            req |= 1 << amap[low.bit_length() - 1]
-            m ^= low
+        req = sum(1 << amap[k] for k in _bits(a.down_masks[i]))
         for j in by_color_b.get((a.ranks[i], ca[i]), ()):
             bit = 1 << j
             if used & bit or b.down_masks[j] != req:

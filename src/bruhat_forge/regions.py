@@ -271,10 +271,8 @@ def boundary_set(idx: ThetaIndex | tuple[int, int]) -> frozenset[Element]:
 
 def intersection_check(m: int, n: int) -> bool:
     """Whether theta(m-1,n)_down meets theta(m,n-1)_down in exactly
-    theta(m-1,n-1)s_down, by enumeration; requires m, n >= 1."""
+    theta(m-1,n-1)s_down, as lower-ideal bitsets; requires m, n >= 1."""
     if m < 1 or n < 1:
         raise ValueError("intersection_check requires m, n >= 1")
-    left = set(weyl.lower_interval(theta((m - 1, n))))
-    right = set(weyl.lower_interval(theta((m, n - 1))))
-    target = set(weyl.lower_interval(theta1((m - 1, n - 1))))
-    return left & right == target
+    both = theta((m - 1, n)).ideal & theta((m, n - 1)).ideal
+    return both == theta1((m - 1, n - 1)).ideal

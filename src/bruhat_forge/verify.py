@@ -142,14 +142,12 @@ class Survey:
 
 
 def _interval_pairs(max_length: int) -> list[tuple[Element, Element]]:
+    # by top, then bottom, each already in (length, word) order
     pairs = []
     for y in weyl.enumerate_up_to_length(max_length):
-        if y.is_identity:
-            continue
         for x in weyl.lower_interval(y):
             if x != y:
                 pairs.append((x, y))
-    pairs.sort(key=lambda p: (p[1].sort_key(), p[0].sort_key()))
     return pairs
 
 
@@ -231,7 +229,7 @@ def verify_conjecture(
     deterministic random sample, and spot-checks that symmetry-related
     intervals land in the same class.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if max_length > weyl.HARD_MAX_LENGTH:
         raise weyl.ResourceLimitError(f"max_length {max_length} beyond hard cap")
     survey = interval_survey(max_length, jobs=jobs)
@@ -264,10 +262,10 @@ def verify_conjecture(
             "violations": len(violations),
         },
         witnesses=witnesses,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )
 
-    t1 = time.time()
+    t1 = time.perf_counter()
     bad_certs = 0
     for cls in survey.classes:
         rep_interval = build_interval(*cls.rep)
@@ -281,10 +279,10 @@ def verify_conjecture(
             "certificates": sum(len(c.certs) for c in survey.classes),
             "invalid": bad_certs,
         },
-        elapsed=time.time() - t1,
+        elapsed=time.perf_counter() - t1,
     )
 
-    t2 = time.time()
+    t2 = time.perf_counter()
     rng = random.Random(seed)
     k = max(25, int(len(survey.intervals) * sample_rate))
     k = min(k, len(survey.intervals))
@@ -313,10 +311,10 @@ def verify_conjecture(
             "mismatches": len(oracle_bad),
         },
         witnesses=oracle_bad,
-        elapsed=time.time() - t2,
+        elapsed=time.perf_counter() - t2,
     )
 
-    t3 = time.time()
+    t3 = time.perf_counter()
     orbit_bad = []
     orbit_sample = sample[: max(10, k // 2)]
     for x, y in orbit_sample:
@@ -330,14 +328,14 @@ def verify_conjecture(
         passed=not orbit_bad,
         counts={"sampled": len(orbit_sample) * len(SYMMETRY_GROUP)},
         witnesses=orbit_bad,
-        elapsed=time.time() - t3,
+        elapsed=time.perf_counter() - t3,
     )
 
     return VerificationReport(
         scope={"suite": "conjecture", "max_length": max_length, "jobs": jobs},
         suites=[conjecture, certs, oracle, orbit],
         census=survey.census_rows(),
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -355,10 +353,10 @@ def verify_closed_forms(
     product_bound: int = 3,
 ) -> VerificationReport:
     """Replay every closed formula against the recursion oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     suites = []
 
-    t = time.time()
+    t = time.perf_counter()
     bad = [
         n
         for n in range(1, x_max + 1)
@@ -370,7 +368,7 @@ def verify_closed_forms(
             passed=not bad,
             counts={"checked": x_max, "mismatches": len(bad)},
             witnesses=bad,
-            elapsed=time.time() - t,
+            elapsed=time.perf_counter() - t,
         )
     )
 
@@ -385,7 +383,7 @@ def verify_closed_forms(
             m += 1
         return out
 
-    t = time.time()
+    t = time.perf_counter()
     bad = [
         idx
         for idx in theta_range(3)
@@ -397,11 +395,11 @@ def verify_closed_forms(
             passed=not bad,
             counts={"checked": len(theta_range(3)), "mismatches": len(bad)},
             witnesses=[list(i) for i in bad],
-            elapsed=time.time() - t,
+            elapsed=time.perf_counter() - t,
         )
     )
 
-    t = time.time()
+    t = time.perf_counter()
     bad = [
         idx
         for idx in theta_range(4)
@@ -413,11 +411,11 @@ def verify_closed_forms(
             passed=not bad,
             counts={"checked": len(theta_range(4)), "mismatches": len(bad)},
             witnesses=[list(i) for i in bad],
-            elapsed=time.time() - t,
+            elapsed=time.perf_counter() - t,
         )
     )
 
-    t = time.time()
+    t = time.perf_counter()
     bad = []
     both_versions_bad = []
     for idx in theta_range(5):
@@ -438,11 +436,11 @@ def verify_closed_forms(
                 "version_disagreements": len(both_versions_bad),
             },
             witnesses=[list(i) for i in bad + both_versions_bad],
-            elapsed=time.time() - t,
+            elapsed=time.perf_counter() - t,
         )
     )
 
-    t = time.time()
+    t = time.perf_counter()
     bad_products = []
     for m in range(product_bound + 1):
         for n in range(product_bound + 1):
@@ -455,7 +453,7 @@ def verify_closed_forms(
             passed=not bad_products,
             counts={"checked": (product_bound + 1) ** 2, "mismatches": len(bad_products)},
             witnesses=bad_products,
-            elapsed=time.time() - t,
+            elapsed=time.perf_counter() - t,
         )
     )
 
@@ -466,7 +464,7 @@ def verify_closed_forms(
             "x_max": x_max,
         },
         suites=suites,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -474,14 +472,14 @@ def verify_closed_forms(
 # lemma suite
 
 def _suite(name: str, fn) -> SuiteResult:
-    t = time.time()
+    t = time.perf_counter()
     counts, witnesses = fn()
     return SuiteResult(
         name=name,
         passed=not witnesses,
         counts=counts,
         witnesses=witnesses[:10],
-        elapsed=time.time() - t,
+        elapsed=time.perf_counter() - t,
     )
 
 
@@ -499,7 +497,7 @@ def verify_lemma_suite(
     jobs: int = 1,
 ) -> VerificationReport:
     """Run every supporting-lemma check with its default desk-scale bound."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     suites = []
 
     def partition():
@@ -811,5 +809,5 @@ def verify_lemma_suite(
             "structural_bound": structural_bound,
         },
         suites=suites,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )

@@ -14,6 +14,12 @@ generator with index k mod 3, so "1234321" reads the same as "1201021".
 Elements serialize as their ShortLex-minimal reduced word with generator
 order 0 < 1 < 2.
 
+Bruhat order is held one way.  The ball is numbered once, in (length,
+word) order, as its layers are enumerated, and each element caches its
+lower ideal {z : z <= w} as an int bitset over that numbering, built by
+Deodhar's property Z: [e, w] = [e, sw] U s[e, sw] for s in D_L(w)
+(Bjorner-Brenti, GTM 231, 2.2).
+
 The symmetry group G (order 12) is generated by the diagram rotation rho
 (s0 -> s1 -> s2 -> s0), the diagram flip sigma (fixes s0, swaps s1 and
 s2) and the inversion map iota: w -> w^-1.  Diagram automorphisms act by
@@ -128,7 +134,9 @@ class Element:
     root lattice vector: tx = ty mod 3).
     """
 
-    __slots__ = ("lin", "tx", "ty", "_hash", "_len", "_rd", "_ld", "_word")
+    __slots__ = (
+        "lin", "tx", "ty", "_hash", "_len", "_rd", "_ld", "_word", "_index", "_ideal"
+    )
 
     def __init__(self, lin: int, tx: int, ty: int):
         self.lin = lin
@@ -139,6 +147,8 @@ class Element:
         self._rd: Optional[frozenset[int]] = None
         self._ld: Optional[frozenset[int]] = None
         self._word: Optional[str] = None
+        self._index: Optional[int] = None
+        self._ideal: Optional[int] = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -245,6 +255,30 @@ class Element:
     def sort_key(self) -> tuple[int, str]:
         return (self.length, self.word())
 
+    # -- Bruhat order ------------------------------------------------------
+
+    @property
+    def ball_index(self) -> int:
+        """Position of w in the ball, numbered in (length, word) order."""
+        if self._index is None:
+            elements_of_length(self.length)
+        return self._index
+
+    @property
+    def ideal(self) -> int:
+        """The lower ideal {z : z <= w} as a bitset with bit z.ball_index."""
+        m = self._ideal
+        if m is None:
+            m = 1 << self.ball_index
+            if not self.is_identity:
+                s = min(self.left_descents())
+                below = self.left_mult(s)
+                m |= below.ideal
+                for z in lower_interval(below):
+                    m |= 1 << z.left_mult(s).ball_index
+            self._ideal = m
+        return m
+
     # -- alcove geometry ----------------------------------------------------
 
     def alcove_vertices(self) -> tuple[Vec, Vec, Vec]:
@@ -336,53 +370,30 @@ def descents(w: Element, side: str) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Bruhat order
 
-_BRUHAT_MEMO: dict[tuple[Element, Element], bool] = {}
-
-
 def bruhat_leq(x: Element, y: Element) -> bool:
-    """x <= y in Bruhat order, by the lifting-property recursion:
-    pick s with sy < y; then x <= y iff (sx <= sy if sx < x else x <= sy).
-    """
-    if x is y or x.length == 0:
-        return True
+    """x <= y in Bruhat order: a bit test against the lower ideal of y."""
     if x.length >= y.length:
         return x == y
-    key = (x, y)
-    memo = _BRUHAT_MEMO
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    s = min(y.left_descents())
-    sy = y.left_mult(s)
-    if s in x.left_descents():
-        res = bruhat_leq(x.left_mult(s), sy)
-    else:
-        res = bruhat_leq(x, sy)
-    memo[key] = res
-    return res
-
-
-_LOWER_MEMO: dict[Element, tuple[Element, ...]] = {}
+    return bool(y.ideal >> x.ball_index & 1)
 
 
 def lower_interval(y: Element) -> tuple[Element, ...]:
-    """All z <= y, sorted by (length, word)."""
-    cached = _LOWER_MEMO.get(y)
-    if cached is None:
-        cached = tuple(
-            sorted(
-                (z for z in enumerate_up_to_length(y.length) if bruhat_leq(z, y)),
-                key=Element.sort_key,
-            )
-        )
-        _LOWER_MEMO[y] = cached
-    return cached
+    """All z <= y, sorted by (length, word): the ideal of y, decoded."""
+    mask = y.ideal
+    out: list[Element] = []
+    for layer in _LAYERS:
+        if not mask:
+            break
+        out.extend(w for i, w in enumerate(layer) if mask >> i & 1)
+        mask >>= len(layer)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 _LAYERS: list[tuple[Element, ...]] = [(_IDENTITY,)]
+_IDENTITY._index = 0
 
 
 def elements_of_length(n: int) -> tuple[Element, ...]:
@@ -405,6 +416,8 @@ def elements_of_length(n: int) -> tuple[Element, ...]:
                     seen.add(nxt)
                     layer.append(nxt)
         layer.sort(key=Element.sort_key)
+        for i, w in enumerate(layer, prev[-1]._index + 1):
+            w._index = i
         _LAYERS.append(tuple(layer))
     return _LAYERS[n]
 

@@ -7,7 +7,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bruhat_forge import cache as cache_mod
-from bruhat_forge import regions, weyl
+from bruhat_forge import closedform, hecke, regions, weyl
+from bruhat_forge.laurent import QPoly
 from bruhat_forge.cli import main
 
 
@@ -42,6 +43,26 @@ def test_kl_routes_agree(capsys, via):
     code, out, _ = run(capsys, "kl", "", "12010", "--via", via)
     assert code == 0
     assert "P = 1" in out
+
+
+def test_kl_both_above_recursion_cap(capsys, monkeypatch):
+    monkeypatch.delenv(cache_mod.CACHE_ENV_VAR, raising=False)
+    y = regions.theta1((8, 3)).word()
+    assert len(y) == 26 > hecke.DEFAULT_KL_CAP
+    code, formula_out, _ = run(capsys, "kl", "", y, "--via", "formula")
+    assert code == 0 and "P = 1 + 2q" in formula_out
+    # the default --via both prints the formula's answer and says why it
+    # went unchecked
+    code, out, err = run(capsys, "kl", "", y)
+    assert code == 0 and out == formula_out
+    assert len(err.splitlines()) == 1 and "cross-check unavailable" in err
+    # the recursion alone still fails above its cap
+    code, out, _ = run(capsys, "kl", "", y, "--via", "recursion")
+    assert code == 1 and out == ""
+    # and a real disagreement still exits 2
+    monkeypatch.setattr(closedform, "kl_fast", lambda x, y: QPoly.one())
+    code, _, err = run(capsys, "kl", "", "1234")
+    assert code == 2 and "DISAGREEMENT" in err
 
 
 def test_kl_incomparable(capsys):

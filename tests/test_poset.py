@@ -47,6 +47,26 @@ def test_build_examples():
         build_interval(generator(0), theta((0, 0)))
 
 
+def test_interval_order_matches_subword_oracle_to_length_7():
+    # every [x, y] with l(y) <= 7, x = y included, against the subword
+    # property: leq_masks is the order and down_masks the covers
+    below = {y: oracles.subword_lower_set(y) for y in weyl.enumerate_up_to_length(7)}
+    checked = 0
+    for y, lower in below.items():
+        for x in lower:
+            interval = build_interval(x, y)
+            members = interval.members
+            assert set(members) == {z for z in lower if x in below[z]}
+            for i, zi in enumerate(members):
+                for j, zj in enumerate(members):
+                    leq = zi in below[zj]
+                    assert interval.leq_masks[i] >> j & 1 == leq, (x, y, zi, zj)
+                    cover = leq and interval.ranks[j] == interval.ranks[i] + 1
+                    assert interval.down_masks[j] >> i & 1 == cover, (x, y, zi, zj)
+            checked += 1
+    assert checked == 1969
+
+
 def test_interval_json():
     obj = build_interval(ID, theta((0, 0))).to_json_obj()
     assert obj["bottom"] == "" and obj["top"] == "121"
