@@ -34,11 +34,13 @@ from .hecke import (
 )
 from .regions import RegionKind, RegionTag, ThetaIndex, classify, s_mn, theta, theta1, theta2, x_chain
 from .closedform import (
+    ClosedFormError,
     appendix_identity_check,
     kl_basis_theta,
     kl_basis_theta1,
     kl_basis_theta2,
     kl_basis_x,
+    kl_column,
     kl_fast,
     product_identity_check,
 )

@@ -10,16 +10,21 @@ closed forms themselves (memoized), never through the generic
 recursion; the recursion stays available as an independent oracle and
 is what every formula is tested against.
 
-``kl_fast`` computes P_{x,y} by classifying y, pulling x back along the
-classifying symmetry, reading the coefficient off the closed form for
-the canonical family member, and converting to the q-normalization.
+``kl_column`` reads a whole column P_{-,y} off the closed forms: it
+classifies y once, relabels the closed form of the canonical family
+member by the classifying symmetry, and converts every coefficient to
+the q-normalization.  A column whose support is not exactly [e, y], or
+with a P whose constant term is not 1, raises ``ClosedFormError``.
+``kl_fast_column`` and ``kl_fast`` answer such a column from the
+recursion instead and log each of its pairs in ``fallback_log()``; the
+verification suites count these fallbacks and fail on any.
 """
 
 from __future__ import annotations
 
 from . import hecke, regions, weyl
 from .hecke import HeckeElement, G_coefficient, M_element, N_element, standard_basis
-from .laurent import LaurentPoly, QPoly, to_q
+from .laurent import LaurentPoly, QPoly, ShapeError, to_q
 from .regions import RegionKind, ThetaIndex, s_mn, theta, theta1, theta2, x_chain
 from .weyl import RHO, Element
 
@@ -29,7 +34,10 @@ __all__ = [
     "kl_basis_theta1",
     "kl_basis_theta2",
     "kl_closed_form",
+    "kl_column",
+    "kl_fast_column",
     "kl_fast",
+    "ClosedFormError",
     "fallback_log",
     "appendix_identity_check",
     "product_identity_check",
@@ -191,43 +199,77 @@ def kl_closed_form(tag: regions.RegionTag) -> HeckeElement:
 
 
 # ---------------------------------------------------------------------------
-# the fast KL path
+# the fast KL path, one column at a time
 
-_FAST_CACHE: dict[tuple[Element, Element], QPoly] = {}
+class ClosedFormError(RuntimeError):
+    """A closed form gave a column that cannot be a KL column."""
+
+
+_COLUMNS: dict[Element, dict[Element, QPoly]] = {}
 _FALLBACKS: list[tuple[Element, Element]] = []
 
 
 def fallback_log() -> tuple[tuple[Element, Element], ...]:
-    """Pairs on which kl_fast had to fall back to the recursion oracle."""
+    """Pairs that kl_fast and kl_fast_column answered from the recursion."""
     return tuple(_FALLBACKS)
 
 
-def kl_fast(x: Element, y: Element) -> QPoly:
-    """P_{x,y} through the closed forms, normalizing y into its family.
+def kl_column(y: Element) -> dict[Element, QPoly]:
+    """P_{x,y} for every x <= y, in (length, word) order of x.
 
-    Falls back to the generic recursion (and records the pair) if the
-    classification route fails; on valid inputs it never does.
+    Classifies y once, relabels the closed form of its canonical family
+    member by the classifying symmetry, and converts each coefficient to
+    the q-normalization.  Raises ClosedFormError unless the support is
+    exactly [e, y] and every P has constant term 1.  Columns are
+    memoized per y; callers must not mutate them.
     """
-    if x == y:
-        return QPoly.one()
-    if not weyl.bruhat_leq(x, y):
-        return QPoly.zero()
-    key = (x, y)
-    cached = _FAST_CACHE.get(key)
-    if cached is not None:
-        return cached
+    column = _COLUMNS.get(y)
+    if column is not None:
+        return column
+    tag = regions.classify(y)
+    H = hecke.apply_symmetry(tag.tau, kl_closed_form(tag))
+    column = {}
+    support = 0
+    for x, h in H.items():
+        support |= 1 << x.ball_index
+        try:
+            p = to_q(h, y.length - x.length)
+        except ShapeError as exc:
+            raise ClosedFormError(f"P({x.word()}, {y.word()}): {exc}") from exc
+        if p.coefficient(0) != 1:
+            raise ClosedFormError(f"P({x.word()}, {y.word()}) = {p} has no constant term 1")
+        column[x] = p
+    if support != y.ideal:
+        raise ClosedFormError(f"closed form of {y.word()} is not supported on [e, y]")
+    _COLUMNS[y] = column
+    return column
+
+
+def kl_fast_column(y: Element) -> dict[Element, QPoly]:
+    """kl_column(y), or the recursion's column if the closed form fails.
+
+    On ClosedFormError every pair of the column goes into fallback_log(),
+    on every call, and the column is read off hecke.kl_basis(y) at its
+    default cap, so a failure above the cap raises ResourceLimitError.
+    """
     try:
-        tag = regions.classify(y)
-        x0 = tag.tau.inverse_symmetry().apply(x)
-        h = G_coefficient(x0, kl_closed_form(tag))
-        out = to_q(h, y.length - x.length)
-        if out.coefficient(0) != 1:
-            raise ValueError("closed form lost the constant term")
-    except Exception:
-        _FALLBACKS.append(key)
-        out = hecke.kl_polynomial(x, y)[1]
-    _FAST_CACHE[key] = out
-    return out
+        return kl_column(y)
+    except ClosedFormError:
+        column = {
+            x: to_q(h, y.length - x.length) for x, h in hecke.kl_basis(y).items()
+        }
+        _FALLBACKS.extend((x, y) for x in column)
+        return column
+
+
+def kl_fast(x: Element, y: Element) -> QPoly:
+    """P_{x,y} looked up in kl_fast_column(y); zero when x is not below y.
+
+    The closed form classifies y once for its whole column.  If the
+    column fails its checks (ClosedFormError), the answer comes from the
+    recursion and every pair of the column is logged in fallback_log().
+    """
+    return kl_fast_column(y).get(x, QPoly.zero())
 
 
 # ---------------------------------------------------------------------------

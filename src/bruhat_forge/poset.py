@@ -342,10 +342,11 @@ def z_invariant(interval: Interval, m: int) -> frozenset[Element]:
     """Members at corank m whose KL polynomial against the top is 1 + q."""
     y = interval.top
     target = y.length - m
+    column = closedform.kl_fast_column(y)
     return frozenset(
         z
         for z in interval.members
-        if z.length == target and closedform.kl_fast(z, y) == Q_PLUS_ONE
+        if z.length == target and column[z] == Q_PLUS_ONE
     )
 
 
@@ -400,25 +401,17 @@ def structural_lemma_checks(bound: int) -> dict:
         kind = tag.kind
         if kind is RegionKind.THETA:
             continue
-        corank3 = [
-            (z, closedform.kl_fast(z, y))
-            for z in weyl.lower_interval(y)
-            if z.length == y.length - 3
-        ]
-        corank4 = [
-            (z, closedform.kl_fast(z, y))
-            for z in weyl.lower_interval(y)
-            if z.length == y.length - 4
-        ]
+        column = closedform.kl_fast_column(y)
+        corank3 = [(z, p) for z, p in column.items() if z.length == y.length - 3]
+        corank4 = [(z, p) for z, p in column.items() if z.length == y.length - 4]
         inv = tag.tau.inverse_symmetry()
         six = _six_case_elements(tag.params) if kind is RegionKind.THETA2 else []
-        for x in weyl.lower_interval(y):
+        for x, p_xy in column.items():
             z3 = sum(
                 1
                 for z, p in corank3
                 if p == Q_PLUS_ONE and weyl.bruhat_leq(x, z)
             )
-            p_xy = closedform.kl_fast(x, y)
 
             def flag(rule: str) -> None:
                 violations.append(

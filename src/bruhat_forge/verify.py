@@ -227,16 +227,18 @@ def verify_conjecture(
     Also re-validates every certificate produced by the classing stage,
     cross-checks the fast KL path against the recursion oracle on a
     deterministic random sample, and spot-checks that symmetry-related
-    intervals land in the same class.
+    intervals land in the same class.  Any closed-form fallback fails
+    the conjecture suite, as it fails every lemma suite.
     """
     t0 = time.perf_counter()
     if max_length > weyl.HARD_MAX_LENGTH:
         raise weyl.ResourceLimitError(f"max_length {max_length} beyond hard cap")
     survey = interval_survey(max_length, jobs=jobs)
 
-    polys = {
-        (x, y): closedform.kl_fast(x, y) for x, y in survey.intervals
-    }
+    fallbacks_before = len(closedform.fallback_log())
+    columns = {y: closedform.kl_fast_column(y) for _, y in survey.intervals}
+    polys = {(x, y): columns[y][x] for x, y in survey.intervals}
+    fallbacks = len(closedform.fallback_log()) - fallbacks_before
     violations = []
     for cls in survey.classes:
         ref = polys[cls.rep]
@@ -255,11 +257,12 @@ def verify_conjecture(
     ]
     conjecture = SuiteResult(
         name=f"conjecture(max_length={max_length})",
-        passed=not violations,
+        passed=not violations and not fallbacks,
         counts={
             "intervals": len(survey.intervals),
             "classes": len(survey.classes),
             "violations": len(violations),
+            "fallbacks": fallbacks,
         },
         witnesses=witnesses,
         elapsed=time.perf_counter() - t0,
@@ -473,11 +476,13 @@ def verify_closed_forms(
 
 def _suite(name: str, fn) -> SuiteResult:
     t = time.perf_counter()
+    fallbacks_before = len(closedform.fallback_log())
     counts, witnesses = fn()
+    fallbacks = len(closedform.fallback_log()) - fallbacks_before
     return SuiteResult(
         name=name,
-        passed=not witnesses,
-        counts=counts,
+        passed=not witnesses and not fallbacks,
+        counts={**counts, "fallbacks": fallbacks},
         witnesses=witnesses[:10],
         elapsed=time.perf_counter() - t,
     )
@@ -704,12 +709,10 @@ def verify_lemma_suite(
         checked = 0
         for y in weyl.enumerate_up_to_length(monotonicity_bound):
             basis = hecke.kl_basis(y)
-            support = weyl.lower_interval(y)
-            hs = {z: basis.coefficient(z) for z in support}
-            ps = {z: closedform.kl_fast(z, y) for z in support}
-            for z in support:
+            ps = closedform.kl_fast_column(y)
+            hs = {z: basis.coefficient(z) for z in ps}
+            for z, pz in ps.items():
                 hz = hs[z]
-                pz = ps[z]
                 lz = z.length
                 for x in weyl.lower_interval(z):
                     checked += 1
@@ -757,17 +760,16 @@ def verify_lemma_suite(
                     bad.append({"tau": tau.name, "w": w.word(), "rule": "length"})
         checked = len(ball) * len(SYMMETRY_GROUP)
         for y in ball:
-            lower = weyl.lower_interval(y)
-            lower_sets = {
-                tau: frozenset(tau.apply(z) for z in lower) for tau in SYMMETRY_GROUP
-            }
+            column = closedform.kl_fast_column(y)
             for tau in SYMMETRY_GROUP:
                 ty = tau.apply(y)
-                if frozenset(weyl.lower_interval(ty)) != lower_sets[tau]:
+                image = [(x, tau.apply(x), p) for x, p in column.items()]
+                if set(weyl.lower_interval(ty)) != {tx for _, tx, _ in image}:
                     bad.append({"tau": tau.name, "y": y.word(), "rule": "order"})
-                for x in lower:
+                t_column = closedform.kl_fast_column(ty)
+                for x, tx, p in image:
                     checked += 1
-                    if closedform.kl_fast(x, y) != closedform.kl_fast(tau.apply(x), ty):
+                    if t_column.get(tx) != p:
                         bad.append(
                             {"tau": tau.name, "x": x.word(), "y": y.word(), "rule": "KL"}
                         )

@@ -198,6 +198,25 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert loaded.get("", "1201021").coefficient_list() == [1, 1]
 
 
+def test_kl_survives_torn_cache_append(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "kl.cache"
+    path.write_text("bruhat-forge-kl-cache 1 A2~\n- 12012 1,")
+    monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(path))
+    code, out, _ = run(capsys, "kl", "", "1201", "--via", "formula")
+    assert code == 0
+    p = hecke.kl_polynomial(weyl.identity(), weyl.from_word("1201"))[1]
+    assert f"P = {p}" in out.splitlines()
+    loaded = cache_mod.KLCache(str(path))
+    assert len(loaded) == 1 and loaded.get("", "1201") == p
+
+
+def test_cache_bad_token_names_its_line(tmp_path):
+    path = tmp_path / "kl.cache"
+    path.write_text("bruhat-forge-kl-cache 1 A2~\n- 121 1\n- 12012 1,\n")
+    with pytest.raises(cache_mod.CacheFormatError, match=f"{path}:3:"):
+        cache_mod.KLCache(str(path))
+
+
 def test_cache_is_loadable_subset(tmp_path):
     path = tmp_path / "kl.cache"
     cache = cache_mod.KLCache(str(path))

@@ -10,13 +10,14 @@ from bruhat_forge.closedform import (
     kl_basis_theta1,
     kl_basis_theta2,
     kl_basis_x,
+    kl_column,
     kl_fast,
     product_identity_check,
 )
 from bruhat_forge.hecke import N_element, kl_basis, standard_basis
-from bruhat_forge.laurent import LaurentPoly, QPoly
+from bruhat_forge.laurent import LaurentPoly, QPoly, to_q
 from bruhat_forge.regions import theta, theta1, theta2, x_chain
-from bruhat_forge.weyl import RHO, SYMMETRY_GROUP, from_word, identity
+from bruhat_forge.weyl import RHO, SYMMETRY_BY_NAME, SYMMETRY_GROUP, from_word, identity
 
 V = LaurentPoly({1: 1})
 V2 = LaurentPoly({2: 1})
@@ -119,11 +120,65 @@ def test_kl_fast_examples():
     assert kl_fast(from_word("0"), theta((0, 0))).is_zero
 
 
+def _recursion_column(y, max_length=hecke.DEFAULT_KL_CAP):
+    return {
+        x: to_q(h, y.length - x.length)
+        for x, h in kl_basis(y, max_length=max_length).items()
+    }
+
+
 def test_kl_fast_matches_oracle_to_length_12():
     for y in weyl.enumerate_up_to_length(12):
         for x in weyl.lower_interval(y):
             assert kl_fast(x, y) == hecke.kl_polynomial(x, y)[1]
+        column = kl_column(y)
+        assert list(column) == list(weyl.lower_interval(y))
+        assert column == _recursion_column(y)
     assert closedform.fallback_log() == ()
+
+
+@pytest.mark.parametrize(
+    "member, tau",
+    [
+        (x_chain(19), RHO),
+        (theta((3, 5)), SYMMETRY_BY_NAME["sigma_rho2"]),
+        (theta1((5, 3)), SYMMETRY_BY_NAME["rho_iota"]),
+        (theta2((2, 6)), SYMMETRY_BY_NAME["sigma_iota"]),
+    ],
+)
+def test_kl_column_matches_oracle_under_symmetry(member, tau):
+    y = tau.apply(member)
+    assert 18 <= y.length <= 21
+    assert regions.classify(y).tau != weyl.IDENTITY_SYMMETRY
+    column = kl_column(y)
+    assert list(column) == list(weyl.lower_interval(y))
+    assert column == _recursion_column(y, max_length=y.length)
+    assert closedform.fallback_log() == ()
+
+
+@pytest.mark.parametrize(
+    "factor, message", [(-1, "not supported on"), (1, "no constant term 1")]
+)
+def test_kl_column_rejects_a_broken_closed_form(monkeypatch, factor, message):
+    # add factor times the identity term: -1 drops it, 1 doubles it
+    real = closedform.kl_closed_form
+
+    def broken(tag):
+        H = real(tag)
+        term = standard_basis(identity()).scale(H.coefficient(identity()))
+        return H + term.scale(LaurentPoly({0: factor}))
+
+    monkeypatch.setattr(closedform, "kl_closed_form", broken)
+    monkeypatch.setattr(closedform, "_COLUMNS", {})
+    monkeypatch.setattr(closedform, "_FALLBACKS", [])
+    y = from_word("1234")
+    with pytest.raises(closedform.ClosedFormError, match=message):
+        kl_column(y)
+    # kl_fast answers from the recursion and logs the whole column
+    assert str(kl_fast(identity(), y)) == "1 + q"
+    assert closedform.fallback_log() == tuple(
+        (x, y) for x in weyl.lower_interval(y)
+    )
 
 
 def test_kl_fast_symmetry_invariance():

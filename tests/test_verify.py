@@ -2,7 +2,9 @@
 
 import json
 
-from bruhat_forge import verify, weyl
+from bruhat_forge import closedform, verify, weyl
+from bruhat_forge.hecke import standard_basis
+from bruhat_forge.regions import RegionKind
 from bruhat_forge.verify import (
     interval_survey,
     iso_class_census,
@@ -139,3 +141,48 @@ def test_lemma_report_json_round_trip():
     obj = json.loads(report.to_json())
     assert obj["passed"] is True
     assert len(obj["suites"]) == len(report.suites)
+
+
+def test_formula_fallbacks_fail_verification(monkeypatch):
+    # a Theta1 closed form that lost its identity term: every Theta1
+    # column falls back to the recursion, which must not pass silently
+    real = closedform.kl_closed_form
+    e = weyl.identity()
+
+    def lossy(tag):
+        H = real(tag)
+        if tag.kind is RegionKind.THETA1:
+            H = H - standard_basis(e).scale(H.coefficient(e))
+        return H
+
+    monkeypatch.setattr(closedform, "kl_closed_form", lossy)
+    monkeypatch.setattr(closedform, "_COLUMNS", {})
+    monkeypatch.setattr(closedform, "_FALLBACKS", [])
+    report = verify_conjecture(6)
+    conj = report.suites[0]
+    assert conj.counts["fallbacks"] > 0
+    assert conj.counts["violations"] == 0
+    assert not conj.passed and not report.passed
+
+    lemmas = verify_lemma_suite(
+        partition_bound=4,
+        lemma22_bound=1,
+        boundary_bound=1,
+        cardinality_bound=1,
+        identity_bound=1,
+        parents_bound=1,
+        monotonicity_bound=5,
+        z_bound=5,
+        structural_bound=5,
+        g_invariance_bound=5,
+    )
+    failed = {s.name.split(" (")[0] for s in lemmas.suites if not s.passed}
+    assert failed == {
+        "monotonicity along chains",
+        "G-invariance of length, order, KL",
+        "Z-set preservation",
+        "structural Z-set lemmas",
+    }
+    assert all(
+        s.counts["fallbacks"] > 0 for s in lemmas.suites if not s.passed
+    )
