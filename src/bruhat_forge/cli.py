@@ -32,6 +32,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _length(text: str) -> int:
+    """argparse type of --max-length and --radius: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _element(word: str) -> Element:
     try:
         return weyl.from_word(word)
@@ -117,20 +128,21 @@ def _write_reports(report, args) -> None:
 
 def _cmd_verify(args) -> int:
     reports = []
+    bound = args.max_length
     if args.suite in ("conjecture", "all"):
         reports.append(
-            verify.verify_conjecture(args.max_length or 8, jobs=args.jobs)
+            verify.verify_conjecture(8 if bound is None else bound, jobs=args.jobs)
         )
     if args.suite in ("closed-forms", "all"):
-        reports.append(verify.verify_closed_forms(args.max_length or 15))
+        reports.append(verify.verify_closed_forms(15 if bound is None else bound))
     if args.suite in ("lemmas", "all"):
         kwargs = {"jobs": args.jobs}
-        if args.max_length:
+        if bound is not None:
             kwargs.update(
-                monotonicity_bound=args.max_length,
-                z_bound=args.max_length,
-                structural_bound=args.max_length,
-                g_invariance_bound=args.max_length,
+                monotonicity_bound=bound,
+                z_bound=bound,
+                structural_bound=bound,
+                g_invariance_bound=bound,
             )
         reports.append(verify.verify_lemma_suite(**kwargs))
     ok = True
@@ -199,14 +211,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["conjecture", "closed-forms", "lemmas", "all"])
-    p.add_argument("--max-length", type=int, default=None)
+    p.add_argument("--max-length", type=_length, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json-out")
     p.add_argument("--csv-out")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("census", help="isomorphism classes per interval length")
-    p.add_argument("--max-length", type=int, default=8)
+    p.add_argument("--max-length", type=_length, default=8)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_census)
 
@@ -214,7 +226,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--regions", action="store_true")
     group.add_argument("--interval", nargs=2, metavar=("X", "Y"))
-    p.add_argument("--radius", type=int, default=6)
+    p.add_argument("--radius", type=_length, default=6)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_render)
 

@@ -22,6 +22,8 @@ verification suites count these fallbacks and fail on any.
 
 from __future__ import annotations
 
+import functools
+
 from . import hecke, regions, weyl
 from .hecke import HeckeElement, G_coefficient, M_element, N_element, standard_basis
 from .laurent import LaurentPoly, QPoly, ShapeError, to_q
@@ -53,9 +55,7 @@ def _scaled(H: HeckeElement, k: int) -> HeckeElement:
 # ---------------------------------------------------------------------------
 # the four families
 
-_X_CACHE: dict[int, HeckeElement] = {}
-
-
+@functools.cache
 def kl_basis_x(n: int) -> HeckeElement:
     """Canonical basis element of the chain x_n.
 
@@ -65,9 +65,6 @@ def kl_basis_x(n: int) -> HeckeElement:
     """
     if n < 1:
         raise ValueError("kl_basis_x requires n >= 1")
-    cached = _X_CACHE.get(n)
-    if cached is not None:
-        return cached
     out = N_element(x_chain(n))
     if n >= 4:
         out = out + _scaled(N_element(x_chain(n - 3)), 1)
@@ -75,36 +72,22 @@ def kl_basis_x(n: int) -> HeckeElement:
         tail = x_chain(n - 5)
         out = out + _scaled(standard_basis(tail.left_mult(0).left_mult(1)), 1)
         out = out + _scaled(standard_basis(tail.left_mult(0)), 2)
-    _X_CACHE[n] = out
     return out
 
 
-_T_CACHE: dict[ThetaIndex, HeckeElement] = {}
-
-
+@functools.cache
 def kl_basis_theta(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
     """Sum over i = 0..min(m, n) of v^(2i) N_{theta(m-i, n-i)}."""
-    idx = ThetaIndex(*idx)
-    cached = _T_CACHE.get(idx)
-    if cached is not None:
-        return cached
     m, n = idx
     out = HeckeElement.zero()
     for i in range(min(m, n) + 1):
         out = out + _scaled(N_element(theta((m - i, n - i))), 2 * i)
-    _T_CACHE[idx] = out
     return out
 
 
-_T1_CACHE: dict[ThetaIndex, HeckeElement] = {}
-
-
+@functools.cache
 def kl_basis_theta1(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
     """Canonical basis element of theta(m, n) s, by the four-case formula."""
-    idx = ThetaIndex(*idx)
-    cached = _T1_CACHE.get(idx)
-    if cached is not None:
-        return cached
     m, n = idx
     out = N_element(theta1(idx))
     if m > 0 and n > 0:
@@ -114,7 +97,6 @@ def kl_basis_theta1(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
         out = out + _scaled(N_element(theta((m - 1, 0))), 1)
     elif n > 0:
         out = out + _scaled(N_element(theta((0, n - 1))), 1)
-    _T1_CACHE[idx] = out
     return out
 
 
@@ -124,22 +106,15 @@ def _kl_s0_theta(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
     return hecke.mult_kl_s(kl_basis_theta(idx), 0, "left")
 
 
-_T2_CACHE: dict[tuple[ThetaIndex, int], HeckeElement] = {}
-
-
+@functools.cache
 def kl_basis_theta2(idx: ThetaIndex | tuple[int, int], version: int = 1) -> HeckeElement:
     """Canonical basis element of s0 theta(m, n) s.
 
     The two versions are the paired formulas whose agreement is itself a
     consistency check; they coincide for m = n = 0.
     """
-    idx = ThetaIndex(*idx)
     if version not in (1, 2):
         raise ValueError("version must be 1 or 2")
-    key = (idx, version)
-    cached = _T2_CACHE.get(key)
-    if cached is not None:
-        return cached
     m, n = idx
     out = N_element(theta2(idx))
     if m == 0 and n == 0:
@@ -181,7 +156,6 @@ def kl_basis_theta2(idx: ThetaIndex | tuple[int, int], version: int = 1) -> Heck
             )
             out = out + _scaled(_kl_s0_theta(below), 1)
             out = out + _scaled(_kl_s0_theta(left), 1)
-    _T2_CACHE[key] = out
     return out
 
 
@@ -205,7 +179,6 @@ class ClosedFormError(RuntimeError):
     """A closed form gave a column that cannot be a KL column."""
 
 
-_COLUMNS: dict[Element, dict[Element, QPoly]] = {}
 _FALLBACKS: list[tuple[Element, Element]] = []
 
 
@@ -214,6 +187,7 @@ def fallback_log() -> tuple[tuple[Element, Element], ...]:
     return tuple(_FALLBACKS)
 
 
+@functools.cache
 def kl_column(y: Element) -> dict[Element, QPoly]:
     """P_{x,y} for every x <= y, in (length, word) order of x.
 
@@ -221,11 +195,9 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
     member by the classifying symmetry, and converts each coefficient to
     the q-normalization.  Raises ClosedFormError unless the support is
     exactly [e, y] and every P has constant term 1.  Columns are
-    memoized per y; callers must not mutate them.
+    memoized per y (a raise is not, so it recurs on every call); callers
+    must not mutate them.
     """
-    column = _COLUMNS.get(y)
-    if column is not None:
-        return column
     tag = regions.classify(y)
     H = hecke.apply_symmetry(tag.tau, kl_closed_form(tag))
     column = {}
@@ -241,7 +213,6 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
         column[x] = p
     if support != y.ideal:
         raise ClosedFormError(f"closed form of {y.word()} is not supported on [e, y]")
-    _COLUMNS[y] = column
     return column
 
 

@@ -15,6 +15,7 @@ and the coefficientwise order on Hecke elements.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import weyl
@@ -171,9 +172,6 @@ def mult_kl_s(H: HeckeElement, s: int, side: str = "right") -> HeckeElement:
 # ---------------------------------------------------------------------------
 # canonical basis (the recursion oracle)
 
-_KL_CACHE: dict[Element, HeckeElement] = {}
-
-
 def kl_basis(w: Element, max_length: int = DEFAULT_KL_CAP) -> HeckeElement:
     """Canonical basis element of w by the mu-corrected recursion.
 
@@ -181,27 +179,27 @@ def kl_basis(w: Element, max_length: int = DEFAULT_KL_CAP) -> HeckeElement:
     h_{w,w} = 1 and h_{x,w} in v Z[v] for x < w, and is fixed by the bar
     involution.  Computed as kl_basis(ws) * (H_s + v) minus the
     correction sum over x with xs < x of mu(x, ws) * kl_basis(x), where
-    mu is the coefficient of v^1.  Results are memoized.
+    mu is the coefficient of v^1.  The cap is checked on every call,
+    memoized or not.
     """
     if w.length > max_length:
         raise ResourceLimitError(
             f"kl_basis at length {w.length} exceeds the cap {max_length}"
         )
-    cached = _KL_CACHE.get(w)
-    if cached is not None:
-        return cached
+    return _kl_basis(w)
+
+
+@functools.cache
+def _kl_basis(w: Element) -> HeckeElement:
     if w.is_identity:
-        out = standard_basis(w)
-    else:
-        s = min(w.right_descents())
-        u = w.right_mult(s)
-        base = kl_basis(u, max_length)
-        out = mult_kl_s(base, s, "right")
-        for x, p in base._m.items():
-            m = p.coefficient(1)
-            if m and x.right_mult(s).length < x.length:
-                out = out - kl_basis(x, max_length).scale(LaurentPoly({0: m}))
-    _KL_CACHE[w] = out
+        return standard_basis(w)
+    s = min(w.right_descents())
+    base = _kl_basis(w.right_mult(s))
+    out = mult_kl_s(base, s, "right")
+    for x, p in base._m.items():
+        m = p.coefficient(1)
+        if m and x.right_mult(s).length < x.length:
+            out = out - _kl_basis(x).scale(LaurentPoly({0: m}))
     return out
 
 
@@ -221,19 +219,13 @@ def kl_polynomial(x: Element, w: Element) -> tuple[LaurentPoly, QPoly]:
 # ---------------------------------------------------------------------------
 # auxiliary elements and the coefficient apparatus
 
-_N_CACHE: dict[Element, HeckeElement] = {}
-
-
+@functools.cache
 def N_element(x: Element) -> HeckeElement:
     """Sum over z <= x of v^(l(x)-l(z)) H_z."""
-    cached = _N_CACHE.get(x)
-    if cached is None:
-        n = x.length
-        cached = HeckeElement(
-            {z: LaurentPoly({n - z.length: 1}) for z in weyl.lower_interval(x)}
-        )
-        _N_CACHE[x] = cached
-    return cached
+    n = x.length
+    return HeckeElement(
+        {z: LaurentPoly({n - z.length: 1}) for z in weyl.lower_interval(x)}
+    )
 
 
 def M_element(x: Element, y: Element) -> HeckeElement:
@@ -286,22 +278,14 @@ def hecke_geq(H1: HeckeElement, H2: HeckeElement) -> bool:
 # ---------------------------------------------------------------------------
 # bar involution and symmetries
 
-_BAR_STD_CACHE: dict[Element, HeckeElement] = {}
-
-
+@functools.cache
 def _bar_standard(x: Element) -> HeckeElement:
     """Image of H_x under the bar involution: bar(H_s) = H_s + (v - v^-1)."""
-    cached = _BAR_STD_CACHE.get(x)
-    if cached is not None:
-        return cached
     if x.is_identity:
-        out = standard_basis(x)
-    else:
-        s = min(x.left_descents())
-        rest = _bar_standard(x.left_mult(s))
-        out = mult_std(rest, s, "left") + rest.scale(V - V_INV)
-    _BAR_STD_CACHE[x] = out
-    return out
+        return standard_basis(x)
+    s = min(x.left_descents())
+    rest = _bar_standard(x.left_mult(s))
+    return mult_std(rest, s, "left") + rest.scale(V - V_INV)
 
 
 def bar_involution(H: HeckeElement) -> HeckeElement:

@@ -15,6 +15,7 @@ isomorphism.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from itertools import accumulate
@@ -195,23 +196,15 @@ def _multiset(positions: list[int], colors: list[int]) -> tuple[int, ...]:
     return tuple(sorted([colors[i] for i in positions]))
 
 
-_INTERVAL_CACHE: dict[tuple[Element, Element], Interval] = {}
-
-
+@functools.cache
 def build_interval(x: Element, y: Element) -> Interval:
     """The interval [x, y]; raises NotComparableError when x is not below y."""
-    key = (x, y)
-    cached = _INTERVAL_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not weyl.bruhat_leq(x, y):
         raise NotComparableError(
             f"{x.word() or 'id'!s} is not below {y.word() or 'id'!s} in Bruhat order"
         )
     members = [z for z in weyl.lower_interval(y) if weyl.bruhat_leq(x, z)]
-    out = Interval(x, y, members)
-    _INTERVAL_CACHE[key] = out
-    return out
+    return Interval(x, y, members)
 
 
 # ---------------------------------------------------------------------------

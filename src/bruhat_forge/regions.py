@@ -19,6 +19,7 @@ of the six alcoves u * theta(m, n), u in the finite Weyl group <s1, s2>.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -208,18 +209,13 @@ def _hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-_HULL_CACHE: dict[ThetaIndex, list[tuple[int, int]]] = {}
 _WF = tuple(weyl.from_word(word) for word in ("", "1", "2", "12", "21", "121"))
 
 
+@functools.cache
 def _theta_hull(idx: ThetaIndex) -> list[tuple[int, int]]:
-    idx = ThetaIndex(*idx)
-    cached = _HULL_CACHE.get(idx)
-    if cached is None:
-        t = theta(idx)
-        cached = _hull([(u * t)._scaled_centroid() for u in _WF])
-        _HULL_CACHE[idx] = cached
-    return cached
+    t = theta(idx)
+    return _hull([(u * t)._scaled_centroid() for u in _WF])
 
 
 def _inside_hull(hull: list[tuple[int, int]], p: tuple[int, int]) -> bool:

@@ -75,11 +75,23 @@ def test_kl_bad_word_exits_1(capsys):
     assert code == 1
 
 
-def test_usage_error_exits_1(capsys):
+def test_usage_error_exits_1(tmp_path, capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
     code, _, _ = run(capsys, "verify", "nonsense")
     assert code == 1
+    # a negative length is refused by the parser, not by a traceback
+    svg = tmp_path / "regions.svg"
+    for argv, option in [
+        (["census", "--max-length", "-1"], "--max-length"),
+        (["verify", "conjecture", "--max-length", "-1"], "--max-length"),
+        (["render", "--regions", "--radius", "-2", "-o", str(svg)], "--radius"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {option}: must be >= 0" in errors[0]
+    assert not svg.exists()
 
 
 def test_classify_json(capsys):
@@ -130,6 +142,15 @@ def test_verify_report_files(tmp_path, capsys):
     obj = json.loads(jpath.read_text())
     assert obj["passed"] is True
     assert "suite,passed" in cpath.read_text().replace('"', "").splitlines()[0]
+    # --max-length 0 is a bound, not a request for the default
+    for suite, key in [
+        ("conjecture", "max_length"),
+        ("closed-forms", "max_family_length"),
+        ("lemmas", "monotonicity_bound"),
+    ]:
+        code, _, _ = run(capsys, "verify", suite, "--max-length", "0", "--json-out", str(jpath))
+        assert code == 0
+        assert json.loads(jpath.read_text())["scope"][key] == 0
 
 
 def test_census_output(capsys):

@@ -169,16 +169,19 @@ def test_kl_column_rejects_a_broken_closed_form(monkeypatch, factor, message):
         return H + term.scale(LaurentPoly({0: factor}))
 
     monkeypatch.setattr(closedform, "kl_closed_form", broken)
-    monkeypatch.setattr(closedform, "_COLUMNS", {})
+    closedform.kl_column.cache_clear()
     monkeypatch.setattr(closedform, "_FALLBACKS", [])
     y = from_word("1234")
-    with pytest.raises(closedform.ClosedFormError, match=message):
-        kl_column(y)
-    # kl_fast answers from the recursion and logs the whole column
+    # a failed column is never memoized, so it fails on every call
+    for _ in range(2):
+        with pytest.raises(closedform.ClosedFormError, match=message):
+            kl_column(y)
+    # kl_fast answers from the recursion and logs the whole column, each time
+    column = tuple((x, y) for x in weyl.lower_interval(y))
     assert str(kl_fast(identity(), y)) == "1 + q"
-    assert closedform.fallback_log() == tuple(
-        (x, y) for x in weyl.lower_interval(y)
-    )
+    assert closedform.fallback_log() == column
+    assert str(kl_fast(identity(), y)) == "1 + q"
+    assert closedform.fallback_log() == column + column
 
 
 def test_kl_fast_symmetry_invariance():

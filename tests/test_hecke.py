@@ -68,6 +68,8 @@ def test_kl_basis_examples():
 
 
 def test_kl_basis_cap():
+    # the cap holds for an element that is already memoized, too
+    kl_basis(from_word("1234"))
     with pytest.raises(ResourceLimitError):
         kl_basis(from_word("1234"), max_length=3)
 

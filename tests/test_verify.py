@@ -156,7 +156,7 @@ def test_formula_fallbacks_fail_verification(monkeypatch):
         return H
 
     monkeypatch.setattr(closedform, "kl_closed_form", lossy)
-    monkeypatch.setattr(closedform, "_COLUMNS", {})
+    closedform.kl_column.cache_clear()
     monkeypatch.setattr(closedform, "_FALLBACKS", [])
     report = verify_conjecture(6)
     conj = report.suites[0]
