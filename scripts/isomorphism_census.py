@@ -3,7 +3,7 @@
 together with a per-span breakdown of class sizes.  Class counts are
 reported, not asserted: no closed form for them is known.
 
-Usage: python scripts/isomorphism_census.py [--max-length 8] [--jobs 1]
+Usage: python scripts/isomorphism_census.py [--max-length 8]
 """
 
 import argparse
@@ -15,10 +15,9 @@ from bruhat_forge.verify import interval_survey
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-length", type=int, default=8)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    survey = interval_survey(args.max_length, jobs=args.jobs)
+    survey = interval_survey(args.max_length)
     print(f"intervals with l(y) <= {args.max_length}: {len(survey.intervals)}")
     print(f"{'span':>5} {'classes':>8} {'intervals':>10}  class sizes")
     sizes_by_span: dict[int, list[int]] = collections.defaultdict(list)

@@ -3,7 +3,7 @@
 plus every lemma suite, with JSON/CSV reports written next to the
 script's working directory.
 
-Usage: python scripts/run_full_verification.py [--max-length 10] [--jobs 4]
+Usage: python scripts/run_full_verification.py [--max-length 10]
 """
 
 import argparse
@@ -21,27 +21,25 @@ from bruhat_forge.verify import (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-length", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--json-out", default="verification_report.json")
     parser.add_argument("--csv-out", default="verification_report.csv")
     args = parser.parse_args()
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = [
-        verify_conjecture(args.max_length, jobs=args.jobs),
+        verify_conjecture(args.max_length),
         verify_closed_forms(),
         verify_lemma_suite(
             monotonicity_bound=args.max_length,
             z_bound=args.max_length,
             structural_bound=args.max_length,
-            jobs=args.jobs,
         ),
     ]
     ok = True
     for report in reports:
         print("\n".join(report.summary_lines()))
         ok &= report.passed
-    print(f"total elapsed: {time.time() - t0:.1f}s")
+    print(f"total elapsed: {time.perf_counter() - t0:.1f}s")
 
     with open(args.json_out, "w") as fh:
         fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")

@@ -115,30 +115,35 @@ def _cmd_interval(args) -> int:
     return 0
 
 
-def _write_reports(report, args) -> None:
-    if getattr(args, "json_out", None):
+def _write_reports(reports, args) -> None:
+    # one suite writes one JSON object, ``all`` an array in run order
+    if args.json_out:
         with open(args.json_out, "w") as fh:
-            fh.write(report.to_json() + "\n")
-    if getattr(args, "csv_out", None):
+            if len(reports) == 1:
+                fh.write(reports[0].to_json() + "\n")
+            else:
+                fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
+    if args.csv_out:
         with open(args.csv_out, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerows(report.to_csv_rows())
-            writer.writerows(report.census_csv_rows())
+            for report in reports:
+                writer.writerows(report.to_csv_rows())
+                writer.writerows(report.census_csv_rows())
 
 
 def _cmd_verify(args) -> int:
     reports = []
     bound = args.max_length
     if args.suite in ("conjecture", "all"):
-        reports.append(
-            verify.verify_conjecture(8 if bound is None else bound, jobs=args.jobs)
-        )
+        reports.append(verify.verify_conjecture(8 if bound is None else bound))
     if args.suite in ("closed-forms", "all"):
-        reports.append(verify.verify_closed_forms(15 if bound is None else bound))
+        kwargs = {} if bound is None else {"max_family_length": bound, "x_max": bound}
+        reports.append(verify.verify_closed_forms(**kwargs))
     if args.suite in ("lemmas", "all"):
-        kwargs = {"jobs": args.jobs}
+        kwargs = {}
         if bound is not None:
             kwargs.update(
+                partition_bound=bound,
                 monotonicity_bound=bound,
                 z_bound=bound,
                 structural_bound=bound,
@@ -149,13 +154,13 @@ def _cmd_verify(args) -> int:
     for report in reports:
         print("\n".join(report.summary_lines()))
         ok &= report.passed
-        _write_reports(report, args)
+    _write_reports(reports, args)
     print("ALL SUITES PASS" if ok else "SUITE FAILURES PRESENT")
     return 0 if ok else 2
 
 
 def _cmd_census(args) -> int:
-    rows = verify.iso_class_census(args.max_length, jobs=args.jobs)
+    rows = verify.iso_class_census(args.max_length)
     print(f"{'span':>5} {'classes':>8} {'intervals':>10}")
     for row in rows:
         print(f"{row['span']:>5} {row['classes']:>8} {row['intervals']:>10}")
@@ -211,15 +216,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["conjecture", "closed-forms", "lemmas", "all"])
-    p.add_argument("--max-length", type=_length, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--max-length",
+        type=_length,
+        default=None,
+        help="bound every length in the chosen suites (l(y), family length, chain n); "
+        "index bounds such as m, n <= k keep their defaults",
+    )
     p.add_argument("--json-out")
     p.add_argument("--csv-out")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("census", help="isomorphism classes per interval length")
     p.add_argument("--max-length", type=_length, default=8)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("render", help="SVG of the alcove picture")

@@ -14,16 +14,15 @@ identities, cardinality polynomials, the appendix identity, parent
 counts, monotonicity, Z-set preservation and the structural lemmas).
 
 All reports serialize to JSON and CSV and are deterministic for fixed
-bounds; parallel runs produce identical verdicts because per-interval
-work is order-normalized before classing.
+bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import closedform, hecke, poset, regions, weyl
@@ -151,44 +150,15 @@ def _interval_pairs(max_length: int) -> list[tuple[Element, Element]]:
     return pairs
 
 
-def _descriptor(x: Element, y: Element) -> tuple:
-    interval = build_interval(x, y)
-    return (
-        x.word(),
-        y.word(),
-        interval.span,
-        len(interval),
-        interval.rank_sizes,
-        fingerprint(interval),
-    )
-
-
-def _survey_worker(words: list[tuple[str, str]]) -> list[tuple]:
-    return [_descriptor(weyl.from_word(xw), weyl.from_word(yw)) for xw, yw in words]
-
-
-_SURVEY_CACHE: dict[int, Survey] = {}
-
-
-def interval_survey(max_length: int, jobs: int = 1) -> Survey:
+@functools.cache
+def interval_survey(max_length: int) -> Survey:
     """Bucket and classify all intervals with l(y) <= max_length."""
-    cached = _SURVEY_CACHE.get(max_length)
-    if cached is not None:
-        return cached
     pairs = _interval_pairs(max_length)
-    if jobs > 1 and len(pairs) > 64:
-        words = [(x.word(), y.word()) for x, y in pairs]
-        chunk = (len(words) + jobs - 1) // jobs
-        batches = [words[i : i + chunk] for i in range(0, len(words), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_survey_worker, batches))
-        descriptors = [d for batch in results for d in batch]
-    else:
-        descriptors = [_descriptor(x, y) for x, y in pairs]
-
     buckets: dict[tuple, list[tuple[Element, Element]]] = {}
-    for (x, y), desc in zip(pairs, descriptors):
-        buckets.setdefault(desc[2:], []).append((x, y))
+    for x, y in pairs:
+        interval = build_interval(x, y)
+        key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
+        buckets.setdefault(key, []).append((x, y))
 
     class_id: dict[tuple[Element, Element], int] = {}
     classes: list[IsoClass] = []
@@ -211,9 +181,7 @@ def interval_survey(max_length: int, jobs: int = 1) -> Survey:
                 cid = len(classes) - 1
                 pending.append((cls, cid))
                 class_id[(x, y)] = cid
-    out = Survey(max_length, pairs, class_id, classes)
-    _SURVEY_CACHE[max_length] = out
-    return out
+    return Survey(max_length, pairs, class_id, classes)
 
 
 def verify_conjecture(
@@ -229,11 +197,19 @@ def verify_conjecture(
     deterministic random sample, and spot-checks that symmetry-related
     intervals land in the same class.  Any closed-form fallback fails
     the conjecture suite, as it fails every lemma suite.
+
+    The survey runs in one process. ``jobs`` accepts only 1 and stays,
+    with its report scope key, until ``perfbench/worker.py`` stops
+    passing it; then the keyword goes.
     """
     t0 = time.perf_counter()
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     if max_length > weyl.HARD_MAX_LENGTH:
         raise weyl.ResourceLimitError(f"max_length {max_length} beyond hard cap")
-    survey = interval_survey(max_length, jobs=jobs)
+    # positional, like every other caller: functools.cache keys f(8)
+    # and f(max_length=8) apart
+    survey = interval_survey(max_length)
 
     fallbacks_before = len(closedform.fallback_log())
     columns = {y: closedform.kl_fast_column(y) for _, y in survey.intervals}
@@ -342,9 +318,9 @@ def verify_conjecture(
     )
 
 
-def iso_class_census(max_length: int, jobs: int = 1) -> list[dict]:
+def iso_class_census(max_length: int) -> list[dict]:
     """Number of interval isomorphism classes per span, reported only."""
-    return interval_survey(max_length, jobs=jobs).census_rows()
+    return interval_survey(max_length).census_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +475,6 @@ def verify_lemma_suite(
     z_bound: int = 10,
     structural_bound: int = 10,
     g_invariance_bound: int = 10,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Run every supporting-lemma check with its default desk-scale bound."""
     t0 = time.perf_counter()
@@ -778,7 +753,7 @@ def verify_lemma_suite(
     suites.append(_suite(f"G-invariance of length, order, KL (l <= {g_invariance_bound})", g_invariance))
 
     def z_preservation():
-        survey = interval_survey(z_bound, jobs=jobs)
+        survey = interval_survey(z_bound)
         bad = []
         checked = 0
         for cls in survey.classes:

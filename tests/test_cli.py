@@ -92,6 +92,11 @@ def test_usage_error_exits_1(tmp_path, capsys):
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"argument {option}: must be >= 0" in errors[0]
     assert not svg.exists()
+    # the survey runs in one process: there is no --jobs option
+    for argv in (["census", "--jobs", "2"], ["verify", "conjecture", "--jobs", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "unrecognized arguments: --jobs 2" in err
 
 
 def test_classify_json(capsys):
@@ -146,11 +151,22 @@ def test_verify_report_files(tmp_path, capsys):
     for suite, key in [
         ("conjecture", "max_length"),
         ("closed-forms", "max_family_length"),
+        ("closed-forms", "x_max"),
         ("lemmas", "monotonicity_bound"),
+        ("lemmas", "partition_bound"),
     ]:
         code, _, _ = run(capsys, "verify", suite, "--max-length", "0", "--json-out", str(jpath))
         assert code == 0
         assert json.loads(jpath.read_text())["scope"][key] == 0
+    # `all` writes every report, in run order, not just the last one
+    code, _, _ = run(
+        capsys, "verify", "all", "--max-length", "3", "--json-out", str(jpath), "--csv-out", str(cpath)
+    )
+    assert code == 0
+    reports = json.loads(jpath.read_text())
+    assert [r["scope"]["suite"] for r in reports] == ["conjecture", "closed-forms", "lemmas"]
+    headers = [row for row in cpath.read_text().splitlines() if row.startswith("suite,passed")]
+    assert len(headers) == 3
 
 
 def test_census_output(capsys):

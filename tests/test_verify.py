@@ -2,7 +2,9 @@
 
 import json
 
-from bruhat_forge import closedform, verify, weyl
+import pytest
+
+from bruhat_forge import closedform, weyl
 from bruhat_forge.hecke import standard_basis
 from bruhat_forge.regions import RegionKind
 from bruhat_forge.verify import (
@@ -32,25 +34,24 @@ def test_census_small_spans():
     assert all(r["classes"] >= 1 for r in rows)
 
 
-def test_reports_deterministic_and_jobs_equivalent():
-    verify._SURVEY_CACHE.clear()
+def test_reports_deterministic():
+    interval_survey.cache_clear()
     r1 = verify_conjecture(4)
-    verify._SURVEY_CACHE.clear()
+    interval_survey.cache_clear()
     r2 = verify_conjecture(4)
-    verify._SURVEY_CACHE.clear()
-    r4 = verify_conjecture(4, jobs=2)
-    verify._SURVEY_CACHE.clear()
+    interval_survey.cache_clear()
 
     def norm(report):
         obj = report.to_json_obj()
         obj.pop("elapsed")
         for s in obj["suites"]:
             s.pop("elapsed")
-        obj["scope"].pop("jobs", None)
         return obj
 
     assert norm(r1) == norm(r2)
-    assert norm(r1) == norm(r4)
+    # the survey runs in one process; no other job count is accepted
+    with pytest.raises(ValueError):
+        verify_conjecture(4, jobs=2)
 
 
 def test_closed_forms_small():
