@@ -9,12 +9,13 @@ Usage: python scripts/isomorphism_census.py [--max-length 8]
 import argparse
 import collections
 
+from bruhat_forge.cli import _length
 from bruhat_forge.verify import interval_survey
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-length", type=int, default=8)
+    parser.add_argument("--max-length", type=_length, default=8)
     args = parser.parse_args()
 
     survey = interval_survey(args.max_length)

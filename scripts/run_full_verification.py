@@ -11,6 +11,7 @@ import csv
 import sys
 import time
 
+from bruhat_forge.cli import _length
 from bruhat_forge.verify import (
     verify_closed_forms,
     verify_conjecture,
@@ -20,7 +21,7 @@ from bruhat_forge.verify import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-length", type=int, default=10)
+    parser.add_argument("--max-length", type=_length, default=10)
     parser.add_argument("--json-out", default="verification_report.json")
     parser.add_argument("--csv-out", default="verification_report.csv")
     args = parser.parse_args()

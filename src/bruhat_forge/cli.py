@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _length(text: str) -> int:
-    """argparse type of --max-length and --radius: an int >= 0."""
+    """argparse type of --max-length and --radius, here and in scripts/: an int >= 0."""
     try:
         value = int(text)
     except ValueError:

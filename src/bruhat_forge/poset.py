@@ -117,7 +117,11 @@ class Interval:
 
     @property
     def leq_masks(self) -> tuple[int, ...]:
-        """leq_masks[i] has bit j set when member i <= member j."""
+        """leq_masks[i] has bit j set when member i <= member j.
+
+        The tests' reference checks read the whole order here; the
+        package itself checks certificates on covers.
+        """
         if self._leq_masks is None:
             # column j is the ideal of member j restricted to the interval
             self._leq_masks = _transpose(
@@ -196,6 +200,12 @@ def _multiset(positions: list[int], colors: list[int]) -> tuple[int, ...]:
     return tuple(sorted([colors[i] for i in positions]))
 
 
+def interval_mask(x: Element, y: Element) -> int:
+    """The members of [x, y] as a ball bitset: the ideal of y meets the
+    upper set of x.  Empty when x is not below y."""
+    return y.ideal & weyl.upper_set(x, y.length)
+
+
 @functools.cache
 def build_interval(x: Element, y: Element) -> Interval:
     """The interval [x, y]; raises NotComparableError when x is not below y."""
@@ -203,8 +213,13 @@ def build_interval(x: Element, y: Element) -> Interval:
         raise NotComparableError(
             f"{x.word() or 'id'!s} is not below {y.word() or 'id'!s} in Bruhat order"
         )
-    members = [z for z in weyl.lower_interval(y) if weyl.bruhat_leq(x, z)]
-    return Interval(x, y, members)
+    return Interval(x, y, list(weyl.ball_elements(interval_mask(x, y))))
+
+
+def _ends(side: "Interval | tuple[Element, Element]") -> tuple[Element, Element]:
+    if isinstance(side, Interval):
+        return side.bottom, side.top
+    return side
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +245,46 @@ class IsoCertificate:
         """JSON form: position i holds the b-index of the image of a.members[i]."""
         return [b.index[self.mapping[z]] for z in a.members]
 
-    def is_valid(self, a: Interval, b: Interval) -> bool:
-        """Re-derive that the mapping preserves order in both directions."""
-        if set(self.mapping) != set(a.members):
+    def is_valid(
+        self,
+        a: "Interval | tuple[Element, Element]",
+        b: "Interval | tuple[Element, Element]",
+    ) -> bool:
+        """Re-derive that the mapping is an order isomorphism a -> b.
+
+        Each side is an Interval or its (bottom, top) pair.  Members and
+        covers come from the lower ideals over the ball, not from the
+        search's masks: the members of [x, y] are the ideal of y met with
+        the upper set of x, and the down-covers of z are the members of
+        its ideal one length below it.  The check asks for a bijection
+        between the member sets that keeps ranks and maps the down-covers
+        of every member onto the down-covers of its image.  Covers then
+        correspond in both directions, and that suffices: in a finite
+        poset the order is the reflexive-transitive closure of the cover
+        relation (Stanley, EC1, 3.1).
+        """
+        (ax, ay), (bx, by) = _ends(a), _ends(b)
+        members_a, members_b = interval_mask(ax, ay), interval_mask(bx, by)
+        index = {z.ball_index: w.ball_index for z, w in self.mapping.items()}
+        domain = image = 0
+        for i, j in index.items():
+            domain |= 1 << i
+            image |= 1 << j
+        if domain != members_a or image != members_b or image.bit_count() != len(index):
             return False
-        if set(self.mapping.values()) != set(b.members):
-            return False
-        perm = self.to_index_permutation(a, b)
-        la, lb = a.leq_masks, b.leq_masks
-        n = len(a.members)
-        for i in range(n):
-            img_row = sum(1 << perm[j] for j in _bits(la[i]))
-            if img_row != lb[perm[i]]:
+        shift = bx.length - ax.length
+        for z, w in self.mapping.items():
+            if w.length - z.length != shift:
+                return False
+            if z is ax:
+                continue
+            covers = z.ideal & members_a & weyl.layer_mask(z.length - 1)
+            mapped = 0
+            while covers:
+                low = covers & -covers
+                mapped |= 1 << index[low.bit_length() - 1]
+                covers ^= low
+            if mapped != w.ideal & members_b & weyl.layer_mask(w.length - 1):
                 return False
         return True
 
@@ -333,23 +376,33 @@ def parents(a: Element, b: Element, interval: Interval, m: int) -> frozenset[Ele
 
 def z_invariant(interval: Interval, m: int) -> frozenset[Element]:
     """Members at corank m whose KL polynomial against the top is 1 + q."""
-    y = interval.top
-    target = y.length - m
-    column = closedform.kl_fast_column(y)
-    return frozenset(
-        z
-        for z in interval.members
-        if z.length == target and column[z] == Q_PLUS_ONE
-    )
+    return _z_sets(interval.bottom, interval.top, (m,))[m]
 
 
-def z_preserved_check(a: Interval, b: Interval, cert: IsoCertificate) -> bool:
-    """Whether the certificate maps Z^m of a onto Z^m of b for m = 1..4."""
-    for m in range(1, 5):
-        image = {cert.apply(z) for z in z_invariant(a, m)}
-        if image != z_invariant(b, m):
-            return False
-    return True
+def _z_sets(x: Element, y: Element, ms) -> dict[int, frozenset[Element]]:
+    # Z^m of [x, y] for each m in ms, read off the KL column of y with
+    # the bit test x <= z; no Interval is built
+    found: dict[int, set[Element]] = {m: set() for m in ms}
+    top = y.length
+    for z, p in closedform.kl_fast_column(y).items():
+        zs = found.get(top - z.length)
+        if zs is not None and p == Q_PLUS_ONE and weyl.bruhat_leq(x, z):
+            zs.add(z)
+    return {m: frozenset(zs) for m, zs in found.items()}
+
+
+def z_preserved_check(
+    a: "Interval | tuple[Element, Element]",
+    b: "Interval | tuple[Element, Element]",
+    cert: IsoCertificate,
+) -> bool:
+    """Whether the certificate maps Z^m of a onto Z^m of b for m = 1..4.
+
+    Each side is an Interval or its (bottom, top) pair.
+    """
+    ms = range(1, 5)
+    za, zb = _z_sets(*_ends(a), ms), _z_sets(*_ends(b), ms)
+    return all({cert.apply(z) for z in za[m]} == zb[m] for m in ms)
 
 
 # ---------------------------------------------------------------------------

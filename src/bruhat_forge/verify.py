@@ -2,10 +2,19 @@
 Theorem-level verification harness.
 
 ``verify_conjecture`` enumerates every interval [x, y] with l(y) below a
-bound, buckets by (span, size, rank vector, fingerprint), splits each
-bucket into isomorphism classes with certificates, and asserts that
-isomorphic intervals carry equal KL polynomials, the combinatorial
-invariance statement, checked exhaustively at desk scale.
+bound and asserts that isomorphic intervals carry equal KL polynomials,
+the combinatorial invariance statement, checked exhaustively at desk
+scale.  The survey classifies one interval per orbit of the symmetry
+group G: diagram automorphisms and w -> w^-1 are Bruhat-order
+automorphisms (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
+ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
+so [x, y] and [tau x, tau y] are isomorphic.  Orbit representatives are
+bucketed by (span, size, rank vector, fingerprint) and split into
+isomorphism classes with certificates; every other interval inherits its
+representative's class and a composed certificate.  Neither citation is
+taken on trust: the KL equality runs over every interval, every
+certificate is re-validated, and a sample of symmetry maps is checked
+as isomorphisms.
 
 ``verify_closed_forms`` replays every closed formula against the
 canonical-basis recursion; ``verify_lemma_suite`` exercises the
@@ -24,6 +33,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 from . import closedform, hecke, poset, regions, weyl
 from .poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
@@ -152,35 +162,65 @@ def _interval_pairs(max_length: int) -> list[tuple[Element, Element]]:
 
 @functools.cache
 def interval_survey(max_length: int) -> Survey:
-    """Bucket and classify all intervals with l(y) <= max_length."""
+    """Bucket and classify all intervals with l(y) <= max_length.
+
+    Only the first pair of each G-orbit, in pair order, is built,
+    bucketed and searched.  Every other pair (tau x, tau y) takes the
+    class of its orbit's first pair (x, y) and the certificate
+    z -> c(tau^-1 z), where c is the certificate of (x, y), or the
+    identity when (x, y) represents its class.  The first pair of a
+    class is always the first of its orbit, so representatives, class
+    ids and member order are those of classifying every pair.
+    """
     pairs = _interval_pairs(max_length)
+    ball = weyl.enumerate_up_to_length(max_length)
+    actions = [[tau.apply(w) for w in ball] for tau in SYMMETRY_GROUP]
+    # pair -> (first pair of its orbit, the action carrying that onto it)
+    orbit_of: dict[tuple[Element, Element], tuple[tuple[Element, Element], list[Element]]] = {}
+    built: dict[tuple[Element, Element], poset.Interval] = {}
     buckets: dict[tuple, list[tuple[Element, Element]]] = {}
     for x, y in pairs:
-        interval = build_interval(x, y)
+        if (x, y) in orbit_of:
+            continue
+        for act in actions:
+            orbit_of.setdefault((act[x.ball_index], act[y.ball_index]), ((x, y), act))
+        built[(x, y)] = interval = build_interval(x, y)
         key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
         buckets.setdefault(key, []).append((x, y))
 
-    class_id: dict[tuple[Element, Element], int] = {}
+    # (class id, certificate onto the class representative or None)
+    placed: dict[tuple[Element, Element], tuple[int, Optional[IsoCertificate]]] = {}
     classes: list[IsoClass] = []
     for key in sorted(buckets, key=repr):
-        pending: list[tuple[IsoClass, int]] = []
-        for x, y in buckets[key]:
-            interval = build_interval(x, y)
-            placed = False
-            for cls, cid in pending:
-                cert = is_isomorphic(interval, build_interval(*cls.rep))
+        pending: list[int] = []
+        for first in buckets[key]:
+            for cid in pending:
+                cert = is_isomorphic(built[first], built[classes[cid].rep])
                 if cert is not None:
-                    cls.members.append((x, y))
-                    cls.certs[(x, y)] = cert
-                    class_id[(x, y)] = cid
-                    placed = True
+                    placed[first] = (cid, cert)
                     break
-            if not placed:
-                cls = IsoClass(rep=(x, y), members=[(x, y)], certs={})
-                classes.append(cls)
-                cid = len(classes) - 1
-                pending.append((cls, cid))
-                class_id[(x, y)] = cid
+            else:
+                classes.append(IsoClass(rep=first, members=[], certs={}))
+                pending.append(len(classes) - 1)
+                placed[first] = (len(classes) - 1, None)
+
+    class_id: dict[tuple[Element, Element], int] = {}
+    for pair in pairs:
+        first, act = orbit_of[pair]
+        cid, cert = placed[first]
+        cls = classes[cid]
+        cls.members.append(pair)
+        class_id[pair] = cid
+        if pair == cls.rep:
+            continue
+        if pair == first:
+            cls.certs[pair] = cert
+            continue
+        members = built[first].members
+        images = members if cert is None else [cert.mapping[z] for z in members]
+        cls.certs[pair] = IsoCertificate(
+            {act[z.ball_index]: c for z, c in zip(members, images)}
+        )
     return Survey(max_length, pairs, class_id, classes)
 
 
@@ -192,11 +232,18 @@ def verify_conjecture(
 ) -> VerificationReport:
     """Exhaustively check that isomorphic intervals share KL polynomials.
 
-    Also re-validates every certificate produced by the classing stage,
-    cross-checks the fast KL path against the recursion oracle on a
-    deterministic random sample, and spot-checks that symmetry-related
-    intervals land in the same class.  Any closed-form fallback fails
-    the conjecture suite, as it fails every lemma suite.
+    The survey classifies one interval per G-orbit: diagram
+    automorphisms and w -> w^-1 are Bruhat-order automorphisms
+    (Bjorner-Brenti, GTM 231, ch. 2) and fix KL polynomials
+    (Kazhdan-Lusztig, Invent. Math. 53, 1979).  The KL equality is still
+    checked over every interval.  The report also re-validates every
+    certificate, the composed ones included, on covers; cross-checks the
+    fast KL path against the recursion oracle on the class
+    representatives and a deterministic random sample; and, for a
+    sample of intervals [x, y] and every tau in G, validates z -> tau z
+    as an isomorphism [x, y] -> [tau x, tau y] and compares the two KL
+    polynomials.  Any closed-form fallback fails the conjecture suite,
+    as it fails every lemma suite.
 
     The survey runs in one process. ``jobs`` accepts only 1 and stays,
     with its report scope key, until ``perfbench/worker.py`` stops
@@ -245,12 +292,11 @@ def verify_conjecture(
     )
 
     t1 = time.perf_counter()
-    bad_certs = 0
-    for cls in survey.classes:
-        rep_interval = build_interval(*cls.rep)
-        for member, cert in cls.certs.items():
-            if not cert.is_valid(build_interval(*member), rep_interval):
-                bad_certs += 1
+    bad_certs = sum(
+        not cert.is_valid(member, cls.rep)
+        for cls in survey.classes
+        for member, cert in cls.certs.items()
+    )
     certs = SuiteResult(
         name="certificates re-validated",
         passed=bad_certs == 0,
@@ -297,10 +343,11 @@ def verify_conjecture(
     orbit_bad = []
     orbit_sample = sample[: max(10, k // 2)]
     for x, y in orbit_sample:
-        cid = survey.class_id[(x, y)]
+        members = weyl.ball_elements(poset.interval_mask(x, y))
         for tau in SYMMETRY_GROUP:
-            key = (tau.apply(x), tau.apply(y))
-            if survey.class_id.get(key) != cid or polys.get(key) != polys[(x, y)]:
+            image = (tau.apply(x), tau.apply(y))
+            shift = IsoCertificate({z: tau.apply(z) for z in members})
+            if not shift.is_valid((x, y), image) or polys.get(image) != polys[(x, y)]:
                 orbit_bad.append([tau.name, x.word(), y.word()])
     orbit = SuiteResult(
         name="symmetry orbits land in one class",
@@ -757,12 +804,9 @@ def verify_lemma_suite(
         bad = []
         checked = 0
         for cls in survey.classes:
-            rep_interval = build_interval(*cls.rep)
             for member, cert in cls.certs.items():
                 checked += 1
-                if not poset.z_preserved_check(
-                    build_interval(*member), rep_interval, cert
-                ):
+                if not poset.z_preserved_check(member, cls.rep, cert):
                     bad.append(
                         {"member": [member[0].word(), member[1].word()],
                          "rep": [cls.rep[0].word(), cls.rep[1].word()]}

@@ -18,7 +18,8 @@ Bruhat order is held one way.  The ball is numbered once, in (length,
 word) order, as its layers are enumerated, and each element caches its
 lower ideal {z : z <= w} as an int bitset over that numbering, built by
 Deodhar's property Z: [e, w] = [e, sw] U s[e, sw] for s in D_L(w)
-(Bjorner-Brenti, GTM 231, 2.2).
+(Bjorner-Brenti, GTM 231, 2.2).  The upper sets {z : x <= z} within a
+length bound are the transpose of those ideals, one table per bound.
 
 The symmetry group G (order 12) is generated by the diagram rotation rho
 (s0 -> s1 -> s2 -> s0), the diagram flip sigma (fixes s0, swaps s1 and
@@ -29,6 +30,7 @@ so applying a symmetry is O(1) as well.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -50,6 +52,9 @@ __all__ = [
     "descents",
     "bruhat_leq",
     "lower_interval",
+    "upper_set",
+    "ball_elements",
+    "layer_mask",
     "apply_symmetry",
     "enumerate_up_to_length",
     "elements_of_length",
@@ -379,7 +384,37 @@ def bruhat_leq(x: Element, y: Element) -> bool:
 
 def lower_interval(y: Element) -> tuple[Element, ...]:
     """All z <= y, sorted by (length, word): the ideal of y, decoded."""
-    mask = y.ideal
+    return ball_elements(y.ideal)
+
+
+def upper_set(x: Element, max_length: int) -> int:
+    """The upper set {z : x <= z, l(z) <= max_length} as a ball bitset."""
+    if x.length > max_length:
+        return 0
+    return _upper_sets(max_length)[x.ball_index]
+
+
+@functools.cache
+def _upper_sets(max_length: int) -> tuple[int, ...]:
+    # grown from the table one length down: each element of the new
+    # layer is maximal in the ball, so its upper set is itself, and it
+    # joins the upper set of everything in its ideal
+    if max_length < 0:
+        return ()
+    ups = list(_upper_sets(max_length - 1))
+    for w in elements_of_length(max_length):
+        bit = 1 << w.ball_index
+        ups.append(bit)
+        mask = w.ideal ^ bit
+        while mask:
+            low = mask & -mask
+            ups[low.bit_length() - 1] |= bit
+            mask ^= low
+    return tuple(ups)
+
+
+def ball_elements(mask: int) -> tuple[Element, ...]:
+    """The elements whose ball bits are set in ``mask``, in (length, word) order."""
     out: list[Element] = []
     for layer in _LAYERS:
         if not mask:
@@ -387,6 +422,13 @@ def lower_interval(y: Element) -> tuple[Element, ...]:
         out.extend(w for i, w in enumerate(layer) if mask >> i & 1)
         mask >>= len(layer)
     return tuple(out)
+
+
+@functools.cache
+def layer_mask(n: int) -> int:
+    """The ball bits of the elements of length n."""
+    layer = elements_of_length(n)
+    return ((1 << len(layer)) - 1) << layer[0].ball_index
 
 
 # ---------------------------------------------------------------------------

@@ -152,3 +152,86 @@ def brute_force_isomorphic(a, b) -> bool:
         if ok:
             return True
     return False
+
+
+# -- the interval survey, one pair at a time ---------------------------------
+
+def per_pair_survey(max_length: int):
+    """Classify every interval with l(y) <= max_length on its own.
+
+    Each pair is built, bucketed by (span, size, rank vector,
+    fingerprint) and searched against the class representatives of its
+    bucket, with no use of the symmetry group.  Returns a verify.Survey
+    with the certificates the search found.
+    """
+    from bruhat_forge import weyl
+    from bruhat_forge.poset import build_interval, fingerprint, is_isomorphic
+    from bruhat_forge.verify import IsoClass, Survey
+
+    pairs = [
+        (x, y)
+        for y in weyl.enumerate_up_to_length(max_length)
+        for x in weyl.lower_interval(y)
+        if x != y
+    ]
+    buckets: dict = {}
+    for x, y in pairs:
+        interval = build_interval(x, y)
+        key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
+        buckets.setdefault(key, []).append((x, y))
+    class_id: dict = {}
+    classes: list = []
+    for key in sorted(buckets, key=repr):
+        pending: list = []
+        for pair in buckets[key]:
+            interval = build_interval(*pair)
+            for cid in pending:
+                cert = is_isomorphic(interval, build_interval(*classes[cid].rep))
+                if cert is not None:
+                    classes[cid].members.append(pair)
+                    classes[cid].certs[pair] = cert
+                    class_id[pair] = cid
+                    break
+            else:
+                classes.append(IsoClass(rep=pair, members=[pair], certs={}))
+                pending.append(len(classes) - 1)
+                class_id[pair] = len(classes) - 1
+    return Survey(max_length, pairs, class_id, classes)
+
+
+def full_order_check(cert, a, b) -> bool:
+    """Whether cert maps the members of Interval a onto those of Interval
+    b and keeps the whole order both ways, read from ``leq_masks``."""
+    if set(cert.mapping) != set(a.members):
+        return False
+    if set(cert.mapping.values()) != set(b.members):
+        return False
+    perm = cert.to_index_permutation(a, b)
+    la, lb = a.leq_masks, b.leq_masks
+    for i, row in enumerate(la):
+        img_row = 0
+        while row:
+            low = row & -row
+            img_row |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        if img_row != lb[perm[i]]:
+            return False
+    return True
+
+
+def subword_order_check(cert, a_pair, b_pair) -> bool:
+    """Whether cert is an order isomorphism [x, y] -> [u, v], with both
+    intervals and their order taken from the subword property."""
+
+    def members(x, y):
+        return {z for z in subword_lower_set(y) if x in subword_lower_set(z)}
+
+    dom, img = members(*a_pair), members(*b_pair)
+    if set(cert.mapping) != dom or set(cert.mapping.values()) != img:
+        return False
+    below = {z: subword_lower_set(z) for z in dom | img}
+    return all(
+        (p in below[q]) == (cert.apply(p) in below[cert.apply(q)])
+        for p in dom
+        for q in dom
+    )

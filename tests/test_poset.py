@@ -3,6 +3,7 @@ Z-sets, and the structural lemma checks."""
 
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -374,3 +375,90 @@ def test_structural_six_case_includes_rho_chain_bottom():
         if inst["x"] == x.word() and inst["y"] == y.word()
     ]
     assert hits and all(h["ok"] and h["gap"] == 5 for h in hits)
+
+
+def _survey_certificates(max_length):
+    from bruhat_forge.verify import interval_survey
+
+    survey = interval_survey(max_length)
+    return [
+        (member, cls.rep, cert)
+        for cls in survey.classes
+        for member, cert in cls.certs.items()
+    ]
+
+
+def _swap_two_images(cert, rng):
+    # exchange the images of two members of one length
+    by_length = collections.defaultdict(list)
+    for z in cert.mapping:
+        by_length[z.length].append(z)
+    length = rng.choice(sorted(n for n, zs in by_length.items() if len(zs) > 1))
+    u, v = rng.sample(by_length[length], 2)
+    mapping = dict(cert.mapping)
+    mapping[u], mapping[v] = mapping[v], mapping[u]
+    return IsoCertificate(mapping)
+
+
+def test_cover_check_agrees_with_full_order_check_to_length_8():
+    certs = _survey_certificates(8)
+    for member, rep, cert in certs:
+        assert cert.is_valid(member, rep), (member, rep)
+        assert oracles.full_order_check(cert, build_interval(*member), build_interval(*rep))
+    rng = random.Random(8)
+    spread = [t for t in certs if t[0][1].length - t[0][0].length >= 2]
+    rejected = 0
+    for member, rep, cert in rng.sample(spread, 250):
+        swapped = _swap_two_images(cert, rng)
+        by_covers = swapped.is_valid(member, rep)
+        assert by_covers == oracles.full_order_check(
+            swapped, build_interval(*member), build_interval(*rep)
+        ), (member, rep)
+        assert by_covers == swapped.is_valid(build_interval(*member), build_interval(*rep))
+        rejected += not by_covers
+    print(f"cover check: {rejected} of 250 perturbed certificates rejected")
+    assert rejected > 0
+
+
+def test_cover_check_agrees_with_subword_order_on_a_sample():
+    rng = random.Random(7)
+    for member, rep, cert in rng.sample(_survey_certificates(7), 40):
+        assert cert.is_valid(member, rep)
+        assert oracles.subword_order_check(cert, member, rep)
+        assert cert.inverse().is_valid(rep, member)
+        if member[1].length - member[0].length >= 2:
+            swapped = _swap_two_images(cert, rng)
+            assert swapped.is_valid(member, rep) == oracles.subword_order_check(
+                swapped, member, rep
+            )
+
+
+def test_composed_certificate_with_wrong_symmetry_is_rejected():
+    # z -> c(tau^-1 z) certifies [tau x, tau y] -> rep only for a tau
+    # that carries [x, y] onto [tau x, tau y]
+    from bruhat_forge.verify import interval_survey
+
+    survey = interval_survey(6)
+    rejected = 0
+    for cls in survey.classes[::5]:
+        for first in cls.members[:3]:
+            members = build_interval(*first).members
+            cert = cls.certs.get(first)
+            images = [cert.apply(z) if cert is not None else z for z in members]
+            for tau in weyl.SYMMETRY_GROUP:
+                target = (tau.apply(first[0]), tau.apply(first[1]))
+                for built_with in weyl.SYMMETRY_GROUP:
+                    composed = IsoCertificate(
+                        {built_with.apply(z): c for z, c in zip(members, images)}
+                    )
+                    carried = (built_with.apply(first[0]), built_with.apply(first[1]))
+                    assert composed.is_valid(target, cls.rep) == (carried == target)
+                    rejected += carried != target
+    assert rejected > 0
+
+
+def test_z_preserved_check_reads_pairs_like_intervals():
+    for member, rep, cert in _survey_certificates(6)[::11]:
+        by_pairs = z_preserved_check(member, rep, cert)
+        assert by_pairs
+        assert by_pairs == z_preserved_check(build_interval(*member), build_interval(*rep), cert)

@@ -43,3 +43,11 @@ def test_census_and_full_verification_scripts(tmp_path):
     assert [r["scope"]["suite"] for r in reports] == ["conjecture", "closed-forms", "lemmas"]
     assert all(r["passed"] for r in reports)
     assert cpath.exists()
+
+
+def test_scripts_reject_negative_lengths(tmp_path):
+    for name in ("isomorphism_census.py", "run_full_verification.py"):
+        proc = _run_script(name, "--max-length", "-1", cwd=tmp_path)
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert "must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr

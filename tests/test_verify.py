@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import oracles
 from bruhat_forge import closedform, weyl
 from bruhat_forge.hecke import standard_basis
 from bruhat_forge.regions import RegionKind
@@ -187,3 +188,18 @@ def test_formula_fallbacks_fail_verification(monkeypatch):
     assert all(
         s.counts["fallbacks"] > 0 for s in lemmas.suites if not s.passed
     )
+
+
+def test_orbit_survey_matches_per_pair_reference():
+    # classifying one pair per symmetry orbit gives the representatives,
+    # class ids, member order and census of classifying every pair
+    for max_length in range(9):
+        survey = interval_survey(max_length)
+        ref = oracles.per_pair_survey(max_length)
+        assert survey.intervals == ref.intervals
+        assert [c.rep for c in survey.classes] == [c.rep for c in ref.classes]
+        assert [c.members for c in survey.classes] == [c.members for c in ref.classes]
+        assert survey.class_id == ref.class_id
+        assert survey.census_rows() == ref.census_rows()
+        for cls in survey.classes:
+            assert set(cls.certs) == set(cls.members) - {cls.rep}

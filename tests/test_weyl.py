@@ -232,3 +232,15 @@ def test_serialization_is_shortlex_over_012():
     assert from_word("1212").word() == "21"
     with pytest.raises(ValueError):
         from_word("12a")
+
+
+def test_upper_sets_and_ball_bitsets_to_length_7():
+    ball = enumerate_up_to_length(7)
+    for x in ball:
+        above = weyl.ball_elements(weyl.upper_set(x, 7))
+        assert above == tuple(z for z in ball if bruhat_leq(x, z))
+        assert weyl.upper_set(x, x.length - 1) == 0
+    for n in range(8):
+        layer = weyl.ball_elements(weyl.layer_mask(n))
+        assert layer == weyl.elements_of_length(n)
+    assert weyl.ball_elements(identity().ideal) == (identity(),)
