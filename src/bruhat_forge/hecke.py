@@ -11,6 +11,13 @@ and q-normalizations, the auxiliary sums N_x (lower-interval sum) and
 M_{x,y} (union of two lower intervals), coefficient extraction G_x,
 the content c(H) (total coefficient mass at v = 1), monotonic elements,
 and the coefficientwise order on Hecke elements.
+
+Products by a generator and each canonical basis element are summed in
+place into one table Element -> (exponent -> coefficient), with the mu
+corrections subtracted as integer multiples, and frozen into an
+immutable HeckeElement once.  The recursion uses nothing from the
+closed forms (this module does not import closedform), so the two
+routes to P_{x,y} stay independent.
 """
 
 from __future__ import annotations
@@ -133,26 +140,42 @@ def standard_basis(w: Element) -> HeckeElement:
     return HeckeElement({w: ONE})
 
 
+# A Hecke element under construction: Element -> (exponent -> coefficient),
+# zeros allowed until it is frozen.
+Table = dict[Element, dict[int, int]]
+
+
+def _add_mult_gen(acc: Table, H: HeckeElement, s: int, right: bool, kl: bool) -> None:
+    """Add H times H_s (kl=False) or H_s + v (kl=True), on either side, into acc.
+
+    H_x H_s = H_{xs} (+ v H_x for H_s + v) when the length goes up, and
+    H_x H_s = H_{xs} + (v^-1 - v) H_x (+ v H_x, leaving v^-1 H_x) when it
+    goes down.
+    """
+    for x, p in H._m.items():
+        xs = x.right_mult(s) if right else x.left_mult(s)
+        p.add_to(acc.setdefault(xs, {}), 1, 0)
+        if xs.length > x.length:
+            if kl:
+                p.add_to(acc.setdefault(x, {}), 1, 1)
+        else:
+            row = acc.setdefault(x, {})
+            p.add_to(row, 1, -1)
+            if not kl:
+                p.add_to(row, -1, 1)
+
+
+def _freeze(acc: Table) -> HeckeElement:
+    return HeckeElement({x: LaurentPoly(row) for x, row in acc.items()})
+
+
 def _mult_gen(H: HeckeElement, s: int, side: str, kl: bool) -> HeckeElement:
     """Multiply by H_s (kl=False) or by H_s + v (kl=True) on either side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    right = side == "right"
-    acc: dict[Element, LaurentPoly] = {}
-
-    def add(x: Element, p: LaurentPoly) -> None:
-        q = acc.get(x)
-        acc[x] = p if q is None else q + p
-
-    for x, p in H._m.items():
-        xs = x.right_mult(s) if right else x.left_mult(s)
-        add(xs, p)
-        if xs.length > x.length:
-            if kl:
-                add(x, p * V)
-        else:
-            add(x, p * (V_INV if kl else V_INV - V))
-    return HeckeElement(acc)
+    acc: Table = {}
+    _add_mult_gen(acc, H, s, side == "right", kl)
+    return _freeze(acc)
 
 
 def mult_std(H: HeckeElement, s: int, side: str = "right") -> HeckeElement:
@@ -177,9 +200,12 @@ def kl_basis(w: Element, max_length: int = DEFAULT_KL_CAP) -> HeckeElement:
 
     Writing kl_basis(w) = sum_x h_{x,w}(v) H_x, the result satisfies
     h_{w,w} = 1 and h_{x,w} in v Z[v] for x < w, and is fixed by the bar
-    involution.  Computed as kl_basis(ws) * (H_s + v) minus the
-    correction sum over x with xs < x of mu(x, ws) * kl_basis(x), where
-    mu is the coefficient of v^1.  The cap is checked on every call,
+    involution.  With s = min D_R(w) it is kl_basis(ws) * (H_s + v) minus
+    mu(x, ws) * kl_basis(x) for every x with xs < x, where mu is the
+    coefficient of v^1.  The whole sum is accumulated in place in one
+    exponent -> coefficient table per element and frozen once.  This
+    module never reads the closed forms, so the recursion stays an
+    independent check on them.  The cap is checked on every call,
     memoized or not.
     """
     if w.length > max_length:
@@ -195,12 +221,14 @@ def _kl_basis(w: Element) -> HeckeElement:
         return standard_basis(w)
     s = min(w.right_descents())
     base = _kl_basis(w.right_mult(s))
-    out = mult_kl_s(base, s, "right")
+    acc: Table = {}
+    _add_mult_gen(acc, base, s, True, True)
     for x, p in base._m.items():
         m = p.coefficient(1)
         if m and x.right_mult(s).length < x.length:
-            out = out - _kl_basis(x).scale(LaurentPoly({0: m}))
-    return out
+            for z, q in _kl_basis(x)._m.items():
+                q.add_to(acc.setdefault(z, {}), -m, 0)
+    return _freeze(acc)
 
 
 def mu(x: Element, w: Element) -> int:
@@ -263,8 +291,7 @@ def is_monotonic(H: HeckeElement) -> bool:
     for x, px in H._m.items():
         lx = x.length
         for y in weyl.lower_interval(x):
-            diff = H.coefficient(y) - px.shift(lx - y.length)
-            if not diff.is_nonneg():
+            if not H.coefficient(y).dominates(px, lx - y.length):
                 return False
     return True
 

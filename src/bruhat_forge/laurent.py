@@ -25,6 +25,17 @@ def _clean(coeffs: Mapping[int, int]) -> dict[int, int]:
     return {e: c for e, c in coeffs.items() if c}
 
 
+def _dominates(a: Mapping[int, int], b: Mapping[int, int], k: int) -> bool:
+    # every coefficient of a - (b with exponents shifted by k) is >= 0
+    for e, c in a.items():
+        if c < b.get(e - k, 0):
+            return False
+    for e, c in b.items():
+        if c > 0 and e + k not in a:
+            return False
+    return True
+
+
 def _format_term(coeff: int, exp: int, var: str) -> str:
     if exp == 0:
         return str(coeff)
@@ -142,32 +153,35 @@ class LaurentPoly:
                 acc[e] = n
             else:
                 acc.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = acc
-        out._hash = None
-        return out
+        return _wrap(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -c for e, c in self._c.items()}
-        out._hash = None
-        return out
+        return _wrap({e: -c for e, c in self._c.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly({0: other})
-        return self + (-other)
+        acc = dict(self._c)
+        for e, c in other._c.items():
+            n = acc.get(e, 0) - c
+            if n:
+                acc[e] = n
+            else:
+                acc.pop(e, None)
+        return _wrap(acc)
+
+    def __rsub__(self, other: int) -> "LaurentPoly":
+        if not isinstance(other, int):
+            return NotImplemented
+        return LaurentPoly({0: other}) - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
                 return _L_ZERO
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {e: c * other for e, c in self._c.items()}
-            out._hash = None
-            return out
+            return _wrap({e: c * other for e, c in self._c.items()})
         acc: dict[int, int] = {}
         for e1, c1 in self._c.items():
             for e2, c2 in other._c.items():
@@ -177,32 +191,36 @@ class LaurentPoly:
                     acc[e] = n
                 else:
                     acc.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = acc
-        out._hash = None
-        return out
+        return _wrap(acc)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: c for e, c in self._c.items()}
-        out._hash = None
-        return out
+        return _wrap({e + k: c for e, c in self._c.items()})
+
+    def add_to(self, acc: dict[int, int], coeff: int, k: int) -> None:
+        """Add coeff * v^k * self into the exponent -> coefficient table acc.
+
+        Zeros are left in acc; ``LaurentPoly(acc)`` drops them.
+        """
+        for e, c in self._c.items():
+            e += k
+            acc[e] = acc.get(e, 0) + coeff * c
 
     # -- involutions and tests ----------------------------------------------------
 
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1 (exponent k maps to -k)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {-e: c for e, c in self._c.items()}
-        out._hash = None
-        return out
+        return _wrap({-e: c for e, c in self._c.items()})
 
     def is_nonneg(self) -> bool:
         """Membership in N[v, v^-1] after normalization."""
         return all(c >= 0 for c in self._c.values())
+
+    def dominates(self, other: "LaurentPoly", k: int) -> bool:
+        """Whether self - v^k * other lies in N[v, v^-1], without building it."""
+        return _dominates(self._c, other._c, k)
 
     def evaluate_at_one(self) -> int:
         return sum(self._c.values())
@@ -212,6 +230,14 @@ class LaurentPoly:
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [exponent, coefficient] pairs sorted ascending."""
         return [[e, c] for e, c in sorted(self._c.items())]
+
+
+def _wrap(acc: dict[int, int]) -> LaurentPoly:
+    # acc must hold no zeros; it becomes the new polynomial's own table
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = acc
+    out._hash = None
+    return out
 
 
 _L_ZERO = LaurentPoly()
@@ -266,6 +292,10 @@ class QPoly:
 
     def is_nonneg(self) -> bool:
         return all(c >= 0 for c in self._c.values())
+
+    def dominates(self, other: "QPoly") -> bool:
+        """Whether self - other has no negative coefficient, without building it."""
+        return _dominates(self._c, other._c, 0)
 
     def __bool__(self) -> bool:
         return bool(self._c)

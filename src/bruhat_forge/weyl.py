@@ -247,14 +247,19 @@ class Element:
         """
         w = self._word
         if w is None:
-            letters = []
+            # word(w) = s + word(sw) for s = min D_L(w): walk down to the
+            # first cached word, then fill the words back up (iteratively,
+            # so a long user word cannot exhaust the stack)
+            chain = []
             cur = self
-            while not cur.is_identity:
+            while cur._word is None:
                 s = min(cur.left_descents())
-                letters.append(str(s))
+                chain.append((cur, str(s)))
                 cur = cur.left_mult(s)
-            w = "".join(letters)
-            self._word = w
+            w = cur._word
+            for el, s in reversed(chain):
+                w = s + w
+                el._word = w
         return w
 
     def sort_key(self) -> tuple[int, str]:
@@ -436,6 +441,7 @@ def layer_mask(n: int) -> int:
 
 _LAYERS: list[tuple[Element, ...]] = [(_IDENTITY,)]
 _IDENTITY._index = 0
+_IDENTITY._word = ""
 
 
 def elements_of_length(n: int) -> tuple[Element, ...]:

@@ -5,8 +5,10 @@ Everything here is deliberately written against different machinery
 than the package: the group is realized by homogeneous 3x3 integer
 matrices in ROOT coordinates (the package uses 2x2 weight-coordinate
 tables), lengths come from breadth-first search distance instead of a
-wall-counting formula, Bruhat order comes from the subword property,
-polynomial arithmetic uses dense coefficient lists, and isomorphism
+wall-counting formula, ShortLex words from listing every reduced word,
+Bruhat order comes from the subword property, polynomial arithmetic
+uses dense coefficient lists, the canonical basis is rebuilt as new
+immutable elements at every step of its recursion, and isomorphism
 testing enumerates bijections outright.
 """
 
@@ -67,6 +69,28 @@ def bfs_length(word: str, max_depth: int = 24) -> int:
     return depths[target]
 
 
+def shortlex_words(max_depth: int) -> dict:
+    """matrix -> ShortLex-least reduced word, out to max_depth.
+
+    Every reduced word is listed, length by length in lexicographic
+    order (each prefix of a reduced word is reduced), and the first one
+    to reach a matrix is kept.
+    """
+    depths = bfs_ball(max_depth)
+    first = {IDENTITY_MAT: ""}
+    layer = [("", IDENTITY_MAT)]
+    for d in range(1, max_depth + 1):
+        nxt = []
+        for word, m in layer:
+            for g in "012":
+                p = mat_mul(m, GEN_MATS[int(g)])
+                if depths.get(p) == d:
+                    nxt.append((word + g, p))
+                    first.setdefault(p, word + g)
+        layer = nxt
+    return first
+
+
 # -- Bruhat order by the subword property ------------------------------------
 
 def subword_lower_set(y) -> frozenset:
@@ -110,6 +134,40 @@ def dense_add(a_pairs, b_pairs, lo=-64, hi=64):
     _, a = dense_from_pairs(a_pairs, lo, hi)
     _, b = dense_from_pairs(b_pairs, lo, hi)
     return [[lo + k, x + y] for k, (x, y) in enumerate(zip(a, b)) if x + y]
+
+
+# -- the canonical basis by the immutable recursion ----------------------------
+
+def _times_kl_generator(h, s: int):
+    """h * (H_s + v), term by term through public HeckeElement operations."""
+    from bruhat_forge.hecke import HeckeElement
+    from bruhat_forge.laurent import V, V_INV, ZERO
+
+    terms: dict = {}
+    for x, p in h.items():
+        xs = x.right_mult(s)
+        terms[xs] = terms.get(xs, ZERO) + p
+        terms[x] = terms.get(x, ZERO) + p * (V if xs.length > x.length else V_INV)
+    return HeckeElement(terms)
+
+
+@lru_cache(maxsize=None)
+def reference_kl_basis(w):
+    """C_w = C_{ws}(H_s + v) - sum of mu(x, ws) C_x over x with xs < x,
+    s = min D_R(w), each step a new immutable HeckeElement."""
+    from bruhat_forge.hecke import standard_basis
+    from bruhat_forge.laurent import LaurentPoly
+
+    if w.is_identity:
+        return standard_basis(w)
+    s = min(w.right_descents())
+    base = reference_kl_basis(w.right_mult(s))
+    out = _times_kl_generator(base, s)
+    for x, p in base.items():
+        m = p.coefficient(1)
+        if m and x.right_mult(s).length < x.length:
+            out = out - reference_kl_basis(x).scale(LaurentPoly({0: m}))
+    return out
 
 
 # -- brute-force interval isomorphism ----------------------------------------

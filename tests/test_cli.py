@@ -247,6 +247,14 @@ def test_kl_survives_torn_cache_append(tmp_path, capsys, monkeypatch):
     assert len(loaded) == 1 and loaded.get("", "1201") == p
 
 
+def test_kl_long_word_with_cache_hits_the_hard_cap(tmp_path, capsys, monkeypatch):
+    # the cache keys the words before any length cap applies
+    monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(tmp_path / "kl.cache"))
+    code, out, err = run(capsys, "kl", "", "012" * 500, "--via", "formula")
+    assert code == 1 and out == ""
+    assert "exceeds the hard cap" in err
+
+
 def test_cache_bad_token_names_its_line(tmp_path):
     path = tmp_path / "kl.cache"
     path.write_text("bruhat-forge-kl-cache 1 A2~\n- 121 1\n- 12012 1,\n")

@@ -3,6 +3,7 @@ coefficient apparatus, and the positivity/duality invariants."""
 
 import pytest
 
+import oracles
 from bruhat_forge import hecke, regions, weyl
 from bruhat_forge.hecke import (
     G_coefficient,
@@ -72,6 +73,15 @@ def test_kl_basis_cap():
     kl_basis(from_word("1234"))
     with pytest.raises(ResourceLimitError):
         kl_basis(from_word("1234"), max_length=3)
+
+
+def test_kl_basis_matches_immutable_recursion():
+    # the ball to length 12, plus two column tops of the benchmark's shape
+    tops = list(weyl.enumerate_up_to_length(12))
+    tops += [weyl.SYMMETRY_BY_NAME["rho_iota"].apply(regions.theta1((4, 5))), regions.x_chain(24)]
+    assert [w.length for w in tops[-2:]] == [22, 24]
+    for w in tops:
+        assert kl_basis(w, max_length=w.length) == oracles.reference_kl_basis(w), w.word()
 
 
 def test_kl_polynomial_examples():

@@ -62,6 +62,27 @@ def test_arithmetic_matches_dense_oracle(pa, pb):
     assert (p + q).to_pairs() == oracles.dense_add(pa, pb)
 
 
+@given(pairs, pairs, st.integers(-50, 50))
+def test_subtraction_matches_dense_oracle(pa, pb, n):
+    p = LaurentPoly.from_pairs(pa)
+    q = LaurentPoly.from_pairs(pb)
+    minus_q = [(e, -c) for e, c in pb]
+    assert (p - q).to_pairs() == oracles.dense_add(pa, minus_q)
+    assert (n - q).to_pairs() == oracles.dense_add([(0, n)], minus_q)
+    assert (q - n).to_pairs() == oracles.dense_add(pb, [(0, -n)])
+
+
+@given(pairs, pairs, st.integers(-5, 5))
+def test_dominates_is_the_sign_of_the_difference(pa, pb, k):
+    p = LaurentPoly.from_pairs(pa)
+    q = LaurentPoly.from_pairs(pb)
+    assert p.dominates(q, k) == (p - q.shift(k)).is_nonneg()
+    assert p.dominates(p, 0)
+    qa = QPoly({e + 20: c for e, c in p.to_pairs()})
+    qb = QPoly({e + 20: c for e, c in q.to_pairs()})
+    assert qa.dominates(qb) == (qa - qb).is_nonneg()
+
+
 def test_to_q_examples():
     assert to_q(L({4: 1, 2: 1}), 4) == QPoly({0: 1, 1: 1})
     for k in (0, 1, 5):

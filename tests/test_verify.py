@@ -5,8 +5,9 @@ import json
 import pytest
 
 import oracles
-from bruhat_forge import closedform, weyl
+from bruhat_forge import closedform, hecke, weyl
 from bruhat_forge.hecke import standard_basis
+from bruhat_forge.laurent import LaurentPoly, QPoly
 from bruhat_forge.regions import RegionKind
 from bruhat_forge.verify import (
     interval_survey,
@@ -203,3 +204,45 @@ def test_orbit_survey_matches_per_pair_reference():
         assert survey.census_rows() == ref.census_rows()
         for cls in survey.classes:
             assert set(cls.certs) == set(cls.members) - {cls.rep}
+
+
+@pytest.mark.parametrize("bump", [LaurentPoly({1: -1}), LaurentPoly({-1: 1})])
+def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
+    # corrupt h_{e,y} by bump, and P_{e,y} by -q, for one y
+    y = weyl.from_word("1201")
+    e = weyl.identity()
+    kl_basis, kl_fast_column = hecke.kl_basis, closedform.kl_fast_column
+
+    def bad_kl_basis(w, max_length=hecke.DEFAULT_KL_CAP):
+        h = kl_basis(w, max_length)
+        return h + standard_basis(e).scale(bump) if w == y else h
+
+    def bad_column(w):
+        column = dict(kl_fast_column(w))
+        if w == y:
+            column[e] = column[e] - QPoly({1: 1})
+        return column
+
+    monkeypatch.setattr(hecke, "kl_basis", bad_kl_basis)
+    monkeypatch.setattr(closedform, "kl_fast_column", bad_column)
+    report = verify_lemma_suite(
+        partition_bound=2,
+        lemma22_bound=1,
+        boundary_bound=1,
+        cardinality_bound=1,
+        identity_bound=1,
+        parents_bound=1,
+        monotonicity_bound=4,
+        z_bound=2,
+        structural_bound=2,
+        g_invariance_bound=2,
+    )
+    suites = {s.name: s for s in report.suites}
+    chains = suites["monotonicity along chains (l(y) <= 4)"]
+    assert not chains.passed
+    for key in ("v", "q"):
+        assert any(w["y"] == y.word() and key in w for w in chains.witnesses)
+    closure = suites["monotonic element closure properties"]
+    canonical = {"w": y.word(), "rule": "canonical monotonic"}
+    # a v^-1 term keeps every coefficient difference non-negative
+    assert (canonical in closure.witnesses) == (bump.min_exp() > 0)

@@ -33,6 +33,26 @@ def test_from_word_examples():
     assert oracles.bfs_length("121") == 3
 
 
+def test_words_match_shortlex_oracle():
+    # and the ball is numbered in (length, word) order
+    shortlex = oracles.shortlex_words(10)
+    ball = enumerate_up_to_length(10)
+    assert len(ball) == len(shortlex)
+    for i, w in enumerate(ball):
+        assert from_word(w.word()) is w
+        assert w.word() == shortlex[oracles.mat_of_word(w.word())]
+        assert w.ball_index == i
+    assert [w.word() for w in ball] == sorted(shortlex.values(), key=lambda u: (len(u), u))
+
+
+def test_word_of_a_long_element():
+    # far beyond the interpreter's recursion limit
+    w = from_word("012" * 500)
+    assert w.length == 1500
+    word = w.word()
+    assert len(word) == 1500 and from_word(word) is w
+
+
 def test_label_mod_three():
     assert from_word("1234321") == from_word("1201021")
     assert from_word([4, 5]) == from_word("12")
