@@ -198,6 +198,7 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
     memoized per y (a raise is not, so it recurs on every call); callers
     must not mutate them.
     """
+    ideal = y.ideal  # above the enumeration cap this raises before classify
     tag = regions.classify(y)
     H = hecke.apply_symmetry(tag.tau, kl_closed_form(tag))
     column = {}
@@ -211,7 +212,7 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
         if p.coefficient(0) != 1:
             raise ClosedFormError(f"P({x.word()}, {y.word()}) = {p} has no constant term 1")
         column[x] = p
-    if support != y.ideal:
+    if support != ideal:
         raise ClosedFormError(f"closed form of {y.word()} is not supported on [e, y]")
     return column
 

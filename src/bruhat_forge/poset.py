@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from . import closedform, regions, weyl
 from .laurent import QPoly, Q_PLUS_ONE
@@ -47,10 +45,12 @@ class NotComparableError(ValueError):
 class Interval:
     """The graded poset on {z : x <= z <= y}, rank = l(z) - l(x).
 
-    Members are indexed in (rank, canonical word) order.  Order relations
-    are the members' lower ideals restricted to the interval; covers are
-    the comparabilities between adjacent ranks (Bruhat order is graded by
-    length, so these are exactly the cover relations).
+    Members are indexed in (rank, canonical word) order, which is their
+    ball-index order.  The covers are read once from the ball: the
+    down-covers of z are the members of its lower ideal one length below
+    it (Bruhat order is graded by length).  ``down_masks[i]`` and
+    ``up_masks[i]`` hold, as position bitsets, the members that member i
+    covers and is covered by.  ``colors`` are refined from the same pass.
     """
 
     __slots__ = (
@@ -63,8 +63,7 @@ class Interval:
         "rank_sizes",
         "down_masks",
         "up_masks",
-        "_leq_masks",
-        "_colors",
+        "colors",
         "_fingerprint",
     )
 
@@ -76,29 +75,24 @@ class Interval:
         base = bottom.length
         self.ranks = tuple(z.length - base for z in self.members)
         self.span = top.length - base
-        sizes = [0] * (self.span + 1)
-        for r in self.ranks:
-            sizes[r] += 1
-        self.rank_sizes = tuple(sizes)
-        # members come in rank order: rank r fills positions starts[r]..starts[r+1]-1
-        starts = list(accumulate(sizes, initial=0))
-        self.down_masks = tuple(
-            self._restrict(z.ideal, starts[r - 1], starts[r]) if r else 0
-            for z, r in zip(self.members, self.ranks)
-        )
-        self.up_masks = _transpose(self.down_masks)
-        self._leq_masks: Optional[tuple[int, ...]] = None
-        self._colors: Optional[tuple[int, ...]] = None
+        self.rank_sizes = tuple(self.ranks.count(r) for r in range(self.span + 1))
+        lower_covers = weyl.ball(top.length).covers
+        inside = interval_mask(bottom, top)
+        position = {z.ball_index: p for p, z in enumerate(self.members)}
+        downs: list[list[int]] = [[] for _ in self.members]
+        ups: list[list[int]] = [[] for _ in self.members]
+        for p, i in enumerate(position):
+            covers = lower_covers[i] & inside
+            while covers:
+                low = covers & -covers
+                q = position[low.bit_length() - 1]
+                downs[p].append(q)
+                ups[q].append(p)
+                covers ^= low
+        self.down_masks = tuple(sum(1 << q for q in down) for down in downs)
+        self.up_masks = tuple(sum(1 << p for p in up) for up in ups)
+        self.colors = _refine(self.ranks, downs, ups)
         self._fingerprint: Optional[str] = None
-
-    def _restrict(self, ideal: int, lo: int, hi: int) -> int:
-        """Members lo..hi-1 that lie in ``ideal``, as a member-position bitset."""
-        members = self.members
-        acc = 0
-        for i in range(lo, hi):
-            if ideal >> members[i].ball_index & 1:
-                acc |= 1 << i
-        return acc
 
     def __len__(self) -> int:
         return len(self.members)
@@ -114,20 +108,6 @@ class Interval:
 
     def rank_of(self, z: Element) -> int:
         return self.ranks[self.index[z]]
-
-    @property
-    def leq_masks(self) -> tuple[int, ...]:
-        """leq_masks[i] has bit j set when member i <= member j.
-
-        The tests' reference checks read the whole order here; the
-        package itself checks certificates on covers.
-        """
-        if self._leq_masks is None:
-            # column j is the ideal of member j restricted to the interval
-            self._leq_masks = _transpose(
-                [self._restrict(z.ideal, 0, j + 1) for j, z in enumerate(self.members)]
-            )
-        return self._leq_masks
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) with member i covered by member j."""
@@ -148,28 +128,6 @@ class Interval:
                 return False
         return True
 
-    # -- canonical refinement -------------------------------------------------
-
-    @property
-    def colors(self) -> tuple[int, ...]:
-        """Stable colors from iterated (rank, neighbor-multiset) refinement."""
-        if self._colors is None:
-            downs = [list(_bits(m)) for m in self.down_masks]
-            ups = [list(_bits(m)) for m in self.up_masks]
-            colors = list(self.ranks)
-            while True:
-                data = [
-                    (c, _multiset(down, colors), _multiset(up, colors))
-                    for c, down, up in zip(colors, downs, ups)
-                ]
-                palette = {d: c for c, d in enumerate(sorted(set(data)))}
-                new = [palette[d] for d in data]
-                if new == colors:
-                    break
-                colors = new
-            self._colors = tuple(colors)
-        return self._colors
-
     def to_json_obj(self) -> dict:
         return {
             "bottom": self.bottom.word(),
@@ -179,25 +137,28 @@ class Interval:
         }
 
 
+def _refine(ranks: tuple[int, ...], downs: list, ups: list) -> tuple[int, ...]:
+    """Stable colors from iterated (rank, neighbor-multiset) refinement;
+    ``downs[i]`` and ``ups[i]`` list the neighbors of member i."""
+    colors = list(ranks)
+    while True:
+        data = [
+            (c, tuple(sorted([colors[i] for i in down])), tuple(sorted([colors[i] for i in up])))
+            for c, down, up in zip(colors, downs, ups)
+        ]
+        palette = {d: c for c, d in enumerate(sorted(set(data)))}
+        new = [palette[d] for d in data]
+        if new == colors:
+            return tuple(colors)
+        colors = new
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _transpose(masks: Sequence[int]) -> tuple[int, ...]:
-    """Bit i of out[j] is bit j of masks[i]."""
-    out = [0] * len(masks)
-    for j, mask in enumerate(masks):
-        for i in _bits(mask):
-            out[i] |= 1 << j
-    return tuple(out)
-
-
-def _multiset(positions: list[int], colors: list[int]) -> tuple[int, ...]:
-    return tuple(sorted([colors[i] for i in positions]))
 
 
 def interval_mask(x: Element, y: Element) -> int:
@@ -225,25 +186,44 @@ def _ends(side: "Interval | tuple[Element, Element]") -> tuple[Element, Element]
 # ---------------------------------------------------------------------------
 # isomorphism
 
-@dataclass(frozen=True)
 class IsoCertificate:
-    """An order isomorphism, stored as a member-to-member mapping."""
+    """An order isomorphism between two intervals.
 
-    mapping: dict[Element, Element]
+    Stored as ``index``, a dict from the ball index of each member to the
+    ball index of its image; ``mapping`` decodes it to elements on
+    demand.  ``IsoCertificate(mapping)`` takes a member-to-member dict.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, mapping: dict[Element, Element]):
+        self.index = {z.ball_index: w.ball_index for z, w in mapping.items()}
+
+    @classmethod
+    def from_index(cls, index: dict[int, int]) -> "IsoCertificate":
+        cert = cls.__new__(cls)
+        cert.index = index
+        return cert
+
+    @property
+    def mapping(self) -> dict[Element, Element]:
+        at = weyl.ball_element
+        return {at(i): at(j) for i, j in self.index.items()}
 
     def apply(self, z: Element) -> Element:
-        return self.mapping[z]
+        return weyl.ball_element(self.index[z.ball_index])
 
     def inverse(self) -> "IsoCertificate":
-        return IsoCertificate({b: a for a, b in self.mapping.items()})
+        return IsoCertificate.from_index({j: i for i, j in self.index.items()})
 
     def compose(self, earlier: "IsoCertificate") -> "IsoCertificate":
         """self after earlier."""
-        return IsoCertificate({a: self.mapping[b] for a, b in earlier.mapping.items()})
+        return IsoCertificate.from_index({i: self.index[j] for i, j in earlier.index.items()})
 
     def to_index_permutation(self, a: Interval, b: Interval) -> list[int]:
         """JSON form: position i holds the b-index of the image of a.members[i]."""
-        return [b.index[self.mapping[z]] for z in a.members]
+        position = {w.ball_index: p for p, w in enumerate(b.members)}
+        return [position[self.index[z.ball_index]] for z in a.members]
 
     def is_valid(
         self,
@@ -253,38 +233,37 @@ class IsoCertificate:
         """Re-derive that the mapping is an order isomorphism a -> b.
 
         Each side is an Interval or its (bottom, top) pair.  Members and
-        covers come from the lower ideals over the ball, not from the
-        search's masks: the members of [x, y] are the ideal of y met with
-        the upper set of x, and the down-covers of z are the members of
-        its ideal one length below it.  The check asks for a bijection
-        between the member sets that keeps ranks and maps the down-covers
-        of every member onto the down-covers of its image.  Covers then
-        correspond in both directions, and that suffices: in a finite
-        poset the order is the reflexive-transitive closure of the cover
-        relation (Stanley, EC1, 3.1).
+        covers come from the ball tables (weyl.ball), not from the search's
+        masks: the members of [x, y] are the ideal of y met with the upper
+        set of x, and the down-covers of z are the members of its ideal
+        one length below it.  The check asks for a bijection between the
+        member sets that shifts all lengths by one amount and maps the
+        down-covers of every member onto the down-covers of its image.
+        Covers then correspond in both directions, and that suffices: in
+        a finite poset the order is the reflexive-transitive closure of
+        the cover relation (Stanley, EC1, 3.1).
         """
         (ax, ay), (bx, by) = _ends(a), _ends(b)
         members_a, members_b = interval_mask(ax, ay), interval_mask(bx, by)
-        index = {z.ball_index: w.ball_index for z, w in self.mapping.items()}
+        index = self.index
         domain = image = 0
         for i, j in index.items():
             domain |= 1 << i
             image |= 1 << j
         if domain != members_a or image != members_b or image.bit_count() != len(index):
             return False
+        lengths, _, lower_covers = weyl.ball(max(ay.length, by.length))
         shift = bx.length - ax.length
-        for z, w in self.mapping.items():
-            if w.length - z.length != shift:
+        for i, j in index.items():
+            if lengths[j] - lengths[i] != shift:
                 return False
-            if z is ax:
-                continue
-            covers = z.ideal & members_a & weyl.layer_mask(z.length - 1)
+            covers = lower_covers[i] & members_a
             mapped = 0
             while covers:
                 low = covers & -covers
                 mapped |= 1 << index[low.bit_length() - 1]
                 covers ^= low
-            if mapped != w.ideal & members_b & weyl.layer_mask(w.length - 1):
+            if mapped != lower_covers[j] & members_b:
                 return False
         return True
 
@@ -332,8 +311,8 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
 
     if not extend(0):
         return None
-    return IsoCertificate(
-        {a.members[i]: b.members[amap[i]] for i in range(n)}
+    return IsoCertificate.from_index(
+        {z.ball_index: b.members[j].ball_index for z, j in zip(a.members, amap)}
     )
 
 

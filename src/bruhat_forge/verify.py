@@ -33,7 +33,6 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import closedform, hecke, poset, regions, weyl
 from .poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
@@ -174,22 +173,24 @@ def interval_survey(max_length: int) -> Survey:
     """
     pairs = _interval_pairs(max_length)
     ball = weyl.enumerate_up_to_length(max_length)
-    actions = [[tau.apply(w) for w in ball] for tau in SYMMETRY_GROUP]
+    # actions[k][i]: the ball index of the image of ball element i under tau_k
+    actions = [[tau.apply(w).ball_index for w in ball] for tau in SYMMETRY_GROUP]
     # pair -> (first pair of its orbit, the action carrying that onto it)
-    orbit_of: dict[tuple[Element, Element], tuple[tuple[Element, Element], list[Element]]] = {}
+    orbit_of: dict[tuple[int, int], tuple[tuple[Element, Element], list[int]]] = {}
     built: dict[tuple[Element, Element], poset.Interval] = {}
     buckets: dict[tuple, list[tuple[Element, Element]]] = {}
     for x, y in pairs:
-        if (x, y) in orbit_of:
+        i, j = x.ball_index, y.ball_index
+        if (i, j) in orbit_of:
             continue
         for act in actions:
-            orbit_of.setdefault((act[x.ball_index], act[y.ball_index]), ((x, y), act))
+            orbit_of.setdefault((act[i], act[j]), ((x, y), act))
         built[(x, y)] = interval = build_interval(x, y)
         key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
         buckets.setdefault(key, []).append((x, y))
 
-    # (class id, certificate onto the class representative or None)
-    placed: dict[tuple[Element, Element], tuple[int, Optional[IsoCertificate]]] = {}
+    # (class id, certificate onto the class representative: the identity for itself)
+    placed: dict[tuple[Element, Element], tuple[int, IsoCertificate]] = {}
     classes: list[IsoClass] = []
     for key in sorted(buckets, key=repr):
         pending: list[int] = []
@@ -202,11 +203,12 @@ def interval_survey(max_length: int) -> Survey:
             else:
                 classes.append(IsoClass(rep=first, members=[], certs={}))
                 pending.append(len(classes) - 1)
-                placed[first] = (len(classes) - 1, None)
+                identity = IsoCertificate({z: z for z in built[first].members})
+                placed[first] = (len(classes) - 1, identity)
 
     class_id: dict[tuple[Element, Element], int] = {}
     for pair in pairs:
-        first, act = orbit_of[pair]
+        first, act = orbit_of[pair[0].ball_index, pair[1].ball_index]
         cid, cert = placed[first]
         cls = classes[cid]
         cls.members.append(pair)
@@ -216,11 +218,7 @@ def interval_survey(max_length: int) -> Survey:
         if pair == first:
             cls.certs[pair] = cert
             continue
-        members = built[first].members
-        images = members if cert is None else [cert.mapping[z] for z in members]
-        cls.certs[pair] = IsoCertificate(
-            {act[z.ball_index]: c for z, c in zip(members, images)}
-        )
+        cls.certs[pair] = IsoCertificate.from_index({act[i]: k for i, k in cert.index.items()})
     return Survey(max_length, pairs, class_id, classes)
 
 

@@ -19,7 +19,8 @@ word) order, as its layers are enumerated, and each element caches its
 lower ideal {z : z <= w} as an int bitset over that numbering, built by
 Deodhar's property Z: [e, w] = [e, sw] U s[e, sw] for s in D_L(w)
 (Bjorner-Brenti, GTM 231, 2.2).  The upper sets {z : x <= z} within a
-length bound are the transpose of those ideals, one table per bound.
+length bound are the transpose of those ideals; ``ball(n)`` holds them
+with the lengths and down-covers, as tables read by ball index.
 
 The symmetry group G (order 12) is generated by the diagram rotation rho
 (s0 -> s1 -> s2 -> s0), the diagram flip sigma (fixes s0, swaps s1 and
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 __all__ = [
     "Element",
@@ -53,8 +54,9 @@ __all__ = [
     "bruhat_leq",
     "lower_interval",
     "upper_set",
+    "ball",
+    "ball_element",
     "ball_elements",
-    "layer_mask",
     "apply_symmetry",
     "enumerate_up_to_length",
     "elements_of_length",
@@ -396,26 +398,52 @@ def upper_set(x: Element, max_length: int) -> int:
     """The upper set {z : x <= z, l(z) <= max_length} as a ball bitset."""
     if x.length > max_length:
         return 0
-    return _upper_sets(max_length)[x.ball_index]
+    return ball(max_length).uppers[x.ball_index]
+
+
+class Ball(NamedTuple):
+    """The elements of length <= a bound, read by ball index: their
+    lengths, their upper sets, and their down-covers (the elements one
+    length below them in their lower ideals) as ball bitsets."""
+
+    lengths: tuple[int, ...]
+    uppers: tuple[int, ...]
+    covers: tuple[int, ...]
 
 
 @functools.cache
-def _upper_sets(max_length: int) -> tuple[int, ...]:
+def ball(max_length: int) -> Ball:
+    """The Ball table of the elements of length <= max_length."""
     # grown from the table one length down: each element of the new
     # layer is maximal in the ball, so its upper set is itself, and it
-    # joins the upper set of everything in its ideal
+    # joins the upper set of everything in its ideal; its down-covers
+    # are the rest of its ideal cut to the layer below
     if max_length < 0:
-        return ()
-    ups = list(_upper_sets(max_length - 1))
-    for w in elements_of_length(max_length):
+        return Ball((), (), ())
+    lengths, uppers, covers = ball(max_length - 1)
+    layer = elements_of_length(max_length)
+    start = elements_of_length(max_length - 1)[0].ball_index if max_length else 0
+    ups = list(uppers)
+    downs = []
+    for w in layer:
         bit = 1 << w.ball_index
         ups.append(bit)
         mask = w.ideal ^ bit
+        downs.append(mask >> start << start)
         while mask:
             low = mask & -mask
             ups[low.bit_length() - 1] |= bit
             mask ^= low
-    return tuple(ups)
+    return Ball(lengths + (max_length,) * len(layer), tuple(ups), covers + tuple(downs))
+
+
+def ball_element(i: int) -> Element:
+    """The element with ball index i (already enumerated)."""
+    for layer in _LAYERS:
+        if i < len(layer):
+            return layer[i]
+        i -= len(layer)
+    raise IndexError(f"no element with ball index {i} enumerated")
 
 
 def ball_elements(mask: int) -> tuple[Element, ...]:
@@ -427,13 +455,6 @@ def ball_elements(mask: int) -> tuple[Element, ...]:
         out.extend(w for i, w in enumerate(layer) if mask >> i & 1)
         mask >>= len(layer)
     return tuple(out)
-
-
-@functools.cache
-def layer_mask(n: int) -> int:
-    """The ball bits of the elements of length n."""
-    layer = elements_of_length(n)
-    return ((1 << len(layer)) - 1) << layer[0].ball_index
 
 
 # ---------------------------------------------------------------------------

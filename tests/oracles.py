@@ -14,6 +14,7 @@ testing enumerates bijections outright.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from functools import lru_cache
 
@@ -170,6 +171,77 @@ def reference_kl_basis(w):
     return out
 
 
+# -- the whole order of an interval and its colour refinement ----------------
+
+def leq_masks(interval) -> tuple[int, ...]:
+    """leq_masks[i] has bit j set when member i <= member j.
+
+    Read from the members' lower ideals over the ball, pair by pair; the
+    package itself keeps only the covers.
+    """
+    members = interval.members
+    return tuple(
+        sum(1 << j for j, zj in enumerate(members) if zj.ideal >> zi.ball_index & 1)
+        for zi in members
+    )
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cover_masks(interval) -> tuple[list[int], list[int]]:
+    # covers are the comparable pairs one rank apart, taken from leq_masks
+    leq, ranks = leq_masks(interval), interval.ranks
+    n = len(ranks)
+    ups = [
+        sum(1 << j for j in _bits(leq[i]) if ranks[j] == ranks[i] + 1) for i in range(n)
+    ]
+    downs = [0] * n
+    for i, mask in enumerate(ups):
+        for j in _bits(mask):
+            downs[j] |= 1 << i
+    return downs, ups
+
+
+def _multiset(positions: list[int], colors: list[int]) -> tuple[int, ...]:
+    return tuple(sorted([colors[i] for i in positions]))
+
+
+def reference_colors(interval) -> tuple[int, ...]:
+    """Iterated (rank, neighbour-multiset) colour refinement, neighbours
+    read bit by bit from cover masks built out of leq_masks."""
+    down_masks, up_masks = _cover_masks(interval)
+    downs = [list(_bits(m)) for m in down_masks]
+    ups = [list(_bits(m)) for m in up_masks]
+    colors = list(interval.ranks)
+    while True:
+        data = [
+            (c, _multiset(down, colors), _multiset(up, colors))
+            for c, down, up in zip(colors, downs, ups)
+        ]
+        palette = {d: c for c, d in enumerate(sorted(set(data)))}
+        new = [palette[d] for d in data]
+        if new == colors:
+            break
+        colors = new
+    return tuple(colors)
+
+
+def reference_fingerprint(interval) -> str:
+    """The fingerprint digest of reference_colors over the covers of leq_masks."""
+    colors = reference_colors(interval)
+    _, up_masks = _cover_masks(interval)
+    edge_profile = sorted(
+        (colors[i], colors[j]) for i, mask in enumerate(up_masks) for j in _bits(mask)
+    )
+    blob = repr((interval.span, interval.rank_sizes, sorted(colors), edge_profile))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 # -- brute-force interval isomorphism ----------------------------------------
 
 def brute_force_isomorphic(a, b) -> bool:
@@ -188,7 +260,7 @@ def brute_force_isomorphic(a, b) -> bool:
     for i in range(n):
         by_rank_a.setdefault(a.ranks[i], []).append(i)
         by_rank_b.setdefault(b.ranks[i], []).append(i)
-    la, lb = a.leq_masks, b.leq_masks
+    la, lb = leq_masks(a), leq_masks(b)
     ranks = sorted(by_rank_a)
     perm_sets = [
         list(itertools.permutations(by_rank_b[r])) for r in ranks
@@ -265,7 +337,7 @@ def full_order_check(cert, a, b) -> bool:
     if set(cert.mapping.values()) != set(b.members):
         return False
     perm = cert.to_index_permutation(a, b)
-    la, lb = a.leq_masks, b.leq_masks
+    la, lb = leq_masks(a), leq_masks(b)
     for i, row in enumerate(la):
         img_row = 0
         while row:

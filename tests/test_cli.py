@@ -248,11 +248,16 @@ def test_kl_survives_torn_cache_append(tmp_path, capsys, monkeypatch):
 
 
 def test_kl_long_word_with_cache_hits_the_hard_cap(tmp_path, capsys, monkeypatch):
-    # the cache keys the words before any length cap applies
+    # the cache keys the words before any length cap applies, and the cap
+    # fails the call before y is classified
+    def classify(y):
+        raise AssertionError("classify reached above the hard cap")
+
+    monkeypatch.setattr(regions, "classify", classify)
     monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(tmp_path / "kl.cache"))
     code, out, err = run(capsys, "kl", "", "012" * 500, "--via", "formula")
     assert code == 1 and out == ""
-    assert "exceeds the hard cap" in err
+    assert "enumeration up to length 1500 exceeds the hard cap 64" in err
 
 
 def test_cache_bad_token_names_its_line(tmp_path):

@@ -50,7 +50,7 @@ def test_build_examples():
 
 def test_interval_order_matches_subword_oracle_to_length_7():
     # every [x, y] with l(y) <= 7, x = y included, against the subword
-    # property: leq_masks is the order and down_masks the covers
+    # property: oracles.leq_masks is the order and down_masks the covers
     below = {y: oracles.subword_lower_set(y) for y in weyl.enumerate_up_to_length(7)}
     checked = 0
     for y, lower in below.items():
@@ -58,10 +58,11 @@ def test_interval_order_matches_subword_oracle_to_length_7():
             interval = build_interval(x, y)
             members = interval.members
             assert set(members) == {z for z in lower if x in below[z]}
+            leq_masks = oracles.leq_masks(interval)
             for i, zi in enumerate(members):
                 for j, zj in enumerate(members):
                     leq = zi in below[zj]
-                    assert interval.leq_masks[i] >> j & 1 == leq, (x, y, zi, zj)
+                    assert leq_masks[i] >> j & 1 == leq, (x, y, zi, zj)
                     cover = leq and interval.ranks[j] == interval.ranks[i] + 1
                     assert interval.down_masks[j] >> i & 1 == cover, (x, y, zi, zj)
             checked += 1
@@ -223,6 +224,17 @@ def test_fingerprint_no_false_negatives_to_length_8():
                     break
             else:
                 reps.append(interval)
+
+
+def test_colors_and_fingerprint_match_reference_to_length_8():
+    # the one-pass refinement against the reference body, whose covers
+    # come from the whole order
+    checked = 0
+    for interval in _all_intervals(8):
+        assert interval.colors == oracles.reference_colors(interval), interval
+        assert fingerprint(interval) == oracles.reference_fingerprint(interval), interval
+        checked += 1
+    assert checked == 3180
 
 
 def test_parent_counts_preserved_by_certificates():
@@ -400,11 +412,36 @@ def _swap_two_images(cert, rng):
     return IsoCertificate(mapping)
 
 
+def _swap_unlike_pair(cert, a):
+    # the index map of cert with the images of two same-rank members of a
+    # exchanged, two whose covers differ, so that the swap is no
+    # automorphism of a and the result is no isomorphism; None if the
+    # members of every rank have equal covers
+    for r in range(1, a.span):
+        same = [i for i in range(len(a)) if a.ranks[i] == r]
+        for u, v in itertools.combinations(same, 2):
+            if (a.down_masks[u], a.up_masks[u]) != (a.down_masks[v], a.up_masks[v]):
+                index = dict(cert.index)
+                bu, bv = a.members[u].ball_index, a.members[v].ball_index
+                index[bu], index[bv] = index[bv], index[bu]
+                return IsoCertificate.from_index(index)
+    return None
+
+
 def test_cover_check_agrees_with_full_order_check_to_length_8():
     certs = _survey_certificates(8)
+    unlike_swaps = 0
     for member, rep, cert in certs:
+        a, b = build_interval(*member), build_interval(*rep)
         assert cert.is_valid(member, rep), (member, rep)
-        assert oracles.full_order_check(cert, build_interval(*member), build_interval(*rep))
+        assert oracles.full_order_check(cert, a, b)
+        assert IsoCertificate(cert.mapping).index == cert.index
+        swapped = _swap_unlike_pair(cert, a)
+        if swapped is not None:
+            assert not swapped.is_valid(member, rep), (member, rep)
+            assert not oracles.full_order_check(swapped, a, b), (member, rep)
+            unlike_swaps += 1
+    assert unlike_swaps == 1871
     rng = random.Random(8)
     spread = [t for t in certs if t[0][1].length - t[0][0].length >= 2]
     rejected = 0

@@ -260,7 +260,10 @@ def test_upper_sets_and_ball_bitsets_to_length_7():
         above = weyl.ball_elements(weyl.upper_set(x, 7))
         assert above == tuple(z for z in ball if bruhat_leq(x, z))
         assert weyl.upper_set(x, x.length - 1) == 0
-    for n in range(8):
-        layer = weyl.ball_elements(weyl.layer_mask(n))
-        assert layer == weyl.elements_of_length(n)
+    table = weyl.ball(7)
+    assert table.lengths == tuple(w.length for w in ball)
+    for i, w in enumerate(ball):
+        assert weyl.ball_element(i) is w
+        below = weyl.ball_elements(table.covers[i])
+        assert below == tuple(z for z in ball if z.length == w.length - 1 and bruhat_leq(z, w))
     assert weyl.ball_elements(identity().ideal) == (identity(),)
