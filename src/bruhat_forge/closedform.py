@@ -8,7 +8,11 @@ bare standard-basis terms, and canonical basis elements of strictly
 smaller family members.  Recursive terms are expanded through the
 closed forms themselves (memoized), never through the generic
 recursion; the recursion stays available as an independent oracle and
-is what every formula is tested against.
+is what every formula is tested against.  Each formula is summed in
+place into one hecke table and frozen once: the N and M terms go in as
+monomials read off the ideal bitsets, memoized family terms are added
+coefficient by coefficient without being mutated, and bare
+standard-basis terms go in as single monomials.
 
 ``kl_column`` reads a whole column P_{-,y} off the closed forms: it
 classifies y once, relabels the closed form of the canonical family
@@ -25,8 +29,18 @@ from __future__ import annotations
 import functools
 
 from . import hecke, regions, weyl
-from .hecke import HeckeElement, G_coefficient, M_element, N_element, standard_basis
-from .laurent import LaurentPoly, QPoly, ShapeError, to_q
+from .hecke import (
+    G_coefficient,
+    HeckeElement,
+    N_element,
+    Table,
+    _add_element,
+    _add_mult_gen,
+    _add_N,
+    _freeze,
+    standard_basis,
+)
+from .laurent import ONE, LaurentPoly, QPoly, ShapeError, to_q
 from .regions import RegionKind, ThetaIndex, s_mn, theta, theta1, theta2, x_chain
 from .weyl import RHO, Element
 
@@ -48,10 +62,6 @@ __all__ = [
 _RHO2 = RHO * RHO
 
 
-def _scaled(H: HeckeElement, k: int) -> HeckeElement:
-    return H.scale(LaurentPoly({k: 1}))
-
-
 # ---------------------------------------------------------------------------
 # the four families
 
@@ -65,39 +75,37 @@ def kl_basis_x(n: int) -> HeckeElement:
     """
     if n < 1:
         raise ValueError("kl_basis_x requires n >= 1")
-    out = N_element(x_chain(n))
+    acc = _add_N({}, 0, x_chain(n))
     if n >= 4:
-        out = out + _scaled(N_element(x_chain(n - 3)), 1)
+        _add_N(acc, 1, x_chain(n - 3))
     if n >= 5 and n % 2 == 0:
-        tail = x_chain(n - 5)
-        out = out + _scaled(standard_basis(tail.left_mult(0).left_mult(1)), 1)
-        out = out + _scaled(standard_basis(tail.left_mult(0)), 2)
-    return out
+        tail = x_chain(n - 5).left_mult(0)
+        ONE.add_to(acc.setdefault(tail.left_mult(1), {}), 1, 1)
+        ONE.add_to(acc.setdefault(tail, {}), 1, 2)
+    return _freeze(acc)
 
 
 @functools.cache
 def kl_basis_theta(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
     """Sum over i = 0..min(m, n) of v^(2i) N_{theta(m-i, n-i)}."""
     m, n = idx
-    out = HeckeElement.zero()
+    acc: Table = {}
     for i in range(min(m, n) + 1):
-        out = out + _scaled(N_element(theta((m - i, n - i))), 2 * i)
-    return out
+        _add_N(acc, 2 * i, theta((m - i, n - i)))
+    return _freeze(acc)
 
 
 @functools.cache
 def kl_basis_theta1(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
     """Canonical basis element of theta(m, n) s, by the four-case formula."""
     m, n = idx
-    out = N_element(theta1(idx))
+    acc = _add_N({}, 0, theta1(idx))
     if m > 0 and n > 0:
-        out = out + _scaled(kl_basis_theta((m - 1, n)), 1)
-        out = out + _scaled(kl_basis_theta((m, n - 1)), 1)
-    elif m > 0:
-        out = out + _scaled(N_element(theta((m - 1, 0))), 1)
-    elif n > 0:
-        out = out + _scaled(N_element(theta((0, n - 1))), 1)
-    return out
+        _add_element(acc, kl_basis_theta((m - 1, n)), k=1)
+        _add_element(acc, kl_basis_theta((m, n - 1)), k=1)
+    elif m > 0 or n > 0:
+        _add_N(acc, 1, theta((max(m - 1, 0), max(n - 1, 0))))
+    return _freeze(acc)
 
 
 def _kl_s0_theta(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
@@ -116,47 +124,32 @@ def kl_basis_theta2(idx: ThetaIndex | tuple[int, int], version: int = 1) -> Heck
     if version not in (1, 2):
         raise ValueError("version must be 1 or 2")
     m, n = idx
-    out = N_element(theta2(idx))
+    acc = _add_N({}, 0, theta2(idx))
     if m == 0 and n == 0:
-        out = out + _scaled(N_element(weyl.generator(0)), 2)
-    elif n == 0:
-        prev = ThetaIndex(m - 1, 0)
-        s0_prev = theta(prev).left_mult(0)
-        rho_prev = RHO.apply(theta(prev))
-        rho2_prev_s = _RHO2.apply(theta1(prev))
+        _add_N(acc, 2, weyl.generator(0))
+    elif m == 0 or n == 0:
+        # the two edges mirror each other: n = 0 uses rho where m = 0
+        # uses rho^2, and the other way round
+        prev = ThetaIndex(max(m - 1, 0), max(n - 1, 0))
+        near, far = (RHO, _RHO2) if n == 0 else (_RHO2, RHO)
         if version == 1:
-            out = out + _scaled(M_element(s0_prev, rho_prev), 1)
-            out = out + _scaled(hecke.apply_symmetry(_RHO2, kl_basis_theta1(prev)), 1)
+            _add_N(acc, 1, theta(prev).left_mult(0), near.apply(theta(prev)))
+            _add_element(acc, hecke.apply_symmetry(far, kl_basis_theta1(prev)), k=1)
         else:
-            out = out + _scaled(M_element(rho2_prev_s, rho_prev), 1)
-            out = out + _scaled(_kl_s0_theta(prev), 1)
-    elif m == 0:
-        prev = ThetaIndex(0, n - 1)
-        s0_prev = theta(prev).left_mult(0)
-        rho2_prev = _RHO2.apply(theta(prev))
-        rho_prev_s = RHO.apply(theta1(prev))
-        if version == 1:
-            out = out + _scaled(M_element(s0_prev, rho2_prev), 1)
-            out = out + _scaled(hecke.apply_symmetry(RHO, kl_basis_theta1(prev)), 1)
-        else:
-            out = out + _scaled(M_element(rho_prev_s, rho2_prev), 1)
-            out = out + _scaled(_kl_s0_theta(prev), 1)
+            _add_N(acc, 1, far.apply(theta1(prev)), near.apply(theta(prev)))
+            _add_element(acc, _kl_s0_theta(prev), k=1)
     else:
         below = ThetaIndex(m, n - 1)
         left = ThetaIndex(m - 1, n)
         if version == 1:
-            out = out + _scaled(
-                M_element(theta(below).left_mult(0), theta(left).left_mult(0)), 1
-            )
-            out = out + _scaled(hecke.apply_symmetry(RHO, kl_basis_theta1(below)), 1)
-            out = out + _scaled(hecke.apply_symmetry(_RHO2, kl_basis_theta1(left)), 1)
+            _add_N(acc, 1, theta(below).left_mult(0), theta(left).left_mult(0))
+            _add_element(acc, hecke.apply_symmetry(RHO, kl_basis_theta1(below)), k=1)
+            _add_element(acc, hecke.apply_symmetry(_RHO2, kl_basis_theta1(left)), k=1)
         else:
-            out = out + _scaled(
-                M_element(RHO.apply(theta1(below)), _RHO2.apply(theta1(left))), 1
-            )
-            out = out + _scaled(_kl_s0_theta(below), 1)
-            out = out + _scaled(_kl_s0_theta(left), 1)
-    return out
+            _add_N(acc, 1, RHO.apply(theta1(below)), _RHO2.apply(theta1(left)))
+            _add_element(acc, _kl_s0_theta(below), k=1)
+            _add_element(acc, _kl_s0_theta(left), k=1)
+    return _freeze(acc)
 
 
 def kl_closed_form(tag: regions.RegionTag) -> HeckeElement:
@@ -258,14 +251,14 @@ def appendix_identity_check(m: int, n: int) -> dict:
     if m < 1 or n < 1:
         raise ValueError("appendix_identity_check requires m, n >= 1")
     s = s_mn((m, n))
-    left = hecke.mult_kl_s(N_element(theta((m, n))), s, "right") + _scaled(
-        N_element(theta1((m - 1, n - 1))), 2
-    )
-    right = (
-        N_element(theta1((m, n)))
-        + _scaled(N_element(theta((m - 1, n))), 1)
-        + _scaled(N_element(theta((m, n - 1))), 1)
-    )
+    acc: Table = {}
+    _add_mult_gen(acc, N_element(theta((m, n))), s, True, True)
+    _add_N(acc, 2, theta1((m - 1, n - 1)))
+    left = _freeze(acc)
+    acc = _add_N({}, 0, theta1((m, n)))
+    _add_N(acc, 1, theta((m - 1, n)))
+    _add_N(acc, 1, theta((m, n - 1)))
+    right = _freeze(acc)
     content_formula = 3 * (
         3 * m * m + 3 * n * n + 12 * m * n + 5 * m + 5 * n + 4
     )

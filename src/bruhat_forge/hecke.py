@@ -15,9 +15,11 @@ and the coefficientwise order on Hecke elements.
 Products by a generator and each canonical basis element are summed in
 place into one table Element -> (exponent -> coefficient), with the mu
 corrections subtracted as integer multiples, and frozen into an
-immutable HeckeElement once.  The recursion uses nothing from the
-closed forms (this module does not import closedform), so the two
-routes to P_{x,y} stay independent.
+immutable HeckeElement once; N_x and M_{x,y} go into such a table as
+monomials read off the ideal bitsets, by the helper the closed forms
+share.  The recursion uses nothing from the closed forms (this module
+does not import closedform), so the two routes to P_{x,y} stay
+independent.
 """
 
 from __future__ import annotations
@@ -165,6 +167,24 @@ def _add_mult_gen(acc: Table, H: HeckeElement, s: int, right: bool, kl: bool) ->
                 p.add_to(row, -1, 1)
 
 
+def _add_element(acc: Table, H: HeckeElement, coeff: int = 1, k: int = 0) -> None:
+    """Add coeff * v^k * H into acc; H itself is left untouched."""
+    for x, p in H._m.items():
+        p.add_to(acc.setdefault(x, {}), coeff, k)
+
+
+def _add_N(acc: Table, k: int, x: Element, y: Optional[Element] = None) -> Table:
+    """Add v^k N_x into acc, or v^k M_{x,y} when y is given, and return acc:
+    one monomial v^(k+l(x)-l(z)) H_z for each z set in the ideal bitset
+    of x (or in the OR of the ideals of x and y)."""
+    top = k + x.length
+    for z in weyl.ball_elements(x.ideal if y is None else x.ideal | y.ideal):
+        row = acc.setdefault(z, {})
+        e = top - z.length
+        row[e] = row.get(e, 0) + 1
+    return acc
+
+
 def _freeze(acc: Table) -> HeckeElement:
     return HeckeElement({x: LaurentPoly(row) for x, row in acc.items()})
 
@@ -226,8 +246,7 @@ def _kl_basis(w: Element) -> HeckeElement:
     for x, p in base._m.items():
         m = p.coefficient(1)
         if m and x.right_mult(s).length < x.length:
-            for z, q in _kl_basis(x)._m.items():
-                q.add_to(acc.setdefault(z, {}), -m, 0)
+            _add_element(acc, _kl_basis(x), -m)
     return _freeze(acc)
 
 
@@ -250,10 +269,7 @@ def kl_polynomial(x: Element, w: Element) -> tuple[LaurentPoly, QPoly]:
 @functools.cache
 def N_element(x: Element) -> HeckeElement:
     """Sum over z <= x of v^(l(x)-l(z)) H_z."""
-    n = x.length
-    return HeckeElement(
-        {z: LaurentPoly({n - z.length: 1}) for z in weyl.lower_interval(x)}
-    )
+    return _freeze(_add_N({}, 0, x))
 
 
 def M_element(x: Element, y: Element) -> HeckeElement:
@@ -262,9 +278,7 @@ def M_element(x: Element, y: Element) -> HeckeElement:
     The exponents are centered on l(x), so M_{x,y} = M_{y,x} only when
     the two lengths agree.
     """
-    n = x.length
-    support = set(weyl.lower_interval(x)) | set(weyl.lower_interval(y))
-    return HeckeElement({w: LaurentPoly({n - w.length: 1}) for w in support})
+    return _freeze(_add_N({}, 0, x, y))
 
 
 def G_coefficient(x: Element, H: HeckeElement) -> LaurentPoly:
@@ -281,17 +295,17 @@ def is_monotonic(H: HeckeElement) -> bool:
     """Whether G_y(H) - v^(l(x)-l(y)) G_x(H) lies in N[v, v^-1] for all
     y <= x.
 
-    Quantified over pairs inside the downward closure of the support;
-    for pairs involving an element outside the closure the inequality
-    degenerates to coefficient non-negativity, which is checked
-    explicitly.
+    Tested on covers: the coefficients are non-negative and G_z - v G_w
+    is in N[v, v^-1] for each w in the support and each z it covers.
+    Intervals are graded and G_y - v^(a+b) G_x = (G_y - v^a G_z) +
+    v^a (G_z - v^b G_x), so this is the condition on every pair.
     """
     if not all(p.is_nonneg() for p in H._m.values()):
         return False
-    for x, px in H._m.items():
-        lx = x.length
-        for y in weyl.lower_interval(x):
-            if not H.coefficient(y).dominates(px, lx - y.length):
+    covers = weyl.ball(max((x.length for x in H._m), default=0)).covers
+    for w, pw in H._m.items():
+        for z in weyl.ball_elements(covers[w.ball_index]):
+            if not H.coefficient(z).dominates(pw, 1):
                 return False
     return True
 

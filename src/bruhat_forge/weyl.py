@@ -15,12 +15,16 @@ Elements serialize as their ShortLex-minimal reduced word with generator
 order 0 < 1 < 2.
 
 Bruhat order is held one way.  The ball is numbered once, in (length,
-word) order, as its layers are enumerated, and each element caches its
-lower ideal {z : z <= w} as an int bitset over that numbering, built by
-Deodhar's property Z: [e, w] = [e, sw] U s[e, sw] for s in D_L(w)
-(Bjorner-Brenti, GTM 231, 2.2).  The upper sets {z : x <= z} within a
-length bound are the transpose of those ideals; ``ball(n)`` holds them
-with the lengths and down-covers, as tables read by ball index.
+word) order, as its layers are enumerated; the same loop fills a
+left-multiplication table, one list per generator s of the ball index
+of s w by that of w (each new w and s in D_L(w) give both entries, as
+s w = z exactly when s z = w).  Each element caches its lower ideal
+{z : z <= w} as an int bitset over that numbering, built by Deodhar's
+property Z: [e, w] = [e, sw] U s[e, sw] for s in D_L(w) (Bjorner-Brenti,
+GTM 231, 2.2), with s[e, sw] read bit by bit through the table.  The
+upper sets {z : x <= z} within a length bound are the transpose of
+those ideals; ``ball(n)`` holds them with the lengths and down-covers,
+as tables read by ball index.
 
 The symmetry group G (order 12) is generated by the diagram rotation rho
 (s0 -> s1 -> s2 -> s0), the diagram flip sigma (fixes s0, swaps s1 and
@@ -278,16 +282,25 @@ class Element:
 
     @property
     def ideal(self) -> int:
-        """The lower ideal {z : z <= w} as a bitset with bit z.ball_index."""
+        """The lower ideal {z : z <= w} as a bitset with bit z.ball_index.
+
+        By property Z with s = min D_L(w): the ideal of sw, OR the bit
+        of s z, read from the left-multiplication table, for each bit z
+        of that ideal (w itself is s (sw)).
+        """
         m = self._ideal
         if m is None:
+            # reading ball_index enumerates the layer of w, which fills
+            # the table entries s z for every z below w
             m = 1 << self.ball_index
             if not self.is_identity:
                 s = min(self.left_descents())
-                below = self.left_mult(s)
-                m |= below.ideal
-                for z in lower_interval(below):
-                    m |= 1 << z.left_mult(s).ball_index
+                below = self.left_mult(s).ideal
+                m |= below
+                act = _LEFT[s]
+                for j, bit in enumerate(bin(below)[:1:-1]):
+                    if bit == "1":
+                        m |= 1 << act[j]
             self._ideal = m
         return m
 
@@ -463,6 +476,9 @@ def ball_elements(mask: int) -> tuple[Element, ...]:
 _LAYERS: list[tuple[Element, ...]] = [(_IDENTITY,)]
 _IDENTITY._index = 0
 _IDENTITY._word = ""
+# _LEFT[s][i] is the ball index of s w for the element w with ball index i,
+# or -1 while s w lies beyond the enumerated layers
+_LEFT: tuple[list[int], list[int], list[int]] = ([-1], [-1], [-1])
 
 
 def elements_of_length(n: int) -> tuple[Element, ...]:
@@ -485,8 +501,14 @@ def elements_of_length(n: int) -> tuple[Element, ...]:
                     seen.add(nxt)
                     layer.append(nxt)
         layer.sort(key=Element.sort_key)
+        for act in _LEFT:
+            act.extend([-1] * len(layer))
         for i, w in enumerate(layer, prev[-1]._index + 1):
             w._index = i
+            for s in w.left_descents():
+                j = w.left_mult(s)._index
+                _LEFT[s][i] = j
+                _LEFT[s][j] = i
         _LAYERS.append(tuple(layer))
     return _LAYERS[n]
 

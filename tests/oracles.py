@@ -365,3 +365,138 @@ def subword_order_check(cert, a_pair, b_pair) -> bool:
         for p in dom
         for q in dom
     )
+
+
+# -- lower ideals by decoding and left multiplication ------------------------
+
+@lru_cache(maxsize=None)
+def reference_ideal(w) -> int:
+    """The lower ideal of w as a ball bitset, by Deodhar's property Z,
+    [e, w] = [e, sw] U s[e, sw] for s = min D_L(w): the ideal of sw is
+    decoded into elements and each is multiplied by s on the left."""
+    from bruhat_forge import weyl
+
+    m = 1 << w.ball_index
+    if not w.is_identity:
+        s = min(w.left_descents())
+        below = reference_ideal(w.left_mult(s))
+        m |= below
+        for z in weyl.ball_elements(below):
+            m |= 1 << z.left_mult(s).ball_index
+    return m
+
+
+# -- monotonicity over every comparable pair ----------------------------------
+
+def reference_is_monotonic(H) -> bool:
+    """Whether G_y(H) - v^(l(x)-l(y)) G_x(H) lies in N[v, v^-1] for every
+    y <= x with x in the support, and every coefficient is non-negative."""
+    from bruhat_forge import weyl
+
+    if not all(p.is_nonneg() for _, p in H.items()):
+        return False
+    for x, px in H.items():
+        lx = x.length
+        for y in weyl.lower_interval(x):
+            if not H.coefficient(y).dominates(px, lx - y.length):
+                return False
+    return True
+
+
+# -- the closed forms as sums of immutable elements --------------------------
+
+@lru_cache(maxsize=None)
+def reference_closed_form(kind: str, idx, version: int = 1):
+    """The closed form of the family member theta(idx), theta1(idx),
+    theta2(idx) (kind "theta", "theta1", "theta2") or x_idx (kind "x"),
+    each term a new immutable HeckeElement: N_element(...) plus
+    M_element(...) and family terms, scaled by powers of v."""
+    from bruhat_forge import hecke, weyl
+    from bruhat_forge.hecke import HeckeElement, M_element, N_element, standard_basis
+    from bruhat_forge.laurent import LaurentPoly
+    from bruhat_forge.regions import ThetaIndex, theta, theta1, theta2, x_chain
+
+    rho = weyl.RHO
+    rho2 = rho * rho
+
+    def scaled(H, k):
+        return H.scale(LaurentPoly({k: 1}))
+
+    def s0_theta(i):
+        return hecke.mult_kl_s(reference_closed_form("theta", i), 0, "left")
+
+    if kind == "x":
+        n = idx
+        out = N_element(x_chain(n))
+        if n >= 4:
+            out = out + scaled(N_element(x_chain(n - 3)), 1)
+        if n >= 5 and n % 2 == 0:
+            tail = x_chain(n - 5)
+            out = out + scaled(standard_basis(tail.left_mult(0).left_mult(1)), 1)
+            out = out + scaled(standard_basis(tail.left_mult(0)), 2)
+        return out
+    m, n = idx
+    if kind == "theta":
+        out = HeckeElement.zero()
+        for i in range(min(m, n) + 1):
+            out = out + scaled(N_element(theta((m - i, n - i))), 2 * i)
+        return out
+    if kind == "theta1":
+        out = N_element(theta1(idx))
+        if m > 0 and n > 0:
+            out = out + scaled(reference_closed_form("theta", (m - 1, n)), 1)
+            out = out + scaled(reference_closed_form("theta", (m, n - 1)), 1)
+        elif m > 0:
+            out = out + scaled(N_element(theta((m - 1, 0))), 1)
+        elif n > 0:
+            out = out + scaled(N_element(theta((0, n - 1))), 1)
+        return out
+    out = N_element(theta2(idx))
+    if m == 0 and n == 0:
+        out = out + scaled(N_element(weyl.generator(0)), 2)
+    elif n == 0:
+        prev = ThetaIndex(m - 1, 0)
+        s0_prev = theta(prev).left_mult(0)
+        rho_prev = rho.apply(theta(prev))
+        rho2_prev_s = rho2.apply(theta1(prev))
+        if version == 1:
+            out = out + scaled(M_element(s0_prev, rho_prev), 1)
+            out = out + scaled(
+                hecke.apply_symmetry(rho2, reference_closed_form("theta1", prev)), 1
+            )
+        else:
+            out = out + scaled(M_element(rho2_prev_s, rho_prev), 1)
+            out = out + scaled(s0_theta(prev), 1)
+    elif m == 0:
+        prev = ThetaIndex(0, n - 1)
+        s0_prev = theta(prev).left_mult(0)
+        rho2_prev = rho2.apply(theta(prev))
+        rho_prev_s = rho.apply(theta1(prev))
+        if version == 1:
+            out = out + scaled(M_element(s0_prev, rho2_prev), 1)
+            out = out + scaled(
+                hecke.apply_symmetry(rho, reference_closed_form("theta1", prev)), 1
+            )
+        else:
+            out = out + scaled(M_element(rho_prev_s, rho2_prev), 1)
+            out = out + scaled(s0_theta(prev), 1)
+    else:
+        below = ThetaIndex(m, n - 1)
+        left = ThetaIndex(m - 1, n)
+        if version == 1:
+            out = out + scaled(
+                M_element(theta(below).left_mult(0), theta(left).left_mult(0)), 1
+            )
+            out = out + scaled(
+                hecke.apply_symmetry(rho, reference_closed_form("theta1", below)), 1
+            )
+            out = out + scaled(
+                hecke.apply_symmetry(rho2, reference_closed_form("theta1", left)), 1
+            )
+        else:
+            out = out + scaled(
+                M_element(rho.apply(theta1(below)), rho2.apply(theta1(left))), 1
+            )
+            out = out + scaled(s0_theta(below), 1)
+            out = out + scaled(s0_theta(left), 1)
+    return out

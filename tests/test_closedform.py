@@ -3,6 +3,7 @@ identity reports."""
 
 import pytest
 
+import oracles
 from bruhat_forge import closedform, hecke, regions, weyl
 from bruhat_forge.closedform import (
     appendix_identity_check,
@@ -96,6 +97,47 @@ def test_theta2_versions_agree():
     for m in range(4):
         for n in range(4):
             assert kl_basis_theta2((m, n), 1) == kl_basis_theta2((m, n), 2)
+
+
+def _family_members(max_length):
+    """(kind, index, element) for every family member of length <= max_length."""
+    out = [("x", n, x_chain(n)) for n in range(1, max_length + 1)]
+    for kind, build in (("theta", theta), ("theta1", theta1), ("theta2", theta2)):
+        out += [
+            (kind, (m, n), build((m, n)))
+            for m in range(max_length)
+            for n in range(max_length)
+            if build((m, n)).length <= max_length
+        ]
+    return out
+
+
+def test_in_place_closed_forms_match_immutable_sums():
+    formula = {"x": kl_basis_x, "theta": kl_basis_theta, "theta1": kl_basis_theta1}
+    members = _family_members(15)
+    assert {kind for kind, _, _ in members} == {"x", "theta", "theta1", "theta2"}
+    for kind, idx, _ in members:
+        if kind == "theta2":
+            for version in (1, 2):
+                got = kl_basis_theta2(idx, version)
+                assert got == oracles.reference_closed_form(kind, idx, version), (idx, version)
+        else:
+            assert formula[kind](idx) == oracles.reference_closed_form(kind, idx), (kind, idx)
+
+
+def test_closed_forms_of_the_column_tops_match_immutable_sums():
+    # the canonical members behind the benchmark's KL columns, lengths 22-29
+    for kind, idx, build in (
+        ("theta1", (4, 5), kl_basis_theta1),
+        ("theta", (5, 5), kl_basis_theta),
+        ("x", 24, kl_basis_x),
+        ("theta2", (2, 8), kl_basis_theta2),
+        ("theta1", (8, 3), kl_basis_theta1),
+        ("theta", (6, 6), kl_basis_theta),
+        ("x", 28, kl_basis_x),
+        ("theta2", (9, 3), kl_basis_theta2),
+    ):
+        assert build(idx) == oracles.reference_closed_form(kind, idx), (kind, idx)
 
 
 def test_coefficients_positive_below_top():

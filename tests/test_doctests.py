@@ -1,0 +1,27 @@
+"""The examples in the package's docstrings, run as tests."""
+
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import bruhat_forge
+
+# __main__ runs the command line on import
+MODULES = ["bruhat_forge"] + [
+    f"bruhat_forge.{m.name}"
+    for m in pkgutil.iter_modules(bruhat_forge.__path__)
+    if m.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests_pass(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0
+
+
+def test_doctests_are_collected():
+    # weyl, laurent and regions carry examples; a rename must not drop them
+    assert sum(doctest.testmod(importlib.import_module(n)).attempted for n in MODULES) >= 12

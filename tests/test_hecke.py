@@ -146,6 +146,22 @@ def test_is_monotonic_examples():
     assert not is_monotonic(standard_basis(ID).scale(LaurentPoly({0: -1})))
 
 
+def test_is_monotonic_on_covers_matches_all_pairs():
+    for w in weyl.enumerate_up_to_length(12):
+        for H in (N_element(w), kl_basis(w)):
+            assert is_monotonic(H) == oracles.reference_is_monotonic(H), w.word()
+    # the corrupted inputs of the monotonicity tests: bare or negated
+    # standard terms, and h_{e,y} bumped by -v or by v^-1
+    y = from_word("1201")
+    for H in (
+        standard_basis(S1),
+        standard_basis(ID).scale(LaurentPoly({0: -1})),
+        kl_basis(y) + standard_basis(ID).scale(LaurentPoly({1: -1})),
+        kl_basis(y) + standard_basis(ID).scale(LaurentPoly({-1: 1})),
+    ):
+        assert is_monotonic(H) == oracles.reference_is_monotonic(H)
+
+
 def test_hecke_geq_examples():
     h = kl_basis(T00)
     assert hecke_geq(h, h)

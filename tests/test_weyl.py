@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from bruhat_forge import weyl
+from bruhat_forge import regions, weyl
 from bruhat_forge.weyl import (
     IOTA,
     RHO,
@@ -267,3 +267,24 @@ def test_upper_sets_and_ball_bitsets_to_length_7():
         below = weyl.ball_elements(table.covers[i])
         assert below == tuple(z for z in ball if z.length == w.length - 1 and bruhat_leq(z, w))
     assert weyl.ball_elements(identity().ideal) == (identity(),)
+
+
+def test_ideal_matches_decoded_property_z():
+    for w in enumerate_up_to_length(14):
+        assert w.ideal == oracles.reference_ideal(w), w.word()
+    # the canonical members behind the long cold `kl` calls, lengths 37-39
+    for w in (
+        regions.x_chain(37),
+        regions.theta((9, 9)),
+        regions.theta1((10, 7)),
+        regions.theta2((4, 12)),
+    ):
+        assert 37 <= w.length <= 39
+        assert w.ideal == oracles.reference_ideal(w), w.word()
+
+
+def test_left_table_is_left_multiplication():
+    weyl.elements_of_length(13)  # so every entry below length 13 is filled
+    for i, w in enumerate(enumerate_up_to_length(12)):
+        for s in (0, 1, 2):
+            assert weyl._LEFT[s][i] == weyl.ball_element(i).left_mult(s).ball_index
