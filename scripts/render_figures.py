@@ -1,39 +1,41 @@
 #!/usr/bin/env python3
-"""Emit the standard gallery of SVG pictures: the four-region shading
-of the alcove plane, a theta lower interval, and its extension across
-the distinguished wall.
+"""Emit the standard gallery of SVG pictures through `bruhat-forge
+render`: the four-region shading of the alcove plane (radius 8), a
+theta lower interval, and its extension across the distinguished wall.
+Every argument other than --out-dir goes on to each `bruhat-forge
+render` call, so `--radius R` overrides the radius of the regions.
 
-Usage: python scripts/render_figures.py [--out-dir figures]
+Usage: python scripts/render_figures.py [--out-dir figures] [--radius 8]
 """
 
 import argparse
 import pathlib
+import sys
 
-from bruhat_forge import regions, weyl
-from bruhat_forge.render import render_interval, render_regions
+from bruhat_forge import cli, regions
+
+FIGURES = [
+    ("four_regions", ["--regions", "--radius", "8"]),
+    ("theta_1_3_lower", ["--interval", "", regions.theta((1, 3)).word()]),
+    ("theta_1_3_s_lower", ["--interval", "", regions.theta1((1, 3)).word()]),
+]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="figures")
-    parser.add_argument("--radius", type=int, default=8)
-    args = parser.parse_args()
+    args, rest = parser.parse_known_args()
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    identity = weyl.identity()
-
-    (out / "four_regions.svg").write_text(render_regions(args.radius) + "\n")
-    (out / "theta_1_3_lower.svg").write_text(
-        render_interval(identity, regions.theta((1, 3))) + "\n"
-    )
-    (out / "theta_1_3_s_lower.svg").write_text(
-        render_interval(identity, regions.theta1((1, 3))) + "\n"
-    )
-    for name in ("four_regions", "theta_1_3_lower", "theta_1_3_s_lower"):
-        print(f"wrote {out / (name + '.svg')}")
+    for name, argv in FIGURES:
+        path = out / (name + ".svg")
+        code = cli.main(["render", *argv, *rest, "-o", str(path)])
+        if code:
+            return code
+        print(f"wrote {path}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

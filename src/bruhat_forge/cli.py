@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _length(text: str) -> int:
-    """argparse type of --max-length and --radius, here and in scripts/: an int >= 0."""
+    """argparse type of --max-length and --radius: an int >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -140,15 +140,7 @@ def _cmd_verify(args) -> int:
         kwargs = {} if bound is None else {"max_family_length": bound, "x_max": bound}
         reports.append(verify.verify_closed_forms(**kwargs))
     if args.suite in ("lemmas", "all"):
-        kwargs = {}
-        if bound is not None:
-            kwargs.update(
-                partition_bound=bound,
-                monotonicity_bound=bound,
-                z_bound=bound,
-                structural_bound=bound,
-                g_invariance_bound=bound,
-            )
+        kwargs = {} if bound is None else {"max_length": bound, "partition_bound": bound}
         reports.append(verify.verify_lemma_suite(**kwargs))
     ok = True
     for report in reports:
@@ -160,10 +152,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    rows = verify.iso_class_census(args.max_length)
-    print(f"{'span':>5} {'classes':>8} {'intervals':>10}")
-    for row in rows:
-        print(f"{row['span']:>5} {row['classes']:>8} {row['intervals']:>10}")
+    survey = verify.interval_survey(args.max_length)
+    sizes: dict[int, list[int]] = {}
+    for cls in survey.classes:
+        x, y = cls.rep
+        sizes.setdefault(y.length - x.length, []).append(len(cls.members))
+    print(f"{'span':>5} {'classes':>8} {'intervals':>10}  class sizes")
+    for row in survey.census_rows():
+        # the 12 largest classes of the span
+        top = sorted(sizes[row["span"]], reverse=True)
+        shown = ", ".join(map(str, top[:12])) + (", ..." if len(top) > 12 else "")
+        print(f"{row['span']:>5} {row['classes']:>8} {row['intervals']:>10}  [{shown}]")
     return 0
 
 
@@ -221,13 +220,13 @@ def _build_parser() -> _Parser:
         type=_length,
         default=None,
         help="bound every length in the chosen suites (l(y), family length, chain n); "
-        "index bounds such as m, n <= k keep their defaults",
+        "index bounds such as m, n <= k are fixed",
     )
     p.add_argument("--json-out")
     p.add_argument("--csv-out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("census", help="isomorphism classes per interval length")
+    p = sub.add_parser("census", help="isomorphism classes and class sizes per interval length")
     p.add_argument("--max-length", type=_length, default=8)
     p.set_defaults(func=_cmd_census)
 
@@ -246,10 +245,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except weyl.ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except cache_mod.CacheFormatError as exc:
+    except (weyl.ResourceLimitError, cache_mod.CacheFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -15,7 +15,6 @@ isomorphism.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Iterator, Optional
 
@@ -167,7 +166,6 @@ def interval_mask(x: Element, y: Element) -> int:
     return y.ideal & weyl.upper_set(x, y.length)
 
 
-@functools.cache
 def build_interval(x: Element, y: Element) -> Interval:
     """The interval [x, y]; raises NotComparableError when x is not below y."""
     if not weyl.bruhat_leq(x, y):

@@ -39,6 +39,16 @@ from .poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
 from .regions import RegionKind, ThetaIndex
 from .weyl import Element, SYMMETRY_GROUP
 
+# bounds no caller varies: index bounds of the lemma and product checks,
+# and the share of intervals the conjecture suite sends to the oracle
+LEMMA22_BOUND = 4
+BOUNDARY_BOUND = 3
+CARDINALITY_BOUND = 4
+IDENTITY_BOUND = 3
+PARENTS_BOUND = 3
+PRODUCT_BOUND = 3
+SAMPLE_RATE = 0.01
+
 __all__ = [
     "SuiteResult",
     "VerificationReport",
@@ -222,12 +232,7 @@ def interval_survey(max_length: int) -> Survey:
     return Survey(max_length, pairs, class_id, classes)
 
 
-def verify_conjecture(
-    max_length: int = 8,
-    jobs: int = 1,
-    sample_rate: float = 0.01,
-    seed: int = 0,
-) -> VerificationReport:
+def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> VerificationReport:
     """Exhaustively check that isomorphic intervals share KL polynomials.
 
     The survey classifies one interval per G-orbit: diagram
@@ -307,7 +312,7 @@ def verify_conjecture(
 
     t2 = time.perf_counter()
     rng = random.Random(seed)
-    k = max(25, int(len(survey.intervals) * sample_rate))
+    k = max(25, int(len(survey.intervals) * SAMPLE_RATE))
     k = min(k, len(survey.intervals))
     by_span: dict[int, list[tuple[Element, Element]]] = {}
     for pair in survey.intervals:
@@ -371,30 +376,12 @@ def iso_class_census(max_length: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # closed-form equivalence
 
-def verify_closed_forms(
-    max_family_length: int = 15,
-    x_max: int = 14,
-    product_bound: int = 3,
-) -> VerificationReport:
-    """Replay every closed formula against the recursion oracle."""
+def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> VerificationReport:
+    """Replay every closed formula against the recursion oracle: the chain
+    family to n <= x_max, the theta families to length <= max_family_length,
+    and the canonical generator products to m, n <= PRODUCT_BOUND."""
     t0 = time.perf_counter()
     suites = []
-
-    t = time.perf_counter()
-    bad = [
-        n
-        for n in range(1, x_max + 1)
-        if closedform.kl_basis_x(n) != hecke.kl_basis(regions.x_chain(n))
-    ]
-    suites.append(
-        SuiteResult(
-            name=f"chain family vs oracle (n <= {x_max})",
-            passed=not bad,
-            counts={"checked": x_max, "mismatches": len(bad)},
-            witnesses=bad,
-            elapsed=time.perf_counter() - t,
-        )
-    )
 
     def theta_range(shift: int) -> list[ThetaIndex]:
         out = []
@@ -407,37 +394,27 @@ def verify_closed_forms(
             m += 1
         return out
 
-    t = time.perf_counter()
-    bad = [
-        idx
-        for idx in theta_range(3)
-        if closedform.kl_basis_theta(idx) != hecke.kl_basis(regions.theta(idx))
+    families = [
+        (f"chain family vs oracle (n <= {x_max})",
+         range(1, x_max + 1), closedform.kl_basis_x, regions.x_chain),
+        (f"theta family vs oracle (length <= {max_family_length})",
+         theta_range(3), closedform.kl_basis_theta, regions.theta),
+        (f"theta1 family vs oracle (length <= {max_family_length})",
+         theta_range(4), closedform.kl_basis_theta1, regions.theta1),
     ]
-    suites.append(
-        SuiteResult(
-            name=f"theta family vs oracle (length <= {max_family_length})",
-            passed=not bad,
-            counts={"checked": len(theta_range(3)), "mismatches": len(bad)},
-            witnesses=[list(i) for i in bad],
-            elapsed=time.perf_counter() - t,
+    for name, indices, formula, member in families:
+        t = time.perf_counter()
+        bad = [i for i in indices if formula(i) != hecke.kl_basis(member(i))]
+        suites.append(
+            SuiteResult(
+                name=name,
+                passed=not bad,
+                counts={"checked": len(indices), "mismatches": len(bad)},
+                # chain witnesses are n, theta witnesses [m, n]
+                witnesses=[list(i) if isinstance(i, ThetaIndex) else i for i in bad],
+                elapsed=time.perf_counter() - t,
+            )
         )
-    )
-
-    t = time.perf_counter()
-    bad = [
-        idx
-        for idx in theta_range(4)
-        if closedform.kl_basis_theta1(idx) != hecke.kl_basis(regions.theta1(idx))
-    ]
-    suites.append(
-        SuiteResult(
-            name=f"theta1 family vs oracle (length <= {max_family_length})",
-            passed=not bad,
-            counts={"checked": len(theta_range(4)), "mismatches": len(bad)},
-            witnesses=[list(i) for i in bad],
-            elapsed=time.perf_counter() - t,
-        )
-    )
 
     t = time.perf_counter()
     bad = []
@@ -466,16 +443,16 @@ def verify_closed_forms(
 
     t = time.perf_counter()
     bad_products = []
-    for m in range(product_bound + 1):
-        for n in range(product_bound + 1):
+    for m in range(PRODUCT_BOUND + 1):
+        for n in range(PRODUCT_BOUND + 1):
             rep = closedform.product_identity_check((m, n))
             if not rep["holds"]:
                 bad_products.append(rep)
     suites.append(
         SuiteResult(
-            name=f"canonical generator product identities (m, n <= {product_bound})",
+            name=f"canonical generator product identities (m, n <= {PRODUCT_BOUND})",
             passed=not bad_products,
-            counts={"checked": (product_bound + 1) ** 2, "mismatches": len(bad_products)},
+            counts={"checked": (PRODUCT_BOUND + 1) ** 2, "mismatches": len(bad_products)},
             witnesses=bad_products,
             elapsed=time.perf_counter() - t,
         )
@@ -509,19 +486,13 @@ def _suite(name: str, fn) -> SuiteResult:
     )
 
 
-def verify_lemma_suite(
-    partition_bound: int = 14,
-    lemma22_bound: int = 4,
-    boundary_bound: int = 3,
-    cardinality_bound: int = 4,
-    identity_bound: int = 3,
-    parents_bound: int = 3,
-    monotonicity_bound: int = 10,
-    z_bound: int = 10,
-    structural_bound: int = 10,
-    g_invariance_bound: int = 10,
-) -> VerificationReport:
-    """Run every supporting-lemma check with its default desk-scale bound."""
+def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> VerificationReport:
+    """Run every supporting-lemma check at desk scale.
+
+    ``partition_bound`` bounds the region partition; ``max_length`` bounds
+    l(y) in the monotonicity, G-invariance, Z-set and structural stages.
+    The index bounds (m, n <= k) are the module constants.
+    """
     t0 = time.perf_counter()
     suites = []
 
@@ -565,20 +536,20 @@ def verify_lemma_suite(
 
     def lemma22():
         bad = []
-        for m in range(1, lemma22_bound + 1):
-            for n in range(1, lemma22_bound + 1):
+        for m in range(1, LEMMA22_BOUND + 1):
+            for n in range(1, LEMMA22_BOUND + 1):
                 if regions.s_mn((m, n)) != regions.s_mn((m - 1, n - 1)):
                     bad.append({"m": m, "n": n, "rule": "s(m,n) stability"})
                 if not regions.intersection_check(m, n):
                     bad.append({"m": m, "n": n, "rule": "intersection"})
-        return {"checked": lemma22_bound**2}, bad
+        return {"checked": LEMMA22_BOUND**2}, bad
 
-    suites.append(_suite(f"lower-interval intersection (m, n <= {lemma22_bound})", lemma22))
+    suites.append(_suite(f"lower-interval intersection (m, n <= {LEMMA22_BOUND})", lemma22))
 
     def boundary():
         bad = []
-        for p in range(boundary_bound + 1):
-            for q in range(boundary_bound + 1):
+        for p in range(BOUNDARY_BOUND + 1):
+            for q in range(BOUNDARY_BOUND + 1):
                 idx = ThetaIndex(p, q)
                 s = regions.s_mn(idx)
                 lower = set(weyl.lower_interval(regions.theta(idx)))
@@ -589,15 +560,15 @@ def verify_lemma_suite(
                 border = regions.boundary_set(idx)
                 if lower | {w.right_mult(s) for w in border} != lower_s:
                     bad.append({"p": p, "q": q, "rule": "boundary union"})
-        return {"checked": (boundary_bound + 1) ** 2}, bad
+        return {"checked": (BOUNDARY_BOUND + 1) ** 2}, bad
 
-    suites.append(_suite(f"boundary decomposition (p, q <= {boundary_bound})", boundary))
+    suites.append(_suite(f"boundary decomposition (p, q <= {BOUNDARY_BOUND})", boundary))
 
     def cardinalities():
         bad = []
         checked = 0
-        for m in range(cardinality_bound + 1):
-            for n in range(cardinality_bound + 1):
+        for m in range(CARDINALITY_BOUND + 1):
+            for n in range(CARDINALITY_BOUND + 1):
                 base = 3 * m * m + 3 * n * n + 12 * m * n
                 grid = [
                     (regions.theta((m, n)), base + 9 * m + 9 * n + 6),
@@ -625,25 +596,25 @@ def verify_lemma_suite(
                         )
         return {"checked": checked}, bad
 
-    suites.append(_suite(f"cardinality polynomials (m, n <= {cardinality_bound})", cardinalities))
+    suites.append(_suite(f"cardinality polynomials (m, n <= {CARDINALITY_BOUND})", cardinalities))
 
     def appendix_identity():
         bad = []
-        for m in range(1, identity_bound + 1):
-            for n in range(1, identity_bound + 1):
+        for m in range(1, IDENTITY_BOUND + 1):
+            for n in range(1, IDENTITY_BOUND + 1):
                 rep = closedform.appendix_identity_check(m, n)
                 if not rep["holds"]:
                     bad.append(rep)
-        return {"checked": identity_bound**2}, bad
+        return {"checked": IDENTITY_BOUND**2}, bad
 
-    suites.append(_suite(f"appendix identity (m, n <= {identity_bound})", appendix_identity))
+    suites.append(_suite(f"appendix identity (m, n <= {IDENTITY_BOUND})", appendix_identity))
 
     def parent_counts():
         bad = []
         checked = 0
         rho2 = weyl.RHO * weyl.RHO
-        for m in range(parents_bound + 1):
-            for n in range(parents_bound + 1):
+        for m in range(PARENTS_BOUND + 1):
+            for n in range(PARENTS_BOUND + 1):
                 y = regions.theta2((m, n))
                 interval = build_interval(weyl.identity(), y)
                 zs = {}
@@ -688,7 +659,7 @@ def verify_lemma_suite(
                 bad.append({"k": k, "rule": "four-parent set"})
         return {"checked": checked}, bad
 
-    suites.append(_suite(f"parent-count table (m, n <= {parents_bound})", parent_counts))
+    suites.append(_suite(f"parent-count table (m, n <= {PARENTS_BOUND})", parent_counts))
 
     def coatoms():
         # the six coatoms of [id, s0 theta(1,3) s2]
@@ -727,7 +698,7 @@ def verify_lemma_suite(
     def monotonicity():
         bad = []
         checked = 0
-        for y in weyl.enumerate_up_to_length(monotonicity_bound):
+        for y in weyl.enumerate_up_to_length(max_length):
             basis = hecke.kl_basis(y)
             ps = closedform.kl_fast_column(y)
             hs = {z: basis.coefficient(z) for z in ps}
@@ -753,12 +724,12 @@ def verify_lemma_suite(
                         )
         return {"chains": checked}, bad
 
-    suites.append(_suite(f"monotonicity along chains (l(y) <= {monotonicity_bound})", monotonicity))
+    suites.append(_suite(f"monotonicity along chains (l(y) <= {max_length})", monotonicity))
 
     def monotonic_elements():
         bad = []
         checked = 0
-        for w in weyl.enumerate_up_to_length(monotonicity_bound):
+        for w in weyl.enumerate_up_to_length(max_length):
             checked += 1
             if not hecke.is_monotonic(hecke.N_element(w)):
                 bad.append({"w": w.word(), "rule": "N monotonic"})
@@ -780,7 +751,7 @@ def verify_lemma_suite(
 
     def g_invariance():
         bad = []
-        ball = weyl.enumerate_up_to_length(g_invariance_bound)
+        ball = weyl.enumerate_up_to_length(max_length)
         for tau in SYMMETRY_GROUP:
             for w in ball:
                 if tau.apply(w).length != w.length:
@@ -802,10 +773,10 @@ def verify_lemma_suite(
                         )
         return {"checked": checked}, bad
 
-    suites.append(_suite(f"G-invariance of length, order, KL (l <= {g_invariance_bound})", g_invariance))
+    suites.append(_suite(f"G-invariance of length, order, KL (l <= {max_length})", g_invariance))
 
     def z_preservation():
-        survey = interval_survey(z_bound)
+        survey = interval_survey(max_length)
         bad = []
         checked = 0
         for cls in survey.classes:
@@ -818,21 +789,21 @@ def verify_lemma_suite(
                     )
         return {"certificates": checked, "classes": len(survey.classes)}, bad
 
-    suites.append(_suite(f"Z-set preservation (l(y) <= {z_bound})", z_preservation))
+    suites.append(_suite(f"Z-set preservation (l(y) <= {max_length})", z_preservation))
 
     def structural():
-        rep = poset.structural_lemma_checks(structural_bound)
+        rep = poset.structural_lemma_checks(max_length)
         return rep["counts"], rep["violations"]
 
-    suites.append(_suite(f"structural Z-set lemmas (l(y) <= {structural_bound})", structural))
+    suites.append(_suite(f"structural Z-set lemmas (l(y) <= {max_length})", structural))
 
     return VerificationReport(
         scope={
             "suite": "lemmas",
             "partition_bound": partition_bound,
-            "monotonicity_bound": monotonicity_bound,
-            "z_bound": z_bound,
-            "structural_bound": structural_bound,
+            "monotonicity_bound": max_length,
+            "z_bound": max_length,
+            "structural_bound": max_length,
         },
         suites=suites,
         elapsed=time.perf_counter() - t0,

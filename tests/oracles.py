@@ -304,19 +304,18 @@ def per_pair_survey(max_length: int):
         for x in weyl.lower_interval(y)
         if x != y
     ]
+    built = {pair: build_interval(*pair) for pair in pairs}
     buckets: dict = {}
-    for x, y in pairs:
-        interval = build_interval(x, y)
+    for pair, interval in built.items():
         key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
-        buckets.setdefault(key, []).append((x, y))
+        buckets.setdefault(key, []).append(pair)
     class_id: dict = {}
     classes: list = []
     for key in sorted(buckets, key=repr):
         pending: list = []
         for pair in buckets[key]:
-            interval = build_interval(*pair)
             for cid in pending:
-                cert = is_isomorphic(interval, build_interval(*classes[cid].rep))
+                cert = is_isomorphic(built[pair], built[classes[cid].rep])
                 if cert is not None:
                     classes[cid].members.append(pair)
                     classes[cid].certs[pair] = cert

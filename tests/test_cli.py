@@ -173,8 +173,15 @@ def test_census_output(capsys):
     code, out, _ = run(capsys, "census", "--max-length", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].split() == ["span", "classes", "intervals"]
+    assert lines[0].split() == ["span", "classes", "intervals", "class", "sizes"]
     assert len(lines) >= 4
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    missing = tmp_path / "missing" / "regions.svg"
+    code, out, err = run(capsys, "render", "--regions", "--radius", "1", "-o", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def _polygons(path):

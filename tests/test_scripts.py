@@ -1,4 +1,5 @@
-"""The scripts under scripts/, run as a user runs them."""
+"""The scripts under scripts/, run as a user runs them: each is a preset
+of the bruhat-forge command line and shares its errors and exit codes."""
 
 import json
 import os
@@ -6,7 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from bruhat_forge import regions, weyl
+from bruhat_forge.cli import main
+from bruhat_forge.render import render_interval, render_regions
+
 ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 
 
 def _run_script(name, *argv, cwd):
@@ -21,10 +29,20 @@ def _run_script(name, *argv, cwd):
     )
 
 
-def test_census_and_full_verification_scripts(tmp_path):
+def _without_elapsed(obj):
+    if isinstance(obj, dict):
+        return {k: _without_elapsed(v) for k, v in obj.items() if k != "elapsed"}
+    if isinstance(obj, list):
+        return [_without_elapsed(v) for v in obj]
+    return obj
+
+
+def test_census_and_full_verification_scripts(tmp_path, capsys):
     proc = _run_script("isomorphism_census.py", "--max-length", "4", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "intervals with l(y) <= 4" in proc.stdout
+    assert main(["census", "--max-length", "4"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.splitlines()[0].split() == ["span", "classes", "intervals", "class", "sizes"]
 
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
@@ -44,10 +62,62 @@ def test_census_and_full_verification_scripts(tmp_path):
     assert all(r["passed"] for r in reports)
     assert cpath.exists()
 
+    # the script is `verify all` with defaults in front of the user's arguments
+    cli_path = tmp_path / "cli.json"
+    assert main(["verify", "all", "--max-length", "3", "--json-out", str(cli_path)]) == 0
+    assert _without_elapsed(reports) == _without_elapsed(json.loads(cli_path.read_text()))
+
+
+def test_full_verification_default_report_paths(tmp_path):
+    proc = _run_script("run_full_verification.py", "--max-length", "0", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads((tmp_path / "verification_report.json").read_text())
+    assert [r["scope"]["suite"] for r in reports] == ["conjecture", "closed-forms", "lemmas"]
+    assert (tmp_path / "verification_report.csv").exists()
+
+
+LENGTH_OPTIONS = [
+    ("isomorphism_census.py", "--max-length"),
+    ("run_full_verification.py", "--max-length"),
+    ("render_figures.py", "--radius"),
+]
+
 
 def test_scripts_reject_negative_lengths(tmp_path):
-    for name in ("isomorphism_census.py", "run_full_verification.py"):
-        proc = _run_script(name, "--max-length", "-1", cwd=tmp_path)
-        assert proc.returncode == 2, (name, proc.stderr)
-        assert "must be >= 0" in proc.stderr
+    for name, option in LENGTH_OPTIONS:
+        proc = _run_script(name, option, "-1", cwd=tmp_path)
+        assert proc.returncode == 1, (name, proc.stderr)
+        assert "usage:" in proc.stderr and "must be >= 0" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_scripts_report_lengths_beyond_the_cap(tmp_path):
+    for name, option in LENGTH_OPTIONS:
+        proc = _run_script(name, option, "100", cwd=tmp_path)
+        assert proc.returncode == 1, (name, proc.stderr)
+        assert proc.stderr.startswith("error:") and "cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("verification_report.*"))
+    assert not list(tmp_path.glob("figures/*.svg"))
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_help(tmp_path, name):
+    proc = _run_script(name, "--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
+
+
+def test_render_figures_writes_gallery(tmp_path):
+    out = tmp_path / "figs"
+    proc = _run_script("render_figures.py", "--out-dir", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    identity = weyl.identity()
+    expected = {
+        "four_regions.svg": render_regions(8),
+        "theta_1_3_lower.svg": render_interval(identity, regions.theta((1, 3))),
+        "theta_1_3_s_lower.svg": render_interval(identity, regions.theta1((1, 3))),
+    }
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, doc in expected.items():
+        assert (out / name).read_text() == doc + "\n"

@@ -57,25 +57,50 @@ def test_reports_deterministic():
 
 
 def test_closed_forms_small():
-    report = verify_closed_forms(max_family_length=11, x_max=8, product_bound=1)
+    report = verify_closed_forms(max_family_length=11, x_max=8)
     assert report.passed
     assert all(s.counts.get("mismatches", 0) == 0 for s in report.suites)
 
 
 def test_lemma_suite_small_bounds():
-    report = verify_lemma_suite(
-        partition_bound=8,
-        lemma22_bound=2,
-        boundary_bound=2,
-        cardinality_bound=2,
-        identity_bound=2,
-        parents_bound=2,
-        monotonicity_bound=7,
-        z_bound=6,
-        structural_bound=7,
-        g_invariance_bound=6,
-    )
+    report = verify_lemma_suite(max_length=7, partition_bound=8)
     assert report.passed, [s.name for s in report.suites if not s.passed]
+
+
+def test_fixed_index_bounds_in_suite_names():
+    # the index bounds no caller sets are constants; their values show
+    # in the suite names
+    lemmas = verify_lemma_suite(max_length=2, partition_bound=2)
+    assert [s.name for s in lemmas.suites] == [
+        "region partition and counts (l <= 2)",
+        "descent patterns per region (reported)",
+        "lower-interval intersection (m, n <= 4)",
+        "boundary decomposition (p, q <= 3)",
+        "cardinality polynomials (m, n <= 4)",
+        "appendix identity (m, n <= 3)",
+        "parent-count table (m, n <= 3)",
+        "coatom set of s0*theta(1,3)*s",
+        "monotonicity along chains (l(y) <= 2)",
+        "monotonic element closure properties",
+        "G-invariance of length, order, KL (l <= 2)",
+        "Z-set preservation (l(y) <= 2)",
+        "structural Z-set lemmas (l(y) <= 2)",
+    ]
+    assert lemmas.scope == {
+        "suite": "lemmas",
+        "partition_bound": 2,
+        "monotonicity_bound": 2,
+        "z_bound": 2,
+        "structural_bound": 2,
+    }
+    closed = verify_closed_forms(3, 3)
+    assert [s.name for s in closed.suites] == [
+        "chain family vs oracle (n <= 3)",
+        "theta family vs oracle (length <= 3)",
+        "theta1 family vs oracle (length <= 3)",
+        "theta2 family both versions vs oracle (length <= 3)",
+        "canonical generator product identities (m, n <= 3)",
+    ]
 
 
 def test_report_serialization():
@@ -129,18 +154,7 @@ def test_composed_certificates_connect_class_members():
 
 
 def test_lemma_report_json_round_trip():
-    report = verify_lemma_suite(
-        partition_bound=6,
-        lemma22_bound=1,
-        boundary_bound=1,
-        cardinality_bound=1,
-        identity_bound=1,
-        parents_bound=1,
-        monotonicity_bound=5,
-        z_bound=5,
-        structural_bound=5,
-        g_invariance_bound=5,
-    )
+    report = verify_lemma_suite(max_length=5, partition_bound=6)
     obj = json.loads(report.to_json())
     assert obj["passed"] is True
     assert len(obj["suites"]) == len(report.suites)
@@ -167,18 +181,7 @@ def test_formula_fallbacks_fail_verification(monkeypatch):
     assert conj.counts["violations"] == 0
     assert not conj.passed and not report.passed
 
-    lemmas = verify_lemma_suite(
-        partition_bound=4,
-        lemma22_bound=1,
-        boundary_bound=1,
-        cardinality_bound=1,
-        identity_bound=1,
-        parents_bound=1,
-        monotonicity_bound=5,
-        z_bound=5,
-        structural_bound=5,
-        g_invariance_bound=5,
-    )
+    lemmas = verify_lemma_suite(max_length=5, partition_bound=4)
     failed = {s.name.split(" (")[0] for s in lemmas.suites if not s.passed}
     assert failed == {
         "monotonicity along chains",
@@ -225,18 +228,7 @@ def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
 
     monkeypatch.setattr(hecke, "kl_basis", bad_kl_basis)
     monkeypatch.setattr(closedform, "kl_fast_column", bad_column)
-    report = verify_lemma_suite(
-        partition_bound=2,
-        lemma22_bound=1,
-        boundary_bound=1,
-        cardinality_bound=1,
-        identity_bound=1,
-        parents_bound=1,
-        monotonicity_bound=4,
-        z_bound=2,
-        structural_bound=2,
-        g_invariance_bound=2,
-    )
+    report = verify_lemma_suite(max_length=4, partition_bound=2)
     suites = {s.name: s for s in report.suites}
     chains = suites["monotonicity along chains (l(y) <= 4)"]
     assert not chains.passed
