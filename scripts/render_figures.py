@@ -27,7 +27,11 @@ def main() -> int:
     args, rest = parser.parse_known_args()
 
     out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as --out-dir naming a file; reported like the CLI's errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name, argv in FIGURES:
         path = out / (name + ".svg")
         code = cli.main(["render", *argv, *rest, "-o", str(path)])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Optional
 
@@ -115,38 +116,48 @@ def _cmd_interval(args) -> int:
     return 0
 
 
-def _write_reports(reports, args) -> None:
+def _write_reports(reports, json_fh, csv_fh) -> None:
     # one suite writes one JSON object, ``all`` an array in run order
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
+    if json_fh:
+        with json_fh:
             if len(reports) == 1:
-                fh.write(reports[0].to_json() + "\n")
+                json_fh.write(reports[0].to_json() + "\n")
             else:
-                fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
-    if args.csv_out:
-        with open(args.csv_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
+                json_fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
+    if csv_fh:
+        with csv_fh:
+            writer = csv.writer(csv_fh)
             for report in reports:
                 writer.writerows(report.to_csv_rows())
                 writer.writerows(report.census_csv_rows())
 
 
 def _cmd_verify(args) -> int:
-    reports = []
+    reports, opened = [], []
     bound = args.max_length
-    if args.suite in ("conjecture", "all"):
-        reports.append(verify.verify_conjecture(8 if bound is None else bound))
-    if args.suite in ("closed-forms", "all"):
-        kwargs = {} if bound is None else {"max_family_length": bound, "x_max": bound}
-        reports.append(verify.verify_closed_forms(**kwargs))
-    if args.suite in ("lemmas", "all"):
-        kwargs = {} if bound is None else {"max_length": bound, "partition_bound": bound}
-        reports.append(verify.verify_lemma_suite(**kwargs))
+    try:
+        # the report files are opened before the first suite, so a bad path
+        # fails before any work; a run that raises removes them again
+        for path, newline in ((args.json_out, None), (args.csv_out, "")):
+            opened.append(path and open(path, "w", newline=newline))
+        if args.suite in ("conjecture", "all"):
+            reports.append(verify.verify_conjecture(8 if bound is None else bound))
+        if args.suite in ("closed-forms", "all"):
+            kwargs = {} if bound is None else {"max_family_length": bound, "x_max": bound}
+            reports.append(verify.verify_closed_forms(**kwargs))
+        if args.suite in ("lemmas", "all"):
+            kwargs = {} if bound is None else {"max_length": bound, "partition_bound": bound}
+            reports.append(verify.verify_lemma_suite(**kwargs))
+    except BaseException:
+        for fh in filter(None, opened):
+            fh.close()
+            os.remove(fh.name)
+        raise
     ok = True
     for report in reports:
         print("\n".join(report.summary_lines()))
         ok &= report.passed
-    _write_reports(reports, args)
+    _write_reports(reports, *opened)
     print("ALL SUITES PASS" if ok else "SUITE FAILURES PRESENT")
     return 0 if ok else 2
 

@@ -16,9 +16,10 @@ standard-basis terms go in as single monomials.
 
 ``kl_column`` reads a whole column P_{-,y} off the closed forms: it
 classifies y once, relabels the closed form of the canonical family
-member by the classifying symmetry, and converts every coefficient to
-the q-normalization.  A column whose support is not exactly [e, y], or
-with a P whose constant term is not 1, raises ``ClosedFormError``.
+member by the classifying symmetry, reads the column off the ideal of
+y in ball order and converts every coefficient to q.  A column whose
+support is not [e, y], or with a P whose constant term is not 1,
+raises ``ClosedFormError``.
 ``kl_fast_column`` and ``kl_fast`` answer such a column from the
 recursion instead and log each of its pairs in ``fallback_log()``; the
 verification suites count these fallbacks and fail on any.
@@ -184,20 +185,22 @@ def fallback_log() -> tuple[tuple[Element, Element], ...]:
 def kl_column(y: Element) -> dict[Element, QPoly]:
     """P_{x,y} for every x <= y, in (length, word) order of x.
 
-    Classifies y once, relabels the closed form of its canonical family
-    member by the classifying symmetry, and converts each coefficient to
-    the q-normalization.  Raises ClosedFormError unless the support is
-    exactly [e, y] and every P has constant term 1.  Columns are
-    memoized per y (a raise is not, so it recurs on every call); callers
-    must not mutate them.
+    Classifies y once, relabels the support of the closed form of its
+    canonical family member by the classifying symmetry, and reads the
+    column off the ideal of y in ball order, each coefficient converted
+    to the q-normalization.  Raises ClosedFormError unless the support
+    is exactly [e, y] and every P has constant term 1.  Columns are
+    memoized per y (a raise is not, so it recurs on every call);
+    callers must not mutate them.
     """
     ideal = y.ideal  # above the enumeration cap this raises before classify
     tag = regions.classify(y)
-    H = hecke.apply_symmetry(tag.tau, kl_closed_form(tag))
+    coefficients = {tag.tau.apply(x): h for x, h in kl_closed_form(tag)._m.items()}
     column = {}
-    support = 0
-    for x, h in H.items():
-        support |= 1 << x.ball_index
+    for x in weyl.ball_elements(ideal):
+        h = coefficients.get(x)
+        if h is None:
+            break
         try:
             p = to_q(h, y.length - x.length)
         except ShapeError as exc:
@@ -205,7 +208,7 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
         if p.coefficient(0) != 1:
             raise ClosedFormError(f"P({x.word()}, {y.word()}) = {p} has no constant term 1")
         column[x] = p
-    if support != ideal:
+    if len(column) != len(coefficients) or len(column) != ideal.bit_count():
         raise ClosedFormError(f"closed form of {y.word()} is not supported on [e, y]")
     return column
 

@@ -38,7 +38,6 @@ __all__ = [
     "mult_kl_s",
     "kl_basis",
     "kl_polynomial",
-    "mu",
     "N_element",
     "M_element",
     "G_coefficient",
@@ -248,11 +247,6 @@ def _kl_basis(w: Element) -> HeckeElement:
         if m and x.right_mult(s).length < x.length:
             _add_element(acc, _kl_basis(x), -m)
     return _freeze(acc)
-
-
-def mu(x: Element, w: Element) -> int:
-    """The coefficient of v in h_{x,w}."""
-    return kl_basis(w).coefficient(x).coefficient(1)
 
 
 def kl_polynomial(x: Element, w: Element) -> tuple[LaurentPoly, QPoly]:

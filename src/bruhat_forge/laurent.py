@@ -87,10 +87,6 @@ class LaurentPoly:
         return _L_ONE
 
     @classmethod
-    def v_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({k: coeff})
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
         acc: dict[int, int] = {}
         for e, c in pairs:
@@ -111,9 +107,6 @@ class LaurentPoly:
 
     def min_exp(self) -> int:
         return min(self._c)
-
-    def max_exp(self) -> int:
-        return max(self._c)
 
     def __bool__(self) -> bool:
         return bool(self._c)

@@ -26,6 +26,7 @@ from .weyl import RHO, SIGMA, Element
 __all__ = [
     "Interval",
     "IsoCertificate",
+    "ComposedCertificate",
     "NotComparableError",
     "build_interval",
     "is_isomorphic",
@@ -216,12 +217,14 @@ class IsoCertificate:
 
     def compose(self, earlier: "IsoCertificate") -> "IsoCertificate":
         """self after earlier."""
-        return IsoCertificate.from_index({i: self.index[j] for i, j in earlier.index.items()})
+        index = self.index
+        return IsoCertificate.from_index({i: index[j] for i, j in earlier.index.items()})
 
     def to_index_permutation(self, a: Interval, b: Interval) -> list[int]:
         """JSON form: position i holds the b-index of the image of a.members[i]."""
         position = {w.ball_index: p for p, w in enumerate(b.members)}
-        return [position[self.index[z.ball_index]] for z in a.members]
+        index = self.index
+        return [position[index[z.ball_index]] for z in a.members]
 
     def is_valid(
         self,
@@ -244,13 +247,11 @@ class IsoCertificate:
         (ax, ay), (bx, by) = _ends(a), _ends(b)
         members_a, members_b = interval_mask(ax, ay), interval_mask(bx, by)
         index = self.index
-        domain = image = 0
-        for i, j in index.items():
-            domain |= 1 << i
-            image |= 1 << j
+        # n powers of two sum to n bits only if distinct, and then to their OR
+        domain, image = sum(1 << i for i in index), sum(1 << j for j in index.values())
         if domain != members_a or image != members_b or image.bit_count() != len(index):
             return False
-        lengths, _, lower_covers = weyl.ball(max(ay.length, by.length))
+        lengths, _, lower_covers, _ = weyl.ball(max(ay.length, by.length))
         shift = bx.length - ax.length
         for i, j in index.items():
             if lengths[j] - lengths[i] != shift:
@@ -264,6 +265,25 @@ class IsoCertificate:
             if mapped != lower_covers[j] & members_b:
                 return False
         return True
+
+
+class ComposedCertificate(IsoCertificate):
+    """``base`` after the inverse of a symmetry tau: z -> base(tau^-1 z),
+    held as ``base`` and the weyl.ball action lists ``act`` of tau and
+    ``inv`` of tau^-1.  ``index`` is composed on each read, not kept."""
+
+    __slots__ = ("base", "act", "inv")
+
+    def __init__(self, base: IsoCertificate, act: tuple[int, ...], inv: tuple[int, ...]):
+        self.base, self.act, self.inv = base, act, inv
+
+    @property
+    def index(self) -> dict[int, int]:
+        act = self.act
+        return {act[i]: j for i, j in self.base.index.items()}
+
+    def apply(self, z: Element) -> Element:
+        return weyl.ball_element(self.base.index[self.inv[z.ball_index]])
 
 
 def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:

@@ -163,22 +163,17 @@ def classify(w: Element) -> RegionTag:
     if w.is_identity:
         return RegionTag(RegionKind.IDENTITY, weyl.IDENTITY_SYMMETRY, None)
     L = w.length
+    # scanned in kind order, each theta family by its index
     candidates: list[tuple[RegionKind, Element, ThetaIndex | int]] = [
         (RegionKind.X, x_chain(L), L)
     ]
-    for idx in _theta_indices_of_length(L, 3):
-        candidates.append((RegionKind.THETA, theta(idx), idx))
-    for idx in _theta_indices_of_length(L, 4):
-        candidates.append((RegionKind.THETA1, theta1(idx), idx))
-    for idx in _theta_indices_of_length(L, 5):
-        candidates.append((RegionKind.THETA2, theta2(idx), idx))
-    for kind in (RegionKind.X, RegionKind.THETA, RegionKind.THETA1, RegionKind.THETA2):
-        for k, member, params in candidates:
-            if k is not kind:
-                continue
-            for tau in SYMMETRY_GROUP:
-                if tau.apply(member) == w:
-                    return RegionTag(kind, tau, params)
+    candidates += [(RegionKind.THETA, theta(i), i) for i in _theta_indices_of_length(L, 3)]
+    candidates += [(RegionKind.THETA1, theta1(i), i) for i in _theta_indices_of_length(L, 4)]
+    candidates += [(RegionKind.THETA2, theta2(i), i) for i in _theta_indices_of_length(L, 5)]
+    for kind, member, params in candidates:
+        for tau in SYMMETRY_GROUP:
+            if tau.apply(member) == w:
+                return RegionTag(kind, tau, params)
     raise AssertionError(f"unclassifiable element {w!r}")  # partition says never
 
 

@@ -11,10 +11,11 @@ ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
 so [x, y] and [tau x, tau y] are isomorphic.  Orbit representatives are
 bucketed by (span, size, rank vector, fingerprint) and split into
 isomorphism classes with certificates; every other interval inherits its
-representative's class and a composed certificate.  Neither citation is
-taken on trust: the KL equality runs over every interval, every
-certificate is re-validated, and a sample of symmetry maps is checked
-as isomorphisms.
+orbit representative's class and certificate, stored with the action of
+G on ball indices (weyl.ball) and composed only when read.  Neither
+citation is taken on trust: the KL equality runs over every interval,
+every certificate is re-validated, and a sample of symmetry maps is
+checked as isomorphisms.
 
 ``verify_closed_forms`` replays every closed formula against the
 canonical-basis recursion; ``verify_lemma_suite`` exercises the
@@ -161,12 +162,8 @@ class Survey:
 
 def _interval_pairs(max_length: int) -> list[tuple[Element, Element]]:
     # by top, then bottom, each already in (length, word) order
-    pairs = []
-    for y in weyl.enumerate_up_to_length(max_length):
-        for x in weyl.lower_interval(y):
-            if x != y:
-                pairs.append((x, y))
-    return pairs
+    ball = weyl.enumerate_up_to_length(max_length)
+    return [(x, y) for y in ball for x in weyl.lower_interval(y) if x != y]
 
 
 @functools.cache
@@ -177,24 +174,25 @@ def interval_survey(max_length: int) -> Survey:
     bucketed and searched.  Every other pair (tau x, tau y) takes the
     class of its orbit's first pair (x, y) and the certificate
     z -> c(tau^-1 z), where c is the certificate of (x, y), or the
-    identity when (x, y) represents its class.  The first pair of a
-    class is always the first of its orbit, so representatives, class
-    ids and member order are those of classifying every pair.
+    identity when (x, y) represents its class, stored as c with the
+    weyl.ball action lists of tau and tau^-1 (a ComposedCertificate).
+    The first pair of a class is always the first of its orbit, so
+    representatives, class ids and member order are those of
+    classifying every pair.
     """
     pairs = _interval_pairs(max_length)
-    ball = weyl.enumerate_up_to_length(max_length)
-    # actions[k][i]: the ball index of the image of ball element i under tau_k
-    actions = [[tau.apply(w).ball_index for w in ball] for tau in SYMMETRY_GROUP]
-    # pair -> (first pair of its orbit, the action carrying that onto it)
-    orbit_of: dict[tuple[int, int], tuple[tuple[Element, Element], list[int]]] = {}
+    actions = weyl.ball(max_length).actions
+    inverses = [actions[SYMMETRY_GROUP.index(tau.inverse_symmetry())] for tau in SYMMETRY_GROUP]
+    # pair -> (first pair of its orbit, the k of the tau_k carrying that onto it)
+    orbit_of: dict[tuple[int, int], tuple[tuple[Element, Element], int]] = {}
     built: dict[tuple[Element, Element], poset.Interval] = {}
     buckets: dict[tuple, list[tuple[Element, Element]]] = {}
     for x, y in pairs:
         i, j = x.ball_index, y.ball_index
         if (i, j) in orbit_of:
             continue
-        for act in actions:
-            orbit_of.setdefault((act[i], act[j]), ((x, y), act))
+        for k, act in enumerate(actions):
+            orbit_of.setdefault((act[i], act[j]), ((x, y), k))
         built[(x, y)] = interval = build_interval(x, y)
         key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
         buckets.setdefault(key, []).append((x, y))
@@ -218,7 +216,7 @@ def interval_survey(max_length: int) -> Survey:
 
     class_id: dict[tuple[Element, Element], int] = {}
     for pair in pairs:
-        first, act = orbit_of[pair[0].ball_index, pair[1].ball_index]
+        first, k = orbit_of[pair[0].ball_index, pair[1].ball_index]
         cid, cert = placed[first]
         cls = classes[cid]
         cls.members.append(pair)
@@ -228,7 +226,7 @@ def interval_survey(max_length: int) -> Survey:
         if pair == first:
             cls.certs[pair] = cert
             continue
-        cls.certs[pair] = IsoCertificate.from_index({act[i]: k for i, k in cert.index.items()})
+        cls.certs[pair] = poset.ComposedCertificate(cert, actions[k], inverses[k])
     return Survey(max_length, pairs, class_id, classes)
 
 
@@ -345,11 +343,12 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     t3 = time.perf_counter()
     orbit_bad = []
     orbit_sample = sample[: max(10, k // 2)]
+    actions = weyl.ball(max_length).actions
     for x, y in orbit_sample:
-        members = weyl.ball_elements(poset.interval_mask(x, y))
-        for tau in SYMMETRY_GROUP:
-            image = (tau.apply(x), tau.apply(y))
-            shift = IsoCertificate({z: tau.apply(z) for z in members})
+        members = list(poset._bits(poset.interval_mask(x, y)))
+        for tau, act in zip(SYMMETRY_GROUP, actions):
+            image = (weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index]))
+            shift = IsoCertificate.from_index({i: act[i] for i in members})
             if not shift.is_valid((x, y), image) or polys.get(image) != polys[(x, y)]:
                 orbit_bad.append([tau.name, x.word(), y.word()])
     orbit = SuiteResult(
@@ -751,23 +750,23 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
 
     def g_invariance():
         bad = []
-        ball = weyl.enumerate_up_to_length(max_length)
-        for tau in SYMMETRY_GROUP:
-            for w in ball:
-                if tau.apply(w).length != w.length:
+        elements = weyl.enumerate_up_to_length(max_length)
+        actions = weyl.ball(max_length).actions
+        for tau, act in zip(SYMMETRY_GROUP, actions):
+            for i, w in enumerate(elements):
+                if weyl.ball_element(act[i]).length != w.length:
                     bad.append({"tau": tau.name, "w": w.word(), "rule": "length"})
-        checked = len(ball) * len(SYMMETRY_GROUP)
-        for y in ball:
+        checked = len(elements) * len(SYMMETRY_GROUP)
+        for y in elements:
             column = closedform.kl_fast_column(y)
-            for tau in SYMMETRY_GROUP:
-                ty = tau.apply(y)
-                image = [(x, tau.apply(x), p) for x, p in column.items()]
-                if set(weyl.lower_interval(ty)) != {tx for _, tx, _ in image}:
+            for tau, act in zip(SYMMETRY_GROUP, actions):
+                ty = elements[act[y.ball_index]]
+                if sum(1 << act[i] for i in poset._bits(y.ideal)) != ty.ideal:
                     bad.append({"tau": tau.name, "y": y.word(), "rule": "order"})
                 t_column = closedform.kl_fast_column(ty)
-                for x, tx, p in image:
+                for x, p in column.items():
                     checked += 1
-                    if t_column.get(tx) != p:
+                    if t_column.get(elements[act[x.ball_index]]) != p:
                         bad.append(
                             {"tau": tau.name, "x": x.word(), "y": y.word(), "rule": "KL"}
                         )

@@ -24,7 +24,9 @@ property Z: [e, w] = [e, sw] U s[e, sw] for s in D_L(w) (Bjorner-Brenti,
 GTM 231, 2.2), with s[e, sw] read bit by bit through the table.  The
 upper sets {z : x <= z} within a length bound are the transpose of
 those ideals; ``ball(n)`` holds them with the lengths and down-covers,
-as tables read by ball index.
+as tables read by ball index.  It also holds the one action of the
+symmetry group G on ball indices: for each tau, the ball index of tau w
+by that of w (tau preserves length, so each layer maps onto itself).
 
 The symmetry group G (order 12) is generated by the diagram rotation rho
 (s0 -> s1 -> s2 -> s0), the diagram flip sigma (fixes s0, swaps s1 and
@@ -51,9 +53,6 @@ __all__ = [
     "from_word",
     "identity",
     "generator",
-    "multiply",
-    "inverse",
-    "length",
     "descents",
     "bruhat_leq",
     "lower_interval",
@@ -371,18 +370,6 @@ def from_word(word: WordLike) -> Element:
     return w
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def inverse(w: Element) -> Element:
-    return w.inverse()
-
-
-def length(w: Element) -> int:
-    return w.length
-
-
 def descents(w: Element, side: str) -> frozenset[int]:
     """Left or right descent set; ``side`` is "left" or "right"."""
     if side == "right":
@@ -417,11 +404,14 @@ def upper_set(x: Element, max_length: int) -> int:
 class Ball(NamedTuple):
     """The elements of length <= a bound, read by ball index: their
     lengths, their upper sets, and their down-covers (the elements one
-    length below them in their lower ideals) as ball bitsets."""
+    length below them in their lower ideals) as ball bitsets.
+    ``actions[k][i]`` is the ball index of SYMMETRY_GROUP[k] applied to
+    element i, one list per symmetry in SYMMETRY_GROUP order."""
 
     lengths: tuple[int, ...]
     uppers: tuple[int, ...]
     covers: tuple[int, ...]
+    actions: tuple[tuple[int, ...], ...]
 
 
 @functools.cache
@@ -430,10 +420,11 @@ def ball(max_length: int) -> Ball:
     # grown from the table one length down: each element of the new
     # layer is maximal in the ball, so its upper set is itself, and it
     # joins the upper set of everything in its ideal; its down-covers
-    # are the rest of its ideal cut to the layer below
+    # are the rest of its ideal cut to the layer below; each symmetry
+    # maps the layer onto itself
     if max_length < 0:
-        return Ball((), (), ())
-    lengths, uppers, covers = ball(max_length - 1)
+        return Ball((), (), (), ((),) * len(SYMMETRY_GROUP))
+    lengths, uppers, covers, actions = ball(max_length - 1)
     layer = elements_of_length(max_length)
     start = elements_of_length(max_length - 1)[0].ball_index if max_length else 0
     ups = list(uppers)
@@ -447,7 +438,9 @@ def ball(max_length: int) -> Ball:
             low = mask & -mask
             ups[low.bit_length() - 1] |= bit
             mask ^= low
-    return Ball(lengths + (max_length,) * len(layer), tuple(ups), covers + tuple(downs))
+    images = (tuple(tau.apply(w).ball_index for w in layer) for tau in SYMMETRY_GROUP)
+    actions = tuple(act + image for act, image in zip(actions, images))
+    return Ball(lengths + (max_length,) * len(layer), tuple(ups), covers + tuple(downs), actions)
 
 
 def ball_element(i: int) -> Element:
@@ -519,17 +512,8 @@ def enumerate_up_to_length(max_length: int = DEFAULT_MAX_LENGTH) -> tuple[Elemen
     >>> len(enumerate_up_to_length(1))
     4
     """
-    if max_length < 0:
-        raise ValueError("length must be non-negative")
-    if max_length > HARD_MAX_LENGTH:
-        raise ResourceLimitError(
-            f"enumeration up to length {max_length} exceeds the hard cap "
-            f"{HARD_MAX_LENGTH}"
-        )
-    out: list[Element] = []
-    for n in range(max_length + 1):
-        out.extend(elements_of_length(n))
-    return tuple(out)
+    elements_of_length(max_length)  # checks the bound, then fills every layer up to it
+    return tuple(w for layer in _LAYERS[: max_length + 1] for w in layer)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,66 @@ def per_pair_survey(max_length: int):
     return Survey(max_length, pairs, class_id, classes)
 
 
+def composed_certificates(max_length: int) -> dict:
+    """Every survey certificate as an eager index dict, pair -> IsoCertificate.
+
+    The orbit survey with each certificate composed when it is made: the
+    action of each tau is worked out from Symmetry.apply over the ball,
+    and a pair (tau x, tau y) that is not first in its orbit gets the
+    dict tau z -> c(z), c being the certificate of the orbit's first
+    pair (x, y) onto its class representative, or the identity when
+    (x, y) is that representative.
+    """
+    from bruhat_forge import weyl
+    from bruhat_forge.poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
+
+    pairs = [
+        (x, y)
+        for y in weyl.enumerate_up_to_length(max_length)
+        for x in weyl.lower_interval(y)
+        if x != y
+    ]
+    ball = weyl.enumerate_up_to_length(max_length)
+    actions = [[tau.apply(w).ball_index for w in ball] for tau in weyl.SYMMETRY_GROUP]
+    orbit_of: dict = {}
+    built: dict = {}
+    buckets: dict = {}
+    for x, y in pairs:
+        i, j = x.ball_index, y.ball_index
+        if (i, j) in orbit_of:
+            continue
+        for act in actions:
+            orbit_of.setdefault((act[i], act[j]), ((x, y), act))
+        built[(x, y)] = interval = build_interval(x, y)
+        key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
+        buckets.setdefault(key, []).append((x, y))
+    placed: dict = {}
+    reps: list = []
+    for key in sorted(buckets, key=repr):
+        pending: list = []
+        for first in buckets[key]:
+            for cid in pending:
+                cert = is_isomorphic(built[first], built[reps[cid]])
+                if cert is not None:
+                    placed[first] = (cid, cert)
+                    break
+            else:
+                reps.append(first)
+                pending.append(len(reps) - 1)
+                placed[first] = (len(reps) - 1, IsoCertificate({z: z for z in built[first].members}))
+    certs = {}
+    for pair in pairs:
+        first, act = orbit_of[pair[0].ball_index, pair[1].ball_index]
+        cid, cert = placed[first]
+        if pair == reps[cid]:
+            continue
+        if pair == first:
+            certs[pair] = cert
+        else:
+            certs[pair] = IsoCertificate.from_index({act[i]: k for i, k in cert.index.items()})
+    return certs
+
+
 def full_order_check(cert, a, b) -> bool:
     """Whether cert maps the members of Interval a onto those of Interval
     b and keeps the whole order both ways, read from ``leq_masks``."""

@@ -184,6 +184,24 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--json-out", "--csv-out"])
+def test_verify_unwritable_report_fails_before_any_suite(tmp_path, capsys, option):
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "verify", "all", "--max-length", "3", option, str(missing))
+    assert code == 1
+    assert "PASS" not in out
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_kl_formula_builds_no_ball_table(capsys, monkeypatch):
+    monkeypatch.delenv(cache_mod.CACHE_ENV_VAR, raising=False)
+    closedform.kl_column.cache_clear()
+    weyl.ball.cache_clear()
+    code, out, _ = run(capsys, "kl", "", regions.theta((9, 9)).word(), "--via", "formula")
+    assert code == 0 and "P = 1" in out
+    assert weyl.ball.cache_info().currsize == 0
+
+
 def _polygons(path):
     tree = ET.parse(path)
     return [e for e in tree.iter() if e.tag.endswith("polygon")]

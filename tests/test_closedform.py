@@ -226,6 +226,36 @@ def test_kl_column_rejects_a_broken_closed_form(monkeypatch, factor, message):
     assert closedform.fallback_log() == column + column
 
 
+def test_kl_column_rejects_support_beyond_the_ideal(monkeypatch):
+    real = closedform.kl_closed_form
+
+    def wide(tag):
+        # a term longer than every member of [e, y] stays outside it
+        return real(tag) + standard_basis(x_chain(9))
+
+    monkeypatch.setattr(closedform, "kl_closed_form", wide)
+    kl_column.cache_clear()
+    with pytest.raises(closedform.ClosedFormError, match="not supported on"):
+        kl_column(from_word("1234"))
+
+
+def test_kl_column_builds_no_hecke_element_and_sorts_nothing(monkeypatch):
+    tops = [tau.apply(theta2((2, 3))) for tau in SYMMETRY_GROUP]
+    expected = {y: kl_column(y) for y in tops}
+    kl_column.cache_clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kl_column built a HeckeElement or sorted elements")
+
+    monkeypatch.setattr(hecke.HeckeElement, "__init__", forbidden)
+    monkeypatch.setattr(hecke.HeckeElement, "support", forbidden)
+    monkeypatch.setattr(weyl.Element, "sort_key", forbidden)
+    for y in tops:
+        column = kl_column(y)
+        assert column == expected[y]
+        assert list(column) == list(expected[y])
+
+
 def test_kl_fast_symmetry_invariance():
     ball = weyl.enumerate_up_to_length(7)
     for i, y in enumerate(ball):

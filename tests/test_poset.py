@@ -10,6 +10,7 @@ import pytest
 import oracles
 from bruhat_forge import poset, regions, weyl
 from bruhat_forge.poset import (
+    ComposedCertificate,
     IsoCertificate,
     NotComparableError,
     build_interval,
@@ -491,6 +492,38 @@ def test_composed_certificate_with_wrong_symmetry_is_rejected():
                     carried = (built_with.apply(first[0]), built_with.apply(first[1]))
                     assert composed.is_valid(target, cls.rep) == (carried == target)
                     rejected += carried != target
+    assert rejected > 0
+
+
+def test_lazily_composed_certificate_with_wrong_action_is_rejected():
+    # an orbit certificate stands for z -> base(tau^-1 z); built with the
+    # action of a tau that does not carry the base's pair onto the
+    # member, it fails is_valid
+    from bruhat_forge.verify import interval_survey
+
+    survey = interval_survey(6)
+    table = weyl.ball(6)
+    inverses = [
+        table.actions[weyl.SYMMETRY_GROUP.index(tau.inverse_symmetry())]
+        for tau in weyl.SYMMETRY_GROUP
+    ]
+    composed = [
+        (member, cls.rep, cert)
+        for cls in survey.classes
+        for member, cert in cls.certs.items()
+        if isinstance(cert, ComposedCertificate)
+    ]
+    rejected = 0
+    for member, rep, cert in composed[::13]:
+        assert cert.is_valid(member, rep)
+        # the base certificate's domain is the orbit's first pair
+        first = (min(cert.base.index), max(cert.base.index))
+        target = (member[0].ball_index, member[1].ball_index)
+        for act, inv in zip(table.actions, inverses):
+            moved = ComposedCertificate(cert.base, act, inv)
+            carried = (act[first[0]], act[first[1]])
+            assert moved.is_valid(member, rep) == (carried == target)
+            rejected += carried != target
     assert rejected > 0
 
 

@@ -121,3 +121,12 @@ def test_render_figures_writes_gallery(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
     for name, doc in expected.items():
         assert (out / name).read_text() == doc + "\n"
+
+
+def test_render_figures_out_dir_naming_a_file_exits_one(tmp_path):
+    (tmp_path / "README.md").write_text("not a directory\n")
+    proc = _run_script("render_figures.py", "--out-dir", "README.md", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert (tmp_path / "README.md").read_text() == "not a directory\n"

@@ -238,3 +238,18 @@ def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
     canonical = {"w": y.word(), "rule": "canonical monotonic"}
     # a v^-1 term keeps every coefficient difference non-negative
     assert (canonical in closure.witnesses) == (bump.min_exp() > 0)
+
+
+def test_survey_certificates_match_the_eager_reference():
+    # certificates stored as (orbit base, action) read like the dicts
+    # the survey used to compose for every pair
+    for max_length in range(9):
+        survey = interval_survey(max_length)
+        ref = oracles.composed_certificates(max_length)
+        certs = {m: c for cls in survey.classes for m, c in cls.certs.items()}
+        assert certs.keys() == ref.keys()
+        for pair, cert in certs.items():
+            expected = ref[pair]
+            assert cert.index == expected.index, pair
+            assert cert.mapping == expected.mapping, pair
+            assert all(cert.apply(z) == w for z, w in expected.mapping.items()), pair

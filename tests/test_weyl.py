@@ -288,3 +288,19 @@ def test_left_table_is_left_multiplication():
     for i, w in enumerate(enumerate_up_to_length(12)):
         for s in (0, 1, 2):
             assert weyl._LEFT[s][i] == weyl.ball_element(i).left_mult(s).ball_index
+
+
+def test_ball_actions_are_the_symmetries_on_ball_indices():
+    table = weyl.ball(10)
+    n = len(table.lengths)
+    assert len(table.actions) == len(SYMMETRY_GROUP)
+    for k, tau in enumerate(SYMMETRY_GROUP):
+        act = table.actions[k]
+        assert list(act) == [tau.apply(weyl.ball_element(i)).ball_index for i in range(n)]
+        assert sorted(act) == list(range(n))
+        assert all(table.lengths[j] == table.lengths[i] for i, j in enumerate(act))
+        undo = table.actions[SYMMETRY_GROUP.index(tau.inverse_symmetry())]
+        assert [undo[j] for j in act] == list(range(n))
+        # grown layer by layer: a smaller ball holds a prefix of each list
+        small = weyl.ball(6)
+        assert small.actions[k] == act[: len(small.lengths)]
