@@ -58,7 +58,6 @@ from .poset import (
 )
 from .verify import (
     VerificationReport,
-    iso_class_census,
     verify_closed_forms,
     verify_conjecture,
     verify_lemma_suite,

@@ -25,7 +25,7 @@ independent.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from . import weyl
 from .laurent import ONE, V, V_INV, ZERO, LaurentPoly, QPoly, to_q
@@ -123,17 +123,6 @@ class HeckeElement:
         return [
             {"element": x.word(), "poly": p.to_pairs()} for x, p in self.items()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[Mapping]) -> "HeckeElement":
-        return cls(
-            {
-                weyl.from_word(rec["element"]): LaurentPoly.from_pairs(
-                    (e, c) for e, c in rec["poly"]
-                )
-                for rec in obj
-            }
-        )
 
 
 def standard_basis(w: Element) -> HeckeElement:

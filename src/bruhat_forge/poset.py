@@ -11,6 +11,10 @@ colors and then backtracks over class-respecting, rank-by-rank
 assignments checking cover preservation; Bruhat intervals are graded,
 so rank is forced and cover preservation suffices for order
 isomorphism.
+
+Both invariants read order off the ball tables (weyl.ball): m-parents
+lie in two upper sets, and ``z_masks(y)`` holds every Z^m of [e, y] as a
+ball bitset, so Z^m of [x, y] is that mask met with the upper set of x.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "is_isomorphic",
     "fingerprint",
     "parents",
+    "z_masks",
     "z_invariant",
     "z_preserved_check",
     "structural_lemma_checks",
@@ -105,9 +110,6 @@ class Interval:
             f"Interval([{self.bottom.word() or '~'}, {self.top.word() or '~'}], "
             f"size={len(self.members)})"
         )
-
-    def rank_of(self, z: Element) -> int:
-        return self.ranks[self.index[z]]
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) with member i covered by member j."""
@@ -363,29 +365,41 @@ def parents(a: Element, b: Element, interval: Interval, m: int) -> frozenset[Ele
         )
     if m < 1:
         raise ValueError("m must be a positive integer")
-    target = a.length + m
-    return frozenset(
-        z
-        for z in interval.members
-        if z.length == target and weyl.bruhat_leq(a, z) and weyl.bruhat_leq(b, z)
-    )
+    top = interval.top
+    above = top.ideal & weyl.upper_set(a, top.length) & weyl.upper_set(b, top.length)
+    return frozenset(z for z in weyl.ball_elements(above) if z.length == a.length + m)
+
+
+def z_masks(y: Element) -> dict[int, int]:
+    """Each non-empty Z^m of [e, y] as a ball bitset keyed by m, from one
+    pass over the KL column of y.
+
+    >>> from bruhat_forge.regions import theta, theta1
+    >>> set(weyl.ball_elements(z_masks(theta1((1, 1)))[3])) == {theta((0, 1)), theta((1, 0))}
+    True
+    """
+    masks: dict[int, int] = {}
+    for z, p in closedform.kl_fast_column(y).items():
+        if p == Q_PLUS_ONE:
+            m = y.length - z.length
+            masks[m] = masks.get(m, 0) | 1 << z.ball_index
+    return masks
 
 
 def z_invariant(interval: Interval, m: int) -> frozenset[Element]:
     """Members at corank m whose KL polynomial against the top is 1 + q."""
-    return _z_sets(interval.bottom, interval.top, (m,))[m]
+    x, y = interval.bottom, interval.top
+    return frozenset(weyl.ball_elements(z_masks(y).get(m, 0) & weyl.upper_set(x, y.length)))
 
 
-def _z_sets(x: Element, y: Element, ms) -> dict[int, frozenset[Element]]:
-    # Z^m of [x, y] for each m in ms, read off the KL column of y with
-    # the bit test x <= z; no Interval is built
-    found: dict[int, set[Element]] = {m: set() for m in ms}
-    top = y.length
-    for z, p in closedform.kl_fast_column(y).items():
-        zs = found.get(top - z.length)
-        if zs is not None and p == Q_PLUS_ONE and weyl.bruhat_leq(x, z):
-            zs.add(z)
-    return {m: frozenset(zs) for m, zs in found.items()}
+def _z_preserved(a: tuple, za: dict, b: tuple, zb: dict, cert: IsoCertificate) -> bool:
+    # a and b are (bottom, top) pairs, za and zb the z_masks of their tops
+    upper_a, upper_b = weyl.upper_set(a[0], a[1].length), weyl.upper_set(b[0], b[1].length)
+    index = cert.index
+    return all(
+        {index[i] for i in _bits(za.get(m, 0) & upper_a)} == set(_bits(zb.get(m, 0) & upper_b))
+        for m in range(1, 5)
+    )
 
 
 def z_preserved_check(
@@ -397,9 +411,8 @@ def z_preserved_check(
 
     Each side is an Interval or its (bottom, top) pair.
     """
-    ms = range(1, 5)
-    za, zb = _z_sets(*_ends(a), ms), _z_sets(*_ends(b), ms)
-    return all({cert.apply(z) for z in za[m]} == zb[m] for m in ms)
+    a, b = _ends(a), _ends(b)
+    return _z_preserved(a, z_masks(a[1]), b, z_masks(b[1]), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +458,12 @@ def structural_lemma_checks(bound: int) -> dict:
         if kind is RegionKind.THETA:
             continue
         column = closedform.kl_fast_column(y)
-        corank3 = [(z, p) for z, p in column.items() if z.length == y.length - 3]
-        corank4 = [(z, p) for z, p in column.items() if z.length == y.length - 4]
+        zs = z_masks(y)
         inv = tag.tau.inverse_symmetry()
         six = _six_case_elements(tag.params) if kind is RegionKind.THETA2 else []
         for x, p_xy in column.items():
-            z3 = sum(
-                1
-                for z, p in corank3
-                if p == Q_PLUS_ONE and weyl.bruhat_leq(x, z)
-            )
+            upper = weyl.upper_set(x, y.length)
+            z3 = (zs.get(3, 0) & upper).bit_count()
 
             def flag(rule: str) -> None:
                 violations.append(
@@ -482,11 +491,7 @@ def structural_lemma_checks(bound: int) -> dict:
                     flag("X tops: P determined by Z3")
             if kind is RegionKind.THETA2 and z3 == 0 and p_xy != one:
                 counts["six_case"] += 1
-                z4 = sum(
-                    1
-                    for z, p in corank4
-                    if p == Q_PLUS_ONE and weyl.bruhat_leq(x, z)
-                )
+                z4 = (zs.get(4, 0) & upper).bit_count()
                 gap = y.length - x.length
                 x0 = inv.apply(x)
                 ok = (

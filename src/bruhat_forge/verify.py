@@ -56,7 +56,6 @@ __all__ = [
     "verify_conjecture",
     "verify_closed_forms",
     "verify_lemma_suite",
-    "iso_class_census",
     "interval_survey",
 ]
 
@@ -128,6 +127,14 @@ class VerificationReport:
             detail = ", ".join(f"{k}={v}" for k, v in sorted(s.counts.items()))
             out.append(f"{verdict} {s.name}" + (f" ({detail})" if detail else ""))
         return out
+
+
+def _within_kl_cap(*bounds: int) -> None:
+    # every suite compares with hecke.kl_basis, which refuses lengths above
+    # its cap: fail before any work rather than after the survey
+    cap = hecke.DEFAULT_KL_CAP
+    if max(bounds) > cap:
+        raise weyl.ResourceLimitError(f"length {max(bounds)} exceeds the KL recursion cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +260,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     t0 = time.perf_counter()
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
-    if max_length > weyl.HARD_MAX_LENGTH:
-        raise weyl.ResourceLimitError(f"max_length {max_length} beyond hard cap")
+    _within_kl_cap(max_length)
     # positional, like every other caller: functools.cache keys f(8)
     # and f(max_length=8) apart
     survey = interval_survey(max_length)
@@ -367,11 +373,6 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     )
 
 
-def iso_class_census(max_length: int) -> list[dict]:
-    """Number of interval isomorphism classes per span, reported only."""
-    return interval_survey(max_length).census_rows()
-
-
 # ---------------------------------------------------------------------------
 # closed-form equivalence
 
@@ -379,6 +380,7 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
     """Replay every closed formula against the recursion oracle: the chain
     family to n <= x_max, the theta families to length <= max_family_length,
     and the canonical generator products to m, n <= PRODUCT_BOUND."""
+    _within_kl_cap(max_family_length, x_max)
     t0 = time.perf_counter()
     suites = []
 
@@ -489,9 +491,13 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
     """Run every supporting-lemma check at desk scale.
 
     ``partition_bound`` bounds the region partition; ``max_length`` bounds
-    l(y) in the monotonicity, G-invariance, Z-set and structural stages.
-    The index bounds (m, n <= k) are the module constants.
+    l(y) in the monotonicity, G-invariance, Z-set and structural stages,
+    at most hecke.DEFAULT_KL_CAP.  The index bounds (m, n <= k) are the
+    module constants.  Order is read from the ball tables: monotonicity
+    (Braden-MacPherson, Math. Ann. 321, 2001) is tested on down-covers,
+    and Z-sets are poset.z_masks bitsets, one KL column per top.
     """
+    _within_kl_cap(max_length)
     t0 = time.perf_counter()
     suites = []
 
@@ -677,11 +683,7 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
             y.left_mult(0).left_mult(2).left_mult(0),
             y.left_mult(0),
         }
-        got = {
-            w
-            for w in weyl.elements_of_length(y.length - 1)
-            if weyl.bruhat_leq(w, y)
-        }
+        got = set(weyl.ball_elements(weyl.ball(y.length).covers[y.ball_index]))
         bad = []
         if got != expected:
             bad.append(
@@ -695,28 +697,25 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
     suites.append(_suite("coatom set of s0*theta(1,3)*s", coatoms))
 
     def monotonicity():
+        # h_x - v^k h_z and P_x - P_z telescope along a maximal chain of
+        # the graded [x, z], so the down-covers of z decide every x <= z;
+        # "chains" counts those pairs
         bad = []
         checked = 0
+        covers = weyl.ball(max_length).covers
         for y in weyl.enumerate_up_to_length(max_length):
             basis = hecke.kl_basis(y)
             ps = closedform.kl_fast_column(y)
             hs = {z: basis.coefficient(z) for z in ps}
-            # when no h in the column has a negative power of v, a
-            # difference h_x - v^k h_z (k >= 0) that dominates() accepts
-            # lies in N[v]; any other difference is built and tested
-            nonneg_powers = all(not h or h.min_exp() >= 0 for h in hs.values())
             for z, pz in ps.items():
-                hz = hs[z]
-                lz = z.length
-                for x in weyl.lower_interval(z):
-                    checked += 1
-                    k = lz - x.length
-                    if not (nonneg_powers and hs[x].dominates(hz, k)):
-                        diff = hs[x] - hz.shift(k)
-                        if not diff.is_nonneg() or (diff and diff.min_exp() < 0):
-                            bad.append(
-                                {"x": x.word(), "z": z.word(), "y": y.word(), "v": str(diff)}
-                            )
+                checked += z.ideal.bit_count()
+                vhz = hs[z].shift(1)
+                for x in weyl.ball_elements(covers[z.ball_index]):
+                    diff = hs[x] - vhz
+                    if not diff.is_nonneg() or (diff and diff.min_exp() < 0):
+                        bad.append(
+                            {"x": x.word(), "z": z.word(), "y": y.word(), "v": str(diff)}
+                        )
                     if not ps[x].dominates(pz):
                         bad.append(
                             {"x": x.word(), "z": z.word(), "y": y.word(), "q": str(ps[x] - pz)}
@@ -776,12 +775,14 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
 
     def z_preservation():
         survey = interval_survey(max_length)
+        masks = {y: poset.z_masks(y) for y in weyl.enumerate_up_to_length(max_length)}
         bad = []
         checked = 0
         for cls in survey.classes:
+            z_rep = masks[cls.rep[1]]
             for member, cert in cls.certs.items():
                 checked += 1
-                if not poset.z_preserved_check(member, cls.rep, cert):
+                if not poset._z_preserved(member, masks[member[1]], cls.rep, z_rep, cert):
                     bad.append(
                         {"member": [member[0].word(), member[1].word()],
                          "rep": [cls.rep[0].word(), cls.rep[1].word()]}

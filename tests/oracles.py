@@ -462,6 +462,68 @@ def reference_is_monotonic(H) -> bool:
     return True
 
 
+def reference_chain_stage(max_length: int):
+    """The lemma suite's chain stage tested over every pair x <= z <= y
+    with l(y) <= max_length: (counts, witnesses), as the stage returns
+    them.  The h and P columns are read through the modules, so a test
+    that patches hecke.kl_basis or closedform.kl_fast_column patches
+    this as well."""
+    from bruhat_forge import closedform, hecke, weyl
+
+    bad = []
+    checked = 0
+    for y in weyl.enumerate_up_to_length(max_length):
+        basis = hecke.kl_basis(y)
+        ps = closedform.kl_fast_column(y)
+        hs = {z: basis.coefficient(z) for z in ps}
+        # when no h in the column has a negative power of v, a
+        # difference h_x - v^k h_z (k >= 0) that dominates() accepts
+        # lies in N[v]; any other difference is built and tested
+        nonneg_powers = all(not h or h.min_exp() >= 0 for h in hs.values())
+        for z, pz in ps.items():
+            hz = hs[z]
+            lz = z.length
+            for x in weyl.lower_interval(z):
+                checked += 1
+                k = lz - x.length
+                if not (nonneg_powers and hs[x].dominates(hz, k)):
+                    diff = hs[x] - hz.shift(k)
+                    if not diff.is_nonneg() or (diff and diff.min_exp() < 0):
+                        bad.append(
+                            {"x": x.word(), "z": z.word(), "y": y.word(), "v": str(diff)}
+                        )
+                if not ps[x].dominates(pz):
+                    bad.append(
+                        {"x": x.word(), "z": z.word(), "y": y.word(), "q": str(ps[x] - pz)}
+                    )
+    return {"chains": checked}, bad
+
+
+# -- Z-sets by one Bruhat test per candidate ----------------------------------
+
+def reference_z_sets(x, y, ms) -> dict:
+    """Z^m of [x, y] for each m in ms, read off the KL column of y with
+    the test x <= z for each candidate z."""
+    from bruhat_forge import closedform, weyl
+    from bruhat_forge.laurent import Q_PLUS_ONE
+
+    found: dict = {m: set() for m in ms}
+    top = y.length
+    for z, p in closedform.kl_fast_column(y).items():
+        zs = found.get(top - z.length)
+        if zs is not None and p == Q_PLUS_ONE and weyl.bruhat_leq(x, z):
+            zs.add(z)
+    return {m: frozenset(zs) for m, zs in found.items()}
+
+
+def reference_z_preserved(a_pair, b_pair, cert) -> bool:
+    """Whether cert maps Z^m of [x, y] = a_pair onto Z^m of b_pair for
+    m = 1..4, compared as sets of elements."""
+    ms = range(1, 5)
+    za, zb = reference_z_sets(*a_pair, ms), reference_z_sets(*b_pair, ms)
+    return all({cert.apply(z) for z in za[m]} == zb[m] for m in ms)
+
+
 # -- the closed forms as sums of immutable elements --------------------------
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bruhat_forge import cache as cache_mod
-from bruhat_forge import closedform, hecke, regions, weyl
+from bruhat_forge import closedform, hecke, regions, verify, weyl
 from bruhat_forge.laurent import QPoly
 from bruhat_forge.cli import main
 
@@ -191,6 +191,19 @@ def test_verify_unwritable_report_fails_before_any_suite(tmp_path, capsys, optio
     assert code == 1
     assert "PASS" not in out
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("suite", ["conjecture", "closed-forms", "lemmas", "all"])
+def test_verify_beyond_the_kl_cap_fails_before_any_suite(tmp_path, capsys, monkeypatch, suite):
+    # every suite compares with the recursion, capped at hecke.DEFAULT_KL_CAP
+    monkeypatch.setattr(verify, "interval_survey", lambda *a: pytest.fail("survey built"))
+    report = tmp_path / "report.json"
+    bound = str(hecke.DEFAULT_KL_CAP + 1)
+    code, out, err = run(capsys, "verify", suite, "--max-length", bound, "--json-out", str(report))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.rstrip().endswith(f"cap {hecke.DEFAULT_KL_CAP}")
+    assert not report.exists()
 
 
 def test_kl_formula_builds_no_ball_table(capsys, monkeypatch):

@@ -23,5 +23,5 @@ def test_doctests_pass(name):
 
 
 def test_doctests_are_collected():
-    # weyl, laurent and regions carry examples; a rename must not drop them
-    assert sum(doctest.testmod(importlib.import_module(n)).attempted for n in MODULES) >= 12
+    # weyl, laurent, regions and poset carry examples; a rename must not drop them
+    assert sum(doctest.testmod(importlib.import_module(n)).attempted for n in MODULES) >= 14

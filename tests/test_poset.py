@@ -250,7 +250,7 @@ def test_parent_counts_preserved_by_certificates():
         assert cert is not None
         by_rank = collections.defaultdict(list)
         for z in a.members:
-            by_rank[a.rank_of(z)].append(z)
+            by_rank[a.ranks[a.index[z]]].append(z)
         for rank, elems in by_rank.items():
             for u, v in itertools.combinations(elems, 2):
                 for m in (1, 2):
@@ -532,3 +532,77 @@ def test_z_preserved_check_reads_pairs_like_intervals():
         by_pairs = z_preserved_check(member, rep, cert)
         assert by_pairs
         assert by_pairs == z_preserved_check(build_interval(*member), build_interval(*rep), cert)
+
+
+def test_z_invariant_matches_the_reference():
+    # Z-sets as masks met with upper sets, against one Bruhat test per candidate
+    for interval in _all_intervals(8):
+        ref = oracles.reference_z_sets(interval.bottom, interval.top, range(1, 5))
+        for m in range(1, 5):
+            assert z_invariant(interval, m) == ref[m], (interval, m)
+
+
+def test_z_preserved_check_matches_the_reference():
+    certificates = _survey_certificates(8)
+    for member, rep, cert in certificates:
+        assert z_preserved_check(member, rep, cert) == oracles.reference_z_preserved(
+            member, rep, cert
+        )
+    assert len(certificates) > 3000
+
+
+def test_z_preserved_check_rejects_a_certificate_that_moves_a_z_set():
+    # swap the images of a member of some Z^m and a same-rank member
+    # outside it: still a bijection, no longer preserving Z^m
+    rejected = 0
+    for member, rep, cert in _survey_certificates(8):
+        x, y = member
+        ref = oracles.reference_z_sets(x, y, range(1, 5))
+        members = weyl.ball_elements(poset.interval_mask(x, y))
+        for m in range(1, 5):
+            rank = y.length - m
+            outside = [w for w in members if w.length == rank and w not in ref[m]]
+            if ref[m] and outside:
+                z, w = min(ref[m], key=lambda z: z.sort_key()), outside[0]
+                index = dict(cert.index)
+                index[z.ball_index], index[w.ball_index] = index[w.ball_index], index[z.ball_index]
+                moved = IsoCertificate.from_index(index)
+                assert not z_preserved_check(member, rep, moved)
+                assert not oracles.reference_z_preserved(member, rep, moved)
+                rejected += 1
+                break
+    assert rejected > 700
+
+
+def test_structural_counts_match_the_reference_z_sets():
+    # |Z^3| and |Z^4| on every pair to length 8, as the structural checks
+    # read them (popcounts of z_masks met with upper sets), against one
+    # Bruhat test per candidate; the report's tallies are recounted from
+    # the reference sets
+    from bruhat_forge import closedform
+    from bruhat_forge.regions import RegionKind
+
+    rep = structural_lemma_checks(8)
+    counts = dict.fromkeys(rep["counts"], 0)
+    six_case = []
+    for y in weyl.enumerate_up_to_length(8):
+        kind = regions.classify(y).kind
+        if y.is_identity or kind is RegionKind.THETA:
+            continue
+        masks = poset.z_masks(y)
+        for x, p in closedform.kl_fast_column(y).items():
+            ref = oracles.reference_z_sets(x, y, (3, 4))
+            upper = weyl.upper_set(x, y.length)
+            assert (masks.get(3, 0) & upper).bit_count() == len(ref[3])
+            assert (masks.get(4, 0) & upper).bit_count() == len(ref[4])
+            z3 = len(ref[3])
+            counts["theta1_x_unique"] += z3 == 1
+            counts["empty_z3"] += z3 == 0 and kind in (RegionKind.THETA1, RegionKind.X)
+            counts["x_tops"] += kind is RegionKind.X
+            if kind is RegionKind.THETA2 and z3 == 0 and p != 1:
+                counts["six_case"] += 1
+                assert len(ref[4]) == 1
+                six_case.append([x.word(), y.word()])
+    assert counts == rep["counts"]
+    assert six_case == [[i["x"], i["y"]] for i in rep["six_case_instances"]]
+    assert rep["holds"] and counts["six_case"] > 0

@@ -11,7 +11,6 @@ from bruhat_forge.laurent import LaurentPoly, QPoly
 from bruhat_forge.regions import RegionKind
 from bruhat_forge.verify import (
     interval_survey,
-    iso_class_census,
     verify_closed_forms,
     verify_conjecture,
     verify_lemma_suite,
@@ -29,7 +28,7 @@ def test_conjecture_small_bound_passes():
 
 
 def test_census_small_spans():
-    rows = iso_class_census(5)
+    rows = interval_survey(5).census_rows()
     by_span = {r["span"]: r for r in rows}
     assert by_span[1]["classes"] == 1
     assert by_span[2]["classes"] == 1
@@ -234,6 +233,9 @@ def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
     assert not chains.passed
     for key in ("v", "q"):
         assert any(w["y"] == y.word() and key in w for w in chains.witnesses)
+    # the covers-only stage fails where the all-pairs reference fails
+    ref_counts, ref_bad = oracles.reference_chain_stage(4)
+    assert chains.counts["chains"] == ref_counts["chains"] and ref_bad
     closure = suites["monotonic element closure properties"]
     canonical = {"w": y.word(), "rule": "canonical monotonic"}
     # a v^-1 term keeps every coefficient difference non-negative
@@ -253,3 +255,29 @@ def test_survey_certificates_match_the_eager_reference():
             assert cert.index == expected.index, pair
             assert cert.mapping == expected.mapping, pair
             assert all(cert.apply(z) == w for z, w in expected.mapping.items()), pair
+
+
+def _chain_stage(max_length):
+    report = verify_lemma_suite(max_length=max_length, partition_bound=2)
+    return next(s for s in report.suites if s.name.startswith("monotonicity along chains"))
+
+
+def test_chain_stage_on_covers_matches_the_all_pairs_reference():
+    chains = _chain_stage(8)
+    ref_counts, ref_bad = oracles.reference_chain_stage(8)
+    assert chains.passed and not ref_bad
+    assert chains.counts == {**ref_counts, "fallbacks": 0}
+
+
+def test_chain_count_is_the_number_of_chains_in_the_subword_order():
+    # "chains" counts the pairs x <= z <= y with l(y) <= 7, recounted
+    # here from the subword property
+    below: dict = {}
+
+    def lower(w):
+        if w not in below:
+            below[w] = oracles.subword_lower_set(w)
+        return below[w]
+
+    expected = sum(len(lower(z)) for y in weyl.enumerate_up_to_length(7) for z in lower(y))
+    assert _chain_stage(7).counts["chains"] == expected
