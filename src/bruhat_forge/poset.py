@@ -20,6 +20,7 @@ ball bitset, so Z^m of [x, y] is that mask met with the upper set of x.
 from __future__ import annotations
 
 import hashlib
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import closedform, regions, weyl
@@ -86,16 +87,20 @@ class Interval:
         position = {z.ball_index: p for p, z in enumerate(self.members)}
         downs: list[list[int]] = [[] for _ in self.members]
         ups: list[list[int]] = [[] for _ in self.members]
+        down_masks, up_masks = [0] * len(position), [0] * len(position)
         for p, i in enumerate(position):
             covers = lower_covers[i] & inside
+            bit = 1 << p
             while covers:
                 low = covers & -covers
                 q = position[low.bit_length() - 1]
                 downs[p].append(q)
                 ups[q].append(p)
+                down_masks[p] |= 1 << q
+                up_masks[q] |= bit
                 covers ^= low
-        self.down_masks = tuple(sum(1 << q for q in down) for down in downs)
-        self.up_masks = tuple(sum(1 << p for p in up) for up in ups)
+        self.down_masks = tuple(down_masks)
+        self.up_masks = tuple(up_masks)
         self.colors = _refine(self.ranks, downs, ups)
         self._fingerprint: Optional[str] = None
 
@@ -109,12 +114,6 @@ class Interval:
         return (
             f"Interval([{self.bottom.word() or '~'}, {self.top.word() or '~'}], "
             f"size={len(self.members)})"
-        )
-
-    def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j) with member i covered by member j."""
-        return sorted(
-            (i, j) for j, mask in enumerate(self.down_masks) for i in _bits(mask)
         )
 
     def is_graded(self) -> bool:
@@ -135,24 +134,51 @@ class Interval:
             "bottom": self.bottom.word(),
             "top": self.top.word(),
             "members": [z.word() for z in self.members],
-            "covers": [[i, j] for i, j in self.covers()],
+            "covers": sorted(
+                [i, j] for j, mask in enumerate(self.down_masks) for i in _bits(mask)
+            ),
         }
 
 
 def _refine(ranks: tuple[int, ...], downs: list, ups: list) -> tuple[int, ...]:
     """Stable colors from iterated (rank, neighbor-multiset) refinement;
-    ``downs[i]`` and ``ups[i]`` list the neighbors of member i."""
-    colors = list(ranks)
-    while True:
-        data = [
-            (c, tuple(sorted([colors[i] for i in down])), tuple(sorted([colors[i] for i in up])))
-            for c, down, up in zip(colors, downs, ups)
-        ]
-        palette = {d: c for c, d in enumerate(sorted(set(data)))}
-        new = [palette[d] for d in data]
-        if new == colors:
-            return tuple(colors)
-        colors = new
+    ``downs[i]`` and ``ups[i]`` list the neighbors of member i, and the
+    ranks take every value in 0..k-1.  The palette sorts by old color
+    first, so a round that splits no class gives back the colors it read:
+    the loop stops there, or at a discrete partition.  Round one reads
+    cover counts, as the neighbors of a rank-r member have colors r +- 1.
+    """
+    n, k = len(ranks), max(ranks) + 1
+    colors = ranks
+    data = [(r, len(down), len(up)) for r, down, up in zip(ranks, downs, ups)]
+    # per side, (member, its one neighbor) and (member, itemgetter of its neighbors)
+    reads = [
+        (
+            [(i, nbrs[0]) for i, nbrs in enumerate(side) if len(nbrs) == 1],
+            [(i, itemgetter(*nbrs)) for i, nbrs in enumerate(side) if len(nbrs) > 1],
+        )
+        for side in (downs, ups)
+    ]
+    while k < n:
+        palette = sorted(set(data))
+        if len(palette) == k:
+            break
+        k = len(palette)
+        index = {d: c for c, d in enumerate(palette)}
+        colors = [index[d] for d in data]
+        if k == n:
+            break
+        data = list(zip(colors, *(_multisets(*read, colors) for read in reads)))
+    return tuple(colors)
+
+
+def _multisets(one: list, many: list, colors: list) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = [()] * len(colors)
+    for i, j in one:
+        out[i] = (colors[j],)
+    for i, get in many:
+        out[i] = tuple(sorted(get(colors)))
+    return out
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -214,20 +240,6 @@ class IsoCertificate:
     def apply(self, z: Element) -> Element:
         return weyl.ball_element(self.index[z.ball_index])
 
-    def inverse(self) -> "IsoCertificate":
-        return IsoCertificate.from_index({j: i for i, j in self.index.items()})
-
-    def compose(self, earlier: "IsoCertificate") -> "IsoCertificate":
-        """self after earlier."""
-        index = self.index
-        return IsoCertificate.from_index({i: index[j] for i, j in earlier.index.items()})
-
-    def to_index_permutation(self, a: Interval, b: Interval) -> list[int]:
-        """JSON form: position i holds the b-index of the image of a.members[i]."""
-        position = {w.ball_index: p for p, w in enumerate(b.members)}
-        index = self.index
-        return [position[index[z.ball_index]] for z in a.members]
-
     def is_valid(
         self,
         a: "Interval | tuple[Element, Element]",
@@ -249,8 +261,11 @@ class IsoCertificate:
         (ax, ay), (bx, by) = _ends(a), _ends(b)
         members_a, members_b = interval_mask(ax, ay), interval_mask(bx, by)
         index = self.index
-        # n powers of two sum to n bits only if distinct, and then to their OR
-        domain, image = sum(1 << i for i in index), sum(1 << j for j in index.values())
+        domain = image = 0
+        for i, j in index.items():
+            domain |= 1 << i
+            image |= 1 << j
+        # the keys are distinct, so equal counts make the images distinct
         if domain != members_a or image != members_b or image.bit_count() != len(index):
             return False
         lengths, _, lower_covers, _ = weyl.ball(max(ay.length, by.length))
@@ -261,9 +276,9 @@ class IsoCertificate:
             covers = lower_covers[i] & members_a
             mapped = 0
             while covers:
-                low = covers & -covers
-                mapped |= 1 << index[low.bit_length() - 1]
-                covers ^= low
+                c = covers.bit_length() - 1
+                mapped |= 1 << index[c]
+                covers ^= 1 << c
             if mapped != lower_covers[j] & members_b:
                 return False
         return True
@@ -345,7 +360,7 @@ def fingerprint(a: Interval) -> str:
     if a._fingerprint is None:
         colors = a.colors
         edge_profile = sorted(
-            (colors[i], colors[j]) for i, j in a.covers()
+            (colors[i], cj) for cj, mask in zip(colors, a.down_masks) for i in _bits(mask)
         )
         blob = repr((a.span, a.rank_sizes, sorted(colors), edge_profile))
         a._fingerprint = hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -485,23 +485,27 @@ def elements_of_length(n: int) -> tuple[Element, ...]:
     while len(_LAYERS) <= n:
         prev = _LAYERS[-1]
         depth = len(_LAYERS)
-        seen = set()
-        layer = []
+        # s w for each s in D_L(w), per new w, give its left descents, its
+        # word (s + word(s w) for the least s) and its _LEFT entries
+        below: dict[Element, dict[int, Element]] = {}
         for w in prev:
             for s in (0, 1, 2):
                 nxt = w.right_mult(s)
-                if nxt.length == depth and nxt not in seen:
-                    seen.add(nxt)
-                    layer.append(nxt)
-        layer.sort(key=Element.sort_key)
+                if nxt.length == depth and nxt not in below:
+                    below[nxt] = down = {
+                        t: sw for t in (0, 1, 2) if (sw := nxt.left_mult(t)).length < depth
+                    }
+                    nxt._ld = frozenset(down)
+                    t = min(down)
+                    nxt._word = str(t) + down[t]._word
+        layer = sorted(below, key=Element.sort_key)
         for act in _LEFT:
             act.extend([-1] * len(layer))
         for i, w in enumerate(layer, prev[-1]._index + 1):
             w._index = i
-            for s in w.left_descents():
-                j = w.left_mult(s)._index
-                _LEFT[s][i] = j
-                _LEFT[s][j] = i
+            for s, sw in below[w].items():
+                _LEFT[s][i] = sw._index
+                _LEFT[s][sw._index] = i
         _LAYERS.append(tuple(layer))
     return _LAYERS[n]
 
@@ -527,13 +531,6 @@ def _aff_mul(f: Affine, g: Affine) -> Affine:
     gm, gv = g
     x, y = _mat_vec(fm, gv)
     return (_mat_mul(fm, gm), (x + fv[0], y + fv[1]))
-
-
-def _aff_inv(f: Affine) -> Affine:
-    m, v = f
-    mi = _mat_inv(m)
-    x, y = _mat_vec(mi, v)
-    return (mi, (-x, -y))
 
 
 # rho is conjugation by the order-3 rotation of the plane fixing A0 and
@@ -564,10 +561,18 @@ def _diagram_conjugators() -> dict[tuple[int, int, int], Affine]:
     return conj
 
 
-_CONJ: dict[tuple[int, int, int], Affine] = _diagram_conjugators()
-_CONJ_INV: dict[tuple[int, int, int], Affine] = {
-    p: _aff_inv(a) for p, a in _CONJ.items()
-}
+def _conjugation_table(m: Mat, v: Vec) -> tuple[Mat, tuple[tuple[int, int, int], ...]]:
+    # c w c^-1 for c = (m, v) and w = (A, t) has linear part L = m A m^-1
+    # and translation m t + v - L v: m, and per index of A, that of L and v - L v
+    rows = []
+    for a in _LINS:
+        lin = _mat_mul(_mat_mul(m, a), _mat_inv(m))
+        x, y = _mat_vec(lin, v)
+        rows.append((_LIN_INDEX[lin], v[0] - x, v[1] - y))
+    return m, tuple(rows)
+
+
+_CONJ_TABLES = {p: _conjugation_table(*c) for p, c in _diagram_conjugators().items()}
 
 
 @dataclass(frozen=True)
@@ -582,10 +587,10 @@ class Symmetry:
     inv: bool = False
 
     def apply(self, w: Element) -> Element:
-        c = _CONJ[self.perm]
-        ci = _CONJ_INV[self.perm]
-        m, v = _aff_mul(_aff_mul(c, (_LINS[w.lin], (w.tx, w.ty))), ci)
-        out = _make(_LIN_INDEX[m], v[0], v[1])
+        (a, b, c, d), rows = _CONJ_TABLES[self.perm]
+        lin, ox, oy = rows[w.lin]
+        x, y = w.tx, w.ty
+        out = _make(lin, a * x + b * y + ox, c * x + d * y + oy)
         return out.inverse() if self.inv else out
 
     def apply_generator(self, s: Generator) -> Generator:

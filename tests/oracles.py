@@ -207,8 +207,23 @@ def _cover_masks(interval) -> tuple[list[int], list[int]]:
     return downs, ups
 
 
-def _multiset(positions: list[int], colors: list[int]) -> tuple[int, ...]:
-    return tuple(sorted([colors[i] for i in positions]))
+def reference_refine(ranks, downs, ups) -> tuple[int, ...]:
+    """The colour refinement of an interval from its ranks and its
+    neighbour lists, ``downs[i]`` and ``ups[i]`` for member i: every
+    round rebuilds (colour, sorted down colours, sorted up colours) for
+    each member from lists, and the loop runs until a round changes no
+    colour."""
+    colors = list(ranks)
+    while True:
+        data = [
+            (c, tuple(sorted([colors[i] for i in down])), tuple(sorted([colors[i] for i in up])))
+            for c, down, up in zip(colors, downs, ups)
+        ]
+        palette = {d: c for c, d in enumerate(sorted(set(data)))}
+        new = [palette[d] for d in data]
+        if new == colors:
+            return tuple(colors)
+        colors = new
 
 
 def reference_colors(interval) -> tuple[int, ...]:
@@ -217,18 +232,7 @@ def reference_colors(interval) -> tuple[int, ...]:
     down_masks, up_masks = _cover_masks(interval)
     downs = [list(_bits(m)) for m in down_masks]
     ups = [list(_bits(m)) for m in up_masks]
-    colors = list(interval.ranks)
-    while True:
-        data = [
-            (c, _multiset(down, colors), _multiset(up, colors))
-            for c, down, up in zip(colors, downs, ups)
-        ]
-        palette = {d: c for c, d in enumerate(sorted(set(data)))}
-        new = [palette[d] for d in data]
-        if new == colors:
-            break
-        colors = new
-    return tuple(colors)
+    return reference_refine(interval.ranks, downs, ups)
 
 
 def reference_fingerprint(interval) -> str:
@@ -388,6 +392,30 @@ def composed_certificates(max_length: int) -> dict:
     return certs
 
 
+# -- certificates as maps: inverse, composition, JSON form --------------------
+
+def cert_inverse(cert):
+    """The certificate b -> a of a certificate a -> b."""
+    from bruhat_forge.poset import IsoCertificate
+
+    return IsoCertificate.from_index({j: i for i, j in cert.index.items()})
+
+
+def cert_compose(later, earlier):
+    """The certificate ``later`` after ``earlier``."""
+    from bruhat_forge.poset import IsoCertificate
+
+    index = later.index
+    return IsoCertificate.from_index({i: index[j] for i, j in earlier.index.items()})
+
+
+def to_index_permutation(cert, a, b) -> list[int]:
+    """Position i holds the b-position of the image of a.members[i]."""
+    position = {w.ball_index: p for p, w in enumerate(b.members)}
+    index = cert.index
+    return [position[index[z.ball_index]] for z in a.members]
+
+
 def full_order_check(cert, a, b) -> bool:
     """Whether cert maps the members of Interval a onto those of Interval
     b and keeps the whole order both ways, read from ``leq_masks``."""
@@ -395,7 +423,7 @@ def full_order_check(cert, a, b) -> bool:
         return False
     if set(cert.mapping.values()) != set(b.members):
         return False
-    perm = cert.to_index_permutation(a, b)
+    perm = to_index_permutation(cert, a, b)
     la, lb = leq_masks(a), leq_masks(b)
     for i, row in enumerate(la):
         img_row = 0
@@ -424,6 +452,22 @@ def subword_order_check(cert, a_pair, b_pair) -> bool:
         for p in dom
         for q in dom
     )
+
+
+# -- symmetries by composing affine maps --------------------------------------
+
+def reference_symmetry_apply(tau, w):
+    """tau w as c w c^-1, c the affine conjugator of tau's diagram
+    permutation, by two affine products; then inverted if tau has iota."""
+    from bruhat_forge import weyl
+
+    m, v = weyl._diagram_conjugators()[tau.perm]
+    mi = weyl._mat_inv(m)
+    x, y = weyl._mat_vec(mi, v)
+    ci = (mi, (-x, -y))
+    lin, (tx, ty) = weyl._aff_mul(weyl._aff_mul((m, v), (weyl._LINS[w.lin], (w.tx, w.ty))), ci)
+    out = weyl._make(weyl._LIN_INDEX[lin], tx, ty)
+    return out.inverse() if tau.inv else out
 
 
 # -- lower ideals by decoding and left multiplication ------------------------

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from bruhat_forge import poset, regions, weyl
@@ -181,8 +182,8 @@ def test_certificate_determinism_and_inverse():
     c1 = is_isomorphic(a, b)
     c2 = is_isomorphic(a, b)
     assert c1 is not None and c1.mapping == c2.mapping
-    assert c1.inverse().is_valid(b, a)
-    perm = c1.to_index_permutation(a, b)
+    assert oracles.cert_inverse(c1).is_valid(b, a)
+    perm = oracles.to_index_permutation(c1, a, b)
     assert sorted(perm) == list(range(len(a.members)))
 
 
@@ -236,6 +237,75 @@ def test_colors_and_fingerprint_match_reference_to_length_8():
         assert fingerprint(interval) == oracles.reference_fingerprint(interval), interval
         checked += 1
     assert checked == 3180
+
+
+@st.composite
+def _layered_posets(draw):
+    # ranks 0..k-1, each taken, members in a drawn order, and covers only
+    # between adjacent ranks: (ranks, downs, ups) as _refine reads them
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    ranks = [r for r, size in enumerate(sizes) for _ in range(size)]
+    order = draw(st.permutations(range(len(ranks))))
+    ranks = tuple(ranks[p] for p in order)
+    downs = [[] for _ in ranks]
+    ups = [[] for _ in ranks]
+    for i, j in itertools.product(range(len(ranks)), repeat=2):
+        if ranks[i] == ranks[j] + 1 and draw(st.booleans()):
+            downs[i].append(j)
+            ups[j].append(i)
+    return ranks, downs, ups
+
+
+def _poset(sizes, covers):
+    # members numbered rank by rank; covers as (lower, upper) pairs
+    ranks = tuple(r for r, size in enumerate(sizes) for _ in range(size))
+    downs = [[] for _ in ranks]
+    ups = [[] for _ in ranks]
+    for lo, hi in covers:
+        downs[hi].append(lo)
+        ups[lo].append(hi)
+    return ranks, downs, ups
+
+
+@given(_layered_posets())
+def test_refine_matches_the_reference_on_layered_posets(poset_lists):
+    assert poset._refine(*poset_lists) == oracles.reference_refine(*poset_lists)
+
+
+def test_refine_matches_the_reference_on_shaped_posets():
+    chain = _poset([1, 1, 1, 1], [(0, 1), (1, 2), (2, 3)])
+    # every rank-mate has the same counts, so round one splits nothing
+    complete = _poset([1, 3, 3, 1], [(0, 1), (0, 2), (0, 3), (4, 7), (5, 7), (6, 7)]
+                      + [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
+    # the three atoms have (down, up) counts (1, 1), (1, 0), (0, 0)
+    discrete = _poset([1, 3, 1], [(0, 1), (0, 2), (1, 4)])
+    # the two atoms split only in round two, through their up-neighbors
+    late = _poset([1, 2, 2, 1], [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
+    assert poset._refine(*chain) == chain[0] == oracles.reference_refine(*chain)
+    assert poset._refine(*complete) == complete[0] == oracles.reference_refine(*complete)
+    assert len(set(poset._refine(*discrete))) == 5
+    assert poset._refine(*discrete) == oracles.reference_refine(*discrete)
+    assert poset._refine(*late) == (0, 1, 2, 3, 4, 5) == oracles.reference_refine(*late)
+    neighbors = {len(n) for p in (chain, complete, discrete, late) for n in p[1] + p[2]}
+    assert {0, 1, 3} <= neighbors
+
+
+def test_survey_is_unchanged_under_the_reference_refinement(monkeypatch):
+    from bruhat_forge.verify import interval_survey
+
+    def classes():
+        interval_survey.cache_clear()
+        survey = interval_survey(10)
+        return (
+            [(cls.rep, cls.members) for cls in survey.classes],
+            survey.class_id,
+            [fingerprint(build_interval(*cls.rep)) for cls in survey.classes],
+        )
+
+    fast = classes()
+    monkeypatch.setattr(poset, "_refine", oracles.reference_refine)
+    assert classes() == fast
+    interval_survey.cache_clear()
 
 
 def test_parent_counts_preserved_by_certificates():
@@ -458,12 +528,50 @@ def test_cover_check_agrees_with_full_order_check_to_length_8():
     assert rejected > 0
 
 
+def _outside(length, inside):
+    # the first element of the given length outside the ball bitset, or None
+    return next(
+        (z.ball_index for z in weyl.elements_of_length(length) if not inside >> z.ball_index & 1),
+        None,
+    )
+
+
+def test_is_valid_rejects_maps_that_are_no_bijection_of_the_members():
+    rng = random.Random(5)
+    certs = [t for t in _survey_certificates(6) if t[0][1].length - t[0][0].length >= 2]
+    for member, rep, cert in rng.sample(certs, 30):
+        index = cert.index
+        inside_a, inside_b = poset.interval_mask(*member), poset.interval_mask(*rep)
+        at = weyl.ball_element
+        # a member u, with an element of its length outside [x, y] and one
+        # of its image's length outside the target, so only membership fails
+        u, key, image = next(
+            (u, key, image)
+            for u in rng.sample(sorted(index), len(index))
+            if (key := _outside(at(u).length, inside_a)) is not None
+            and (image := _outside(at(index[u]).length, inside_b)) is not None
+        )
+        v = next(i for i in index if i != u)
+        merged = dict(index)
+        merged[u] = index[v]
+        missing = dict(index)
+        del missing[u]
+        stray_key = {key if i == u else i: j for i, j in index.items()}
+        stray_image = dict(index)
+        stray_image[u] = image
+        sides = [(member, rep), (build_interval(*member), build_interval(*rep))]
+        for a, b in sides:
+            assert IsoCertificate.from_index(dict(index)).is_valid(a, b)
+            for bad in (merged, missing, stray_key, stray_image):
+                assert not IsoCertificate.from_index(bad).is_valid(a, b), (member, rep)
+
+
 def test_cover_check_agrees_with_subword_order_on_a_sample():
     rng = random.Random(7)
     for member, rep, cert in rng.sample(_survey_certificates(7), 40):
         assert cert.is_valid(member, rep)
         assert oracles.subword_order_check(cert, member, rep)
-        assert cert.inverse().is_valid(rep, member)
+        assert oracles.cert_inverse(cert).is_valid(rep, member)
         if member[1].length - member[0].length >= 2:
             swapped = _swap_two_images(cert, rng)
             assert swapped.is_valid(member, rep) == oracles.subword_order_check(

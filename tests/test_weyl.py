@@ -290,6 +290,12 @@ def test_left_table_is_left_multiplication():
             assert weyl._LEFT[s][i] == weyl.ball_element(i).left_mult(s).ball_index
 
 
+def test_symmetry_apply_matches_the_composed_affine_maps_to_length_14():
+    for tau in SYMMETRY_GROUP:
+        for w in enumerate_up_to_length(14):
+            assert tau.apply(w) is oracles.reference_symmetry_apply(tau, w), (tau, w)
+
+
 def test_ball_actions_are_the_symmetries_on_ball_indices():
     table = weyl.ball(10)
     n = len(table.lengths)
