@@ -12,7 +12,6 @@ from .weyl import (
     ResourceLimitError,
     Symmetry,
     SYMMETRY_GROUP,
-    apply_symmetry,
     bruhat_leq,
     enumerate_up_to_length,
     from_word,
@@ -20,7 +19,6 @@ from .weyl import (
 )
 from .hecke import (
     HeckeElement,
-    G_coefficient,
     M_element,
     N_element,
     content,

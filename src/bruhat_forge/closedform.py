@@ -31,7 +31,6 @@ import functools
 
 from . import hecke, regions, weyl
 from .hecke import (
-    G_coefficient,
     HeckeElement,
     N_element,
     Table,
@@ -277,8 +276,8 @@ def appendix_identity_check(m: int, n: int) -> dict:
     anchor_report = {}
     anchors_ok = True
     for name, (el, expected) in anchors.items():
-        gl = G_coefficient(el, left)
-        gr = G_coefficient(el, right)
+        gl = left.coefficient(el)
+        gr = right.coefficient(el)
         ok = gl == gr == expected
         anchors_ok &= ok
         anchor_report[name] = {

@@ -28,7 +28,7 @@ import functools
 from typing import Iterator, Mapping, Optional
 
 from . import weyl
-from .laurent import ONE, V, V_INV, ZERO, LaurentPoly, QPoly, to_q
+from .laurent import ONE, ZERO, LaurentPoly, QPoly, to_q
 from .weyl import Element, ResourceLimitError, Symmetry
 
 __all__ = [
@@ -40,11 +40,9 @@ __all__ = [
     "kl_polynomial",
     "N_element",
     "M_element",
-    "G_coefficient",
     "content",
     "is_monotonic",
     "hecke_geq",
-    "bar_involution",
     "apply_symmetry",
     "DEFAULT_KL_CAP",
 ]
@@ -249,7 +247,6 @@ def kl_polynomial(x: Element, w: Element) -> tuple[LaurentPoly, QPoly]:
 # ---------------------------------------------------------------------------
 # auxiliary elements and the coefficient apparatus
 
-@functools.cache
 def N_element(x: Element) -> HeckeElement:
     """Sum over z <= x of v^(l(x)-l(z)) H_z."""
     return _freeze(_add_N({}, 0, x))
@@ -262,11 +259,6 @@ def M_element(x: Element, y: Element) -> HeckeElement:
     the two lengths agree.
     """
     return _freeze(_add_N({}, 0, x, y))
-
-
-def G_coefficient(x: Element, H: HeckeElement) -> LaurentPoly:
-    """The coefficient of H_x in H (zero when absent)."""
-    return H.coefficient(x)
 
 
 def content(H: HeckeElement) -> int:
@@ -300,25 +292,7 @@ def hecke_geq(H1: HeckeElement, H2: HeckeElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bar involution and symmetries
-
-@functools.cache
-def _bar_standard(x: Element) -> HeckeElement:
-    """Image of H_x under the bar involution: bar(H_s) = H_s + (v - v^-1)."""
-    if x.is_identity:
-        return standard_basis(x)
-    s = min(x.left_descents())
-    rest = _bar_standard(x.left_mult(s))
-    return mult_std(rest, s, "left") + rest.scale(V - V_INV)
-
-
-def bar_involution(H: HeckeElement) -> HeckeElement:
-    """The bar involution: v -> v^-1 on coefficients, H_s -> H_s^-1."""
-    out = HeckeElement()
-    for x, p in H._m.items():
-        out = out + _bar_standard(x).scale(p.bar())
-    return out
-
+# symmetries
 
 def apply_symmetry(tau: Symmetry, H: HeckeElement) -> HeckeElement:
     """Relabel the support by tau; coefficients are unchanged.

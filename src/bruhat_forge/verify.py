@@ -151,18 +151,19 @@ class IsoClass:
 class Survey:
     max_length: int
     intervals: list[tuple[Element, Element]]
-    class_id: dict[tuple[Element, Element], int]
     classes: list[IsoClass]
 
     def census_rows(self) -> list[dict]:
-        by_span: dict[int, set[int]] = {}
+        # isomorphic intervals have one span, so each class counts under its rep's
+        by_span: dict[int, int] = {}
         counts: dict[int, int] = {}
-        for (x, y), cid in self.class_id.items():
+        for cls in self.classes:
+            x, y = cls.rep
             span = y.length - x.length
-            by_span.setdefault(span, set()).add(cid)
-            counts[span] = counts.get(span, 0) + 1
+            by_span[span] = by_span.get(span, 0) + 1
+            counts[span] = counts.get(span, 0) + len(cls.members)
         return [
-            {"span": d, "classes": len(by_span[d]), "intervals": counts[d]}
+            {"span": d, "classes": by_span[d], "intervals": counts[d]}
             for d in sorted(by_span)
         ]
 
@@ -221,20 +222,18 @@ def interval_survey(max_length: int) -> Survey:
                 identity = IsoCertificate({z: z for z in built[first].members})
                 placed[first] = (len(classes) - 1, identity)
 
-    class_id: dict[tuple[Element, Element], int] = {}
     for pair in pairs:
         first, k = orbit_of[pair[0].ball_index, pair[1].ball_index]
         cid, cert = placed[first]
         cls = classes[cid]
         cls.members.append(pair)
-        class_id[pair] = cid
         if pair == cls.rep:
             continue
         if pair == first:
             cls.certs[pair] = cert
             continue
         cls.certs[pair] = poset.ComposedCertificate(cert, actions[k], inverses[k])
-    return Survey(max_length, pairs, class_id, classes)
+    return Survey(max_length, pairs, classes)
 
 
 def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> VerificationReport:

@@ -53,17 +53,14 @@ __all__ = [
     "from_word",
     "identity",
     "generator",
-    "descents",
     "bruhat_leq",
     "lower_interval",
     "upper_set",
     "ball",
     "ball_element",
     "ball_elements",
-    "apply_symmetry",
     "enumerate_up_to_length",
     "elements_of_length",
-    "alcove_coordinates",
     "alcove_vertices",
 ]
 
@@ -370,15 +367,6 @@ def from_word(word: WordLike) -> Element:
     return w
 
 
-def descents(w: Element, side: str) -> frozenset[int]:
-    """Left or right descent set; ``side`` is "left" or "right"."""
-    if side == "right":
-        return w.right_descents()
-    if side == "left":
-        return w.left_descents()
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 # ---------------------------------------------------------------------------
 # Bruhat order
 
@@ -587,6 +575,11 @@ class Symmetry:
     inv: bool = False
 
     def apply(self, w: Element) -> Element:
+        """The image of w under tau; preserves lengths and Bruhat order.
+
+        >>> RHO.apply(generator(0)) is generator(1)
+        True
+        """
         (a, b, c, d), rows = _CONJ_TABLES[self.perm]
         lin, ox, oy = rows[w.lin]
         x, y = w.tx, w.ty
@@ -637,15 +630,6 @@ for _n, _tau in _D3_ORDER:
 SYMMETRY_BY_NAME: dict[str, Symmetry] = {tau.name: tau for tau in SYMMETRY_GROUP}
 
 
-def apply_symmetry(tau: Symmetry, w: Element) -> Element:
-    """The image of w under tau; preserves lengths and Bruhat order.
-
-    >>> apply_symmetry(RHO, generator(0)) is generator(1)
-    True
-    """
-    return tau.apply(w)
-
-
 # ---------------------------------------------------------------------------
 # alcove coordinates (Cartesian, exact)
 
@@ -654,19 +638,6 @@ def _cartesian(v: Vec) -> tuple[Fraction, Fraction]:
     # the second coordinate is returned as the rational multiple of sqrt(3)
     a, b = v
     return (Fraction(2 * a + b, 2), Fraction(b, 2))
-
-
-def alcove_coordinates(w: Element) -> tuple[tuple[Fraction, Fraction], bool]:
-    """Centroid of the alcove w(A0) plus its orientation flag.
-
-    Returns ((x, y'), up) where the Cartesian centroid is (x, y' * sqrt(3))
-    for the embedding with A0 = triangle (0,0), (1,0), (1/2, sqrt(3)/2).
-    The map is injective and identity() lands on A0 pointing up.
-    """
-    verts = [_cartesian(v) for v in w.alcove_vertices()]
-    cx = sum(v[0] for v in verts) / 3
-    cy = sum(v[1] for v in verts) / 3
-    return ((cx, cy), w.orientation_up)
 
 
 def alcove_vertices(w: Element) -> tuple[tuple[Fraction, Fraction], ...]:

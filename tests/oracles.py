@@ -108,6 +108,21 @@ def subword_lower_set(y) -> frozenset:
     return frozenset(out)
 
 
+def alcove_coordinates(w):
+    """Centroid of the alcove w(A0) plus its orientation flag.
+
+    Returns ((x, y'), up) where the Cartesian centroid is (x, y' * sqrt(3))
+    for the embedding with A0 = triangle (0,0), (1,0), (1/2, sqrt(3)/2).
+    The map is injective and identity() lands on A0 pointing up.
+    """
+    from bruhat_forge import weyl
+
+    verts = weyl.alcove_vertices(w)
+    cx = sum(v[0] for v in verts) / 3
+    cy = sum(v[1] for v in verts) / 3
+    return ((cx, cy), w.orientation_up)
+
+
 # -- dense Laurent polynomial arithmetic -------------------------------------
 
 def dense_from_pairs(pairs, lo=-64, hi=64):
@@ -168,6 +183,31 @@ def reference_kl_basis(w):
         m = p.coefficient(1)
         if m and x.right_mult(s).length < x.length:
             out = out - reference_kl_basis(x).scale(LaurentPoly({0: m}))
+    return out
+
+
+# -- the bar involution ---------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _bar_standard(x):
+    """Image of H_x under the bar involution: bar(H_s) = H_s + (v - v^-1)."""
+    from bruhat_forge.hecke import mult_std, standard_basis
+    from bruhat_forge.laurent import V, V_INV
+
+    if x.is_identity:
+        return standard_basis(x)
+    s = min(x.left_descents())
+    rest = _bar_standard(x.left_mult(s))
+    return mult_std(rest, s, "left") + rest.scale(V - V_INV)
+
+
+def bar_involution(H):
+    """The bar involution: v -> v^-1 on coefficients, H_s -> H_s^-1."""
+    from bruhat_forge.hecke import HeckeElement
+
+    out = HeckeElement()
+    for x, p in H.items():
+        out = out + _bar_standard(x).scale(p.bar())
     return out
 
 
@@ -313,7 +353,6 @@ def per_pair_survey(max_length: int):
     for pair, interval in built.items():
         key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
         buckets.setdefault(key, []).append(pair)
-    class_id: dict = {}
     classes: list = []
     for key in sorted(buckets, key=repr):
         pending: list = []
@@ -323,13 +362,11 @@ def per_pair_survey(max_length: int):
                 if cert is not None:
                     classes[cid].members.append(pair)
                     classes[cid].certs[pair] = cert
-                    class_id[pair] = cid
                     break
             else:
                 classes.append(IsoClass(rep=pair, members=[pair], certs={}))
                 pending.append(len(classes) - 1)
-                class_id[pair] = len(classes) - 1
-    return Survey(max_length, pairs, class_id, classes)
+    return Survey(max_length, pairs, classes)
 
 
 def composed_certificates(max_length: int) -> dict:

@@ -18,6 +18,9 @@ from bruhat_forge.laurent import (
 pairs = st.lists(
     st.tuples(st.integers(-20, 20), st.integers(-50, 50)), max_size=8
 )
+qpairs = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(-50, 50)), max_size=8
+)
 
 
 def L(d):
@@ -81,6 +84,28 @@ def test_dominates_is_the_sign_of_the_difference(pa, pb, k):
     qa = QPoly({e + 20: c for e, c in p.to_pairs()})
     qb = QPoly({e + 20: c for e, c in q.to_pairs()})
     assert qa.dominates(qb) == (qa - qb).is_nonneg()
+
+
+@given(qpairs, qpairs, st.integers(0, 6))
+def test_qpoly_shares_the_sparse_core(pa, pb, extra):
+    p = QPoly(dict(oracles.dense_add(pa, [])))
+    q = QPoly(dict(oracles.dense_add(pb, [])))
+    assert (p + q).to_pairs() == oracles.dense_add(pa, pb)
+    assert (p - q).to_pairs() == oracles.dense_add(pa, [(e, -c) for e, c in pb])
+    # equal polynomials hash equally, however they were built
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+    assert (p - q) + q == p and hash((p - q) + q) == hash(p)
+    lp = LaurentPoly.from_pairs(pa)
+    assert lp == LaurentPoly(dict(p.items())) and hash(lp) == hash(LaurentPoly(dict(p.items())))
+    # the two types never compare equal, from either side
+    d = dict(p.items())
+    if d:
+        assert LaurentPoly(d) != QPoly(d) and QPoly(d) != LaurentPoly(d)
+    # to_q builds its result without cleaning; it must match a cleaned one
+    ldiff = 2 * max(p.degree(), 0) + extra
+    r = to_q(from_q(p, ldiff), ldiff)
+    assert type(r) is QPoly
+    assert r == QPoly(dict(r.items())) and hash(r) == hash(QPoly(dict(r.items())))
 
 
 def test_to_q_examples():

@@ -298,7 +298,6 @@ def test_survey_is_unchanged_under_the_reference_refinement(monkeypatch):
         survey = interval_survey(10)
         return (
             [(cls.rep, cls.members) for cls in survey.classes],
-            survey.class_id,
             [fingerprint(build_interval(*cls.rep)) for cls in survey.classes],
         )
 
