@@ -96,18 +96,10 @@ class HeckeElement:
         return "HeckeElement(" + " + ".join(parts or ["0"]) + ")"
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        acc = dict(self._m)
-        for x, p in other._m.items():
-            q = acc.get(x)
-            acc[x] = p if q is None else q + p
-        return HeckeElement(acc)
+        return _freeze(_add_element(_add_element({}, self), other, 1))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        acc = dict(self._m)
-        for x, p in other._m.items():
-            q = acc.get(x)
-            acc[x] = -p if q is None else q - p
-        return HeckeElement(acc)
+        return _freeze(_add_element(_add_element({}, self), other, -1))
 
     def scale(self, p: LaurentPoly) -> "HeckeElement":
         if not p:
@@ -153,10 +145,11 @@ def _add_mult_gen(acc: Table, H: HeckeElement, s: int, right: bool, kl: bool) ->
                 p.add_to(row, -1, 1)
 
 
-def _add_element(acc: Table, H: HeckeElement, coeff: int = 1, k: int = 0) -> None:
-    """Add coeff * v^k * H into acc; H itself is left untouched."""
+def _add_element(acc: Table, H: HeckeElement, coeff: int = 1, k: int = 0) -> Table:
+    """Add coeff * v^k * H into acc and return acc; H itself is left untouched."""
     for x, p in H._m.items():
         p.add_to(acc.setdefault(x, {}), coeff, k)
+    return acc
 
 
 def _add_N(acc: Table, k: int, x: Element, y: Optional[Element] = None) -> Table:

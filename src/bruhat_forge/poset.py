@@ -52,23 +52,23 @@ class Interval:
     """The graded poset on {z : x <= z <= y}, rank = l(z) - l(x).
 
     Members are indexed in (rank, canonical word) order, which is their
-    ball-index order.  The covers are read once from the ball: the
-    down-covers of z are the members of its lower ideal one length below
-    it (Bruhat order is graded by length).  ``down_masks[i]`` and
-    ``up_masks[i]`` hold, as position bitsets, the members that member i
-    covers and is covered by.  ``colors`` are refined from the same pass.
+    ball-index order, and ``mask`` holds them as a ball bitset.  The
+    covers are read once from the ball: the down-covers of z are the
+    members of its lower ideal one length below it (Bruhat order is
+    graded by length).  ``down_masks[i]`` holds, as a position bitset,
+    the members that member i covers.  ``colors`` are refined from the
+    same pass.
     """
 
     __slots__ = (
         "bottom",
         "top",
         "members",
-        "index",
+        "mask",
         "ranks",
         "span",
         "rank_sizes",
         "down_masks",
-        "up_masks",
         "colors",
         "_fingerprint",
     )
@@ -77,30 +77,26 @@ class Interval:
         self.bottom = bottom
         self.top = top
         self.members = tuple(members)
-        self.index = {z: i for i, z in enumerate(self.members)}
         base = bottom.length
         self.ranks = tuple(z.length - base for z in self.members)
         self.span = top.length - base
         self.rank_sizes = tuple(self.ranks.count(r) for r in range(self.span + 1))
         lower_covers = weyl.ball(top.length).covers
-        inside = interval_mask(bottom, top)
+        self.mask = inside = interval_mask(bottom, top)
         position = {z.ball_index: p for p, z in enumerate(self.members)}
         downs: list[list[int]] = [[] for _ in self.members]
         ups: list[list[int]] = [[] for _ in self.members]
-        down_masks, up_masks = [0] * len(position), [0] * len(position)
+        down_masks = [0] * len(position)
         for p, i in enumerate(position):
             covers = lower_covers[i] & inside
-            bit = 1 << p
             while covers:
                 low = covers & -covers
                 q = position[low.bit_length() - 1]
                 downs[p].append(q)
                 ups[q].append(p)
                 down_masks[p] |= 1 << q
-                up_masks[q] |= bit
                 covers ^= low
         self.down_masks = tuple(down_masks)
-        self.up_masks = tuple(up_masks)
         self.colors = _refine(self.ranks, downs, ups)
         self._fingerprint: Optional[str] = None
 
@@ -108,7 +104,7 @@ class Interval:
         return len(self.members)
 
     def __contains__(self, z: Element) -> bool:
-        return z in self.index
+        return z.length <= self.top.length and bool(self.mask >> z.ball_index & 1)
 
     def __repr__(self) -> str:
         return (
@@ -120,14 +116,12 @@ class Interval:
         """Every maximal chain climbs one rank at a time from x to y."""
         if self.rank_sizes[0] != 1 or self.rank_sizes[-1] != 1:
             return False
-        n = len(self.members)
-        for i in range(n):
-            r = self.ranks[i]
-            if r < self.span and self.up_masks[i] == 0:
-                return False
-            if r > 0 and self.down_masks[i] == 0:
-                return False
-        return True
+        # members are in rank order, bottom first and top last; a member is
+        # covered exactly when its bit is set in some down mask
+        covered = 0
+        for mask in self.down_masks:
+            covered |= mask
+        return covered == (1 << len(self.members) - 1) - 1 and all(self.down_masks[1:])
 
     def to_json_obj(self) -> dict:
         return {

@@ -38,6 +38,7 @@ so applying a symmetry is O(1) as well.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
@@ -138,18 +139,19 @@ class Element:
 
     ``lin`` indexes the linear part among the six finite Weyl matrices
     and ``(tx, ty)`` is the translation in weight coordinates (always a
-    root lattice vector: tx = ty mod 3).
+    root lattice vector: tx = ty mod 3).  ``_make`` is the only
+    constructor and keeps one object per ``(lin, tx, ty)``, so equality
+    and hashing are those of object identity.
     """
 
     __slots__ = (
-        "lin", "tx", "ty", "_hash", "_len", "_rd", "_ld", "_word", "_index", "_ideal"
+        "lin", "tx", "ty", "_len", "_rd", "_ld", "_word", "_index", "_ideal"
     )
 
     def __init__(self, lin: int, tx: int, ty: int):
         self.lin = lin
         self.tx = tx
         self.ty = ty
-        self._hash = hash((lin, tx, ty))
         self._len: Optional[int] = None
         self._rd: Optional[frozenset[int]] = None
         self._ld: Optional[frozenset[int]] = None
@@ -157,19 +159,8 @@ class Element:
         self._index: Optional[int] = None
         self._ideal: Optional[int] = None
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Element):
-            return NotImplemented
-        return (
-            self.lin == other.lin and self.tx == other.tx and self.ty == other.ty
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
+        # pickle and copy rebuild through _make, so a copy is the interned object itself
         return (_make, (self.lin, self.tx, self.ty))
 
     def __repr__(self) -> str:
@@ -414,7 +405,7 @@ def ball(max_length: int) -> Ball:
         return Ball((), (), (), ((),) * len(SYMMETRY_GROUP))
     lengths, uppers, covers, actions = ball(max_length - 1)
     layer = elements_of_length(max_length)
-    start = elements_of_length(max_length - 1)[0].ball_index if max_length else 0
+    start = _layer_start(max_length - 1)
     ups = list(uppers)
     downs = []
     for w in layer:
@@ -433,28 +424,21 @@ def ball(max_length: int) -> Ball:
 
 def ball_element(i: int) -> Element:
     """The element with ball index i (already enumerated)."""
-    for layer in _LAYERS:
-        if i < len(layer):
-            return layer[i]
-        i -= len(layer)
-    raise IndexError(f"no element with ball index {i} enumerated")
+    if not 0 <= i < len(_BALL):
+        raise IndexError(f"no element with ball index {i} enumerated")
+    return _BALL[i]
 
 
 def ball_elements(mask: int) -> tuple[Element, ...]:
     """The elements whose ball bits are set in ``mask``, in (length, word) order."""
-    out: list[Element] = []
-    for layer in _LAYERS:
-        if not mask:
-            break
-        out.extend(w for i, w in enumerate(layer) if mask >> i & 1)
-        mask >>= len(layer)
-    return tuple(out)
+    return tuple(w for w, bit in zip(_BALL, bin(mask)[:1:-1]) if bit == "1")
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-_LAYERS: list[tuple[Element, ...]] = [(_IDENTITY,)]
+# the enumerated elements in ball-index order, so each layer is a slice
+_BALL: list[Element] = [_IDENTITY]
 _IDENTITY._index = 0
 _IDENTITY._word = ""
 # _LEFT[s][i] is the ball index of s w for the element w with ball index i,
@@ -470,9 +454,9 @@ def elements_of_length(n: int) -> tuple[Element, ...]:
         raise ResourceLimitError(
             f"enumeration up to length {n} exceeds the hard cap {HARD_MAX_LENGTH}"
         )
-    while len(_LAYERS) <= n:
-        prev = _LAYERS[-1]
-        depth = len(_LAYERS)
+    while _BALL[-1].length < n:
+        depth = _BALL[-1].length + 1
+        prev = _BALL[_layer_start(depth - 1) :]
         # s w for each s in D_L(w), per new w, give its left descents, its
         # word (s + word(s w) for the least s) and its _LEFT entries
         below: dict[Element, dict[int, Element]] = {}
@@ -489,13 +473,18 @@ def elements_of_length(n: int) -> tuple[Element, ...]:
         layer = sorted(below, key=Element.sort_key)
         for act in _LEFT:
             act.extend([-1] * len(layer))
-        for i, w in enumerate(layer, prev[-1]._index + 1):
+        for i, w in enumerate(layer, len(_BALL)):
             w._index = i
             for s, sw in below[w].items():
                 _LEFT[s][i] = sw._index
                 _LEFT[s][sw._index] = i
-        _LAYERS.append(tuple(layer))
-    return _LAYERS[n]
+        _BALL.extend(layer)
+    return tuple(_BALL[_layer_start(n) : _layer_start(n + 1)])
+
+
+def _layer_start(n: int) -> int:
+    """The number of enumerated elements shorter than n (a layer's first ball index)."""
+    return bisect_left(_BALL, n, key=Element.length.fget)
 
 
 def enumerate_up_to_length(max_length: int = DEFAULT_MAX_LENGTH) -> tuple[Element, ...]:
@@ -505,7 +494,7 @@ def enumerate_up_to_length(max_length: int = DEFAULT_MAX_LENGTH) -> tuple[Elemen
     4
     """
     elements_of_length(max_length)  # checks the bound, then fills every layer up to it
-    return tuple(w for layer in _LAYERS[: max_length + 1] for w in layer)
+    return tuple(_BALL[: _layer_start(max_length + 1)])
 
 
 # ---------------------------------------------------------------------------

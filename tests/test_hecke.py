@@ -223,3 +223,19 @@ def test_json_round_trip():
     h = kl_basis(X4)
     obj = h.to_json_obj()
     assert obj == sorted(obj, key=lambda r: (len(r["element"]), r["element"]))
+
+
+def test_sums_are_taken_key_by_key_in_order():
+    # self's terms first, then those only other has; cancelled terms drop
+    pairs = [
+        (kl_basis(T11), N_element(X4).scale(V)),
+        (standard_basis(ID), kl_basis(S1)),
+        (kl_basis(X4), N_element(X4)),
+        (kl_basis(T00), kl_basis(T00)),
+        (hecke.HeckeElement(), kl_basis(T00)),
+    ]
+    for a, b in pairs:
+        keys = list(dict.fromkeys([*a._m, *b._m]))
+        for total, sign in ((a + b, 1), (a - b, -1)):
+            expected = {x: a.coefficient(x) + sign * b.coefficient(x) for x in keys}
+            assert list(total._m.items()) == [(x, p) for x, p in expected.items() if p]

@@ -84,6 +84,21 @@ def test_gradedness_to_length_6():
         assert interval.is_graded()
 
 
+def test_is_graded_rejects_a_member_left_uncovered_or_covering_nothing():
+    uncovered = build_interval(ID, from_word("121"))
+    assert uncovered.is_graded()
+    top = len(uncovered) - 1
+    downs = list(uncovered.down_masks)
+    downs[top] &= ~(1 << top - 1)  # the last coatom is no longer covered by the top
+    uncovered.down_masks = tuple(downs)
+    assert not uncovered.is_graded()
+    covering_nothing = build_interval(ID, from_word("121"))
+    downs = list(covering_nothing.down_masks)
+    downs[1] = 0  # an atom that covers nothing
+    covering_nothing.down_masks = tuple(downs)
+    assert not covering_nothing.is_graded()
+
+
 def test_every_span2_interval_is_a_diamond():
     for interval in _all_intervals(6):
         if interval.span == 2:
@@ -319,7 +334,7 @@ def test_parent_counts_preserved_by_certificates():
         assert cert is not None
         by_rank = collections.defaultdict(list)
         for z in a.members:
-            by_rank[a.ranks[a.index[z]]].append(z)
+            by_rank[z.length - a.bottom.length].append(z)
         for rank, elems in by_rank.items():
             for u, v in itertools.combinations(elems, 2):
                 for m in (1, 2):
@@ -380,6 +395,31 @@ def test_parents_table_and_errors():
         parents(z1, interval.top, interval, 2)  # rank mismatch
     with pytest.raises(ValueError):
         parents(z1, z2, interval, 0)
+
+
+def test_parents_rejects_non_members():
+    interval = build_interval(generator(1), theta2((1, 1)))
+    member = interval.members[2]
+    outside = next(z for z in weyl.elements_of_length(member.length) if z not in interval.members)
+    for a, b in ((outside, member), (member, outside)):
+        with pytest.raises(ValueError, match="must lie in the interval"):
+            parents(a, b, interval, 1)
+
+
+def test_membership_reads_the_interval_mask():
+    for x, y in (
+        (ID, theta2((1, 1))),
+        (generator(1), x_chain(9)),
+        (from_word("12"), RHO.apply(theta1((1, 2)))),
+    ):
+        interval = build_interval(x, y)
+        # every member is in, every same-length non-member out
+        members = set(interval.members)
+        for n in range(x.length, y.length + 1):
+            for z in weyl.elements_of_length(n):
+                assert (z in interval) == (z in members), (x, y, z)
+        # longer than the top: answered without enumerating past the hard cap
+        assert x_chain(80) not in interval
 
 
 def test_four_parent_set_for_even_chains():
@@ -487,10 +527,11 @@ def _swap_unlike_pair(cert, a):
     # exchanged, two whose covers differ, so that the swap is no
     # automorphism of a and the result is no isomorphism; None if the
     # members of every rank have equal covers
+    _, up_masks = oracles._cover_masks(a)
     for r in range(1, a.span):
         same = [i for i in range(len(a)) if a.ranks[i] == r]
         for u, v in itertools.combinations(same, 2):
-            if (a.down_masks[u], a.up_masks[u]) != (a.down_masks[v], a.up_masks[v]):
+            if (a.down_masks[u], up_masks[u]) != (a.down_masks[v], up_masks[v]):
                 index = dict(cert.index)
                 bu, bv = a.members[u].ball_index, a.members[v].ball_index
                 index[bu], index[bv] = index[bv], index[bu]

@@ -1,6 +1,11 @@
 """Group arithmetic, length, descents, Bruhat order, symmetries, alcoves."""
 
+import ast
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +26,18 @@ from bruhat_forge.weyl import (
 )
 
 words = st.text(alphabet="012", max_size=14)
+
+SRC = Path(weyl.__file__).parent
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter, where no layer past the
+    identity is enumerated yet, and fail with its stderr if it fails."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_from_word_examples():
@@ -172,6 +189,68 @@ def test_enumeration_hard_cap():
         enumerate_up_to_length(weyl.HARD_MAX_LENGTH + 1)
     with pytest.raises(ValueError):
         enumerate_up_to_length(-1)
+
+
+def test_ball_element_rejects_indices_outside_the_enumerated_ball():
+    _run_fresh(
+        "import pytest\n"
+        "from bruhat_forge import weyl\n"
+        "ball = weyl.enumerate_up_to_length(3)\n"
+        "assert weyl.ball_element(len(ball) - 1) is ball[-1]\n"
+        "for i in (-1, -2, len(ball), 10**6):\n"
+        "    message = f'^no element with ball index {i} enumerated$'\n"
+        "    with pytest.raises(IndexError, match=message):\n"
+        "        weyl.ball_element(i)\n"
+    )
+
+
+def test_equal_elements_are_one_object():
+    assert from_word("1212") is from_word("21")
+    for w in enumerate_up_to_length(4):
+        key = (w.lin, w.tx, w.ty)
+        assert weyl._make(*key) is w
+        assert w != key and key != w
+
+
+def test_copies_and_pickles_are_the_interned_element():
+    # x_chain(50) is built in a process whose ball stops at length 4, so
+    # its copies are made before its layer is enumerated
+    _run_fresh(
+        "import copy, pickle\n"
+        "from bruhat_forge import regions, weyl\n"
+        "early = weyl.enumerate_up_to_length(4)[-1]\n"
+        "late = regions.x_chain(50)\n"
+        "for w in (early, late):\n"
+        "    assert copy.copy(w) is w and copy.deepcopy(w) is w\n"
+        "    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):\n"
+        "        assert pickle.loads(pickle.dumps(w, protocol)) is w, protocol\n"
+        "assert late._index is None\n"
+    )
+
+
+def _element_calls(node: ast.AST) -> list[ast.Call]:
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and (
+            isinstance(call.func, ast.Name) and call.func.id == "Element"
+            or isinstance(call.func, ast.Attribute) and call.func.attr == "Element"
+        )
+    ]
+
+
+def test_elements_are_built_only_by_make():
+    # identity equality holds only while _make is the one constructor
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        make = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_make"]
+        inside = {id(call) for f in make for call in _element_calls(f)}
+        if path.name == "weyl.py":
+            assert len(inside) == 1
+        outside += [(path.name, c.lineno) for c in _element_calls(tree) if id(c) not in inside]
+    assert outside == []
 
 
 def test_symmetry_generator_images():
