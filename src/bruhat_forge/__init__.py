@@ -27,7 +27,6 @@ from .hecke import (
     kl_basis,
     kl_polynomial,
     mult_kl_s,
-    mult_std,
     standard_basis,
 )
 from .regions import RegionKind, RegionTag, ThetaIndex, classify, s_mn, theta, theta1, theta2, x_chain

@@ -254,7 +254,7 @@ def appendix_identity_check(m: int, n: int) -> dict:
         raise ValueError("appendix_identity_check requires m, n >= 1")
     s = s_mn((m, n))
     acc: Table = {}
-    _add_mult_gen(acc, N_element(theta((m, n))), s, True, True)
+    _add_mult_gen(acc, N_element(theta((m, n))), s, True)
     _add_N(acc, 2, theta1((m - 1, n - 1)))
     left = _freeze(acc)
     acc = _add_N({}, 0, theta1((m, n)))

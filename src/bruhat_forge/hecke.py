@@ -4,8 +4,8 @@ normalization where the quadratic relation reads
 H_s^2 = (v^-1 - v) H_s + H_id and the canonical basis element of a
 simple reflection is H_s + v H_id.
 
-Provides the standard basis, multiplication by H_s and by H_s + v, the
-canonical basis via the mu-corrected recursion (the oracle every closed
+Provides the standard basis, multiplication by H_s + v, the canonical
+basis via the mu-corrected recursion (the oracle every closed
 formula is checked against), Kazhdan-Lusztig polynomials in both the v-
 and q-normalizations, the auxiliary sums N_x (lower-interval sum) and
 M_{x,y} (union of two lower intervals), coefficient extraction G_x,
@@ -34,7 +34,6 @@ from .weyl import Element, ResourceLimitError, Symmetry
 __all__ = [
     "HeckeElement",
     "standard_basis",
-    "mult_std",
     "mult_kl_s",
     "kl_basis",
     "kl_polynomial",
@@ -125,24 +124,16 @@ def standard_basis(w: Element) -> HeckeElement:
 Table = dict[Element, dict[int, int]]
 
 
-def _add_mult_gen(acc: Table, H: HeckeElement, s: int, right: bool, kl: bool) -> None:
-    """Add H times H_s (kl=False) or H_s + v (kl=True), on either side, into acc.
+def _add_mult_gen(acc: Table, H: HeckeElement, s: int, right: bool) -> None:
+    """Add H times H_s + v, on either side, into acc.
 
-    H_x H_s = H_{xs} (+ v H_x for H_s + v) when the length goes up, and
-    H_x H_s = H_{xs} + (v^-1 - v) H_x (+ v H_x, leaving v^-1 H_x) when it
-    goes down.
+    H_x (H_s + v) = H_{xs} + v H_x when the length goes up, and
+    H_{xs} + v^-1 H_x when it goes down.
     """
     for x, p in H._m.items():
         xs = x.right_mult(s) if right else x.left_mult(s)
         p.add_to(acc.setdefault(xs, {}), 1, 0)
-        if xs.length > x.length:
-            if kl:
-                p.add_to(acc.setdefault(x, {}), 1, 1)
-        else:
-            row = acc.setdefault(x, {})
-            p.add_to(row, 1, -1)
-            if not kl:
-                p.add_to(row, -1, 1)
+        p.add_to(acc.setdefault(x, {}), 1, 1 if xs.length > x.length else -1)
 
 
 def _add_element(acc: Table, H: HeckeElement, coeff: int = 1, k: int = 0) -> Table:
@@ -168,27 +159,13 @@ def _freeze(acc: Table) -> HeckeElement:
     return HeckeElement({x: LaurentPoly(row) for x, row in acc.items()})
 
 
-def _mult_gen(H: HeckeElement, s: int, side: str, kl: bool) -> HeckeElement:
-    """Multiply by H_s (kl=False) or by H_s + v (kl=True) on either side."""
+def mult_kl_s(H: HeckeElement, s: int, side: str = "right") -> HeckeElement:
+    """Multiply by the canonical generator H_s + v H_id on either side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     acc: Table = {}
-    _add_mult_gen(acc, H, s, side == "right", kl)
+    _add_mult_gen(acc, H, s, side == "right")
     return _freeze(acc)
-
-
-def mult_std(H: HeckeElement, s: int, side: str = "right") -> HeckeElement:
-    """Multiply by the standard generator H_s.
-
-    H_x H_s = H_{xs} when the length goes up, and
-    H_x H_s = H_{xs} + (v^-1 - v) H_x when it goes down.
-    """
-    return _mult_gen(H, s, side, kl=False)
-
-
-def mult_kl_s(H: HeckeElement, s: int, side: str = "right") -> HeckeElement:
-    """Multiply by the canonical generator H_s + v H_id."""
-    return _mult_gen(H, s, side, kl=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +198,7 @@ def _kl_basis(w: Element) -> HeckeElement:
     s = min(w.right_descents())
     base = _kl_basis(w.right_mult(s))
     acc: Table = {}
-    _add_mult_gen(acc, base, s, True, True)
+    _add_mult_gen(acc, base, s, True)
     for x, p in base._m.items():
         m = p.coefficient(1)
         if m and x.right_mult(s).length < x.length:

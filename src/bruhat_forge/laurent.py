@@ -10,7 +10,7 @@ coefficients are plain Python ints (arbitrary precision).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 __all__ = ["LaurentPoly", "QPoly", "ShapeError", "to_q", "from_q"]
 
@@ -165,13 +165,6 @@ class LaurentPoly(_Poly):
     @classmethod
     def one(cls) -> "LaurentPoly":
         return ONE
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
-        acc: dict[int, int] = {}
-        for e, c in pairs:
-            acc[e] = acc.get(e, 0) + c
-        return cls(acc)
 
     def min_exp(self) -> int:
         return min(self._c)

@@ -70,7 +70,6 @@ class Interval:
         "rank_sizes",
         "down_masks",
         "colors",
-        "_fingerprint",
     )
 
     def __init__(self, bottom: Element, top: Element, members: list[Element]):
@@ -98,7 +97,6 @@ class Interval:
                 covers ^= low
         self.down_masks = tuple(down_masks)
         self.colors = _refine(self.ranks, downs, ups)
-        self._fingerprint: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -351,14 +349,12 @@ def fingerprint(a: Interval) -> str:
     Equal for isomorphic intervals by construction; used to gate the
     backtracking search.
     """
-    if a._fingerprint is None:
-        colors = a.colors
-        edge_profile = sorted(
-            (colors[i], cj) for cj, mask in zip(colors, a.down_masks) for i in _bits(mask)
-        )
-        blob = repr((a.span, a.rank_sizes, sorted(colors), edge_profile))
-        a._fingerprint = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return a._fingerprint
+    colors = a.colors
+    edge_profile = sorted(
+        (colors[i], cj) for cj, mask in zip(colors, a.down_masks) for i in _bits(mask)
+    )
+    blob = repr((a.span, a.rank_sizes, sorted(colors), edge_profile))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,16 @@ scale.  The survey classifies one interval per orbit of the symmetry
 group G: diagram automorphisms and w -> w^-1 are Bruhat-order
 automorphisms (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
 ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
-so [x, y] and [tau x, tau y] are isomorphic.  Orbit representatives are
-bucketed by (span, size, rank vector, fingerprint) and split into
-isomorphism classes with certificates; every other interval inherits its
-orbit representative's class and certificate, stored with the action of
-G on ball indices (weyl.ball) and composed only when read.  Neither
-citation is taken on trust: the KL equality runs over every interval,
-every certificate is re-validated, and a sample of symmetry maps is
-checked as isomorphisms.
+so [x, y] and [tau x, tau y] are isomorphic.  Each orbit representative
+is classified as soon as it is built: it is bucketed by (span, size,
+rank vector, fingerprint) and searched against the class representatives
+already in its bucket, and its interval is kept, until the last orbit is
+classified, only if it founds a class.  Every other interval inherits
+its orbit representative's class and certificate, stored with the action
+of G on ball indices (weyl.ball) and composed only when read.  Every
+stage reads P_{x,y} from the KL column of y.  Neither citation is taken
+on trust: the KL equality runs over every interval, every certificate is
+re-validated, and a sample of symmetry maps is checked as isomorphisms.
 
 ``verify_closed_forms`` replays every closed formula against the
 canonical-basis recursion; ``verify_lemma_suite`` exercises the
@@ -36,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import closedform, hecke, poset, regions, weyl
+from .laurent import QPoly
 from .poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
 from .regions import RegionKind, ThetaIndex
 from .weyl import Element, SYMMETRY_GROUP
@@ -137,6 +140,20 @@ def _within_kl_cap(*bounds: int) -> None:
         raise weyl.ResourceLimitError(f"length {max(bounds)} exceeds the KL recursion cap {cap}")
 
 
+def _suite(name: str, fn) -> SuiteResult:
+    t = time.perf_counter()
+    fallbacks_before = len(closedform.fallback_log())
+    counts, witnesses = fn()
+    fallbacks = len(closedform.fallback_log()) - fallbacks_before
+    return SuiteResult(
+        name=name,
+        passed=not witnesses and not fallbacks,
+        counts={**counts, "fallbacks": fallbacks},
+        witnesses=witnesses[:10],
+        elapsed=time.perf_counter() - t,
+    )
+
+
 # ---------------------------------------------------------------------------
 # the interval survey shared by the conjecture suite and the census
 
@@ -176,56 +193,54 @@ def _interval_pairs(max_length: int) -> list[tuple[Element, Element]]:
 
 @functools.cache
 def interval_survey(max_length: int) -> Survey:
-    """Bucket and classify all intervals with l(y) <= max_length.
+    """Classify all intervals with l(y) <= max_length in one pass.
 
-    Only the first pair of each G-orbit, in pair order, is built,
-    bucketed and searched.  Every other pair (tau x, tau y) takes the
-    class of its orbit's first pair (x, y) and the certificate
-    z -> c(tau^-1 z), where c is the certificate of (x, y), or the
-    identity when (x, y) represents its class, stored as c with the
-    weyl.ball action lists of tau and tau^-1 (a ComposedCertificate).
-    The first pair of a class is always the first of its orbit, so
-    representatives, class ids and member order are those of
-    classifying every pair.
+    Only the first pair of each G-orbit, in pair order, is built; it is
+    bucketed and searched against the representatives already in its
+    bucket as soon as it is built, and its Interval is kept only if it
+    founds a class.  Every other pair (tau x, tau y) takes the class of
+    its orbit's first pair (x, y) and the certificate z -> c(tau^-1 z),
+    where c is the certificate of (x, y), or the identity when (x, y)
+    represents its class, stored as c with the weyl.ball action lists of
+    tau and tau^-1 (a ComposedCertificate).  The first pair of a class
+    is always the first of its orbit, so representatives, class ids and
+    member order are those of classifying every pair.
     """
     pairs = _interval_pairs(max_length)
     actions = weyl.ball(max_length).actions
     inverses = [actions[SYMMETRY_GROUP.index(tau.inverse_symmetry())] for tau in SYMMETRY_GROUP]
     # pair -> (first pair of its orbit, the k of the tau_k carrying that onto it)
     orbit_of: dict[tuple[int, int], tuple[tuple[Element, Element], int]] = {}
-    built: dict[tuple[Element, Element], poset.Interval] = {}
-    buckets: dict[tuple, list[tuple[Element, Element]]] = {}
+    # first pair -> (its class, certificate onto the class representative:
+    # the identity for itself)
+    placed: dict[tuple[Element, Element], tuple[IsoClass, IsoCertificate]] = {}
+    # key -> (class, representative Interval) entries in creation order
+    buckets: dict[tuple, list[tuple[IsoClass, poset.Interval]]] = {}
     for x, y in pairs:
         i, j = x.ball_index, y.ball_index
         if (i, j) in orbit_of:
             continue
         for k, act in enumerate(actions):
             orbit_of.setdefault((act[i], act[j]), ((x, y), k))
-        built[(x, y)] = interval = build_interval(x, y)
+        interval = build_interval(x, y)
         key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
-        buckets.setdefault(key, []).append((x, y))
-
-    # (class id, certificate onto the class representative: the identity for itself)
-    placed: dict[tuple[Element, Element], tuple[int, IsoCertificate]] = {}
-    classes: list[IsoClass] = []
-    for key in sorted(buckets, key=repr):
-        pending: list[int] = []
-        for first in buckets[key]:
-            for cid in pending:
-                cert = is_isomorphic(built[first], built[classes[cid].rep])
-                if cert is not None:
-                    placed[first] = (cid, cert)
-                    break
-            else:
-                classes.append(IsoClass(rep=first, members=[], certs={}))
-                pending.append(len(classes) - 1)
-                identity = IsoCertificate({z: z for z in built[first].members})
-                placed[first] = (len(classes) - 1, identity)
+        bucket = buckets.setdefault(key, [])
+        for cls, rep in bucket:
+            cert = is_isomorphic(interval, rep)
+            if cert is not None:
+                placed[(x, y)] = (cls, cert)
+                break
+        else:
+            cls = IsoClass(rep=(x, y), members=[], certs={})
+            bucket.append((cls, interval))
+            placed[(x, y)] = (cls, IsoCertificate({z: z for z in interval.members}))
+    classes = [cls for key in sorted(buckets, key=repr) for cls, _ in buckets[key]]
+    # the representatives' intervals go before any certificate is composed
+    del buckets
 
     for pair in pairs:
         first, k = orbit_of[pair[0].ball_index, pair[1].ball_index]
-        cid, cert = placed[first]
-        cls = classes[cid]
+        cls, cert = placed[first]
         cls.members.append(pair)
         if pair == cls.rep:
             continue
@@ -260,42 +275,39 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
     _within_kl_cap(max_length)
-    # positional, like every other caller: functools.cache keys f(8)
-    # and f(max_length=8) apart
-    survey = interval_survey(max_length)
+    survey: Survey
+    columns: dict[Element, dict[Element, QPoly]]
 
-    fallbacks_before = len(closedform.fallback_log())
-    columns = {y: closedform.kl_fast_column(y) for _, y in survey.intervals}
-    polys = {(x, y): columns[y][x] for x, y in survey.intervals}
-    fallbacks = len(closedform.fallback_log()) - fallbacks_before
-    violations = []
-    for cls in survey.classes:
-        ref = polys[cls.rep]
-        for member in cls.members:
-            if polys[member] != ref:
-                violations.append((cls.rep, member))
-    violations.sort(key=lambda v: (v[1][1].sort_key(), v[1][0].sort_key()))
-    witnesses = [
-        {
-            "rep": [v[0][0].word(), v[0][1].word()],
-            "member": [v[1][0].word(), v[1][1].word()],
-            "P_rep": str(polys[v[0]]),
-            "P_member": str(polys[v[1]]),
-        }
-        for v in violations[:10]
-    ]
-    conjecture = SuiteResult(
-        name=f"conjecture(max_length={max_length})",
-        passed=not violations and not fallbacks,
-        counts={
+    def equal_within_classes():
+        # the survey runs inside the stage, so its time counts there
+        nonlocal survey, columns
+        # positional, like every other caller: functools.cache keys f(8)
+        # and f(max_length=8) apart
+        survey = interval_survey(max_length)
+        columns = {y: closedform.kl_fast_column(y) for _, y in survey.intervals}
+        violations = [
+            (cls.rep, (x, y))
+            for cls in survey.classes
+            for x, y in cls.members
+            if columns[y][x] != columns[cls.rep[1]][cls.rep[0]]
+        ]
+        violations.sort(key=lambda v: (v[1][1].sort_key(), v[1][0].sort_key()))
+        counts = {
             "intervals": len(survey.intervals),
             "classes": len(survey.classes),
             "violations": len(violations),
-            "fallbacks": fallbacks,
-        },
-        witnesses=witnesses,
-        elapsed=time.perf_counter() - t0,
-    )
+        }
+        return counts, [
+            {
+                "rep": [rx.word(), ry.word()],
+                "member": [x.word(), y.word()],
+                "P_rep": str(columns[ry][rx]),
+                "P_member": str(columns[y][x]),
+            }
+            for (rx, ry), (x, y) in violations
+        ]
+
+    conjecture = _suite(f"conjecture(max_length={max_length})", equal_within_classes)
 
     t1 = time.perf_counter()
     bad_certs = sum(
@@ -331,7 +343,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     checks = list(dict.fromkeys([cls.rep for cls in survey.classes] + sample))
     oracle_bad = []
     for x, y in checks:
-        if hecke.kl_polynomial(x, y)[1] != polys[(x, y)]:
+        if hecke.kl_polynomial(x, y)[1] != columns[y][x]:
             oracle_bad.append([x.word(), y.word()])
     oracle = SuiteResult(
         name="oracle cross-check (class reps + sample)",
@@ -352,9 +364,9 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     for x, y in orbit_sample:
         members = list(poset._bits(poset.interval_mask(x, y)))
         for tau, act in zip(SYMMETRY_GROUP, actions):
-            image = (weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index]))
+            tx, ty = weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index])
             shift = IsoCertificate.from_index({i: act[i] for i in members})
-            if not shift.is_valid((x, y), image) or polys.get(image) != polys[(x, y)]:
+            if not shift.is_valid((x, y), (tx, ty)) or columns[ty].get(tx) != columns[y][x]:
                 orbit_bad.append([tau.name, x.word(), y.word()])
     orbit = SuiteResult(
         name="symmetry orbits land in one class",
@@ -471,20 +483,6 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
 
 # ---------------------------------------------------------------------------
 # lemma suite
-
-def _suite(name: str, fn) -> SuiteResult:
-    t = time.perf_counter()
-    fallbacks_before = len(closedform.fallback_log())
-    counts, witnesses = fn()
-    fallbacks = len(closedform.fallback_log()) - fallbacks_before
-    return SuiteResult(
-        name=name,
-        passed=not witnesses and not fallbacks,
-        counts={**counts, "fallbacks": fallbacks},
-        witnesses=witnesses[:10],
-        elapsed=time.perf_counter() - t,
-    )
-
 
 def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> VerificationReport:
     """Run every supporting-lemma check at desk scale.

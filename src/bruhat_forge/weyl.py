@@ -299,12 +299,6 @@ class Element:
         t = (self.tx, self.ty)
         return (t, (a + t[0], c + t[1]), (b + t[0], d + t[1]))
 
-    @property
-    def orientation_up(self) -> bool:
-        """True when w(A0) points the same way as A0 (even length)."""
-        a, b, c, d = _LINS[self.lin]
-        return a * d - b * c > 0
-
 
 _REGISTRY: dict[tuple[int, int, int], Element] = {}
 

@@ -120,10 +120,31 @@ def alcove_coordinates(w):
     verts = weyl.alcove_vertices(w)
     cx = sum(v[0] for v in verts) / 3
     cy = sum(v[1] for v in verts) / 3
-    return ((cx, cy), w.orientation_up)
+    return ((cx, cy), orientation_up(w))
+
+
+def orientation_up(w) -> bool:
+    """Whether w(A0) points the same way as A0: its Cartesian vertices,
+    in the order alcove_vertices lists them, run counterclockwise as
+    those of A0 do."""
+    from bruhat_forge import weyl
+
+    (ax, ay), (bx, by), (cx, cy) = weyl.alcove_vertices(w)
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
 
 
 # -- dense Laurent polynomial arithmetic -------------------------------------
+
+def laurent_from_pairs(pairs):
+    """The LaurentPoly summing c v^e over the (e, c) pairs; repeated
+    exponents add up."""
+    from bruhat_forge.laurent import LaurentPoly
+
+    acc: dict = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, 0) + c
+    return LaurentPoly(acc)
+
 
 def dense_from_pairs(pairs, lo=-64, hi=64):
     coeffs = [0] * (hi - lo + 1)
@@ -153,6 +174,22 @@ def dense_add(a_pairs, b_pairs, lo=-64, hi=64):
 
 
 # -- the canonical basis by the immutable recursion ----------------------------
+
+def mult_std(h, s: int, side: str = "right"):
+    """h * H_s (or H_s * h), term by term through public HeckeElement
+    operations: H_x H_s = H_{xs} when the length goes up, and
+    H_{xs} + (v^-1 - v) H_x when it goes down."""
+    from bruhat_forge.hecke import HeckeElement
+    from bruhat_forge.laurent import V, V_INV, ZERO
+
+    terms: dict = {}
+    for x, p in h.items():
+        xs = x.right_mult(s) if side == "right" else x.left_mult(s)
+        terms[xs] = terms.get(xs, ZERO) + p
+        if xs.length < x.length:
+            terms[x] = terms.get(x, ZERO) + p * (V_INV - V)
+    return HeckeElement(terms)
+
 
 def _times_kl_generator(h, s: int):
     """h * (H_s + v), term by term through public HeckeElement operations."""
@@ -191,7 +228,7 @@ def reference_kl_basis(w):
 @lru_cache(maxsize=None)
 def _bar_standard(x):
     """Image of H_x under the bar involution: bar(H_s) = H_s + (v - v^-1)."""
-    from bruhat_forge.hecke import mult_std, standard_basis
+    from bruhat_forge.hecke import standard_basis
     from bruhat_forge.laurent import V, V_INV
 
     if x.is_identity:

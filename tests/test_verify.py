@@ -1,11 +1,12 @@
 """The verification harness: suites, determinism, reports."""
 
+import gc
 import json
 
 import pytest
 
 import oracles
-from bruhat_forge import closedform, hecke, weyl
+from bruhat_forge import closedform, hecke, poset, weyl
 from bruhat_forge.hecke import standard_basis
 from bruhat_forge.laurent import LaurentPoly, QPoly
 from bruhat_forge.regions import RegionKind
@@ -255,6 +256,29 @@ def test_survey_certificates_match_the_eager_reference():
             assert cert.index == expected.index, pair
             assert cert.mapping == expected.mapping, pair
             assert all(cert.apply(z) == w for z, w in expected.mapping.items()), pair
+
+
+def _live_intervals() -> int:
+    gc.collect()
+    return sum(isinstance(o, poset.Interval) for o in gc.get_objects())
+
+
+def test_survey_keeps_only_class_representatives_alive(monkeypatch):
+    # by the time the first certificate is composed every orbit-first
+    # pair is classified, so at most the class representatives may still
+    # hold an Interval; keeping every orbit-first one fails this
+    baseline = _live_intervals()
+    alive = []
+    composed = poset.ComposedCertificate
+
+    def counting(*args):
+        if not alive:
+            alive.append(_live_intervals() - baseline)
+        return composed(*args)
+
+    monkeypatch.setattr(poset, "ComposedCertificate", counting)
+    survey = interval_survey.__wrapped__(10)
+    assert alive and alive[0] <= len(survey.classes)
 
 
 def _chain_stage(max_length):

@@ -318,7 +318,7 @@ def test_generator_alcoves_share_an_edge_with_fundamental():
 
 def test_orientation_flag_tracks_parity():
     for w in enumerate_up_to_length(6):
-        assert w.orientation_up == (w.length % 2 == 0)
+        assert oracles.orientation_up(w) == (w.length % 2 == 0)
 
 
 def test_serialization_is_shortlex_over_012():
