@@ -8,9 +8,9 @@ Provides the standard basis, multiplication by H_s + v, the canonical
 basis via the mu-corrected recursion (the oracle every closed
 formula is checked against), Kazhdan-Lusztig polynomials in both the v-
 and q-normalizations, the auxiliary sums N_x (lower-interval sum) and
-M_{x,y} (union of two lower intervals), coefficient extraction G_x,
-the content c(H) (total coefficient mass at v = 1), monotonic elements,
-and the coefficientwise order on Hecke elements.
+M_{x,y} (union of two lower intervals), coefficient extraction by
+HeckeElement.coefficient, the content c(H) (total coefficient mass at
+v = 1), monotonic elements, and the coefficientwise order on Hecke elements.
 
 Products by a generator and each canonical basis element are summed in
 place into one table Element -> (exponent -> coefficient), with the mu

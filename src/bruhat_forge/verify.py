@@ -25,8 +25,10 @@ supporting lemmas (region partition, intersection and boundary
 identities, cardinality polynomials, the appendix identity, parent
 counts, monotonicity, Z-set preservation and the structural lemmas).
 
-All reports serialize to JSON and CSV and are deterministic for fixed
-bounds.
+Every report is an ordered list of stages, each a function returning
+(counts, witnesses), run by one runner that times each stage, caps its
+witnesses at 10 and fails it on any closed-form fallback.  All reports
+serialize to JSON and CSV and are deterministic for fixed bounds.
 """
 
 from __future__ import annotations
@@ -140,18 +142,36 @@ def _within_kl_cap(*bounds: int) -> None:
         raise weyl.ResourceLimitError(f"length {max(bounds)} exceeds the KL recursion cap {cap}")
 
 
-def _suite(name: str, fn) -> SuiteResult:
+def _suite(name: str, fn, fallbacks: bool = True) -> SuiteResult:
+    # only stages that read kl_fast_column can fall back, so only they
+    # carry the count; a fallback fails any stage and always shows
     t = time.perf_counter()
     fallbacks_before = len(closedform.fallback_log())
     counts, witnesses = fn()
-    fallbacks = len(closedform.fallback_log()) - fallbacks_before
+    fell_back = len(closedform.fallback_log()) - fallbacks_before
+    if fallbacks or fell_back:
+        counts = {**counts, "fallbacks": fell_back}
     return SuiteResult(
         name=name,
-        passed=not witnesses and not fallbacks,
-        counts={**counts, "fallbacks": fallbacks},
+        passed=not witnesses and not fell_back,
+        counts=counts,
         witnesses=witnesses[:10],
         elapsed=time.perf_counter() - t,
     )
+
+
+def _report(scope: dict, stages: list[tuple], census=list) -> VerificationReport:
+    """Run each (name, fn[, fallbacks]) stage through _suite, in order, into
+    one timed report; census() is read after the last stage."""
+    t = time.perf_counter()
+    suites = [_suite(*stage) for stage in stages]
+    return VerificationReport(
+        scope=scope, suites=suites, census=census(), elapsed=time.perf_counter() - t
+    )
+
+
+def _words(pair: tuple[Element, Element]) -> list[str]:
+    return [w.word() for w in pair]
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +291,18 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     with its report scope key, until ``perfbench/worker.py`` stops
     passing it; then the keyword goes.
     """
-    t0 = time.perf_counter()
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
     _within_kl_cap(max_length)
-    survey: Survey
-    columns: dict[Element, dict[Element, QPoly]]
+    # every stage reads the memoised survey (positional, like every other
+    # caller: functools.cache keys f(8) and f(max_length=8) apart); the
+    # first stage runs it, so its time counts there, and fills the columns
+    columns: dict[Element, dict[Element, QPoly]] = {}
+    orbit_sample: list[tuple[Element, Element]] = []  # filled by the oracle stage
 
     def equal_within_classes():
-        # the survey runs inside the stage, so its time counts there
-        nonlocal survey, columns
-        # positional, like every other caller: functools.cache keys f(8)
-        # and f(max_length=8) apart
         survey = interval_survey(max_length)
-        columns = {y: closedform.kl_fast_column(y) for _, y in survey.intervals}
+        columns.update({y: closedform.kl_fast_column(y) for _, y in survey.intervals})
         violations = [
             (cls.rep, (x, y))
             for cls in survey.classes
@@ -299,88 +317,66 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
         }
         return counts, [
             {
-                "rep": [rx.word(), ry.word()],
-                "member": [x.word(), y.word()],
+                "rep": _words((rx, ry)),
+                "member": _words((x, y)),
                 "P_rep": str(columns[ry][rx]),
                 "P_member": str(columns[y][x]),
             }
             for (rx, ry), (x, y) in violations
         ]
 
-    conjecture = _suite(f"conjecture(max_length={max_length})", equal_within_classes)
+    def certificates():
+        classes = interval_survey(max_length).classes
+        bad = [
+            {"member": _words(member), "rep": _words(cls.rep)}
+            for cls in classes
+            for member, cert in cls.certs.items()
+            if not cert.is_valid(member, cls.rep)
+        ]
+        return {"certificates": sum(len(c.certs) for c in classes), "invalid": len(bad)}, bad
 
-    t1 = time.perf_counter()
-    bad_certs = sum(
-        not cert.is_valid(member, cls.rep)
-        for cls in survey.classes
-        for member, cert in cls.certs.items()
-    )
-    certs = SuiteResult(
-        name="certificates re-validated",
-        passed=bad_certs == 0,
-        counts={
-            "certificates": sum(len(c.certs) for c in survey.classes),
-            "invalid": bad_certs,
-        },
-        elapsed=time.perf_counter() - t1,
-    )
+    def oracle():
+        survey = interval_survey(max_length)
+        rng = random.Random(seed)
+        k = min(max(25, int(len(survey.intervals) * SAMPLE_RATE)), len(survey.intervals))
+        by_span: dict[int, list[tuple[Element, Element]]] = {}
+        for pair in survey.intervals:
+            by_span.setdefault(pair[1].length - pair[0].length, []).append(pair)
+        sample = []
+        for span in sorted(by_span):
+            stratum = by_span[span]
+            take = min(len(stratum), max(2, round(k * len(stratum) / len(survey.intervals))))
+            sample.extend(rng.sample(stratum, take))
+        orbit_sample.extend(sample[: max(10, k // 2)])
+        # every class representative goes through the oracle as well, so a
+        # corruption hitting a whole class uniformly cannot hide behind the
+        # within-class equality check
+        checks = dict.fromkeys([cls.rep for cls in survey.classes] + sample)
+        bad = [_words((x, y)) for x, y in checks if hecke.kl_polynomial(x, y)[1] != columns[y][x]]
+        counts = {"class_reps": len(survey.classes), "sampled": len(sample), "mismatches": len(bad)}
+        return counts, bad
 
-    t2 = time.perf_counter()
-    rng = random.Random(seed)
-    k = max(25, int(len(survey.intervals) * SAMPLE_RATE))
-    k = min(k, len(survey.intervals))
-    by_span: dict[int, list[tuple[Element, Element]]] = {}
-    for pair in survey.intervals:
-        by_span.setdefault(pair[1].length - pair[0].length, []).append(pair)
-    sample = []
-    for span in sorted(by_span):
-        stratum = by_span[span]
-        take = min(len(stratum), max(2, round(k * len(stratum) / len(survey.intervals))))
-        sample.extend(rng.sample(stratum, take))
-    # every class representative goes through the oracle as well, so a
-    # corruption hitting a whole class uniformly cannot hide behind the
-    # within-class equality check
-    checks = list(dict.fromkeys([cls.rep for cls in survey.classes] + sample))
-    oracle_bad = []
-    for x, y in checks:
-        if hecke.kl_polynomial(x, y)[1] != columns[y][x]:
-            oracle_bad.append([x.word(), y.word()])
-    oracle = SuiteResult(
-        name="oracle cross-check (class reps + sample)",
-        passed=not oracle_bad,
-        counts={
-            "class_reps": len(survey.classes),
-            "sampled": len(sample),
-            "mismatches": len(oracle_bad),
-        },
-        witnesses=oracle_bad,
-        elapsed=time.perf_counter() - t2,
-    )
+    def orbits():
+        bad = []
+        actions = weyl.ball(max_length).actions
+        for x, y in orbit_sample:
+            members = list(poset._bits(poset.interval_mask(x, y)))
+            for tau, act in zip(SYMMETRY_GROUP, actions):
+                tx, ty = weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index])
+                shift = IsoCertificate.from_index({i: act[i] for i in members})
+                if not shift.is_valid((x, y), (tx, ty)) or columns[ty].get(tx) != columns[y][x]:
+                    bad.append([tau.name, x.word(), y.word()])
+        return {"sampled": len(orbit_sample) * len(SYMMETRY_GROUP)}, bad
 
-    t3 = time.perf_counter()
-    orbit_bad = []
-    orbit_sample = sample[: max(10, k // 2)]
-    actions = weyl.ball(max_length).actions
-    for x, y in orbit_sample:
-        members = list(poset._bits(poset.interval_mask(x, y)))
-        for tau, act in zip(SYMMETRY_GROUP, actions):
-            tx, ty = weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index])
-            shift = IsoCertificate.from_index({i: act[i] for i in members})
-            if not shift.is_valid((x, y), (tx, ty)) or columns[ty].get(tx) != columns[y][x]:
-                orbit_bad.append([tau.name, x.word(), y.word()])
-    orbit = SuiteResult(
-        name="symmetry orbits land in one class",
-        passed=not orbit_bad,
-        counts={"sampled": len(orbit_sample) * len(SYMMETRY_GROUP)},
-        witnesses=orbit_bad,
-        elapsed=time.perf_counter() - t3,
-    )
-
-    return VerificationReport(
-        scope={"suite": "conjecture", "max_length": max_length, "jobs": jobs},
-        suites=[conjecture, certs, oracle, orbit],
-        census=survey.census_rows(),
-        elapsed=time.perf_counter() - t0,
+    return _report(
+        {"suite": "conjecture", "max_length": max_length, "jobs": jobs},
+        [
+            (f"conjecture(max_length={max_length})", equal_within_classes),
+            ("certificates re-validated", certificates, False),
+            ("oracle cross-check (class reps + sample)", oracle, False),
+            ("symmetry orbits land in one class", orbits, False),
+        ],
+        census=lambda: interval_survey(max_length).census_rows(),
     )
 
 
@@ -392,8 +388,6 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
     family to n <= x_max, the theta families to length <= max_family_length,
     and the canonical generator products to m, n <= PRODUCT_BOUND."""
     _within_kl_cap(max_family_length, x_max)
-    t0 = time.perf_counter()
-    suites = []
 
     def theta_range(shift: int) -> list[ThetaIndex]:
         out = []
@@ -406,78 +400,52 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
             m += 1
         return out
 
-    families = [
-        (f"chain family vs oracle (n <= {x_max})",
-         range(1, x_max + 1), closedform.kl_basis_x, regions.x_chain),
-        (f"theta family vs oracle (length <= {max_family_length})",
-         theta_range(3), closedform.kl_basis_theta, regions.theta),
-        (f"theta1 family vs oracle (length <= {max_family_length})",
-         theta_range(4), closedform.kl_basis_theta1, regions.theta1),
-    ]
-    for name, indices, formula, member in families:
-        t = time.perf_counter()
-        bad = [i for i in indices if formula(i) != hecke.kl_basis(member(i))]
-        suites.append(
-            SuiteResult(
-                name=name,
-                passed=not bad,
-                counts={"checked": len(indices), "mismatches": len(bad)},
-                # chain witnesses are n, theta witnesses [m, n]
-                witnesses=[list(i) if isinstance(i, ThetaIndex) else i for i in bad],
-                elapsed=time.perf_counter() - t,
-            )
-        )
+    def family(indices, formula, member):
+        def stage():
+            bad = [i for i in indices if formula(i) != hecke.kl_basis(member(i))]
+            # chain witnesses are n, theta witnesses [m, n]
+            witnesses = [list(i) if isinstance(i, ThetaIndex) else i for i in bad]
+            return {"checked": len(indices), "mismatches": len(bad)}, witnesses
+        return stage
 
-    t = time.perf_counter()
-    bad = []
-    both_versions_bad = []
-    for idx in theta_range(5):
-        oracle = hecke.kl_basis(regions.theta2(idx))
-        v1 = closedform.kl_basis_theta2(idx, 1)
-        v2 = closedform.kl_basis_theta2(idx, 2)
-        if v1 != oracle or v2 != oracle:
-            bad.append(idx)
-        if v1 != v2:
-            both_versions_bad.append(idx)
-    suites.append(
-        SuiteResult(
-            name=f"theta2 family both versions vs oracle (length <= {max_family_length})",
-            passed=not bad and not both_versions_bad,
-            counts={
-                "checked": len(theta_range(5)),
-                "mismatches": len(bad),
-                "version_disagreements": len(both_versions_bad),
-            },
-            witnesses=[list(i) for i in bad + both_versions_bad],
-            elapsed=time.perf_counter() - t,
-        )
-    )
+    def theta2():
+        indices = theta_range(5)
+        bad, disagreements = [], []
+        for idx in indices:
+            oracle = hecke.kl_basis(regions.theta2(idx))
+            v1 = closedform.kl_basis_theta2(idx, 1)
+            v2 = closedform.kl_basis_theta2(idx, 2)
+            if v1 != oracle or v2 != oracle:
+                bad.append(idx)
+            if v1 != v2:
+                disagreements.append(idx)
+        counts = {
+            "checked": len(indices),
+            "mismatches": len(bad),
+            "version_disagreements": len(disagreements),
+        }
+        return counts, [list(i) for i in bad + disagreements]
 
-    t = time.perf_counter()
-    bad_products = []
-    for m in range(PRODUCT_BOUND + 1):
-        for n in range(PRODUCT_BOUND + 1):
-            rep = closedform.product_identity_check((m, n))
-            if not rep["holds"]:
-                bad_products.append(rep)
-    suites.append(
-        SuiteResult(
-            name=f"canonical generator product identities (m, n <= {PRODUCT_BOUND})",
-            passed=not bad_products,
-            counts={"checked": (PRODUCT_BOUND + 1) ** 2, "mismatches": len(bad_products)},
-            witnesses=bad_products,
-            elapsed=time.perf_counter() - t,
-        )
-    )
+    def products():
+        bound = range(PRODUCT_BOUND + 1)
+        reps = [closedform.product_identity_check((m, n)) for m in bound for n in bound]
+        bad = [rep for rep in reps if not rep["holds"]]
+        return {"checked": len(reps), "mismatches": len(bad)}, bad
 
-    return VerificationReport(
-        scope={
-            "suite": "closed-forms",
-            "max_family_length": max_family_length,
-            "x_max": x_max,
-        },
-        suites=suites,
-        elapsed=time.perf_counter() - t0,
+    lengths = f"length <= {max_family_length}"
+    return _report(
+        {"suite": "closed-forms", "max_family_length": max_family_length, "x_max": x_max},
+        [
+            (f"chain family vs oracle (n <= {x_max})",
+             family(range(1, x_max + 1), closedform.kl_basis_x, regions.x_chain), False),
+            (f"theta family vs oracle ({lengths})",
+             family(theta_range(3), closedform.kl_basis_theta, regions.theta), False),
+            (f"theta1 family vs oracle ({lengths})",
+             family(theta_range(4), closedform.kl_basis_theta1, regions.theta1), False),
+            (f"theta2 family both versions vs oracle ({lengths})", theta2, False),
+            (f"canonical generator product identities (m, n <= {PRODUCT_BOUND})",
+             products, False),
+        ],
     )
 
 
@@ -495,8 +463,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
     and Z-sets are poset.z_masks bitsets, one KL column per top.
     """
     _within_kl_cap(max_length)
-    t0 = time.perf_counter()
-    suites = []
 
     def partition():
         counts = {k.value: 0 for k in RegionKind}
@@ -519,8 +485,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                 bad.append({"rule": f"count at length {n}"})
         return counts, bad
 
-    suites.append(_suite(f"region partition and counts (l <= {partition_bound})", partition))
-
     def observed_descent_patterns():
         # reported, not asserted: descent-set sizes per region kind
         patterns: dict[str, set] = {}
@@ -534,8 +498,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
         counts = {k: sorted(v) for k, v in sorted(patterns.items())}
         return {"patterns": repr(counts)}, []
 
-    suites.append(_suite("descent patterns per region (reported)", observed_descent_patterns))
-
     def lemma22():
         bad = []
         for m in range(1, LEMMA22_BOUND + 1):
@@ -545,8 +507,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                 if not regions.intersection_check(m, n):
                     bad.append({"m": m, "n": n, "rule": "intersection"})
         return {"checked": LEMMA22_BOUND**2}, bad
-
-    suites.append(_suite(f"lower-interval intersection (m, n <= {LEMMA22_BOUND})", lemma22))
 
     def boundary():
         bad = []
@@ -563,8 +523,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                 if lower | {w.right_mult(s) for w in border} != lower_s:
                     bad.append({"p": p, "q": q, "rule": "boundary union"})
         return {"checked": (BOUNDARY_BOUND + 1) ** 2}, bad
-
-    suites.append(_suite(f"boundary decomposition (p, q <= {BOUNDARY_BOUND})", boundary))
 
     def cardinalities():
         bad = []
@@ -598,8 +556,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                         )
         return {"checked": checked}, bad
 
-    suites.append(_suite(f"cardinality polynomials (m, n <= {CARDINALITY_BOUND})", cardinalities))
-
     def appendix_identity():
         bad = []
         for m in range(1, IDENTITY_BOUND + 1):
@@ -608,8 +564,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                 if not rep["holds"]:
                     bad.append(rep)
         return {"checked": IDENTITY_BOUND**2}, bad
-
-    suites.append(_suite(f"appendix identity (m, n <= {IDENTITY_BOUND})", appendix_identity))
 
     def parent_counts():
         bad = []
@@ -661,8 +615,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                 bad.append({"k": k, "rule": "four-parent set"})
         return {"checked": checked}, bad
 
-    suites.append(_suite(f"parent-count table (m, n <= {PARENTS_BOUND})", parent_counts))
-
     def coatoms():
         # the six coatoms of [id, s0 theta(1,3) s2]
         m, n = 1, 3
@@ -691,8 +643,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
             )
         return {"coatoms": len(got)}, bad
 
-    suites.append(_suite("coatom set of s0*theta(1,3)*s", coatoms))
-
     def monotonicity():
         # h_x - v^k h_z and P_x - P_z telescope along a maximal chain of
         # the graded [x, z], so the down-covers of z decide every x <= z;
@@ -719,8 +669,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                         )
         return {"chains": checked}, bad
 
-    suites.append(_suite(f"monotonicity along chains (l(y) <= {max_length})", monotonicity))
-
     def monotonic_elements():
         bad = []
         checked = 0
@@ -741,8 +689,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
             if not hecke.is_monotonic(prod):
                 bad.append({"w": w.word(), "rule": "product monotonic"})
         return {"checked": checked}, bad
-
-    suites.append(_suite("monotonic element closure properties", monotonic_elements))
 
     def g_invariance():
         bad = []
@@ -768,8 +714,6 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                         )
         return {"checked": checked}, bad
 
-    suites.append(_suite(f"G-invariance of length, order, KL (l <= {max_length})", g_invariance))
-
     def z_preservation():
         survey = interval_survey(max_length)
         masks = {y: poset.z_masks(y) for y in weyl.enumerate_up_to_length(max_length)}
@@ -780,28 +724,34 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
             for member, cert in cls.certs.items():
                 checked += 1
                 if not poset._z_preserved(member, masks[member[1]], cls.rep, z_rep, cert):
-                    bad.append(
-                        {"member": [member[0].word(), member[1].word()],
-                         "rep": [cls.rep[0].word(), cls.rep[1].word()]}
-                    )
+                    bad.append({"member": _words(member), "rep": _words(cls.rep)})
         return {"certificates": checked, "classes": len(survey.classes)}, bad
-
-    suites.append(_suite(f"Z-set preservation (l(y) <= {max_length})", z_preservation))
 
     def structural():
         rep = poset.structural_lemma_checks(max_length)
         return rep["counts"], rep["violations"]
 
-    suites.append(_suite(f"structural Z-set lemmas (l(y) <= {max_length})", structural))
-
-    return VerificationReport(
-        scope={
+    return _report(
+        {
             "suite": "lemmas",
             "partition_bound": partition_bound,
             "monotonicity_bound": max_length,
             "z_bound": max_length,
             "structural_bound": max_length,
         },
-        suites=suites,
-        elapsed=time.perf_counter() - t0,
+        [
+            (f"region partition and counts (l <= {partition_bound})", partition),
+            ("descent patterns per region (reported)", observed_descent_patterns),
+            (f"lower-interval intersection (m, n <= {LEMMA22_BOUND})", lemma22),
+            (f"boundary decomposition (p, q <= {BOUNDARY_BOUND})", boundary),
+            (f"cardinality polynomials (m, n <= {CARDINALITY_BOUND})", cardinalities),
+            (f"appendix identity (m, n <= {IDENTITY_BOUND})", appendix_identity),
+            (f"parent-count table (m, n <= {PARENTS_BOUND})", parent_counts),
+            ("coatom set of s0*theta(1,3)*s", coatoms),
+            (f"monotonicity along chains (l(y) <= {max_length})", monotonicity),
+            ("monotonic element closure properties", monotonic_elements),
+            (f"G-invariance of length, order, KL (l <= {max_length})", g_invariance),
+            (f"Z-set preservation (l(y) <= {max_length})", z_preservation),
+            (f"structural Z-set lemmas (l(y) <= {max_length})", structural),
+        ],
     )

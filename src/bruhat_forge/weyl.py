@@ -48,7 +48,6 @@ __all__ = [
     "Symmetry",
     "ResourceLimitError",
     "SYMMETRY_GROUP",
-    "DEFAULT_MAX_LENGTH",
     "HARD_MAX_LENGTH",
     "parse_word",
     "from_word",
@@ -68,7 +67,6 @@ __all__ = [
 Generator = int
 WordLike = Union[str, Iterable[int]]
 
-DEFAULT_MAX_LENGTH = 16
 HARD_MAX_LENGTH = 64
 
 
@@ -481,7 +479,7 @@ def _layer_start(n: int) -> int:
     return bisect_left(_BALL, n, key=Element.length.fget)
 
 
-def enumerate_up_to_length(max_length: int = DEFAULT_MAX_LENGTH) -> tuple[Element, ...]:
+def enumerate_up_to_length(max_length: int) -> tuple[Element, ...]:
     """All elements of length <= max_length, each exactly once.
 
     >>> len(enumerate_up_to_length(1))

@@ -1,14 +1,18 @@
 """The verification harness: suites, determinism, reports."""
 
+import ast
 import gc
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
 import oracles
-from bruhat_forge import closedform, hecke, poset, weyl
+from bruhat_forge import closedform, hecke, poset, verify, weyl
 from bruhat_forge.hecke import standard_basis
 from bruhat_forge.laurent import LaurentPoly, QPoly
+from bruhat_forge.poset import build_interval
 from bruhat_forge.regions import RegionKind
 from bruhat_forge.verify import (
     interval_survey,
@@ -101,12 +105,34 @@ def test_fixed_index_bounds_in_suite_names():
         "theta2 family both versions vs oracle (length <= 3)",
         "canonical generator product identities (m, n <= 3)",
     ]
+    # only the stages that read kl_fast_column carry a fallback count
+    assert [sorted(s.counts) for s in lemmas.suites] == [
+        ["Identity", "Theta", "Theta1", "Theta2", "X", "fallbacks"],
+        ["fallbacks", "patterns"],
+        *[["checked", "fallbacks"]] * 5,
+        ["coatoms", "fallbacks"],
+        ["chains", "fallbacks"],
+        *[["checked", "fallbacks"]] * 2,
+        ["certificates", "classes", "fallbacks"],
+        ["empty_z3", "fallbacks", "six_case", "theta1_x_unique", "x_tops"],
+    ]
+    assert [sorted(s.counts) for s in closed.suites] == [
+        *[["checked", "mismatches"]] * 3,
+        ["checked", "mismatches", "version_disagreements"],
+        ["checked", "mismatches"],
+    ]
 
 
 def test_report_serialization():
     report = verify_conjecture(4)
     obj = json.loads(report.to_json())
     assert obj["passed"] is True
+    assert [sorted(s["counts"]) for s in obj["suites"]] == [
+        ["classes", "fallbacks", "intervals", "violations"],
+        ["certificates", "invalid"],
+        ["class_reps", "mismatches", "sampled"],
+        ["sampled"],
+    ]
     assert {"scope", "suites", "census", "elapsed", "passed"} <= set(obj)
     rows = report.to_csv_rows()
     assert rows[0] == ["suite", "passed", "counts", "witnesses"]
@@ -159,6 +185,118 @@ def test_lemma_report_json_round_trip():
     obj = json.loads(report.to_json())
     assert obj["passed"] is True
     assert len(obj["suites"]) == len(report.suites)
+
+
+def _words(pair):
+    return [w.word() for w in pair]
+
+
+def _unlike_pair(pair):
+    # ball indices of two same-rank members of the interval whose covers
+    # differ, found as in test_poset's _swap_unlike_pair: exchanging their
+    # images turns an isomorphism into a map that is none; None if the
+    # members of every rank have equal covers
+    a = build_interval(*pair)
+    _, up_masks = oracles._cover_masks(a)
+    for r in range(1, a.span):
+        same = [i for i in range(len(a)) if a.ranks[i] == r]
+        for u, v in itertools.combinations(same, 2):
+            if (a.down_masks[u], up_masks[u]) != (a.down_masks[v], up_masks[v]):
+                return a.members[u].ball_index, a.members[v].ball_index
+    return None
+
+
+def _certificate_stage(max_length):
+    return next(s for s in verify_conjecture(max_length).suites if s.name.startswith("certif"))
+
+
+def _built_on(cls, base):
+    # the members whose certificate is base or is composed on it
+    return [m for m, c in cls.certs.items() if c is base or getattr(c, "base", None) is base]
+
+
+def test_certificate_stage_names_the_failing_members():
+    survey = interval_survey(6)
+    try:
+        # a base certificate the survey stored for an orbit-first pair,
+        # with more members built on it than a stage lists as witnesses
+        cls, pair, base = next(
+            (cls, m, c)
+            for cls in survey.classes
+            for m, c in cls.certs.items()
+            if type(c) is poset.IsoCertificate and len(_built_on(cls, c)) > 10 and _unlike_pair(m)
+        )
+        dependants, rep = _built_on(cls, base), cls.rep
+        assert base.is_valid(pair, rep)
+        u, v = _unlike_pair(pair)
+        index = base.index
+        index[u], index[v] = index[v], index[u]
+        certs = _certificate_stage(6)
+        assert not certs.passed
+        assert certs.counts["invalid"] == len(dependants)
+        assert certs.witnesses == [{"member": _words(m), "rep": _words(rep)} for m in dependants][:10]
+        index[u], index[v] = index[v], index[u]
+        assert _certificate_stage(6).passed
+
+        # one composed certificate reading a corrupted copy of its action
+        # list: the shared list and every other member stay intact; its
+        # base maps from the interval whose ends are the least and the
+        # greatest key in ball order
+        def source(cert):
+            return weyl.ball_element(min(cert.base.index)), weyl.ball_element(max(cert.base.index))
+
+        cls, member, composed = next(
+            (cls, m, c)
+            for cls in survey.classes
+            for m, c in cls.certs.items()
+            if isinstance(c, poset.ComposedCertificate) and _unlike_pair(source(c))
+        )
+        u, v = _unlike_pair(source(composed))
+        act = list(composed.act)
+        act[u], act[v] = act[v], act[u]
+        composed.act = tuple(act)
+        certs = _certificate_stage(6)
+        assert certs.counts["invalid"] == 1 and not certs.passed
+        assert certs.witnesses == [{"member": _words(member), "rep": _words(cls.rep)}]
+    finally:
+        interval_survey.cache_clear()
+
+
+def test_every_stage_caps_its_witnesses(monkeypatch):
+    real = closedform.kl_basis_theta
+    e = weyl.identity()
+    monkeypatch.setattr(closedform, "kl_basis_theta", lambda idx: real(idx) + standard_basis(e))
+    report = verify_closed_forms(15, 14)
+    theta = next(s for s in report.suites if s.name.startswith("theta family"))
+    assert not theta.passed and not report.passed
+    # the counts stay exact; the report lists the first ten witnesses
+    assert theta.counts == {"checked": 28, "mismatches": 28}
+    assert len(theta.witnesses) == 10 and theta.witnesses[0] == [0, 0]
+    assert report.to_csv_rows()[2] == [theta.name, "FAIL", json.dumps(theta.counts), 10]
+
+
+def test_reports_are_built_only_by_the_stage_runner():
+    # SuiteResult only in _suite and VerificationReport only in _report,
+    # so every stage is timed, capped and fallback-checked alike
+    src = Path(verify.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef):
+                for node in ast.walk(f):
+                    owner.setdefault(id(node), f.name)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name in ("SuiteResult", "VerificationReport"):
+                calls.append((path.name, name, owner.get(id(call))))
+    assert sorted(calls) == [
+        ("verify.py", "SuiteResult", "_suite"),
+        ("verify.py", "VerificationReport", "_report"),
+    ]
 
 
 def test_formula_fallbacks_fail_verification(monkeypatch):
