@@ -295,6 +295,18 @@ class ComposedCertificate(IsoCertificate):
         return weyl.ball_element(self.base.index[self.inv[z.ball_index]])
 
 
+def is_automorphism(act: tuple[int, ...], inv: tuple[int, ...], max_length: int) -> bool:
+    """Whether the ball-index list ``act``, inverted by ``inv``, permutes
+    weyl.ball(max_length) keeping down-covers, and so fixing e (the one element
+    with none) and, by induction, lengths: then it is a Bruhat automorphism,
+    as order is the closure of covers (Stanley, EC1, 3.1)."""
+    covers = weyl.ball(max_length).covers
+    return sorted(act) == list(range(len(covers))) and len(inv) == len(act) and all(
+        inv[j] == i and covers[j] == sum(1 << act[c] for c in _bits(covers[i]))
+        for i, j in enumerate(act)
+    )
+
+
 def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
     """A certificate iff the two intervals are order isomorphic.
 

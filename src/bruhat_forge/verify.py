@@ -16,8 +16,10 @@ classified, only if it founds a class.  Every other interval inherits
 its orbit representative's class and certificate, stored with the action
 of G on ball indices (weyl.ball) and composed only when read.  Every
 stage reads P_{x,y} from the KL column of y.  Neither citation is taken
-on trust: the KL equality runs over every interval, every certificate is
-re-validated, and a sample of symmetry maps is checked as isomorphisms.
+on trust: the KL equality runs over every interval, each base certificate
+is re-validated, each action list is checked once as a cover-preserving
+ball permutation that composed certificates inherit (see verify_conjecture),
+and a sample of symmetry maps is checked as isomorphisms.
 
 ``verify_closed_forms`` replays every closed formula against the
 canonical-basis recursion; ``verify_lemma_suite`` exercises the
@@ -278,14 +280,16 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     automorphisms and w -> w^-1 are Bruhat-order automorphisms
     (Bjorner-Brenti, GTM 231, ch. 2) and fix KL polynomials
     (Kazhdan-Lusztig, Invent. Math. 53, 1979).  The KL equality is still
-    checked over every interval.  The report also re-validates every
-    certificate, the composed ones included, on covers; cross-checks the
-    fast KL path against the recursion oracle on the class
-    representatives and a deterministic random sample; and, for a
-    sample of intervals [x, y] and every tau in G, validates z -> tau z
-    as an isomorphism [x, y] -> [tau x, tau y] and compares the two KL
-    polynomials.  Any closed-form fallback fails the conjecture suite,
-    as it fails every lemma suite.
+    checked over every interval.  The report also re-validates each base
+    certificate, on covers or as the identity on its class representative,
+    and proves each composed one from its base and its action list, checked
+    once as a cover-preserving permutation of the ball (so it keeps lengths
+    and is a Bruhat automorphism: Stanley, EC1, 3.1); cross-checks the fast
+    KL path against the recursion oracle on the class representatives and a
+    deterministic random sample; and, for a sample of intervals [x, y] and
+    every tau in G, validates z -> tau z as an isomorphism [x, y] -> [tau x,
+    tau y] and compares the two KL polynomials.  Any closed-form fallback
+    fails the conjecture suite, as it fails every lemma suite.
 
     The survey runs in one process. ``jobs`` accepts only 1 and stays,
     with its report scope key, until ``perfbench/worker.py`` stops
@@ -327,12 +331,27 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
 
     def certificates():
         classes = interval_survey(max_length).classes
-        bad = [
-            {"member": _words(member), "rep": _words(cls.rep)}
-            for cls in classes
-            for member, cert in cls.certs.items()
-            if not cert.is_valid(member, cls.rep)
-        ]
+        same = tuple(range(len(weyl.ball(max_length).lengths)))  # the identity action
+        acts: dict[tuple[int, int], bool] = {}  # by ids of lists the survey holds
+        bad = []
+        for cls in classes:
+            members, bases = poset.interval_mask(*cls.rep), {}
+            for (x, y), cert in cls.certs.items():
+                composed = isinstance(cert, poset.ComposedCertificate)
+                base, act, inv = (cert.base, cert.act, cert.inv) if composed else (cert, same, same)
+                if base not in bases:
+                    index, i, j = base.index, min(base.index), max(base.index)
+                    # the representative's identity is read off its keys (walking it doubles L=20)
+                    whole = len(index) == members.bit_count()
+                    identity = whole and all(k == v and members >> k & 1 for k, v in index.items())
+                    source = weyl.ball_element(i), weyl.ball_element(j)
+                    bases[base] = identity or base.is_valid(source, cls.rep), i, j
+                key = id(act), id(inv)
+                if key not in acts:
+                    acts[key] = poset.is_automorphism(act, inv, max_length)
+                valid, i, j = bases[base]
+                if not (valid and acts[key]) or (act[i], act[j]) != (x.ball_index, y.ball_index):
+                    bad.append({"member": _words((x, y)), "rep": _words(cls.rep)})
         return {"certificates": sum(len(c.certs) for c in classes), "invalid": len(bad)}, bad
 
     def oracle():

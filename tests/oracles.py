@@ -466,6 +466,19 @@ def composed_certificates(max_length: int) -> dict:
     return certs
 
 
+def reference_certificate_verdicts(survey) -> tuple[dict, list]:
+    """The certificate stage of verify_conjecture by IsoCertificate.is_valid
+    on every certificate of the survey, the composed ones included: its
+    counts and its failing members, in class and member order."""
+    bad = [
+        {"member": [w.word() for w in member], "rep": [w.word() for w in cls.rep]}
+        for cls in survey.classes
+        for member, cert in cls.certs.items()
+        if not cert.is_valid(member, cls.rep)
+    ]
+    return {"certificates": sum(len(c.certs) for c in survey.classes), "invalid": len(bad)}, bad
+
+
 # -- certificates as maps: inverse, composition, JSON form --------------------
 
 def cert_inverse(cert):

@@ -675,6 +675,45 @@ def test_lazily_composed_certificate_with_wrong_action_is_rejected():
     assert rejected > 0
 
 
+def test_is_automorphism_accepts_the_symmetries_and_rejects_broken_lists():
+    n = 6
+    table = weyl.ball(n)
+    size = len(table.lengths)
+    inverses = [
+        table.actions[weyl.SYMMETRY_GROUP.index(tau.inverse_symmetry())]
+        for tau in weyl.SYMMETRY_GROUP
+    ]
+    assert poset.is_automorphism(tuple(range(size)), tuple(range(size)), n)
+    for act, inv in zip(table.actions, inverses):
+        assert poset.is_automorphism(act, inv, n)
+    act, inv = table.actions[1], inverses[1]
+
+    def swapped(u, v):
+        # act followed by the exchange of u and v, with its true inverse
+        a = list(act)
+        a[u], a[v] = a[v], a[u]
+        b = list(inv)
+        b[a[u]], b[a[v]] = u, v
+        return tuple(a), tuple(b)
+
+    same_length = next(
+        (u, v)
+        for u, v in itertools.combinations(range(size), 2)
+        if table.lengths[u] == table.lengths[v] and table.covers[u] != table.covers[v]
+    )
+    across = next(v for v in range(size) if table.lengths[v] == 2), 1
+    for bad_act, bad_inv in (swapped(*same_length), swapped(*across)):
+        assert sorted(bad_act) == list(range(size))
+        assert all(bad_inv[j] == i for i, j in enumerate(bad_act))
+        assert not poset.is_automorphism(bad_act, bad_inv, n)
+    # a wrong or short inverse, and a list that misses the last element
+    wrong = list(inv)
+    wrong[0], wrong[1] = wrong[1], wrong[0]
+    assert not poset.is_automorphism(act, tuple(wrong), n)
+    assert not poset.is_automorphism(act, inv[:-1], n)
+    assert not poset.is_automorphism(act[:-1], inv[:-1], n)
+
+
 def test_z_preserved_check_reads_pairs_like_intervals():
     for member, rep, cert in _survey_certificates(6)[::11]:
         by_pairs = z_preserved_check(member, rep, cert)

@@ -262,6 +262,171 @@ def test_certificate_stage_names_the_failing_members():
         interval_survey.cache_clear()
 
 
+CERTIFICATES = "certificates re-validated"
+
+
+def _run_stages(monkeypatch, max_length):
+    # each stage of verify_conjecture(max_length) by name: its uncapped
+    # (counts, witnesses) and the IsoCertificate.is_valid calls it made
+    calls, out = [], {}
+    is_valid, suite = poset.IsoCertificate.is_valid, verify._suite
+
+    def counting(self, a, b):
+        calls.append(None)
+        return is_valid(self, a, b)
+
+    def recording(name, fn, *rest):
+        def run():
+            before = len(calls)
+            result = fn()
+            out[name] = result, len(calls) - before
+            return result
+
+        return suite(name, run, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poset.IsoCertificate, "is_valid", counting)
+        patch.setattr(verify, "_suite", recording)
+        verify_conjecture(max_length)
+    return out
+
+
+def _source_ends(cert):
+    # a composed certificate's base maps from the interval whose ends are
+    # its least and greatest key in ball order
+    return weyl.ball_element(min(cert.base.index)), weyl.ball_element(max(cert.base.index))
+
+
+def test_certificate_stage_matches_the_is_valid_reference(monkeypatch):
+    (counts, bad), _ = _run_stages(monkeypatch, 12)[CERTIFICATES]
+    assert (counts, bad) == oracles.reference_certificate_verdicts(interval_survey(12))
+    assert counts == {"certificates": 15319, "invalid": 0}
+
+
+def test_certificate_stage_validates_each_base_once(monkeypatch):
+    # one is_valid per plain certificate, not one per certificate; the
+    # representatives' identities, the bases of their orbit-mates, are read
+    # off their keys, as a cover walk on each would double the stage at L=20
+    (counts, _), calls = _run_stages(monkeypatch, 8)[CERTIFICATES]
+    classes = interval_survey(8).classes
+    plain = sum(type(c) is poset.IsoCertificate for cls in classes for c in cls.certs.values())
+    assert counts == {"certificates": 3094, "invalid": 0}
+    assert calls == plain
+    assert plain + len(classes) < 3094
+
+
+def test_certificate_stage_fails_the_members_of_a_corrupted_identity(monkeypatch):
+    survey = interval_survey(6)
+    try:
+        # a representative's identity, the base of its orbit-mates
+        cls, identity = next(
+            (cls, c.base)
+            for cls in survey.classes
+            for c in cls.certs.values()
+            if isinstance(c, poset.ComposedCertificate)
+            and all(i == j for i, j in c.base.index.items())
+            and _unlike_pair(cls.rep)
+        )
+        u, v = _unlike_pair(cls.rep)
+        index, intact = identity.index, dict(identity.index)
+        # strictly between the ends in ball order, so both ends stay
+        outsider = next(w for w in range(min(index), max(index)) if w not in index)
+        expected = [{"member": _words(m), "rep": _words(cls.rep)} for m in _built_on(cls, identity)]
+        # two images of one rank swapped; a member dropped; a member
+        # exchanged for an element outside the interval
+        for corrupt in ({u: v, v: u}, {u: None}, {u: None, outsider: outsider}):
+            for k, w in corrupt.items():
+                if w is None:
+                    del index[k]
+                else:
+                    index[k] = w
+            (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+            assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+            assert bad == expected and bad
+            index.clear()
+            index.update(intact)
+    finally:
+        interval_survey.cache_clear()
+
+
+def test_certificate_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
+    survey = interval_survey(6)
+    users = []
+    try:
+        composed = next(
+            c
+            for cls in survey.classes
+            for c in cls.certs.values()
+            if isinstance(c, poset.ComposedCertificate) and _unlike_pair(_source_ends(c))
+        )
+        # one corrupted copy of the action list of one tau, set on every
+        # composed certificate that shares it, with its true inverse: a
+        # permutation that keeps lengths, so only the covers tell
+        shared, shared_inv = composed.act, composed.inv
+        u, v = _unlike_pair(_source_ends(composed))
+        act, inv = list(shared), list(shared_inv)
+        act[u], act[v] = act[v], act[u]
+        inv[act[u]], inv[act[v]] = u, v
+        corrupted = tuple(act), tuple(inv)
+        users = [
+            (cls, m, c)
+            for cls in survey.classes
+            for m, c in cls.certs.items()
+            if getattr(c, "act", None) is shared
+        ]
+        for _, _, c in users:
+            c.act, c.inv = corrupted
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        _, ref_bad = oracles.reference_certificate_verdicts(survey)
+        assert ref_bad and all(w in bad for w in ref_bad)
+        # the list fails as a whole: every member composed through it
+        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for cls, m, _ in users]
+        assert counts["invalid"] == len(users)
+    finally:
+        for _, _, c in users:
+            c.act, c.inv = shared, shared_inv
+        interval_survey.cache_clear()
+
+
+def test_certificate_stage_checks_the_inverse_action(monkeypatch):
+    survey = interval_survey(6)
+    try:
+        cls, (x, y), composed = next(
+            (cls, m, c)
+            for cls in survey.classes
+            for m, c in cls.certs.items()
+            if isinstance(c, poset.ComposedCertificate)
+        )
+        # apply reads inv, which is_valid never reads: with the images of
+        # the member's ends swapped, apply sends x to the top of the rep
+        inv = list(composed.inv)
+        i, j = x.ball_index, y.ball_index
+        inv[i], inv[j] = inv[j], inv[i]
+        composed.inv = tuple(inv)
+        assert composed.apply(x) == cls.rep[1] and composed.is_valid((x, y), cls.rep)
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert bad == [{"member": _words((x, y)), "rep": _words(cls.rep)}]
+        assert counts["invalid"] == 1
+        assert oracles.reference_certificate_verdicts(survey)[1] == []
+    finally:
+        interval_survey.cache_clear()
+
+
+def test_certificate_stage_fails_certificates_stored_under_the_wrong_member(monkeypatch):
+    # two valid certificates swapped between members: each maps from the
+    # other member's interval, so both fail, as the reference says
+    survey = interval_survey(6)
+    try:
+        cls = next(c for c in survey.classes if len(c.certs) >= 2)
+        a, b = list(cls.certs)[:2]
+        cls.certs[a], cls.certs[b] = cls.certs[b], cls.certs[a]
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for m in (a, b)]
+    finally:
+        interval_survey.cache_clear()
+
+
 def test_every_stage_caps_its_witnesses(monkeypatch):
     real = closedform.kl_basis_theta
     e = weyl.identity()
