@@ -4,9 +4,9 @@ Command-line front end.
 Words on the command line are digit strings with labels read mod 3
 ("1234321" works as well as "1201021"); the empty string "" is the
 identity.  Exit codes: 0 success, 1 usage or bad input, 2 verification
-failure or formula/recursion disagreement.  The environment variable
-BRUHAT_FORGE_CACHE points at the on-disk KL cache; cache hits never
-change any output.
+failure, a failed closed form or formula/recursion disagreement.  The
+environment variable BRUHAT_FORGE_CACHE points at the on-disk KL cache;
+cache hits never change any output.
 """
 
 from __future__ import annotations
@@ -64,7 +64,11 @@ def _cmd_kl(args) -> int:
         if cached is not None:
             p_formula = cached
         else:
-            p_formula = closedform.kl_fast(x, y)
+            try:
+                p_formula = closedform.kl_fast(x, y)
+            except closedform.ClosedFormError as exc:
+                print(f"closed form failed: {exc}", file=sys.stderr)
+                return 2
             if kl_cache is not None:
                 kl_cache.put(x.word(), y.word(), p_formula)
     p_recursion = None

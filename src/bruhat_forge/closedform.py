@@ -14,15 +14,14 @@ monomials read off the ideal bitsets, memoized family terms are added
 coefficient by coefficient without being mutated, and bare
 standard-basis terms go in as single monomials.
 
-``kl_column`` reads a whole column P_{-,y} off the closed forms: it
+``kl_column`` is the one way to a KL column off the closed forms: it
 classifies y once, relabels the closed form of the canonical family
 member by the classifying symmetry, reads the column off the ideal of
-y in ball order and converts every coefficient to q.  A column whose
-support is not [e, y], or with a P whose constant term is not 1,
-raises ``ClosedFormError``.
-``kl_fast_column`` and ``kl_fast`` answer such a column from the
-recursion instead and log each of its pairs in ``fallback_log()``; the
-verification suites count these fallbacks and fail on any.
+y in ball order and converts every coefficient to q; ``kl_fast`` looks
+one P up in it.  A column whose support is not [e, y], or with a P whose
+constant term is not 1, raises ``ClosedFormError`` with its reason.
+Nothing here answers from the recursion in its place: the verification
+stages fail on the error, and the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "kl_basis_theta2",
     "kl_closed_form",
     "kl_column",
-    "kl_fast_column",
     "kl_fast",
     "ClosedFormError",
     "fallback_log",
@@ -172,12 +170,11 @@ class ClosedFormError(RuntimeError):
     """A closed form gave a column that cannot be a KL column."""
 
 
-_FALLBACKS: list[tuple[Element, Element]] = []
-
-
-def fallback_log() -> tuple[tuple[Element, Element], ...]:
-    """Pairs that kl_fast and kl_fast_column answered from the recursion."""
-    return tuple(_FALLBACKS)
+def fallback_log() -> tuple:
+    """Always empty: a failed closed form raises ClosedFormError and is
+    never answered from the recursion.  Kept for callers that still
+    count fallbacks."""
+    return ()
 
 
 @functools.cache
@@ -187,15 +184,16 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
     Classifies y once, relabels the support of the closed form of its
     canonical family member by the classifying symmetry, and reads the
     column off the ideal of y in ball order, each coefficient converted
-    to the q-normalization.  Raises ClosedFormError unless the support
-    is exactly [e, y] and every P has constant term 1.  Columns are
-    memoized per y (a raise is not, so it recurs on every call);
-    callers must not mutate them.
+    to the q-normalization; equal P share one object.  Raises
+    ClosedFormError unless the support is exactly [e, y] and every P has
+    constant term 1.  Columns are memoized per y (a raise is not, so it
+    recurs on every call); callers must not mutate them.
     """
     ideal = y.ideal  # above the enumeration cap this raises before classify
     tag = regions.classify(y)
     coefficients = {tag.tau.apply(x): h for x, h in kl_closed_form(tag)._m.items()}
     column = {}
+    seen: dict[QPoly, QPoly] = {}
     for x in weyl.ball_elements(ideal):
         h = coefficients.get(x)
         if h is None:
@@ -206,37 +204,19 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
             raise ClosedFormError(f"P({x.word()}, {y.word()}): {exc}") from exc
         if p.coefficient(0) != 1:
             raise ClosedFormError(f"P({x.word()}, {y.word()}) = {p} has no constant term 1")
-        column[x] = p
+        column[x] = seen.setdefault(p, p)
     if len(column) != len(coefficients) or len(column) != ideal.bit_count():
         raise ClosedFormError(f"closed form of {y.word()} is not supported on [e, y]")
     return column
 
 
-def kl_fast_column(y: Element) -> dict[Element, QPoly]:
-    """kl_column(y), or the recursion's column if the closed form fails.
-
-    On ClosedFormError every pair of the column goes into fallback_log(),
-    on every call, and the column is read off hecke.kl_basis(y) at its
-    default cap, so a failure above the cap raises ResourceLimitError.
-    """
-    try:
-        return kl_column(y)
-    except ClosedFormError:
-        column = {
-            x: to_q(h, y.length - x.length) for x, h in hecke.kl_basis(y).items()
-        }
-        _FALLBACKS.extend((x, y) for x in column)
-        return column
-
-
 def kl_fast(x: Element, y: Element) -> QPoly:
-    """P_{x,y} looked up in kl_fast_column(y); zero when x is not below y.
+    """P_{x,y} looked up in kl_column(y); zero when x is not below y.
 
-    The closed form classifies y once for its whole column.  If the
-    column fails its checks (ClosedFormError), the answer comes from the
-    recursion and every pair of the column is logged in fallback_log().
+    The closed form classifies y once for its whole column.  A column that
+    fails its checks raises ClosedFormError, like kl_column.
     """
-    return kl_fast_column(y).get(x, QPoly.zero())
+    return kl_column(y).get(x, QPoly.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -396,7 +396,7 @@ def z_masks(y: Element) -> dict[int, int]:
     True
     """
     masks: dict[int, int] = {}
-    for z, p in closedform.kl_fast_column(y).items():
+    for z, p in closedform.kl_column(y).items():
         if p == Q_PLUS_ONE:
             m = y.length - z.length
             masks[m] = masks.get(m, 0) | 1 << z.ball_index
@@ -474,7 +474,7 @@ def structural_lemma_checks(bound: int) -> dict:
         kind = tag.kind
         if kind is RegionKind.THETA:
             continue
-        column = closedform.kl_fast_column(y)
+        column = closedform.kl_column(y)
         zs = z_masks(y)
         inv = tag.tau.inverse_symmetry()
         six = _six_case_elements(tag.params) if kind is RegionKind.THETA2 else []

@@ -29,8 +29,10 @@ counts, monotonicity, Z-set preservation and the structural lemmas).
 
 Every report is an ordered list of stages, each a function returning
 (counts, witnesses), run by one runner that times each stage, caps its
-witnesses at 10 and fails it on any closed-form fallback.  All reports
-serialize to JSON and CSV and are deterministic for fixed bounds.
+witnesses at 10 and fails it, with the reason as its one witness, when a
+closed form it reads raises ClosedFormError; the later stages still run.
+All reports serialize to JSON and CSV and are deterministic for fixed
+bounds.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import time
 from dataclasses import dataclass, field
 
 from . import closedform, hecke, poset, regions, weyl
-from .laurent import QPoly
 from .poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
 from .regions import RegionKind, ThetaIndex
 from .weyl import Element, SYMMETRY_GROUP
@@ -145,17 +146,20 @@ def _within_kl_cap(*bounds: int) -> None:
 
 
 def _suite(name: str, fn, fallbacks: bool = True) -> SuiteResult:
-    # only stages that read kl_fast_column can fall back, so only they
-    # carry the count; a fallback fails any stage and always shows
+    # a failed closed form (ClosedFormError) ends any stage with
+    # "fallbacks": 1 and its reason as the one witness; a passing stage
+    # shows "fallbacks": 0 unless flagged fallbacks=False
     t = time.perf_counter()
-    fallbacks_before = len(closedform.fallback_log())
-    counts, witnesses = fn()
-    fell_back = len(closedform.fallback_log()) - fallbacks_before
-    if fallbacks or fell_back:
-        counts = {**counts, "fallbacks": fell_back}
+    failed = 0
+    try:
+        counts, witnesses = fn()
+    except closedform.ClosedFormError as exc:
+        counts, witnesses, failed = {}, [str(exc)], 1
+    if fallbacks or failed:
+        counts = {**counts, "fallbacks": failed}
     return SuiteResult(
         name=name,
-        passed=not witnesses and not fell_back,
+        passed=not witnesses,
         counts=counts,
         witnesses=witnesses[:10],
         elapsed=time.perf_counter() - t,
@@ -288,8 +292,8 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     KL path against the recursion oracle on the class representatives and a
     deterministic random sample; and, for a sample of intervals [x, y] and
     every tau in G, validates z -> tau z as an isomorphism [x, y] -> [tau x,
-    tau y] and compares the two KL polynomials.  Any closed-form fallback
-    fails the conjecture suite, as it fails every lemma suite.
+    tau y] and compares the two KL polynomials.  A closed form that fails
+    fails every stage that reads its column, as in every lemma suite.
 
     The survey runs in one process. ``jobs`` accepts only 1 and stays,
     with its report scope key, until ``perfbench/worker.py`` stops
@@ -299,19 +303,19 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
         raise ValueError(f"jobs must be 1, got {jobs}")
     _within_kl_cap(max_length)
     # every stage reads the memoised survey (positional, like every other
-    # caller: functools.cache keys f(8) and f(max_length=8) apart); the
-    # first stage runs it, so its time counts there, and fills the columns
-    columns: dict[Element, dict[Element, QPoly]] = {}
+    # caller: functools.cache keys f(8) and f(max_length=8) apart) and the
+    # memoised KL columns; the first stage builds both, so their time
+    # counts there
+    column = closedform.kl_column
     orbit_sample: list[tuple[Element, Element]] = []  # filled by the oracle stage
 
     def equal_within_classes():
         survey = interval_survey(max_length)
-        columns.update({y: closedform.kl_fast_column(y) for _, y in survey.intervals})
         violations = [
             (cls.rep, (x, y))
             for cls in survey.classes
             for x, y in cls.members
-            if columns[y][x] != columns[cls.rep[1]][cls.rep[0]]
+            if column(y)[x] != column(cls.rep[1])[cls.rep[0]]
         ]
         violations.sort(key=lambda v: (v[1][1].sort_key(), v[1][0].sort_key()))
         counts = {
@@ -323,8 +327,8 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
             {
                 "rep": _words((rx, ry)),
                 "member": _words((x, y)),
-                "P_rep": str(columns[ry][rx]),
-                "P_member": str(columns[y][x]),
+                "P_rep": str(column(ry)[rx]),
+                "P_member": str(column(y)[x]),
             }
             for (rx, ry), (x, y) in violations
         ]
@@ -371,7 +375,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
         # corruption hitting a whole class uniformly cannot hide behind the
         # within-class equality check
         checks = dict.fromkeys([cls.rep for cls in survey.classes] + sample)
-        bad = [_words((x, y)) for x, y in checks if hecke.kl_polynomial(x, y)[1] != columns[y][x]]
+        bad = [_words((x, y)) for x, y in checks if hecke.kl_polynomial(x, y)[1] != column(y)[x]]
         counts = {"class_reps": len(survey.classes), "sampled": len(sample), "mismatches": len(bad)}
         return counts, bad
 
@@ -383,7 +387,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
             for tau, act in zip(SYMMETRY_GROUP, actions):
                 tx, ty = weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index])
                 shift = IsoCertificate.from_index({i: act[i] for i in members})
-                if not shift.is_valid((x, y), (tx, ty)) or columns[ty].get(tx) != columns[y][x]:
+                if not shift.is_valid((x, y), (tx, ty)) or column(ty).get(tx) != column(y)[x]:
                     bad.append([tau.name, x.word(), y.word()])
         return {"sampled": len(orbit_sample) * len(SYMMETRY_GROUP)}, bad
 
@@ -671,7 +675,7 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
         covers = weyl.ball(max_length).covers
         for y in weyl.enumerate_up_to_length(max_length):
             basis = hecke.kl_basis(y)
-            ps = closedform.kl_fast_column(y)
+            ps = closedform.kl_column(y)
             hs = {z: basis.coefficient(z) for z in ps}
             for z, pz in ps.items():
                 checked += z.ideal.bit_count()
@@ -719,12 +723,12 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                     bad.append({"tau": tau.name, "w": w.word(), "rule": "length"})
         checked = len(elements) * len(SYMMETRY_GROUP)
         for y in elements:
-            column = closedform.kl_fast_column(y)
+            column = closedform.kl_column(y)
             for tau, act in zip(SYMMETRY_GROUP, actions):
                 ty = elements[act[y.ball_index]]
                 if sum(1 << act[i] for i in poset._bits(y.ideal)) != ty.ideal:
                     bad.append({"tau": tau.name, "y": y.word(), "rule": "order"})
-                t_column = closedform.kl_fast_column(ty)
+                t_column = closedform.kl_column(ty)
                 for x, p in column.items():
                     checked += 1
                     if t_column.get(elements[act[x.ball_index]]) != p:

@@ -330,7 +330,8 @@ def parse_word(word: WordLike) -> tuple[int, ...]:
     (1, 2, 0, 1, 0, 2, 1)
     """
     if isinstance(word, str):
-        if word and not word.isdigit():
+        # ASCII only: str.isdigit also takes other scripts' digits and "²"
+        if word and not (word.isascii() and word.isdigit()):
             raise ValueError(f"word must be a digit string, got {word!r}")
         return tuple(int(ch) % 3 for ch in word)
     return tuple(int(k) % 3 for k in word)

@@ -597,7 +597,7 @@ def reference_chain_stage(max_length: int):
     """The lemma suite's chain stage tested over every pair x <= z <= y
     with l(y) <= max_length: (counts, witnesses), as the stage returns
     them.  The h and P columns are read through the modules, so a test
-    that patches hecke.kl_basis or closedform.kl_fast_column patches
+    that patches hecke.kl_basis or closedform.kl_column patches
     this as well."""
     from bruhat_forge import closedform, hecke, weyl
 
@@ -605,7 +605,7 @@ def reference_chain_stage(max_length: int):
     checked = 0
     for y in weyl.enumerate_up_to_length(max_length):
         basis = hecke.kl_basis(y)
-        ps = closedform.kl_fast_column(y)
+        ps = closedform.kl_column(y)
         hs = {z: basis.coefficient(z) for z in ps}
         # when no h in the column has a negative power of v, a
         # difference h_x - v^k h_z (k >= 0) that dominates() accepts
@@ -640,7 +640,7 @@ def reference_z_sets(x, y, ms) -> dict:
 
     found: dict = {m: set() for m in ms}
     top = y.length
-    for z, p in closedform.kl_fast_column(y).items():
+    for z, p in closedform.kl_column(y).items():
         zs = found.get(top - z.length)
         if zs is not None and p == Q_PLUS_ONE and weyl.bruhat_leq(x, z):
             zs.add(z)

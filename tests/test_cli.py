@@ -65,6 +65,53 @@ def test_kl_both_above_recursion_cap(capsys, monkeypatch):
     assert code == 2 and "DISAGREEMENT" in err
 
 
+def _drop_identity_terms(monkeypatch):
+    # every closed form loses its identity term, so every column raises
+    real = closedform.kl_closed_form
+    e = weyl.identity()
+
+    def lossy(tag):
+        H = real(tag)
+        return H - hecke.standard_basis(e).scale(H.coefficient(e))
+
+    monkeypatch.setattr(closedform, "kl_closed_form", lossy)
+    closedform.kl_column.cache_clear()
+
+
+@pytest.mark.parametrize("via", ["formula", "both"])
+def test_kl_failed_closed_form_exits_2_and_caches_nothing(tmp_path, capsys, monkeypatch, via):
+    path = tmp_path / "kl.cache"
+    monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(path))
+    assert run(capsys, "kl", "", "121")[0] == 0
+    text = path.read_text()
+    _drop_identity_terms(monkeypatch)
+    y = regions.theta1((2, 3)).word()
+    code, out, err = run(capsys, "kl", "", y, "--via", via)
+    assert code == 2 and out == ""
+    assert err == f"closed form failed: closed form of {y} is not supported on [e, y]\n"
+    assert path.read_text() == text
+
+
+def test_verify_with_a_failed_closed_form_still_writes_its_report(tmp_path, capsys, monkeypatch):
+    _drop_identity_terms(monkeypatch)
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "conjecture", "--max-length", "4", "--json-out", str(path))
+    assert code == 2
+    suites = json.loads(path.read_text())["suites"]
+    assert [s["passed"] for s in suites] == [False, True, False, False]
+    assert suites[0]["counts"] == {"fallbacks": 1}
+    assert suites[0]["witnesses"][0].endswith("is not supported on [e, y]")
+    assert out.splitlines()[0].startswith("FAIL conjecture(max_length=4) (fallbacks=1)")
+
+
+@pytest.mark.parametrize("word", ["\u0663\u0661", "1\u00b2"])
+def test_kl_non_ascii_digits_exit_1(capsys, word):
+    # an Arabic-Indic "31" and a superscript two are digits to str.isdigit
+    code, out, err = run(capsys, "kl", "", word)
+    assert code == 1 and out == ""
+    assert err == f"error: word must be a digit string, got {word!r}\n"
+
+
 def test_kl_incomparable(capsys):
     code, out, _ = run(capsys, "kl", "0", "121")
     assert code == 0 and "P = 0" in out

@@ -212,18 +212,50 @@ def test_kl_column_rejects_a_broken_closed_form(monkeypatch, factor, message):
 
     monkeypatch.setattr(closedform, "kl_closed_form", broken)
     closedform.kl_column.cache_clear()
-    monkeypatch.setattr(closedform, "_FALLBACKS", [])
     y = from_word("1234")
-    # a failed column is never memoized, so it fails on every call
+    # a failed column is never memoized, so it fails on every call, and
+    # kl_fast raises the same error: nothing answers from the recursion
     for _ in range(2):
         with pytest.raises(closedform.ClosedFormError, match=message):
             kl_column(y)
-    # kl_fast answers from the recursion and logs the whole column, each time
-    column = tuple((x, y) for x in weyl.lower_interval(y))
-    assert str(kl_fast(identity(), y)) == "1 + q"
-    assert closedform.fallback_log() == column
-    assert str(kl_fast(identity(), y)) == "1 + q"
-    assert closedform.fallback_log() == column + column
+        with pytest.raises(closedform.ClosedFormError, match=message):
+            kl_fast(identity(), y)
+    assert closedform.fallback_log() == ()
+
+
+def test_the_closed_form_route_never_reaches_the_recursion(monkeypatch):
+    tops = list(weyl.enumerate_up_to_length(8)) + [
+        tau.apply(member)
+        for member in (x_chain(13), theta((2, 3)), theta1((3, 2)), theta2((1, 4)))
+        for tau in SYMMETRY_GROUP
+    ]
+    expected = {y: _recursion_column(y) for y in tops}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed-form route called the recursion")
+
+    monkeypatch.setattr(hecke, "kl_basis", forbidden)
+    monkeypatch.setattr(hecke, "_kl_basis", forbidden)
+    monkeypatch.setattr(hecke, "kl_polynomial", forbidden)
+    for memo in (kl_column, kl_basis_x, kl_basis_theta, kl_basis_theta1, kl_basis_theta2):
+        memo.cache_clear()
+    for y, column in expected.items():
+        assert kl_column(y) == column
+        assert all(kl_fast(x, y) == p for x, p in column.items())
+
+
+def test_kl_column_holds_each_distinct_p_once():
+    # equal P in a column are one object, and the column is the recursion's
+    tops = list(weyl.enumerate_up_to_length(10)) + [
+        tau.apply(theta2((2, 4))) for tau in SYMMETRY_GROUP
+    ]
+    for y in tops:
+        column = kl_column(y)
+        assert column == _recursion_column(y)
+        assert len({id(p) for p in column.values()}) == len(set(column.values()))
+    # not vacuous: the longest top's 304 P take 14 values
+    top = kl_column(theta2((2, 4)))
+    assert len(top) == 304 and len(set(top.values())) == 14
 
 
 def test_kl_column_rejects_support_beyond_the_ideal(monkeypatch):

@@ -1,8 +1,11 @@
-"""The examples in the package's docstrings, run as tests, and its export lists."""
+"""The examples in the package's docstrings and in the README, run as tests,
+and its export lists."""
 
 import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +36,11 @@ def test_every_export_resolves(name):
     # the package itself has no __all__, its imports bind every name it exports
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_readme_library_example_runs():
+    # the README's python block uses the public API; a rename must not leave it stale
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1 and "kl_column" in blocks[0]
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -777,7 +777,7 @@ def test_structural_counts_match_the_reference_z_sets():
         if y.is_identity or kind is RegionKind.THETA:
             continue
         masks = poset.z_masks(y)
-        for x, p in closedform.kl_fast_column(y).items():
+        for x, p in closedform.kl_column(y).items():
             ref = oracles.reference_z_sets(x, y, (3, 4))
             upper = weyl.upper_set(x, y.length)
             assert (masks.get(3, 0) & upper).bit_count() == len(ref[3])

@@ -23,6 +23,7 @@ from bruhat_forge.weyl import (
     from_word,
     generator,
     identity,
+    parse_word,
 )
 
 words = st.text(alphabet="012", max_size=14)
@@ -47,6 +48,12 @@ def test_from_word_examples():
     assert from_word("1212").length == 2
     assert from_word("121").length == 3
     assert oracles.bfs_length("121") == 3
+
+
+@pytest.mark.parametrize("word", ["\u0663\u0661", "1\u00b2", "12a", " 1"])
+def test_parse_word_takes_ascii_digits_only(word):
+    with pytest.raises(ValueError, match="word must be a digit string"):
+        parse_word(word)
 
 
 def test_words_match_shortlex_oracle():
