@@ -278,13 +278,14 @@ class IsoCertificate:
 
 class ComposedCertificate(IsoCertificate):
     """``base`` after the inverse of a symmetry tau: z -> base(tau^-1 z),
-    held as ``base`` and the weyl.ball action lists ``act`` of tau and
-    ``inv`` of tau^-1.  ``index`` is composed on each read, not kept."""
+    held as ``base`` and the weyl.ball action list ``act`` of tau, which
+    verify checks once with is_automorphism.  ``index`` is composed on
+    each read, not kept."""
 
-    __slots__ = ("base", "act", "inv")
+    __slots__ = ("base", "act")
 
-    def __init__(self, base: IsoCertificate, act: tuple[int, ...], inv: tuple[int, ...]):
-        self.base, self.act, self.inv = base, act, inv
+    def __init__(self, base: IsoCertificate, act: tuple[int, ...]):
+        self.base, self.act = base, act
 
     @property
     def index(self) -> dict[int, int]:
@@ -292,18 +293,19 @@ class ComposedCertificate(IsoCertificate):
         return {act[i]: j for i, j in self.base.index.items()}
 
     def apply(self, z: Element) -> Element:
-        return weyl.ball_element(self.base.index[self.inv[z.ball_index]])
+        return weyl.ball_element(self.base.index[self.act.index(z.ball_index)])
 
 
-def is_automorphism(act: tuple[int, ...], inv: tuple[int, ...], max_length: int) -> bool:
-    """Whether the ball-index list ``act``, inverted by ``inv``, permutes
-    weyl.ball(max_length) keeping down-covers, and so fixing e (the one element
-    with none) and, by induction, lengths: then it is a Bruhat automorphism,
-    as order is the closure of covers (Stanley, EC1, 3.1)."""
+def is_automorphism(act: tuple[int, ...], max_length: int) -> bool:
+    """Whether the ball-index list ``act`` permutes weyl.ball(max_length)
+    keeping down-covers, and so fixing e (the one element with none) and,
+    by induction, lengths.  Then it is a Bruhat automorphism, as order is
+    the closure of covers (Stanley, EC1, 3.1): it maps each [x, y] onto
+    [tau x, tau y], and so each certificate composed through it inherits
+    its base's verdict.  This is the one check that a symmetry acts."""
     covers = weyl.ball(max_length).covers
-    return sorted(act) == list(range(len(covers))) and len(inv) == len(act) and all(
-        inv[j] == i and covers[j] == sum(1 << act[c] for c in _bits(covers[i]))
-        for i, j in enumerate(act)
+    return sorted(act) == list(range(len(covers))) and all(
+        covers[j] == sum(1 << act[c] for c in _bits(covers[i])) for i, j in enumerate(act)
     )
 
 
@@ -409,8 +411,9 @@ def z_invariant(interval: Interval, m: int) -> frozenset[Element]:
     return frozenset(weyl.ball_elements(z_masks(y).get(m, 0) & weyl.upper_set(x, y.length)))
 
 
-def _z_preserved(a: tuple, za: dict, b: tuple, zb: dict, cert: IsoCertificate) -> bool:
-    # a and b are (bottom, top) pairs, za and zb the z_masks of their tops
+def _z_preserved(masks, cert: IsoCertificate, a: tuple, b: tuple) -> bool:
+    # a and b are (bottom, top) pairs; masks[i] is the z_masks of ball element i
+    za, zb = masks[a[1].ball_index], masks[b[1].ball_index]
     upper_a, upper_b = weyl.upper_set(a[0], a[1].length), weyl.upper_set(b[0], b[1].length)
     index = cert.index
     return all(
@@ -429,7 +432,7 @@ def z_preserved_check(
     Each side is an Interval or its (bottom, top) pair.
     """
     a, b = _ends(a), _ends(b)
-    return _z_preserved(a, z_masks(a[1]), b, z_masks(b[1]), cert)
+    return _z_preserved({y.ball_index: z_masks(y) for _, y in (a, b)}, cert, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ its orbit representative's class and certificate, stored with the action
 of G on ball indices (weyl.ball) and composed only when read.  Every
 stage reads P_{x,y} from the KL column of y.  Neither citation is taken
 on trust: the KL equality runs over every interval, each base certificate
-is re-validated, each action list is checked once as a cover-preserving
-ball permutation that composed certificates inherit (see verify_conjecture),
-and a sample of symmetry maps is checked as isomorphisms.
+is re-validated, and every stage that leans on a symmetry takes one
+poset.is_automorphism verdict per action list, which composed
+certificates inherit.
 
 ``verify_closed_forms`` replays every closed formula against the
 canonical-basis recursion; ``verify_lemma_suite`` exercises the
@@ -38,6 +38,7 @@ bounds.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 import time
@@ -227,14 +228,13 @@ def interval_survey(max_length: int) -> Survey:
     founds a class.  Every other pair (tau x, tau y) takes the class of
     its orbit's first pair (x, y) and the certificate z -> c(tau^-1 z),
     where c is the certificate of (x, y), or the identity when (x, y)
-    represents its class, stored as c with the weyl.ball action lists of
-    tau and tau^-1 (a ComposedCertificate).  The first pair of a class
+    represents its class, stored as c with the weyl.ball action list of
+    tau (a ComposedCertificate).  The first pair of a class
     is always the first of its orbit, so representatives, class ids and
     member order are those of classifying every pair.
     """
     pairs = _interval_pairs(max_length)
     actions = weyl.ball(max_length).actions
-    inverses = [actions[SYMMETRY_GROUP.index(tau.inverse_symmetry())] for tau in SYMMETRY_GROUP]
     # pair -> (first pair of its orbit, the k of the tau_k carrying that onto it)
     orbit_of: dict[tuple[int, int], tuple[tuple[Element, Element], int]] = {}
     # first pair -> (its class, certificate onto the class representative:
@@ -268,13 +268,40 @@ def interval_survey(max_length: int) -> Survey:
         first, k = orbit_of[pair[0].ball_index, pair[1].ball_index]
         cls, cert = placed[first]
         cls.members.append(pair)
-        if pair == cls.rep:
-            continue
-        if pair == first:
-            cls.certs[pair] = cert
-            continue
-        cls.certs[pair] = poset.ComposedCertificate(cert, actions[k], inverses[k])
+        if pair != cls.rep:
+            cls.certs[pair] = cert if pair == first else poset.ComposedCertificate(cert, actions[k])
     return Survey(max_length, pairs, classes)
+
+
+def _failing_certificates(classes, max_length: int, valid, mapped=lambda act: True) -> list:
+    """The members, in class and member order, whose certificate fails.
+
+    A certificate z -> base(tau^-1 z) holds tau's action list (a plain one,
+    the identity).  Each base is judged once, by valid(base, source, rep)
+    with source the pair of its least and greatest key, a representative's
+    identity by its keys alone (a cover walk on each doubles the stage at
+    L=20); each list once, by poset.is_automorphism and mapped(act).  A
+    certificate passes when both do and act carries source onto the member.
+    """
+    same = tuple(range(len(weyl.ball(max_length).lengths)))
+    acts: dict[int, bool] = {}  # by ids of lists the survey holds
+    bad = []
+    for cls in classes:
+        members, bases = poset.interval_mask(*cls.rep), {}
+        for (x, y), cert in cls.certs.items():
+            base, act = getattr(cert, "base", cert), getattr(cert, "act", same)
+            if base not in bases:
+                index, i, j = base.index, min(base.index), max(base.index)
+                whole = len(index) == members.bit_count()
+                identity = whole and all(k == v and members >> k & 1 for k, v in index.items())
+                source = weyl.ball_element(i), weyl.ball_element(j)
+                bases[base] = identity or valid(base, source, cls.rep), i, j
+            if id(act) not in acts:
+                acts[id(act)] = poset.is_automorphism(act, max_length) and mapped(act)
+            ok, i, j = bases[base]
+            if not (ok and acts[id(act)]) or (act[i], act[j]) != (x.ball_index, y.ball_index):
+                bad.append({"member": _words((x, y)), "rep": _words(cls.rep)})
+    return bad
 
 
 def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> VerificationReport:
@@ -287,13 +314,12 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     checked over every interval.  The report also re-validates each base
     certificate, on covers or as the identity on its class representative,
     and proves each composed one from its base and its action list, checked
-    once as a cover-preserving permutation of the ball (so it keeps lengths
-    and is a Bruhat automorphism: Stanley, EC1, 3.1); cross-checks the fast
-    KL path against the recursion oracle on the class representatives and a
-    deterministic random sample; and, for a sample of intervals [x, y] and
-    every tau in G, validates z -> tau z as an isomorphism [x, y] -> [tau x,
-    tau y] and compares the two KL polynomials.  A closed form that fails
-    fails every stage that reads its column, as in every lemma suite.
+    once by poset.is_automorphism; cross-checks the fast KL path against
+    the recursion oracle on the class representatives and a deterministic
+    random sample; and, for a sample of intervals [x, y] and every tau in G,
+    compares P_{x,y} with P_{tau x, tau y}, tau failing as a whole if its
+    list is no automorphism.  A closed form that fails fails every stage
+    that reads its column, as in every lemma suite.
 
     The survey runs in one process. ``jobs`` accepts only 1 and stays,
     with its report scope key, until ``perfbench/worker.py`` stops
@@ -335,27 +361,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
 
     def certificates():
         classes = interval_survey(max_length).classes
-        same = tuple(range(len(weyl.ball(max_length).lengths)))  # the identity action
-        acts: dict[tuple[int, int], bool] = {}  # by ids of lists the survey holds
-        bad = []
-        for cls in classes:
-            members, bases = poset.interval_mask(*cls.rep), {}
-            for (x, y), cert in cls.certs.items():
-                composed = isinstance(cert, poset.ComposedCertificate)
-                base, act, inv = (cert.base, cert.act, cert.inv) if composed else (cert, same, same)
-                if base not in bases:
-                    index, i, j = base.index, min(base.index), max(base.index)
-                    # the representative's identity is read off its keys (walking it doubles L=20)
-                    whole = len(index) == members.bit_count()
-                    identity = whole and all(k == v and members >> k & 1 for k, v in index.items())
-                    source = weyl.ball_element(i), weyl.ball_element(j)
-                    bases[base] = identity or base.is_valid(source, cls.rep), i, j
-                key = id(act), id(inv)
-                if key not in acts:
-                    acts[key] = poset.is_automorphism(act, inv, max_length)
-                valid, i, j = bases[base]
-                if not (valid and acts[key]) or (act[i], act[j]) != (x.ball_index, y.ball_index):
-                    bad.append({"member": _words((x, y)), "rep": _words(cls.rep)})
+        bad = _failing_certificates(classes, max_length, IsoCertificate.is_valid)
         return {"certificates": sum(len(c.certs) for c in classes), "invalid": len(bad)}, bad
 
     def oracle():
@@ -382,12 +388,11 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     def orbits():
         bad = []
         actions = weyl.ball(max_length).actions
+        autos = [poset.is_automorphism(act, max_length) for act in actions]
         for x, y in orbit_sample:
-            members = list(poset._bits(poset.interval_mask(x, y)))
-            for tau, act in zip(SYMMETRY_GROUP, actions):
+            for tau, act, auto in zip(SYMMETRY_GROUP, actions, autos):
                 tx, ty = weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index])
-                shift = IsoCertificate.from_index({i: act[i] for i in members})
-                if not shift.is_valid((x, y), (tx, ty)) or column(ty).get(tx) != column(y)[x]:
+                if not auto or column(ty).get(tx) != column(y)[x]:
                     bad.append([tau.name, x.word(), y.word()])
         return {"sampled": len(orbit_sample) * len(SYMMETRY_GROUP)}, bad
 
@@ -413,15 +418,9 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
     _within_kl_cap(max_family_length, x_max)
 
     def theta_range(shift: int) -> list[ThetaIndex]:
-        out = []
-        m = 0
-        while 2 * m + shift <= max_family_length:
-            n = 0
-            while 2 * m + 2 * n + shift <= max_family_length:
-                out.append(ThetaIndex(m, n))
-                n += 1
-            m += 1
-        return out
+        half = range(max_family_length // 2 + 1)
+        pairs = itertools.product(half, half)
+        return [ThetaIndex(m, n) for m, n in pairs if 2 * (m + n) + shift <= max_family_length]
 
     def family(indices, formula, member):
         def stage():
@@ -604,24 +603,21 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
                     zs[2] = regions.theta((m - 1, n)).left_mult(0)
                     zs[3] = rho2.apply(regions.theta1((m - 1, n)))
                 degenerate = m == 0 or n == 0
-                for i in sorted(zs):
-                    for j in sorted(zs):
-                        if i >= j:
-                            continue
-                        checked += 1
-                        if degenerate:
-                            # with one family index at zero the top has only
-                            # five coatoms (two deletion positions of the
-                            # defining word coincide) and the unique defined
-                            # pair has exactly three 2-parents
-                            expected = 3
-                        else:
-                            expected = 3 if {i, j} in ({1, 2}, {3, 4}) else 2
-                        got = len(poset.parents(zs[i], zs[j], interval, 2))
-                        if got != expected:
-                            bad.append(
-                                {"m": m, "n": n, "pair": [i, j], "got": got, "expected": expected}
-                            )
+                for i, j in itertools.combinations(sorted(zs), 2):
+                    checked += 1
+                    if degenerate:
+                        # with one family index at zero the top has only
+                        # five coatoms (two deletion positions of the
+                        # defining word coincide) and the unique defined
+                        # pair has exactly three 2-parents
+                        expected = 3
+                    else:
+                        expected = 3 if {i, j} in ({1, 2}, {3, 4}) else 2
+                    got = len(poset.parents(zs[i], zs[j], interval, 2))
+                    if got != expected:
+                        bad.append(
+                            {"m": m, "n": n, "pair": [i, j], "got": got, "expected": expected}
+                        )
         for k in range(6, 13, 2):
             checked += 1
             interval = build_interval(weyl.identity(), regions.x_chain(k))
@@ -717,38 +713,36 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
         bad = []
         elements = weyl.enumerate_up_to_length(max_length)
         actions = weyl.ball(max_length).actions
+        # a cover-preserving permutation keeps length and order
         for tau, act in zip(SYMMETRY_GROUP, actions):
-            for i, w in enumerate(elements):
-                if weyl.ball_element(act[i]).length != w.length:
-                    bad.append({"tau": tau.name, "w": w.word(), "rule": "length"})
+            if not poset.is_automorphism(act, max_length):
+                bad.append({"tau": tau.name, "rule": "automorphism"})
         checked = len(elements) * len(SYMMETRY_GROUP)
         for y in elements:
             column = closedform.kl_column(y)
             for tau, act in zip(SYMMETRY_GROUP, actions):
-                ty = elements[act[y.ball_index]]
-                if sum(1 << act[i] for i in poset._bits(y.ideal)) != ty.ideal:
-                    bad.append({"tau": tau.name, "y": y.word(), "rule": "order"})
-                t_column = closedform.kl_column(ty)
+                t_column = closedform.kl_column(elements[act[y.ball_index]])
                 for x, p in column.items():
                     checked += 1
                     if t_column.get(elements[act[x.ball_index]]) != p:
-                        bad.append(
-                            {"tau": tau.name, "x": x.word(), "y": y.word(), "rule": "KL"}
-                        )
+                        bad.append({"tau": tau.name, "x": x.word(), "y": y.word(), "rule": "KL"})
         return {"checked": checked}, bad
 
     def z_preservation():
-        survey = interval_survey(max_length)
-        masks = {y: poset.z_masks(y) for y in weyl.enumerate_up_to_length(max_length)}
-        bad = []
-        checked = 0
-        for cls in survey.classes:
-            z_rep = masks[cls.rep[1]]
-            for member, cert in cls.certs.items():
-                checked += 1
-                if not poset._z_preserved(member, masks[member[1]], cls.rep, z_rep, cert):
-                    bad.append({"member": _words(member), "rep": _words(cls.rep)})
-        return {"certificates": checked, "classes": len(survey.classes)}, bad
+        classes = interval_survey(max_length).classes
+        masks = [poset.z_masks(y) for y in weyl.enumerate_up_to_length(max_length)]
+
+        def mapped(act):
+            # tau carries up(x) onto up(tau x), so with each z_masks(y) onto
+            # z_masks(tau y) it carries Z^m([x, y]) onto Z^m([tau x, tau y])
+            return [masks[j] for j in act] == [
+                {m: sum(1 << act[i] for i in poset._bits(z)) for m, z in zs.items()}
+                for zs in masks
+            ]
+
+        preserved = functools.partial(poset._z_preserved, masks)
+        bad = _failing_certificates(classes, max_length, preserved, mapped)
+        return {"certificates": sum(len(c.certs) for c in classes), "classes": len(classes)}, bad
 
     def structural():
         rep = poset.structural_lemma_checks(max_length)

@@ -479,6 +479,24 @@ def reference_certificate_verdicts(survey) -> tuple[dict, list]:
     return {"certificates": sum(len(c.certs) for c in survey.classes), "invalid": len(bad)}, bad
 
 
+def reference_z_stage(survey) -> tuple[dict, list]:
+    """The Z-set stage of verify_lemma_suite read per certificate:
+    poset._z_preserved on the index of every certificate of the survey,
+    the composed ones included; its counts and its failing members, in
+    class and member order."""
+    from bruhat_forge import poset, weyl
+
+    masks = [poset.z_masks(y) for y in weyl.enumerate_up_to_length(survey.max_length)]
+    bad = [
+        {"member": [w.word() for w in member], "rep": [w.word() for w in cls.rep]}
+        for cls in survey.classes
+        for member, cert in cls.certs.items()
+        if not poset._z_preserved(masks, cert, member, cls.rep)
+    ]
+    classes = survey.classes
+    return {"certificates": sum(len(c.certs) for c in classes), "classes": len(classes)}, bad
+
+
 # -- certificates as maps: inverse, composition, JSON form --------------------
 
 def cert_inverse(cert):

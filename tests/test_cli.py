@@ -45,6 +45,7 @@ def test_kl_routes_agree(capsys, via):
     assert "P = 1" in out
 
 
+@pytest.mark.usefixtures("restore_closed_forms")
 def test_kl_both_above_recursion_cap(capsys, monkeypatch):
     monkeypatch.delenv(cache_mod.CACHE_ENV_VAR, raising=False)
     y = regions.theta1((8, 3)).word()
@@ -78,6 +79,7 @@ def _drop_identity_terms(monkeypatch):
     closedform.kl_column.cache_clear()
 
 
+@pytest.mark.usefixtures("restore_closed_forms")
 @pytest.mark.parametrize("via", ["formula", "both"])
 def test_kl_failed_closed_form_exits_2_and_caches_nothing(tmp_path, capsys, monkeypatch, via):
     path = tmp_path / "kl.cache"
@@ -92,6 +94,7 @@ def test_kl_failed_closed_form_exits_2_and_caches_nothing(tmp_path, capsys, monk
     assert path.read_text() == text
 
 
+@pytest.mark.usefixtures("restore_closed_forms")
 def test_verify_with_a_failed_closed_form_still_writes_its_report(tmp_path, capsys, monkeypatch):
     _drop_identity_terms(monkeypatch)
     path = tmp_path / "report.json"

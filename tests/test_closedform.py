@@ -198,6 +198,7 @@ def test_kl_column_matches_oracle_under_symmetry(member, tau):
     assert closedform.fallback_log() == ()
 
 
+@pytest.mark.usefixtures("restore_closed_forms")
 @pytest.mark.parametrize(
     "factor, message", [(-1, "not supported on"), (1, "no constant term 1")]
 )
@@ -258,6 +259,7 @@ def test_kl_column_holds_each_distinct_p_once():
     assert len(top) == 304 and len(set(top.values())) == 14
 
 
+@pytest.mark.usefixtures("restore_closed_forms")
 def test_kl_column_rejects_support_beyond_the_ideal(monkeypatch):
     real = closedform.kl_closed_form
 

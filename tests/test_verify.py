@@ -1,6 +1,7 @@
 """The verification harness: suites, determinism, reports."""
 
 import ast
+import functools
 import gc
 import itertools
 import json
@@ -266,30 +267,39 @@ def test_certificate_stage_names_the_failing_members():
 CERTIFICATES = "certificates re-validated"
 
 
-def _run_stages(monkeypatch, max_length):
-    # each stage of verify_conjecture(max_length) by name: its uncapped
-    # (counts, witnesses) and the IsoCertificate.is_valid calls it made
-    calls, out = [], {}
-    is_valid, suite = poset.IsoCertificate.is_valid, verify._suite
-
-    def counting(self, a, b):
-        calls.append(None)
-        return is_valid(self, a, b)
+def _stage_results(monkeypatch, run, calls):
+    # each stage of the report run() makes, by name: its uncapped (counts,
+    # witnesses) and the number of entries it added to calls
+    out, suite = {}, verify._suite
 
     def recording(name, fn, *rest):
-        def run():
+        def stage():
             before = len(calls)
             result = fn()
             out[name] = result, len(calls) - before
             return result
 
-        return suite(name, run, *rest)
+        return suite(name, stage, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_suite", recording)
+        run()
+    return out
+
+
+def _run_stages(monkeypatch, max_length):
+    # each stage of verify_conjecture(max_length) by name: its uncapped
+    # (counts, witnesses) and the IsoCertificate.is_valid calls it made
+    calls = []
+    is_valid = poset.IsoCertificate.is_valid
+
+    def counting(self, a, b):
+        calls.append(None)
+        return is_valid(self, a, b)
 
     with monkeypatch.context() as patch:
         patch.setattr(poset.IsoCertificate, "is_valid", counting)
-        patch.setattr(verify, "_suite", recording)
-        verify_conjecture(max_length)
-    return out
+        return _stage_results(patch, lambda: verify_conjecture(max_length), calls)
 
 
 def _source_ends(cert):
@@ -361,14 +371,13 @@ def test_certificate_stage_fails_every_member_of_a_corrupted_action_list(monkeyp
             if isinstance(c, poset.ComposedCertificate) and _unlike_pair(_source_ends(c))
         )
         # one corrupted copy of the action list of one tau, set on every
-        # composed certificate that shares it, with its true inverse: a
-        # permutation that keeps lengths, so only the covers tell
-        shared, shared_inv = composed.act, composed.inv
+        # composed certificate that shares it: a permutation that keeps
+        # lengths, so only the covers tell
+        shared = composed.act
         u, v = _unlike_pair(_source_ends(composed))
-        act, inv = list(shared), list(shared_inv)
+        act = list(shared)
         act[u], act[v] = act[v], act[u]
-        inv[act[u]], inv[act[v]] = u, v
-        corrupted = tuple(act), tuple(inv)
+        corrupted = tuple(act)
         users = [
             (cls, m, c)
             for cls in survey.classes
@@ -376,7 +385,7 @@ def test_certificate_stage_fails_every_member_of_a_corrupted_action_list(monkeyp
             if getattr(c, "act", None) is shared
         ]
         for _, _, c in users:
-            c.act, c.inv = corrupted
+            c.act = corrupted
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         _, ref_bad = oracles.reference_certificate_verdicts(survey)
         assert ref_bad and all(w in bad for w in ref_bad)
@@ -385,31 +394,7 @@ def test_certificate_stage_fails_every_member_of_a_corrupted_action_list(monkeyp
         assert counts["invalid"] == len(users)
     finally:
         for _, _, c in users:
-            c.act, c.inv = shared, shared_inv
-        interval_survey.cache_clear()
-
-
-def test_certificate_stage_checks_the_inverse_action(monkeypatch):
-    survey = interval_survey(6)
-    try:
-        cls, (x, y), composed = next(
-            (cls, m, c)
-            for cls in survey.classes
-            for m, c in cls.certs.items()
-            if isinstance(c, poset.ComposedCertificate)
-        )
-        # apply reads inv, which is_valid never reads: with the images of
-        # the member's ends swapped, apply sends x to the top of the rep
-        inv = list(composed.inv)
-        i, j = x.ball_index, y.ball_index
-        inv[i], inv[j] = inv[j], inv[i]
-        composed.inv = tuple(inv)
-        assert composed.apply(x) == cls.rep[1] and composed.is_valid((x, y), cls.rep)
-        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
-        assert bad == [{"member": _words((x, y)), "rep": _words(cls.rep)}]
-        assert counts["invalid"] == 1
-        assert oracles.reference_certificate_verdicts(survey)[1] == []
-    finally:
+            c.act = shared
         interval_survey.cache_clear()
 
 
@@ -428,7 +413,200 @@ def test_certificate_stage_fails_certificates_stored_under_the_wrong_member(monk
         interval_survey.cache_clear()
 
 
-def test_every_stage_caps_its_witnesses(monkeypatch):
+def _z_stage(monkeypatch, max_length, calls=None):
+    # the Z-set stage of verify_lemma_suite(max_length): its uncapped
+    # (counts, witnesses) and the entries it added to calls
+    report = functools.partial(verify_lemma_suite, max_length, partition_bound=2)
+    out = _stage_results(monkeypatch, report, [] if calls is None else calls)
+    return next(result for name, result in out.items() if name.startswith("Z-set"))
+
+
+def _moved_z_pair(pair):
+    # ball indices of a member of some Z^m of [x, y], m <= 4 as the stage
+    # reads, and a same-rank member outside it: exchanging their images
+    # moves that Z-set; None if none
+    x, y = pair
+    zs, members = poset.z_masks(y), poset.interval_mask(x, y)
+    for m, mask in sorted(zs.items()):
+        inside = mask & members if m <= 4 else 0
+        rank = [i for i in poset._bits(members) if weyl.ball_element(i).length == y.length - m]
+        outside = [i for i in rank if not inside >> i & 1]
+        if inside and outside:
+            return next(poset._bits(inside)), outside[0]
+    return None
+
+
+def test_z_stage_matches_the_per_certificate_reference(monkeypatch):
+    (counts, bad), _ = _z_stage(monkeypatch, 12)
+    assert (counts, bad) == oracles.reference_z_stage(interval_survey(12))
+    assert counts == {"certificates": 15319, "classes": 467} and not bad
+
+
+def test_z_stage_composes_no_certificate(monkeypatch):
+    # bases and action lists are judged once each, so no composed index
+    # dict is built; a per-certificate read builds one for each of the 6919
+    # composed certificates of the 7442 at L=10
+    reads = []
+    index = poset.ComposedCertificate.index
+
+    def counting(self):
+        reads.append(None)
+        return index.fget(self)
+
+    monkeypatch.setattr(poset.ComposedCertificate, "index", property(counting))
+    (counts, bad), stage_reads = _z_stage(monkeypatch, 10, reads)
+    assert counts["certificates"] == 7442 and not bad
+    assert stage_reads == 0
+
+
+def test_z_stage_fails_the_members_of_a_corrupted_base(monkeypatch):
+    survey = interval_survey(6)
+    try:
+        # a plain certificate that moves a Z-set of its member once two
+        # images are swapped, with more members composed on it
+        cls, member, base = next(
+            (cls, m, c)
+            for cls in survey.classes
+            for m, c in cls.certs.items()
+            if type(c) is poset.IsoCertificate and len(_built_on(cls, c)) > 1 and _moved_z_pair(m)
+        )
+        u, v = _moved_z_pair(member)
+        index = base.index
+        index[u], index[v] = index[v], index[u]
+        (counts, bad), _ = _z_stage(monkeypatch, 6)
+        assert (counts, bad) == oracles.reference_z_stage(survey)
+        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for m in _built_on(cls, base)]
+        index[u], index[v] = index[v], index[u]
+        assert not _z_stage(monkeypatch, 6)[0][1]
+    finally:
+        interval_survey.cache_clear()
+
+
+def test_z_stage_fails_certificates_stored_under_the_wrong_member(monkeypatch):
+    # two certificates swapped between members of one class, where the
+    # per-certificate reference finds both moving a Z-set
+    survey = interval_survey(6)
+    try:
+        found = None
+        for cls in survey.classes:
+            members = list(cls.certs)
+            for a, b in itertools.combinations(members[:6], 2):
+                cls.certs[a], cls.certs[b] = cls.certs[b], cls.certs[a]
+                try:
+                    _, ref_bad = oracles.reference_z_stage(survey)
+                except KeyError:  # a Z-set member the other domain lacks
+                    ref_bad = None
+                expected = [{"member": _words(m), "rep": _words(cls.rep)} for m in (a, b)]
+                if ref_bad == expected:
+                    found = expected
+                    break
+                cls.certs[a], cls.certs[b] = cls.certs[b], cls.certs[a]
+            if found:
+                break
+        assert found
+        (counts, bad), _ = _z_stage(monkeypatch, 6)
+        assert (counts, bad) == oracles.reference_z_stage(survey)
+        assert bad == found
+    finally:
+        interval_survey.cache_clear()
+
+
+def test_z_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
+    survey = interval_survey(6)
+    table = weyl.ball(6)
+    users = []
+    try:
+        shared = next(
+            c.act for cls in survey.classes for c in cls.certs.values() if hasattr(c, "act")
+        )
+        # exchange two images of one length whose covers differ: still a
+        # length-keeping permutation, no longer an automorphism
+        u, v = next(
+            (u, v)
+            for u, v in itertools.combinations(range(len(table.lengths)), 2)
+            if table.lengths[u] == table.lengths[v] > 1 and table.covers[u] != table.covers[v]
+        )
+        act = list(shared)
+        act[u], act[v] = act[v], act[u]
+        users = [
+            (cls, m, c)
+            for cls in survey.classes
+            for m, c in cls.certs.items()
+            if getattr(c, "act", None) is shared
+        ]
+        for _, _, c in users:
+            c.act = tuple(act)
+        (counts, bad), _ = _z_stage(monkeypatch, 6)
+        assert len(users) > 10
+        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for cls, m, _ in users]
+    finally:
+        for _, _, c in users:
+            c.act = shared
+        interval_survey.cache_clear()
+
+
+def test_z_stage_checks_that_each_list_carries_the_z_sets(monkeypatch):
+    # one Z-set bit dropped from z_masks(y) for a top y that only composed
+    # certificates reach: every base still keeps its Z-sets, so only the
+    # per-list check that tau carries z_masks(y) onto z_masks(tau y) sees it
+    survey = interval_survey(6)
+    judged = {cls.rep[1] for cls in survey.classes} | {
+        m[1]
+        for cls in survey.classes
+        for m, c in cls.certs.items()
+        if type(c) is poset.IsoCertificate
+    }
+    real = poset.z_masks
+    y, dropped = next(
+        (y, (m, low))
+        for cls in survey.classes
+        for (x, y), c in cls.certs.items()
+        if y not in judged
+        for m, mask in sorted(real(y).items())
+        if m <= 4 and (low := mask & weyl.upper_set(x, y.length))
+    )
+    m, low = dropped
+    masks = dict(real(y))
+    masks[m] ^= low & -low
+    monkeypatch.setattr(poset, "z_masks", lambda w: masks if w is y else real(w))
+    (_, bad), _ = _z_stage(monkeypatch, 6)
+    _, ref_bad = oracles.reference_z_stage(survey)
+    assert ref_bad and all(w in bad for w in ref_bad)
+
+
+def test_a_broken_symmetry_fails_the_orbit_and_g_invariance_stages(monkeypatch):
+    # one action list of the ball table exchanges two elements of one
+    # length whose covers differ; the survey was built before, so only
+    # the stages that read the table's lists see it
+    n = 6
+    interval_survey(n)
+    table, ball = weyl.ball(n), weyl.ball
+    k = 1
+    tau = weyl.SYMMETRY_GROUP[k]
+    u, v = next(
+        (u, v)
+        for u, v in itertools.combinations(range(len(table.lengths)), 2)
+        if table.lengths[u] == table.lengths[v] > 1 and table.covers[u] != table.covers[v]
+    )
+    act = list(table.actions[k])
+    act[u], act[v] = act[v], act[u]
+    actions = table.actions[:k] + (tuple(act),) + table.actions[k + 1 :]
+    broken = table._replace(actions=actions)
+    monkeypatch.setattr(weyl, "ball", lambda m: broken if m == n else ball(m))
+
+    stages = _stage_results(monkeypatch, lambda: verify_conjecture(n), [])
+    (counts, bad), _ = stages["symmetry orbits land in one class"]
+    # every sampled interval fails for tau, and for no other symmetry
+    assert bad == [w for w in bad if w[0] == tau.name]
+    assert len(bad) == counts["sampled"] // len(weyl.SYMMETRY_GROUP) > 0
+
+    stages = _stage_results(monkeypatch, lambda: verify_lemma_suite(n, partition_bound=2), [])
+    (_, bad), _ = stages[f"G-invariance of length, order, KL (l <= {n})"]
+    assert bad[0] == {"tau": tau.name, "rule": "automorphism"}
+    assert all(w["tau"] == tau.name for w in bad)
+
+
+def test_every_stage_caps_its_witnesses(monkeypatch, restore_closed_forms):
     real = closedform.kl_basis_theta
     e = weyl.identity()
     monkeypatch.setattr(closedform, "kl_basis_theta", lambda idx: real(idx) + standard_basis(e))
@@ -439,6 +617,10 @@ def test_every_stage_caps_its_witnesses(monkeypatch):
     assert theta.counts == {"checked": 28, "mismatches": 28}
     assert len(theta.witnesses) == 10 and theta.witnesses[0] == [0, 0]
     assert report.to_csv_rows()[2] == [theta.name, "FAIL", json.dumps(theta.counts), 10]
+    # kl_basis_theta1 and kl_basis_theta2 memoised sums of the patched
+    # theta forms; with the patch undone and the memos cleared all pass
+    restore_closed_forms()
+    assert verify_closed_forms(15, 14).passed
 
 
 def test_reports_are_built_only_by_the_stage_runner():
@@ -474,6 +656,7 @@ def _failed_by_a_closed_form(suite) -> bool:
     )
 
 
+@pytest.mark.usefixtures("restore_closed_forms")
 def test_formula_fallbacks_fail_verification(monkeypatch):
     # a Theta1 closed form that lost its identity term: every Theta1
     # column raises ClosedFormError, which must fail every stage reading it
@@ -527,6 +710,7 @@ def test_orbit_survey_matches_per_pair_reference():
             assert set(cls.certs) == set(cls.members) - {cls.rep}
 
 
+@pytest.mark.usefixtures("restore_closed_forms")
 @pytest.mark.parametrize("bump", [LaurentPoly({1: -1}), LaurentPoly({-1: 1})])
 def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
     # corrupt h_{e,y} by bump, and P_{e,y} by -q, for one y
