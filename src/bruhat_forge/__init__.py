@@ -50,8 +50,6 @@ from .poset import (
     is_isomorphic,
     parents,
     structural_lemma_checks,
-    z_invariant,
-    z_preserved_check,
 )
 from .verify import (
     VerificationReport,

@@ -31,6 +31,7 @@ from .weyl import RHO, SIGMA, Element
 __all__ = [
     "Interval",
     "IsoCertificate",
+    "IdentityCertificate",
     "ComposedCertificate",
     "NotComparableError",
     "build_interval",
@@ -38,8 +39,6 @@ __all__ = [
     "fingerprint",
     "parents",
     "z_masks",
-    "z_invariant",
-    "z_preserved_check",
     "structural_lemma_checks",
 ]
 
@@ -196,12 +195,6 @@ def build_interval(x: Element, y: Element) -> Interval:
     return Interval(x, y, list(weyl.ball_elements(interval_mask(x, y))))
 
 
-def _ends(side: "Interval | tuple[Element, Element]") -> tuple[Element, Element]:
-    if isinstance(side, Interval):
-        return side.bottom, side.top
-    return side
-
-
 # ---------------------------------------------------------------------------
 # isomorphism
 
@@ -250,7 +243,9 @@ class IsoCertificate:
         a finite poset the order is the reflexive-transitive closure of
         the cover relation (Stanley, EC1, 3.1).
         """
-        (ax, ay), (bx, by) = _ends(a), _ends(b)
+        (ax, ay), (bx, by) = (
+            (side.bottom, side.top) if isinstance(side, Interval) else side for side in (a, b)
+        )
         members_a, members_b = interval_mask(ax, ay), interval_mask(bx, by)
         index = self.index
         domain = image = 0
@@ -276,11 +271,28 @@ class IsoCertificate:
         return True
 
 
+class IdentityCertificate(IsoCertificate):
+    """The identity on [x, y], held as ``pair`` = (x, y) alone: ``index``
+    is read off the interval mask when read, and ``apply`` gives z back."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: tuple[Element, Element]):
+        self.pair = pair
+
+    @property
+    def index(self) -> dict[int, int]:
+        return {i: i for i in _bits(interval_mask(*self.pair))}
+
+    def apply(self, z: Element) -> Element:
+        return z
+
+
 class ComposedCertificate(IsoCertificate):
     """``base`` after the inverse of a symmetry tau: z -> base(tau^-1 z),
     held as ``base`` and the weyl.ball action list ``act`` of tau, which
     verify checks once with is_automorphism.  ``index`` is composed on
-    each read, not kept."""
+    each read, not kept, and ``apply`` goes through ``base.apply``."""
 
     __slots__ = ("base", "act")
 
@@ -293,7 +305,7 @@ class ComposedCertificate(IsoCertificate):
         return {act[i]: j for i, j in self.base.index.items()}
 
     def apply(self, z: Element) -> Element:
-        return weyl.ball_element(self.base.index[self.act.index(z.ball_index)])
+        return self.base.apply(weyl.ball_element(self.act.index(z.ball_index)))
 
 
 def is_automorphism(act: tuple[int, ...], max_length: int) -> bool:
@@ -405,12 +417,6 @@ def z_masks(y: Element) -> dict[int, int]:
     return masks
 
 
-def z_invariant(interval: Interval, m: int) -> frozenset[Element]:
-    """Members at corank m whose KL polynomial against the top is 1 + q."""
-    x, y = interval.bottom, interval.top
-    return frozenset(weyl.ball_elements(z_masks(y).get(m, 0) & weyl.upper_set(x, y.length)))
-
-
 def _z_preserved(masks, cert: IsoCertificate, a: tuple, b: tuple) -> bool:
     # a and b are (bottom, top) pairs; masks[i] is the z_masks of ball element i
     za, zb = masks[a[1].ball_index], masks[b[1].ball_index]
@@ -420,19 +426,6 @@ def _z_preserved(masks, cert: IsoCertificate, a: tuple, b: tuple) -> bool:
         {index[i] for i in _bits(za.get(m, 0) & upper_a)} == set(_bits(zb.get(m, 0) & upper_b))
         for m in range(1, 5)
     )
-
-
-def z_preserved_check(
-    a: "Interval | tuple[Element, Element]",
-    b: "Interval | tuple[Element, Element]",
-    cert: IsoCertificate,
-) -> bool:
-    """Whether the certificate maps Z^m of a onto Z^m of b for m = 1..4.
-
-    Each side is an Interval or its (bottom, top) pair.
-    """
-    a, b = _ends(a), _ends(b)
-    return _z_preserved({y.ball_index: z_masks(y) for _, y in (a, b)}, cert, a, b)
 
 
 # ---------------------------------------------------------------------------

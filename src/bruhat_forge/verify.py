@@ -16,9 +16,9 @@ classified, only if it founds a class.  Every other interval inherits
 its orbit representative's class and certificate, stored with the action
 of G on ball indices (weyl.ball) and composed only when read.  Every
 stage reads P_{x,y} from the KL column of y.  Neither citation is taken
-on trust: the KL equality runs over every interval, each base certificate
-is re-validated, and every stage that leans on a symmetry takes one
-poset.is_automorphism verdict per action list, which composed
+on trust: the KL equality runs over every interval, each searched
+certificate is re-validated, and every stage that leans on a symmetry
+takes one poset.is_automorphism verdict per action list, which composed
 certificates inherit.
 
 ``verify_closed_forms`` replays every closed formula against the
@@ -222,54 +222,61 @@ def _interval_pairs(max_length: int) -> list[tuple[Element, Element]]:
 def interval_survey(max_length: int) -> Survey:
     """Classify all intervals with l(y) <= max_length in one pass.
 
-    Only the first pair of each G-orbit, in pair order, is built; it is
-    bucketed and searched against the representatives already in its
-    bucket as soon as it is built, and its Interval is kept only if it
-    founds a class.  Every other pair (tau x, tau y) takes the class of
-    its orbit's first pair (x, y) and the certificate z -> c(tau^-1 z),
-    where c is the certificate of (x, y), or the identity when (x, y)
-    represents its class, stored as c with the weyl.ball action list of
-    tau (a ComposedCertificate).  The first pair of a class
-    is always the first of its orbit, so representatives, class ids and
-    member order are those of classifying every pair.
+    Pairs run by top, then bottom, in ball-index order, so the first pair
+    of the G-orbit of (x, y) is the least (tau y, tau x) over the weyl.ball
+    action lists, and no orbit table is kept.  Only first pairs are built,
+    each classified at once against the representatives in its bucket;
+    only one that founds a class keeps its Interval, until the last is
+    classified.  Every other pair (tau x, tau y) takes the class of its
+    first pair (x, y) and the ComposedCertificate of c with the least-k
+    tau_k carrying (x, y) onto it, c being the certificate of (x, y) or,
+    for a representative, a poset.IdentityCertificate of the pair alone.
+    The first pair of a class is the first of its orbit, so representatives,
+    class ids and member order are those of classifying every pair.
     """
     pairs = _interval_pairs(max_length)
     actions = weyl.ball(max_length).actions
-    # pair -> (first pair of its orbit, the k of the tau_k carrying that onto it)
-    orbit_of: dict[tuple[int, int], tuple[tuple[Element, Element], int]] = {}
-    # first pair -> (its class, certificate onto the class representative:
-    # the identity for itself)
-    placed: dict[tuple[Element, Element], tuple[IsoClass, IsoCertificate]] = {}
+    # a pair is first in its orbit only if its top is its least image over G
+    low = [min(images) for images in zip(*actions)]
+
+    def first(i: int, j: int) -> tuple[int, int]:
+        # the first pair in the orbit of (i, j), as ball indices (top, bottom)
+        return min((act[j], act[i]) for act in actions if act[j] == low[j])
+
+    # first pair (top, bottom) -> (its class, certificate onto the representative)
+    placed: dict[tuple[int, int], tuple[IsoClass, IsoCertificate]] = {}
     # key -> (class, representative Interval) entries in creation order
     buckets: dict[tuple, list[tuple[IsoClass, poset.Interval]]] = {}
     for x, y in pairs:
         i, j = x.ball_index, y.ball_index
-        if (i, j) in orbit_of:
+        if j != low[j] or first(i, j) != (j, i):
             continue
-        for k, act in enumerate(actions):
-            orbit_of.setdefault((act[i], act[j]), ((x, y), k))
         interval = build_interval(x, y)
         key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
         bucket = buckets.setdefault(key, [])
         for cls, rep in bucket:
             cert = is_isomorphic(interval, rep)
             if cert is not None:
-                placed[(x, y)] = (cls, cert)
+                placed[j, i] = (cls, cert)
                 break
         else:
             cls = IsoClass(rep=(x, y), members=[], certs={})
             bucket.append((cls, interval))
-            placed[(x, y)] = (cls, IsoCertificate({z: z for z in interval.members}))
+            placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
     classes = [cls for key in sorted(buckets, key=repr) for cls, _ in buckets[key]]
     # the representatives' intervals go before any certificate is composed
     del buckets
 
     for pair in pairs:
-        first, k = orbit_of[pair[0].ball_index, pair[1].ball_index]
-        cls, cert = placed[first]
+        i, j = pair[0].ball_index, pair[1].ball_index
+        fj, fi = first(i, j)
+        cls, cert = placed[fj, fi]
         cls.members.append(pair)
-        if pair != cls.rep:
-            cls.certs[pair] = cert if pair == first else poset.ComposedCertificate(cert, actions[k])
+        if (fi, fj) != (i, j):
+            act = next(act for act in actions if act[fi] == i and act[fj] == j)
+            cls.certs[pair] = poset.ComposedCertificate(cert, act)
+        elif pair != cls.rep:
+            cls.certs[pair] = cert
     return Survey(max_length, pairs, classes)
 
 
@@ -277,25 +284,26 @@ def _failing_certificates(classes, max_length: int, valid, mapped=lambda act: Tr
     """The members, in class and member order, whose certificate fails.
 
     A certificate z -> base(tau^-1 z) holds tau's action list (a plain one,
-    the identity).  Each base is judged once, by valid(base, source, rep)
-    with source the pair of its least and greatest key, a representative's
-    identity by its keys alone (a cover walk on each doubles the stage at
-    L=20); each list once, by poset.is_automorphism and mapped(act).  A
-    certificate passes when both do and act carries source onto the member.
+    the identity).  Each base is judged once: an IdentityCertificate passes
+    iff it names its class's representative, any other by valid(base,
+    source, rep), with source the pair of its least and greatest key; each
+    list once, by poset.is_automorphism and mapped(act).  A certificate
+    passes when both do and act carries the source onto the member.
     """
     same = tuple(range(len(weyl.ball(max_length).lengths)))
     acts: dict[int, bool] = {}  # by ids of lists the survey holds
     bad = []
     for cls in classes:
-        members, bases = poset.interval_mask(*cls.rep), {}
+        bases = {}
         for (x, y), cert in cls.certs.items():
             base, act = getattr(cert, "base", cert), getattr(cert, "act", same)
             if base not in bases:
-                index, i, j = base.index, min(base.index), max(base.index)
-                whole = len(index) == members.bit_count()
-                identity = whole and all(k == v and members >> k & 1 for k, v in index.items())
-                source = weyl.ball_element(i), weyl.ball_element(j)
-                bases[base] = identity or valid(base, source, cls.rep), i, j
+                if isinstance(base, poset.IdentityCertificate):
+                    source, ok = base.pair, base.pair == cls.rep
+                else:
+                    source = weyl.ball_element(min(base.index)), weyl.ball_element(max(base.index))
+                    ok = valid(base, source, cls.rep)
+                bases[base] = ok, source[0].ball_index, source[1].ball_index
             if id(act) not in acts:
                 acts[id(act)] = poset.is_automorphism(act, max_length) and mapped(act)
             ok, i, j = bases[base]
@@ -307,19 +315,17 @@ def _failing_certificates(classes, max_length: int, valid, mapped=lambda act: Tr
 def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> VerificationReport:
     """Exhaustively check that isomorphic intervals share KL polynomials.
 
-    The survey classifies one interval per G-orbit: diagram
-    automorphisms and w -> w^-1 are Bruhat-order automorphisms
-    (Bjorner-Brenti, GTM 231, ch. 2) and fix KL polynomials
-    (Kazhdan-Lusztig, Invent. Math. 53, 1979).  The KL equality is still
-    checked over every interval.  The report also re-validates each base
-    certificate, on covers or as the identity on its class representative,
-    and proves each composed one from its base and its action list, checked
-    once by poset.is_automorphism; cross-checks the fast KL path against
-    the recursion oracle on the class representatives and a deterministic
-    random sample; and, for a sample of intervals [x, y] and every tau in G,
-    compares P_{x,y} with P_{tau x, tau y}, tau failing as a whole if its
-    list is no automorphism.  A closed form that fails fails every stage
-    that reads its column, as in every lemma suite.
+    The survey classifies one interval per G-orbit (interval_survey); the
+    KL equality is still checked over every interval.  The report also
+    judges every survey certificate through _failing_certificates: each
+    plain base once on covers, each representative's identity by the pair
+    it names, and each of the 12 action lists once by
+    poset.is_automorphism.  It cross-checks the fast KL path against the
+    recursion oracle on the class representatives and a deterministic
+    random sample, and, for a sample of intervals [x, y] and every tau in
+    G, compares P_{x,y} with P_{tau x, tau y}, tau failing as a whole if
+    its list is no automorphism.  A closed form that fails fails every
+    stage that reads its column, as in every lemma suite.
 
     The survey runs in one process. ``jobs`` accepts only 1 and stays,
     with its report scope key, until ``perfbench/worker.py`` stops

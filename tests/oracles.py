@@ -406,6 +406,51 @@ def per_pair_survey(max_length: int):
     return Survey(max_length, pairs, classes)
 
 
+def orbit_table_survey(max_length: int):
+    """verify.interval_survey as it was with a per-pair orbit table.
+
+    Each orbit-first pair, in pair order, records for every tau_k the pair
+    it carries itself onto, with the least such k, in a dict over all
+    pairs; a class representative's certificate onto itself is a full
+    {z: z} IsoCertificate.  Returns a verify.Survey.
+    """
+    from bruhat_forge import poset, weyl
+    from bruhat_forge.poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
+    from bruhat_forge.verify import IsoClass, Survey, _interval_pairs
+
+    pairs = _interval_pairs(max_length)
+    actions = weyl.ball(max_length).actions
+    orbit_of: dict = {}  # pair -> (first pair of its orbit, k)
+    placed: dict = {}  # first pair -> (its class, certificate onto the rep)
+    buckets: dict = {}
+    for x, y in pairs:
+        i, j = x.ball_index, y.ball_index
+        if (i, j) in orbit_of:
+            continue
+        for k, act in enumerate(actions):
+            orbit_of.setdefault((act[i], act[j]), ((x, y), k))
+        interval = build_interval(x, y)
+        key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
+        bucket = buckets.setdefault(key, [])
+        for cls, rep in bucket:
+            cert = is_isomorphic(interval, rep)
+            if cert is not None:
+                placed[(x, y)] = (cls, cert)
+                break
+        else:
+            cls = IsoClass(rep=(x, y), members=[], certs={})
+            bucket.append((cls, interval))
+            placed[(x, y)] = (cls, IsoCertificate({z: z for z in interval.members}))
+    classes = [cls for key in sorted(buckets, key=repr) for cls, _ in buckets[key]]
+    for pair in pairs:
+        first, k = orbit_of[pair[0].ball_index, pair[1].ball_index]
+        cls, cert = placed[first]
+        cls.members.append(pair)
+        if pair != cls.rep:
+            cls.certs[pair] = cert if pair == first else poset.ComposedCertificate(cert, actions[k])
+    return Survey(max_length, pairs, classes)
+
+
 def composed_certificates(max_length: int) -> dict:
     """Every survey certificate as an eager index dict, pair -> IsoCertificate.
 

@@ -19,8 +19,6 @@ from bruhat_forge.poset import (
     is_isomorphic,
     parents,
     structural_lemma_checks,
-    z_invariant,
-    z_preserved_check,
 )
 from bruhat_forge.regions import theta, theta1, theta2, x_chain
 from bruhat_forge.weyl import RHO, from_word, generator, identity
@@ -439,15 +437,27 @@ def test_four_parent_set_for_even_chains():
     assert len(got) == 4
 
 
+def _z_set(interval, m):
+    # Z^m of [x, y] as the stages read it: z_masks(y)[m] met with up(x)
+    x, y = interval.bottom, interval.top
+    return frozenset(weyl.ball_elements(poset.z_masks(y).get(m, 0) & weyl.upper_set(x, y.length)))
+
+
+def _z_kept(a, b, cert):
+    # poset._z_preserved on two (bottom, top) pairs, with their tops' z_masks
+    masks = {y.ball_index: poset.z_masks(y) for _, y in (a, b)}
+    return poset._z_preserved(masks, cert, a, b)
+
+
 def test_z_invariant_examples():
-    assert z_invariant(build_interval(ID, theta((1, 1))), 3) == frozenset()
-    assert z_invariant(build_interval(ID, theta((2, 1))), 3) == frozenset()
-    got = z_invariant(build_interval(ID, theta1((1, 1))), 3)
+    assert _z_set(build_interval(ID, theta((1, 1))), 3) == frozenset()
+    assert _z_set(build_interval(ID, theta((2, 1))), 3) == frozenset()
+    got = _z_set(build_interval(ID, theta1((1, 1))), 3)
     assert got == frozenset({theta((0, 1)), theta((1, 0))})
-    got = z_invariant(build_interval(ID, theta1((2, 2))), 3)
+    got = _z_set(build_interval(ID, theta1((2, 2))), 3)
     assert got == frozenset({theta((1, 2)), theta((2, 1))})
     for interval in itertools.islice(_all_intervals(6), 0, None, 13):
-        assert z_invariant(interval, 1) == frozenset()
+        assert _z_set(interval, 1) == frozenset()
 
 
 def test_z_preserved_on_symmetric_pairs():
@@ -457,10 +467,10 @@ def test_z_preserved_on_symmetric_pairs():
             b = build_interval(tau.apply(ID), tau.apply(theta1(idx)))
             cert = IsoCertificate({z: tau.apply(z) for z in a.members})
             assert cert.is_valid(a, b)
-            assert z_preserved_check(a, b, cert)
+            assert _z_kept((a.bottom, a.top), (b.bottom, b.top), cert)
     a = build_interval(ID, theta((1, 1)))
     ident = IsoCertificate({z: z for z in a.members})
-    assert z_preserved_check(a, a, ident)
+    assert _z_kept((a.bottom, a.top), (a.bottom, a.top), ident)
 
 
 def test_structural_lemma_checks_bound_8():
@@ -485,9 +495,9 @@ def test_structural_six_case_includes_rho_chain_bottom():
     y = theta2((1, 0))
     x = RHO.apply(x_chain(2))
     interval = build_interval(x, y)
-    assert z_invariant(interval, 3) == frozenset()
+    assert _z_set(interval, 3) == frozenset()
     assert str(closedform.kl_fast(x, y)) == "1 + q"
-    assert len(z_invariant(interval, 4)) == 1
+    assert len(_z_set(interval, 4)) == 1
     assert y.length - x.length == 5
 
     rep = structural_lemma_checks(8)
@@ -700,25 +710,18 @@ def test_is_automorphism_accepts_the_symmetries_and_rejects_broken_lists():
     assert not poset.is_automorphism(act[:-1] + act[:1], n)
 
 
-def test_z_preserved_check_reads_pairs_like_intervals():
-    for member, rep, cert in _survey_certificates(6)[::11]:
-        by_pairs = z_preserved_check(member, rep, cert)
-        assert by_pairs
-        assert by_pairs == z_preserved_check(build_interval(*member), build_interval(*rep), cert)
-
-
 def test_z_invariant_matches_the_reference():
     # Z-sets as masks met with upper sets, against one Bruhat test per candidate
     for interval in _all_intervals(8):
         ref = oracles.reference_z_sets(interval.bottom, interval.top, range(1, 5))
         for m in range(1, 5):
-            assert z_invariant(interval, m) == ref[m], (interval, m)
+            assert _z_set(interval, m) == ref[m], (interval, m)
 
 
 def test_z_preserved_check_matches_the_reference():
     certificates = _survey_certificates(8)
     for member, rep, cert in certificates:
-        assert z_preserved_check(member, rep, cert) == oracles.reference_z_preserved(
+        assert _z_kept(member, rep, cert) == oracles.reference_z_preserved(
             member, rep, cert
         )
     assert len(certificates) > 3000
@@ -740,7 +743,7 @@ def test_z_preserved_check_rejects_a_certificate_that_moves_a_z_set():
                 index = dict(cert.index)
                 index[z.ball_index], index[w.ball_index] = index[w.ball_index], index[z.ball_index]
                 moved = IsoCertificate.from_index(index)
-                assert not z_preserved_check(member, rep, moved)
+                assert not _z_kept(member, rep, moved)
                 assert not oracles.reference_z_preserved(member, rep, moved)
                 rejected += 1
                 break

@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -166,8 +167,6 @@ def test_symmetric_interval_pairs_in_same_class():
 def test_composed_certificates_connect_class_members():
     # member-to-representative certificates compose into valid
     # member-to-member certificates that still preserve the Z-sets
-    from bruhat_forge.poset import build_interval, z_preserved_check
-
     survey = interval_survey(6)
     checked = 0
     for cls in survey.classes:
@@ -177,7 +176,8 @@ def test_composed_certificates_connect_class_members():
         composed = oracles.cert_compose(oracles.cert_inverse(cls.certs[b]), cls.certs[a])
         ia, ib = build_interval(*a), build_interval(*b)
         assert composed.is_valid(ia, ib)
-        assert z_preserved_check(ia, ib, composed)
+        masks = {y.ball_index: poset.z_masks(y) for _, y in (a, b)}
+        assert poset._z_preserved(masks, composed, a, b)
         checked += 1
     assert checked > 0
 
@@ -316,8 +316,9 @@ def test_certificate_stage_matches_the_is_valid_reference(monkeypatch):
 
 def test_certificate_stage_validates_each_base_once(monkeypatch):
     # one is_valid per plain certificate, not one per certificate; the
-    # representatives' identities, the bases of their orbit-mates, are read
-    # off their keys, as a cover walk on each would double the stage at L=20
+    # representatives' identities, the bases of their orbit-mates, are
+    # judged by the pair they name, as a cover walk on each would double
+    # the stage at L=20
     (counts, _), calls = _run_stages(monkeypatch, 8)[CERTIFICATES]
     classes = interval_survey(8).classes
     plain = sum(type(c) is poset.IsoCertificate for cls in classes for c in cls.certs.values())
@@ -329,33 +330,34 @@ def test_certificate_stage_validates_each_base_once(monkeypatch):
 def test_certificate_stage_fails_the_members_of_a_corrupted_identity(monkeypatch):
     survey = interval_survey(6)
     try:
-        # a representative's identity, the base of its orbit-mates
-        cls, identity = next(
-            (cls, c.base)
+        # a representative's identity, the base of its orbit-mates, made to
+        # name the representative of another class of the same span
+        def span(c):
+            return c.rep[1].length - c.rep[0].length
+
+        cls, identity, other = next(
+            (cls, c.base, o.rep)
             for cls in survey.classes
             for c in cls.certs.values()
-            if isinstance(c, poset.ComposedCertificate)
-            and all(i == j for i, j in c.base.index.items())
-            and _unlike_pair(cls.rep)
+            if isinstance(getattr(c, "base", None), poset.IdentityCertificate)
+            for o in survey.classes
+            if o is not cls and span(o) == span(cls)
         )
-        u, v = _unlike_pair(cls.rep)
-        index, intact = identity.index, dict(identity.index)
-        # strictly between the ends in ball order, so both ends stay
-        outsider = next(w for w in range(min(index), max(index)) if w not in index)
         expected = [{"member": _words(m), "rep": _words(cls.rep)} for m in _built_on(cls, identity)]
-        # two images of one rank swapped; a member dropped; a member
-        # exchanged for an element outside the interval
-        for corrupt in ({u: v, v: u}, {u: None}, {u: None, outsider: outsider}):
-            for k, w in corrupt.items():
-                if w is None:
-                    del index[k]
-                else:
-                    index[k] = w
-            (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
-            assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
-            assert bad == expected and bad
-            index.clear()
-            index.update(intact)
+        identity.pair = other
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        assert bad == expected and bad
+        identity.pair = cls.rep
+        # a member given the identity on its own interval: the ends match,
+        # so only the rule that an identity names its representative fails it
+        member = next(iter(cls.certs))
+        stored, cls.certs[member] = cls.certs[member], poset.IdentityCertificate(member)
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        assert bad == [{"member": _words(member), "rep": _words(cls.rep)}]
+        cls.certs[member] = stored
+        assert _certificate_stage(6).passed
     finally:
         interval_survey.cache_clear()
 
@@ -743,6 +745,38 @@ def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
     canonical = {"w": y.word(), "rule": "canonical monotonic"}
     # a v^-1 term keeps every coefficient difference non-negative
     assert (canonical in closure.witnesses) == (bump.min_exp() > 0)
+
+
+def test_survey_matches_the_orbit_table_reference():
+    # first pairs and their least-k action lists, read off the lists, give
+    # the representatives, class ids, member order and certificates (as
+    # word maps) of the survey that kept a per-pair orbit table
+    survey, ref = interval_survey(12), oracles.orbit_table_survey(12)
+    assert survey.intervals == ref.intervals
+    assert [c.rep for c in survey.classes] == [c.rep for c in ref.classes]
+    assert [c.members for c in survey.classes] == [c.members for c in ref.classes]
+
+    def word_maps(cls):
+        return [
+            (_words(m), {z.word(): w.word() for z, w in cert.mapping.items()})
+            for m, cert in cls.certs.items()
+        ]
+
+    for cls, ref_cls in zip(survey.classes, ref.classes):
+        assert word_maps(cls) == word_maps(ref_cls), cls.rep
+
+
+def test_survey_peak_memory_stays_small():
+    # no per-pair orbit table and no {z: z} dict per representative: the
+    # traced peak at L=12 is about 4.5 MB, and 8.8 MB with both
+    weyl.ball(12)
+    tracemalloc.start()
+    try:
+        interval_survey.__wrapped__(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def test_survey_certificates_match_the_eager_reference():
