@@ -241,9 +241,7 @@ def appendix_identity_check(m: int, n: int) -> dict:
     _add_N(acc, 1, theta((m - 1, n)))
     _add_N(acc, 1, theta((m, n - 1)))
     right = _freeze(acc)
-    content_formula = 3 * (
-        3 * m * m + 3 * n * n + 12 * m * n + 5 * m + 5 * n + 4
-    )
+    content_formula = 3 * (3 * m * m + 3 * n * n + 12 * m * n + 5 * m + 5 * n + 4)
     anchors = {
         "theta(m,n)s": (theta1((m, n)), LaurentPoly({0: 1})),
         "theta(m-1,n)": (theta((m - 1, n)), LaurentPoly({3: 1, 1: 1})),
@@ -270,18 +268,12 @@ def appendix_identity_check(m: int, n: int) -> dict:
     geq = hecke.hecke_geq(left, right)
     equal = left == right
     holds = (
-        equal
-        and cl == cr == content_formula
-        and anchors_ok
-        and geq
-        and hecke.is_monotonic(left)
+        equal and cl == cr == content_formula and anchors_ok and geq and hecke.is_monotonic(left)
     )
     witnesses = []
     if not equal:
         diff = left - right
-        witnesses = [
-            {"element": x.word(), "coefficient": str(p)} for x, p in diff.items()
-        ]
+        witnesses = [{"element": x.word(), "coefficient": str(p)} for x, p in diff.items()]
     return {
         "identity": "N*Hs + v^2*N == N + vN + vN",
         "params": {"m": m, "n": n},

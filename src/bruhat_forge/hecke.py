@@ -12,14 +12,18 @@ M_{x,y} (union of two lower intervals), coefficient extraction by
 HeckeElement.coefficient, the content c(H) (total coefficient mass at
 v = 1), monotonic elements, and the coefficientwise order on Hecke elements.
 
-Products by a generator and each canonical basis element are summed in
-place into one table Element -> (exponent -> coefficient), with the mu
-corrections subtracted as integer multiples, and frozen into an
-immutable HeckeElement once; N_x and M_{x,y} go into such a table as
-monomials read off the ideal bitsets, by the helper the closed forms
-share.  The recursion uses nothing from the closed forms (this module
-does not import closedform), so the two routes to P_{x,y} stay
-independent.
+Products by a generator, N_x and M_{x,y} are summed in place into one
+table Element -> (exponent -> coefficient) and frozen into an immutable
+HeckeElement once, N_x and M_{x,y} as monomials read off the ideal
+bitsets by the helper the closed forms share.  The recursion runs on
+rows instead: ball index of x -> h_{x,w} at v = 2^32, one int whose
+32-bit fields are the coefficients.  Multiplying by H_s + v is then an
+add and a one-field shift per x, with s x read off the weyl
+left-multiplication table, and a mu correction one multiply-and-subtract
+per x.  The rows are the one memo, decoded at the kl_basis and
+kl_polynomial boundary.  The recursion uses nothing from the closed
+forms (this module does not import closedform), so the two routes to
+P_{x,y} stay independent.
 """
 
 from __future__ import annotations
@@ -171,47 +175,86 @@ def mult_kl_s(H: HeckeElement, s: int, side: str = "right") -> HeckeElement:
 # ---------------------------------------------------------------------------
 # canonical basis (the recursion oracle)
 
+# a row value's field k holds the coefficient of v^k as a balanced digit,
+# exact for every coefficient of absolute value below 2^(_FIELD - 1)
+_FIELD = 32
+_LOW = (1 << _FIELD) - 1
+_HALF = 1 << (_FIELD - 1)
+
+
 def kl_basis(w: Element, max_length: int = DEFAULT_KL_CAP) -> HeckeElement:
     """Canonical basis element of w by the mu-corrected recursion.
 
     Writing kl_basis(w) = sum_x h_{x,w}(v) H_x, the result satisfies
     h_{w,w} = 1 and h_{x,w} in v Z[v] for x < w, and is fixed by the bar
-    involution.  With s = min D_R(w) it is kl_basis(ws) * (H_s + v) minus
-    mu(x, ws) * kl_basis(x) for every x with xs < x, where mu is the
-    coefficient of v^1.  The whole sum is accumulated in place in one
-    exponent -> coefficient table per element and frozen once.  This
-    module never reads the closed forms, so the recursion stays an
-    independent check on them.  The cap is checked on every call,
-    memoized or not.
+    involution.  With s = min D_L(w) it is (H_s + v) * kl_basis(sw) minus
+    mu(x, sw) * kl_basis(x) for every x with sx < x, where mu is the
+    coefficient of v^1.  The memo holds the rows of w (ball index of x ->
+    h_{x,w} at v = 2^32); each call decodes them into a new HeckeElement,
+    one shared LaurentPoly per distinct row value.  This module never
+    reads the closed forms, so the recursion stays an independent check
+    on them.  The cap is checked on every call, memoized or not.
     """
+    rows = _rows(w, max_length)
+    return HeckeElement({weyl.ball_element(i): _decode(h) for i, h in rows.items()})
+
+
+def _rows(w: Element, max_length: int) -> dict[int, int]:
     if w.length > max_length:
-        raise ResourceLimitError(
-            f"kl_basis at length {w.length} exceeds the cap {max_length}"
-        )
-    return _kl_basis(w)
+        raise ResourceLimitError(f"kl_basis at length {w.length} exceeds the cap {max_length}")
+    return _kl_rows(w)
 
 
 @functools.cache
-def _kl_basis(w: Element) -> HeckeElement:
-    if w.is_identity:
-        return standard_basis(w)
-    s = min(w.right_descents())
-    base = _kl_basis(w.right_mult(s))
-    acc: Table = {}
-    _add_mult_gen(acc, base, s, True)
-    for x, p in base._m.items():
-        m = p.coefficient(1)
-        if m and x.right_mult(s).length < x.length:
-            _add_element(acc, _kl_basis(x), -m)
-    return _freeze(acc)
+def _kl_rows(w: Element) -> dict[int, int]:
+    # reading w's ball index enumerates its layer, which fills the left
+    # table for every s x with x below s w; the identity is ball index 0
+    if w.ball_index == 0:
+        return {0: 1}
+    s = min(w.left_descents())
+    left = weyl._LEFT[s]
+    acc: dict[int, int] = {}
+    for x, h in _kl_rows(w.left_mult(s)).items():
+        sx = left[x]
+        acc[sx] = acc.get(sx, 0) + h
+        if sx > x:
+            acc[x] = acc.get(x, 0) + (h << _FIELD)
+            continue
+        # H_s H_x = H_sx + (v^-1 - v) H_x, and h_{x,sw} lies in v Z[v]
+        # for x < sw: v^-1 h is exact, and its v^0 field is mu(x, sw)
+        if h & _LOW:
+            raise ArithmeticError(f"row of ball index {x} in C_sw has a v^0 term, w = {w.word()}")
+        h >>= _FIELD
+        acc[x] = acc.get(x, 0) + h
+        mu = h & _LOW
+        if mu:
+            mu -= (mu >= _HALF) << _FIELD
+            for z, hz in _kl_rows(weyl.ball_element(x)).items():
+                acc[z] = acc.get(z, 0) - mu * hz
+    return acc
+
+
+@functools.cache
+def _decode(h: int) -> LaurentPoly:
+    """The polynomial of a row value, one balanced digit per field."""
+    coeffs = {}
+    while h:
+        c = h & _LOW
+        c -= (c >= _HALF) << _FIELD
+        coeffs[len(coeffs)] = c
+        h = (h - c) >> _FIELD
+    return LaurentPoly(coeffs)
 
 
 def kl_polynomial(x: Element, w: Element) -> tuple[LaurentPoly, QPoly]:
-    """(h_{x,w}, P_{x,w}); both zero when x is not below w."""
-    h = kl_basis(w).coefficient(x)
+    """(h_{x,w}, P_{x,w}), decoded from the one row entry of x; both zero
+    when x is not below w."""
+    rows = _rows(w, DEFAULT_KL_CAP)
+    h = x.length <= w.length and rows.get(x.ball_index)
     if not h:
         return ZERO, QPoly.zero()
-    return h, to_q(h, w.length - x.length)
+    p = _decode(h)
+    return p, to_q(p, w.length - x.length)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +292,7 @@ def is_monotonic(H: HeckeElement) -> bool:
         return False
     covers = weyl.ball(max((x.length for x in H._m), default=0)).covers
     for w, pw in H._m.items():
-        for z in weyl.ball_elements(covers[w.ball_index]):
+        for z in weyl.bit_elements(covers[w.ball_index]):
             if not H.coefficient(z).dominates(pw, 1):
                 return False
     return True

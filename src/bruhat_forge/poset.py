@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import hashlib
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import closedform, regions, weyl
 from .laurent import QPoly, Q_PLUS_ONE
 from .regions import RegionKind, ThetaIndex
-from .weyl import RHO, SIGMA, Element
+from .weyl import RHO, SIGMA, Element, _bits
 
 __all__ = [
     "Interval",
@@ -60,15 +60,7 @@ class Interval:
     """
 
     __slots__ = (
-        "bottom",
-        "top",
-        "members",
-        "mask",
-        "ranks",
-        "span",
-        "rank_sizes",
-        "down_masks",
-        "colors",
+        "bottom", "top", "members", "mask", "ranks", "span", "rank_sizes", "down_masks", "colors"
     )
 
     def __init__(self, bottom: Element, top: Element, members: list[Element]):
@@ -170,14 +162,6 @@ def _multisets(one: list, many: list, colors: list) -> list[tuple[int, ...]]:
     for i, get in many:
         out[i] = tuple(sorted(get(colors)))
     return out
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def interval_mask(x: Element, y: Element) -> int:
@@ -480,13 +464,7 @@ def structural_lemma_checks(bound: int) -> dict:
 
             def flag(rule: str) -> None:
                 violations.append(
-                    {
-                        "rule": rule,
-                        "x": x.word(),
-                        "y": y.word(),
-                        "P": str(p_xy),
-                        "z3": z3,
-                    }
+                    {"rule": rule, "x": x.word(), "y": y.word(), "P": str(p_xy), "z3": z3}
                 )
 
             if z3 == 1:
@@ -507,22 +485,11 @@ def structural_lemma_checks(bound: int) -> dict:
                 z4 = (zs.get(4, 0) & upper).bit_count()
                 gap = y.length - x.length
                 x0 = inv.apply(x)
-                ok = (
-                    x0 in six
-                    and p_xy == Q_PLUS_ONE
-                    and z4 == 1
-                    and gap in (4, 5)
-                )
+                ok = x0 in six and p_xy == Q_PLUS_ONE and z4 == 1 and gap in (4, 5)
+                m, n = tag.params
                 instances.append(
-                    {
-                        "x": x.word(),
-                        "y": y.word(),
-                        "m": tag.params.m,
-                        "n": tag.params.n,
-                        "case_element": x0.word(),
-                        "gap": gap,
-                        "ok": ok,
-                    }
+                    {"x": x.word(), "y": y.word(), "m": m, "n": n, "case_element": x0.word(),
+                     "gap": gap, "ok": ok}
                 )
                 if not ok:
                     flag("six-case lemma")

@@ -111,23 +111,16 @@ class VerificationReport:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
     def to_csv_rows(self) -> list[list]:
-        rows = [["suite", "passed", "counts", "witnesses"]]
-        for s in self.suites:
-            rows.append(
-                [
-                    s.name,
-                    "pass" if s.passed else "FAIL",
-                    json.dumps(s.counts, sort_keys=True),
-                    len(s.witnesses),
-                ]
-            )
-        return rows
+        return [["suite", "passed", "counts", "witnesses"]] + [
+            [s.name, "pass" if s.passed else "FAIL", json.dumps(s.counts, sort_keys=True),
+             len(s.witnesses)]
+            for s in self.suites
+        ]
 
     def census_csv_rows(self) -> list[list]:
-        rows = [["span", "classes", "intervals"]]
-        for row in self.census:
-            rows.append([row["span"], row["classes"], row["intervals"]])
-        return rows
+        return [["span", "classes", "intervals"]] + [
+            [row["span"], row["classes"], row["intervals"]] for row in self.census
+        ]
 
     def summary_lines(self) -> list[str]:
         out = []
@@ -280,15 +273,16 @@ def interval_survey(max_length: int) -> Survey:
     return Survey(max_length, pairs, classes)
 
 
-def _failing_certificates(classes, max_length: int, valid, mapped=lambda act: True) -> list:
+def _failing_certificates(classes, max_length: int, valid, list_ok) -> list:
     """The members, in class and member order, whose certificate fails.
 
     A certificate z -> base(tau^-1 z) holds tau's action list (a plain one,
     the identity).  Each base is judged once: an IdentityCertificate passes
     iff it names its class's representative, any other by valid(base,
     source, rep), with source the pair of its least and greatest key; each
-    list once, by poset.is_automorphism and mapped(act).  A certificate
-    passes when both do and act carries the source onto the member.
+    list once, by list_ok(act), which must include poset.is_automorphism.
+    A certificate passes when both do and act carries the source onto the
+    member.
     """
     same = tuple(range(len(weyl.ball(max_length).lengths)))
     acts: dict[int, bool] = {}  # by ids of lists the survey holds
@@ -305,7 +299,7 @@ def _failing_certificates(classes, max_length: int, valid, mapped=lambda act: Tr
                     ok = valid(base, source, cls.rep)
                 bases[base] = ok, source[0].ball_index, source[1].ball_index
             if id(act) not in acts:
-                acts[id(act)] = poset.is_automorphism(act, max_length) and mapped(act)
+                acts[id(act)] = list_ok(act)
             ok, i, j = bases[base]
             if not (ok and acts[id(act)]) or (act[i], act[j]) != (x.ball_index, y.ball_index):
                 bad.append({"member": _words((x, y)), "rep": _words(cls.rep)})
@@ -340,6 +334,8 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     # counts there
     column = closedform.kl_column
     orbit_sample: list[tuple[Element, Element]] = []  # filled by the oracle stage
+    # one verdict per action list, for the certificate and orbit stages
+    automorphism = functools.cache(functools.partial(poset.is_automorphism, max_length=max_length))
 
     def equal_within_classes():
         survey = interval_survey(max_length)
@@ -367,7 +363,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
 
     def certificates():
         classes = interval_survey(max_length).classes
-        bad = _failing_certificates(classes, max_length, IsoCertificate.is_valid)
+        bad = _failing_certificates(classes, max_length, IsoCertificate.is_valid, automorphism)
         return {"certificates": sum(len(c.certs) for c in classes), "invalid": len(bad)}, bad
 
     def oracle():
@@ -394,7 +390,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     def orbits():
         bad = []
         actions = weyl.ball(max_length).actions
-        autos = [poset.is_automorphism(act, max_length) for act in actions]
+        autos = [automorphism(act) for act in actions]
         for x, y in orbit_sample:
             for tau, act, auto in zip(SYMMETRY_GROUP, actions, autos):
                 tx, ty = weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index])
@@ -657,7 +653,7 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
             y.left_mult(0).left_mult(2).left_mult(0),
             y.left_mult(0),
         }
-        got = set(weyl.ball_elements(weyl.ball(y.length).covers[y.ball_index]))
+        got = set(weyl.bit_elements(weyl.ball(y.length).covers[y.ball_index]))
         bad = []
         if got != expected:
             bad.append(
@@ -682,7 +678,7 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
             for z, pz in ps.items():
                 checked += z.ideal.bit_count()
                 vhz = hs[z].shift(1)
-                for x in weyl.ball_elements(covers[z.ball_index]):
+                for x in weyl.bit_elements(covers[z.ball_index]):
                     diff = hs[x] - vhz
                     if not diff.is_nonneg() or (diff and diff.min_exp() < 0):
                         bad.append(
@@ -739,9 +735,10 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
         masks = [poset.z_masks(y) for y in weyl.enumerate_up_to_length(max_length)]
 
         def mapped(act):
-            # tau carries up(x) onto up(tau x), so with each z_masks(y) onto
-            # z_masks(tau y) it carries Z^m([x, y]) onto Z^m([tau x, tau y])
-            return [masks[j] for j in act] == [
+            # an automorphism tau carries up(x) onto up(tau x), so with each
+            # z_masks(y) onto z_masks(tau y) it carries Z^m([x, y]) onto
+            # Z^m([tau x, tau y])
+            return poset.is_automorphism(act, max_length) and [masks[j] for j in act] == [
                 {m: sum(1 << act[i] for i in poset._bits(z)) for m, z in zs.items()}
                 for zs in masks
             ]

@@ -41,7 +41,7 @@ import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
     "Element",
@@ -59,6 +59,7 @@ __all__ = [
     "ball",
     "ball_element",
     "ball_elements",
+    "bit_elements",
     "enumerate_up_to_length",
     "elements_of_length",
     "alcove_vertices",
@@ -423,8 +424,23 @@ def ball_element(i: int) -> Element:
 
 
 def ball_elements(mask: int) -> tuple[Element, ...]:
-    """The elements whose ball bits are set in ``mask``, in (length, word) order."""
+    """The elements whose ball bits are set in ``mask``, in (length, word)
+    order, by one walk over the ball: for dense masks such as ideals."""
     return tuple(w for w, bit in zip(_BALL, bin(mask)[:1:-1]) if bit == "1")
+
+
+def bit_elements(mask: int) -> tuple[Element, ...]:
+    """ball_elements(mask) read bit by bit, at a cost that grows with the
+    set bits rather than the ball: for sparse masks such as covers."""
+    return tuple(_BALL[i] for i in _bits(mask))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------

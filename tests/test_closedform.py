@@ -236,7 +236,7 @@ def test_the_closed_form_route_never_reaches_the_recursion(monkeypatch):
         raise AssertionError("the closed-form route called the recursion")
 
     monkeypatch.setattr(hecke, "kl_basis", forbidden)
-    monkeypatch.setattr(hecke, "_kl_basis", forbidden)
+    monkeypatch.setattr(hecke, "_kl_rows", forbidden)
     monkeypatch.setattr(hecke, "kl_polynomial", forbidden)
     for memo in (kl_column, kl_basis_x, kl_basis_theta, kl_basis_theta1, kl_basis_theta2):
         memo.cache_clear()

@@ -3,8 +3,10 @@ coefficient apparatus, and the positivity/duality invariants."""
 
 import ast
 import pathlib
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 import bruhat_forge
@@ -20,7 +22,7 @@ from bruhat_forge.hecke import (
     mult_kl_s,
     standard_basis,
 )
-from bruhat_forge.laurent import ONE, V, LaurentPoly, QPoly
+from bruhat_forge.laurent import ONE, V, ZERO, LaurentPoly, QPoly, to_q
 from bruhat_forge.weyl import ResourceLimitError, from_word, generator, identity
 
 ID = identity()
@@ -95,6 +97,123 @@ def test_kl_polynomial_examples():
     assert h == LaurentPoly({7: 1, 5: 1}) and str(p) == "1 + q"
     h, p = kl_polynomial(generator(0), T00)
     assert h.is_zero and p.is_zero
+
+
+# the widest coefficients a 32-bit balanced digit holds exactly
+WIDE = 2**31 - 1
+
+
+def _pack(p: LaurentPoly) -> int:
+    """A row value: p, a polynomial in v, evaluated at v = 2^32."""
+    return sum(c << (32 * e) for e, c in p.items())
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{0: 1}, {1: -1}, {0: -1}, {2: 3, 4: -5}, {0: WIDE}, {0: -WIDE}, {1: WIDE, 2: -WIDE, 5: -1},
+     {3: -WIDE, 4: WIDE}, {0: -WIDE, 1: -WIDE, 2: -WIDE}],
+)
+def test_rows_round_trip_with_negative_and_widest_coefficients(coeffs):
+    p = LaurentPoly(coeffs)
+    assert hecke._decode(_pack(p)) == p
+    # the recursion's two steps: times v is a shift up by one field, and
+    # v^-1 is the shift down, exact once the v^0 field is zero
+    assert hecke._decode(_pack(p) << 32) == p.shift(1)
+    assert hecke._decode(_pack(p.shift(1)) >> 32) == p
+
+
+@given(st.dictionaries(st.integers(0, 16), st.integers(-WIDE, WIDE), max_size=8))
+def test_rows_round_trip_any_polynomial_in_range(coeffs):
+    p = LaurentPoly(coeffs)
+    assert hecke._decode(_pack(p)) == p
+
+
+def _down_step_row():
+    """w, s w, the rows of s w for s = min D_L(w), and a ball index x in
+    them with s x < x: the rows the recursion shifts down by one field."""
+    w = from_word("12101")
+    s = min(w.left_descents())
+    sw = w.left_mult(s)
+    base = dict(hecke._kl_rows(sw))
+    x = next(i for i in base if weyl.ball_element(i).left_mult(s).ball_index < i)
+    return w, sw, base, x, weyl.ball_element(x).left_mult(s).ball_index
+
+
+def test_the_v_inverse_step_raises_on_a_row_with_a_v0_term(monkeypatch):
+    # a row x of C_sw with s x < x must lie in v Z[v]; give one a
+    # constant term and the recursion for w must refuse it
+    real = hecke._kl_rows
+    w, sw, base, x, _ = _down_step_row()
+    base[x] += 1
+    monkeypatch.setattr(hecke, "_kl_rows", lambda u: base if u is sw else real(u))
+    with pytest.raises(ArithmeticError, match="v\\^0"):
+        real.__wrapped__(w)
+    monkeypatch.undo()
+    assert real.__wrapped__(w) == real(w)
+
+
+def test_a_negative_mu_is_subtracted_exactly(monkeypatch):
+    # subtract 2v H_x from C_sw at an x with s x < x, so that mu(x, sw),
+    # at most 1 here, turns negative: (H_s + v) carries -2v H_x to
+    # -2v H_sx - 2 H_x, and mu drops by two, so 2 C_x is added back
+    real = hecke._kl_rows
+    w, sw, base, x, sx = _down_step_row()
+    base[x] -= 2 << 32
+    assert hecke._decode(base[x]).coefficient(1) < 0
+    expected = dict(real(w))
+    expected[sx] = expected.get(sx, 0) - (2 << 32)
+    expected[x] = expected.get(x, 0) - 2
+    for z, h in real(weyl.ball_element(x)).items():
+        expected[z] = expected.get(z, 0) + 2 * h
+    monkeypatch.setattr(hecke, "_kl_rows", lambda u: base if u is sw else real(u))
+    got = real.__wrapped__(w)
+    assert {z: h for z, h in got.items() if h} == {z: h for z, h in expected.items() if h}
+
+
+def test_kl_polynomial_matches_the_immutable_recursion():
+    for w in weyl.enumerate_up_to_length(10):
+        ref = oracles.reference_kl_basis(w)
+        for x in weyl.lower_interval(w):
+            h = ref.coefficient(x)
+            assert kl_polynomial(x, w) == (h, to_q(h, w.length - x.length)), (x.word(), w.word())
+
+
+def test_kl_polynomial_off_the_interval_and_above_the_cap():
+    zero = (ZERO, QPoly.zero())
+    # same length, shorter and not below, and far longer than the ball
+    assert kl_polynomial(generator(0), S1) == zero
+    assert kl_polynomial(from_word("20"), T00) == zero
+    assert kl_polynomial(regions.x_chain(70), S1) == zero
+    with pytest.raises(ResourceLimitError, match="^kl_basis at length 25 exceeds the cap 24$"):
+        kl_polynomial(ID, regions.x_chain(25))
+
+
+def test_kl_basis_shares_one_polynomial_per_row_value():
+    # the rows are the one memo; each call decodes them, and equal row
+    # values give one LaurentPoly, within a column and across calls
+    y = regions.x_chain(14)
+    first, again = kl_basis(y), kl_basis(y)
+    shared = {}
+    for x, h in first.items():
+        assert again.coefficient(x) is h
+        assert shared.setdefault(h, h) is h
+    assert len(shared) < len(first)
+
+
+def test_cold_recursion_peak_memory_stays_small():
+    # a cold column of length 24, the recursion cap: the rows of every
+    # element it reaches and the decoded column, with the ball built first
+    y = regions.x_chain(24)
+    weyl.elements_of_length(y.length)
+    hecke._kl_rows.cache_clear()
+    hecke._decode.cache_clear()
+    tracemalloc.start()
+    try:
+        hecke.kl_basis(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_N_element_examples():

@@ -608,6 +608,19 @@ def test_a_broken_symmetry_fails_the_orbit_and_g_invariance_stages(monkeypatch):
     assert all(w["tau"] == tau.name for w in bad)
 
 
+def test_a_conjecture_report_judges_each_action_list_once(monkeypatch):
+    # the certificate and orbit stages share one verdict per list
+    real, judged = poset.is_automorphism, []
+
+    def counted(act, max_length):
+        judged.append(act)
+        return real(act, max_length)
+
+    monkeypatch.setattr(poset, "is_automorphism", counted)
+    assert verify_conjecture(6).passed
+    assert sorted(judged) == sorted(weyl.ball(6).actions)
+
+
 def test_every_stage_caps_its_witnesses(monkeypatch, restore_closed_forms):
     real = closedform.kl_basis_theta
     e = weyl.identity()

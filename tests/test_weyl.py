@@ -352,6 +352,14 @@ def test_upper_sets_and_ball_bitsets_to_length_7():
     assert weyl.ball_elements(identity().ideal) == (identity(),)
 
 
+def test_bit_elements_read_every_mask_like_ball_elements():
+    # the set-bit walk for sparse masks gives what the whole-ball walk gives
+    table = weyl.ball(8)
+    ideals = [w.ideal for w in enumerate_up_to_length(8)]
+    for mask in [0, *table.covers, *table.uppers, *ideals, ideals[-1] ^ ideals[40]]:
+        assert weyl.bit_elements(mask) == weyl.ball_elements(mask)
+
+
 def test_ideal_matches_decoded_property_z():
     for w in enumerate_up_to_length(14):
         assert w.ideal == oracles.reference_ideal(w), w.word()
