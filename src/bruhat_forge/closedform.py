@@ -2,31 +2,31 @@
 Closed formulas for the canonical basis elements of all four families,
 and the resulting fast Kazhdan-Lusztig polynomial path.
 
-The formulas express each canonical basis element through the
-lower-interval sums N_x, the two-interval sums M_{x,y}, a handful of
-bare standard-basis terms, and canonical basis elements of strictly
-smaller family members.  Recursive terms are expanded through the
-closed forms themselves (memoized), never through the generic
-recursion; the recursion stays available as an independent oracle and
-is what every formula is tested against.  Each formula is summed in
-place into one hecke table and frozen once: the N and M terms go in as
-monomials read off the ideal bitsets, memoized family terms are added
-coefficient by coefficient without being mutated, and bare
-standard-basis terms go in as single monomials.
+Each formula is written once, as a list of terms (k, tops, bare): the
+lower-interval sum v^k N_x for tops (x,), the two-interval sum
+v^k M_{x,y} for tops (x, y), or the bare monomial v^k H_w for tops (w,).
+A smaller family member enters as its own terms, shifted by v^k and
+relabelled by its symmetry tau (tau N_x = N_{tau x}, since tau keeps
+lengths and Bruhat order).  The family elements sum their lists into one
+hecke table; the second theta2 formula keeps its product-identity
+route.  The recursion stays an independent oracle, and every formula is
+tested against it.
 
-``kl_column`` is the one way to a KL column off the closed forms: it
-classifies y once, relabels the closed form of the canonical family
-member by the classifying symmetry, reads the column off the ideal of
-y in ball order and converts every coefficient to q; ``kl_fast`` looks
-one P up in it.  A column whose support is not [e, y], or with a P whose
-constant term is not 1, raises ``ClosedFormError`` with its reason.
-Nothing here answers from the recursion in its place: the verification
-stages fail on the error, and the CLI exits 2.
+``kl_column`` is the one way to a KL column off the closed forms, and
+it builds no Hecke element: in the q-normalization a term v^k N_x adds
+q^((l(y)-l(x)-k)/2) to P_{z,y} for every z <= x, so a column is fixed by
+which term masks hold z.  ``kl_fast`` looks one P up in the column.  A
+column whose support is not [e, y], with a term whose q-exponent is odd
+or negative, or with a P whose constant term is not 1, raises
+``ClosedFormError`` with its reason.  Nothing here answers from the
+recursion in its place: the verification stages fail on the error, and
+the CLI exits 2.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 from . import hecke, regions, weyl
 from .hecke import (
@@ -37,11 +37,10 @@ from .hecke import (
     _add_mult_gen,
     _add_N,
     _freeze,
-    standard_basis,
 )
-from .laurent import ONE, LaurentPoly, QPoly, ShapeError, to_q
+from .laurent import LaurentPoly, QPoly
 from .regions import RegionKind, ThetaIndex, s_mn, theta, theta1, theta2, x_chain
-from .weyl import RHO, Element
+from .weyl import IDENTITY_SYMMETRY, RHO, Element, Symmetry
 
 __all__ = [
     "kl_basis_x",
@@ -49,6 +48,7 @@ __all__ = [
     "kl_basis_theta1",
     "kl_basis_theta2",
     "kl_closed_form",
+    "closed_form_terms",
     "kl_column",
     "kl_fast",
     "ClosedFormError",
@@ -59,9 +59,99 @@ __all__ = [
 
 _RHO2 = RHO * RHO
 
+# v^k N_x for tops (x,), v^k M_{x,y} for tops (x, y), or v^k H_w for (w,) and bare
+Term = tuple[int, tuple[Element, ...], bool]
+
 
 # ---------------------------------------------------------------------------
-# the four families
+# the four families, as term lists
+
+def _shifted(k: int, terms: list[Term], tau: Symmetry = IDENTITY_SYMMETRY) -> list[Term]:
+    # v^k times the tau image of a sum of terms
+    return [(k + j, tuple(map(tau.apply, tops)), bare) for j, tops, bare in terms]
+
+
+def _x_terms(n: int) -> list[Term]:
+    terms = [(0, (x_chain(n),), False)]
+    if n >= 4:
+        terms.append((1, (x_chain(n - 3),), False))
+    if n >= 5 and n % 2 == 0:
+        tail = x_chain(n - 5).left_mult(0)
+        terms += [(1, (tail.left_mult(1),), True), (2, (tail,), True)]
+    return terms
+
+
+def _theta_terms(idx: ThetaIndex | tuple[int, int]) -> list[Term]:
+    m, n = idx
+    return [(2 * i, (theta((m - i, n - i)),), False) for i in range(min(m, n) + 1)]
+
+
+def _theta1_terms(idx: ThetaIndex | tuple[int, int]) -> list[Term]:
+    # v times the theta closed form of each neighbour (m-1, n), (m, n-1)
+    # that exists
+    m, n = idx
+    terms = [(0, (theta1(idx),), False)]
+    for i in ((m - 1, n), (m, n - 1)):
+        if min(i) >= 0:
+            terms += _shifted(1, _theta_terms(i))
+    return terms
+
+
+def _theta2_terms(idx: ThetaIndex | tuple[int, int], version: int = 1) -> tuple[list[Term], tuple]:
+    # the terms of theta2 formula `version`, and the indices i whose
+    # canonical element of s0 theta(i) version 2 adds times v
+    m, n = idx
+    terms = [(0, (theta2(idx),), False)]
+    if m == 0 and n == 0:
+        return terms + [(2, (weyl.generator(0),), False)], ()
+    if m == 0 or n == 0:
+        # the two edges mirror each other: n = 0 uses rho where m = 0
+        # uses rho^2, and the other way round
+        prev = ThetaIndex(max(m - 1, 0), max(n - 1, 0))
+        near, far = (RHO, _RHO2) if n == 0 else (_RHO2, RHO)
+        if version == 2:
+            terms.append((1, (far.apply(theta1(prev)), near.apply(theta(prev))), False))
+            return terms, (prev,)
+        terms.append((1, (theta(prev).left_mult(0), near.apply(theta(prev))), False))
+        return terms + _shifted(1, _theta1_terms(prev), far), ()
+    below = ThetaIndex(m, n - 1)
+    left = ThetaIndex(m - 1, n)
+    if version == 2:
+        terms.append((1, (RHO.apply(theta1(below)), _RHO2.apply(theta1(left))), False))
+        return terms, (below, left)
+    terms.append((1, (theta(below).left_mult(0), theta(left).left_mult(0)), False))
+    terms += _shifted(1, _theta1_terms(below), RHO) + _shifted(1, _theta1_terms(left), _RHO2)
+    return terms, ()
+
+
+def closed_form_terms(tag: regions.RegionTag) -> list[Term]:
+    """The closed form of the canonical member of a region tag, as a list
+    of terms (k, tops, bare); the identity is N_e."""
+    if tag.kind is RegionKind.IDENTITY:
+        return [(0, (weyl.identity(),), False)]
+    if tag.kind is RegionKind.X:
+        return _x_terms(tag.params)
+    if tag.kind is RegionKind.THETA:
+        return _theta_terms(tag.params)
+    if tag.kind is RegionKind.THETA1:
+        return _theta1_terms(tag.params)
+    return _theta2_terms(tag.params)[0]
+
+
+def _sum(terms: list[Term], products: tuple[ThetaIndex, ...] = ()) -> HeckeElement:
+    """A sum of terms, plus v times the canonical element of s0 theta(i),
+    by the product identity, for each index i in products."""
+    acc: Table = {}
+    for k, tops, bare in terms:
+        if bare:
+            row = acc.setdefault(tops[0], {})
+            row[k] = row.get(k, 0) + 1
+        else:
+            _add_N(acc, k, *tops)
+    for i in products:
+        _add_element(acc, hecke.mult_kl_s(kl_basis_theta(i), 0, "left"), k=1)
+    return _freeze(acc)
+
 
 @functools.cache
 def kl_basis_x(n: int) -> HeckeElement:
@@ -73,43 +163,19 @@ def kl_basis_x(n: int) -> HeckeElement:
     """
     if n < 1:
         raise ValueError("kl_basis_x requires n >= 1")
-    acc = _add_N({}, 0, x_chain(n))
-    if n >= 4:
-        _add_N(acc, 1, x_chain(n - 3))
-    if n >= 5 and n % 2 == 0:
-        tail = x_chain(n - 5).left_mult(0)
-        ONE.add_to(acc.setdefault(tail.left_mult(1), {}), 1, 1)
-        ONE.add_to(acc.setdefault(tail, {}), 1, 2)
-    return _freeze(acc)
+    return _sum(_x_terms(n))
 
 
 @functools.cache
 def kl_basis_theta(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
     """Sum over i = 0..min(m, n) of v^(2i) N_{theta(m-i, n-i)}."""
-    m, n = idx
-    acc: Table = {}
-    for i in range(min(m, n) + 1):
-        _add_N(acc, 2 * i, theta((m - i, n - i)))
-    return _freeze(acc)
+    return _sum(_theta_terms(idx))
 
 
 @functools.cache
 def kl_basis_theta1(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
     """Canonical basis element of theta(m, n) s, by the four-case formula."""
-    m, n = idx
-    acc = _add_N({}, 0, theta1(idx))
-    if m > 0 and n > 0:
-        _add_element(acc, kl_basis_theta((m - 1, n)), k=1)
-        _add_element(acc, kl_basis_theta((m, n - 1)), k=1)
-    elif m > 0 or n > 0:
-        _add_N(acc, 1, theta((max(m - 1, 0), max(n - 1, 0))))
-    return _freeze(acc)
-
-
-def _kl_s0_theta(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
-    # canonical basis element of s0 theta(m, n), via the product identity
-    # (H_{s0} + v) * kl_basis_theta == canonical element of the product
-    return hecke.mult_kl_s(kl_basis_theta(idx), 0, "left")
+    return _sum(_theta1_terms(idx))
 
 
 @functools.cache
@@ -121,46 +187,12 @@ def kl_basis_theta2(idx: ThetaIndex | tuple[int, int], version: int = 1) -> Heck
     """
     if version not in (1, 2):
         raise ValueError("version must be 1 or 2")
-    m, n = idx
-    acc = _add_N({}, 0, theta2(idx))
-    if m == 0 and n == 0:
-        _add_N(acc, 2, weyl.generator(0))
-    elif m == 0 or n == 0:
-        # the two edges mirror each other: n = 0 uses rho where m = 0
-        # uses rho^2, and the other way round
-        prev = ThetaIndex(max(m - 1, 0), max(n - 1, 0))
-        near, far = (RHO, _RHO2) if n == 0 else (_RHO2, RHO)
-        if version == 1:
-            _add_N(acc, 1, theta(prev).left_mult(0), near.apply(theta(prev)))
-            _add_element(acc, hecke.apply_symmetry(far, kl_basis_theta1(prev)), k=1)
-        else:
-            _add_N(acc, 1, far.apply(theta1(prev)), near.apply(theta(prev)))
-            _add_element(acc, _kl_s0_theta(prev), k=1)
-    else:
-        below = ThetaIndex(m, n - 1)
-        left = ThetaIndex(m - 1, n)
-        if version == 1:
-            _add_N(acc, 1, theta(below).left_mult(0), theta(left).left_mult(0))
-            _add_element(acc, hecke.apply_symmetry(RHO, kl_basis_theta1(below)), k=1)
-            _add_element(acc, hecke.apply_symmetry(_RHO2, kl_basis_theta1(left)), k=1)
-        else:
-            _add_N(acc, 1, RHO.apply(theta1(below)), _RHO2.apply(theta1(left)))
-            _add_element(acc, _kl_s0_theta(below), k=1)
-            _add_element(acc, _kl_s0_theta(left), k=1)
-    return _freeze(acc)
+    return _sum(*_theta2_terms(idx, version))
 
 
 def kl_closed_form(tag: regions.RegionTag) -> HeckeElement:
     """Closed form for the canonical member described by a region tag."""
-    if tag.kind is RegionKind.IDENTITY:
-        return standard_basis(weyl.identity())
-    if tag.kind is RegionKind.X:
-        return kl_basis_x(tag.params)
-    if tag.kind is RegionKind.THETA:
-        return kl_basis_theta(tag.params)
-    if tag.kind is RegionKind.THETA1:
-        return kl_basis_theta1(tag.params)
-    return kl_basis_theta2(tag.params, 1)
+    return _sum(closed_form_terms(tag))
 
 
 # ---------------------------------------------------------------------------
@@ -181,32 +213,49 @@ def fallback_log() -> tuple:
 def kl_column(y: Element) -> dict[Element, QPoly]:
     """P_{x,y} for every x <= y, in (length, word) order of x.
 
-    Classifies y once, relabels the support of the closed form of its
-    canonical family member by the classifying symmetry, and reads the
-    column off the ideal of y in ball order, each coefficient converted
-    to the q-normalization; equal P share one object.  Raises
-    ClosedFormError unless the support is exactly [e, y] and every P has
-    constant term 1.  Columns are memoized per y (a raise is not, so it
-    recurs on every call); callers must not mutate them.
+    The terms of the closed form of y's canonical member, relabelled onto
+    [e, y] by the classifying symmetry, split [e, y] by their masks (the
+    ideal of x, of both tops for M, the bit of w for a bare H_w), one AND
+    per part and term; each part's P is built once, so equal P share one
+    object.  Raises ClosedFormError unless the support is exactly [e, y],
+    every q-exponent is whole and >= 0 and every P has constant term 1.
+    Columns are memoized per y (a raise is not, so it recurs on every
+    call); callers must not mutate them.
     """
     ideal = y.ideal  # above the enumeration cap this raises before classify
     tag = regions.classify(y)
-    coefficients = {tag.tau.apply(x): h for x, h in kl_closed_form(tag)._m.items()}
-    column = {}
+    terms = _shifted(0, closed_form_terms(tag), tag.tau)
+    parts: list[tuple[int, tuple[int, ...]]] = []  # (mask, the terms holding it)
+    for t, (k, tops, bare) in enumerate(terms):
+        # tops[-1] is tops[0] but for an M term
+        rest = 1 << tops[0].ball_index if bare else tops[0].ideal | tops[-1].ideal
+        split = []
+        for part, held in parts:
+            inside = part & rest
+            if inside != part:
+                split.append((part ^ inside, held))
+            if inside:
+                split.append((inside, held + (t,)))
+                rest ^= inside
+        parts = split + [(rest, (t,))] if rest else split
+    if sum(part for part, _ in parts) != ideal:  # the parts are disjoint
+        raise ClosedFormError(f"closed form of {y.word()} is not supported on [e, y]")
+    half = []
+    for k, (x, *_), _ in terms:
+        twice = y.length - x.length - k
+        if twice < 0 or twice % 2:
+            raise ClosedFormError(f"P({x.word()}, {y.word()}): term v^{k} gives q^({twice}/2)")
+        half.append(twice // 2)
     seen: dict[QPoly, QPoly] = {}
-    for x in weyl.ball_elements(ideal):
-        h = coefficients.get(x)
-        if h is None:
-            break
-        try:
-            p = to_q(h, y.length - x.length)
-        except ShapeError as exc:
-            raise ClosedFormError(f"P({x.word()}, {y.word()}): {exc}") from exc
+    column = dict.fromkeys(weyl.ball_elements(ideal))
+    for part, held in parts:
+        p = QPoly(Counter(half[t] for t in held))
+        p = seen.setdefault(p, p)
+        for x in weyl.bit_elements(part):
+            column[x] = p
+    for x, p in column.items():
         if p.coefficient(0) != 1:
             raise ClosedFormError(f"P({x.word()}, {y.word()}) = {p} has no constant term 1")
-        column[x] = seen.setdefault(p, p)
-    if len(column) != len(coefficients) or len(column) != ideal.bit_count():
-        raise ClosedFormError(f"closed form of {y.word()} is not supported on [e, y]")
     return column
 
 

@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Optional
 
 from . import weyl
 from .laurent import ONE, ZERO, LaurentPoly, QPoly, to_q
-from .weyl import Element, ResourceLimitError, Symmetry
+from .weyl import Element, ResourceLimitError
 
 __all__ = [
     "HeckeElement",
@@ -46,7 +46,6 @@ __all__ = [
     "content",
     "is_monotonic",
     "hecke_geq",
-    "apply_symmetry",
     "DEFAULT_KL_CAP",
 ]
 
@@ -303,15 +302,3 @@ def hecke_geq(H1: HeckeElement, H2: HeckeElement) -> bool:
     diff = H1 - H2
     return all(p.is_nonneg() for p in diff._m.values())
 
-
-# ---------------------------------------------------------------------------
-# symmetries
-
-def apply_symmetry(tau: Symmetry, H: HeckeElement) -> HeckeElement:
-    """Relabel the support by tau; coefficients are unchanged.
-
-    Valid for every tau in G because diagram automorphisms extend to
-    algebra automorphisms permuting both bases, and inversion preserves
-    all KL coefficients.
-    """
-    return HeckeElement({tau.apply(x): p for x, p in H._m.items()})

@@ -29,8 +29,9 @@ def restore_closed_forms(monkeypatch):
     """For a test that patches bruhat_forge.closedform: a call that undoes
     the test's monkeypatch and clears the five closed-form memos, made
     again when the test ends.  The memos would otherwise keep what a
-    patched formula gave: kl_basis_theta1 and kl_basis_theta2 read
-    kl_basis_theta, and kl_column reads them all."""
+    patched formula gave: version 2 of kl_basis_theta2 reads
+    kl_basis_theta, and kl_column keeps each column it read off a
+    patched closed_form_terms."""
 
     def restore():
         monkeypatch.undo()

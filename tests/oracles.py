@@ -720,6 +720,19 @@ def reference_z_preserved(a_pair, b_pair, cert) -> bool:
 
 # -- the closed forms as sums of immutable elements --------------------------
 
+def apply_symmetry(tau, H):
+    """Relabel the support of the HeckeElement H by tau; coefficients are
+    unchanged.
+
+    Valid for every tau in G because diagram automorphisms extend to
+    algebra automorphisms permuting both bases, and inversion preserves
+    all KL coefficients.
+    """
+    from bruhat_forge.hecke import HeckeElement
+
+    return HeckeElement({tau.apply(x): p for x, p in H._m.items()})
+
+
 @lru_cache(maxsize=None)
 def reference_closed_form(kind: str, idx, version: int = 1):
     """The closed form of the family member theta(idx), theta1(idx),
@@ -777,7 +790,7 @@ def reference_closed_form(kind: str, idx, version: int = 1):
         if version == 1:
             out = out + scaled(M_element(s0_prev, rho_prev), 1)
             out = out + scaled(
-                hecke.apply_symmetry(rho2, reference_closed_form("theta1", prev)), 1
+                apply_symmetry(rho2, reference_closed_form("theta1", prev)), 1
             )
         else:
             out = out + scaled(M_element(rho2_prev_s, rho_prev), 1)
@@ -790,7 +803,7 @@ def reference_closed_form(kind: str, idx, version: int = 1):
         if version == 1:
             out = out + scaled(M_element(s0_prev, rho2_prev), 1)
             out = out + scaled(
-                hecke.apply_symmetry(rho, reference_closed_form("theta1", prev)), 1
+                apply_symmetry(rho, reference_closed_form("theta1", prev)), 1
             )
         else:
             out = out + scaled(M_element(rho_prev_s, rho2_prev), 1)
@@ -803,10 +816,10 @@ def reference_closed_form(kind: str, idx, version: int = 1):
                 M_element(theta(below).left_mult(0), theta(left).left_mult(0)), 1
             )
             out = out + scaled(
-                hecke.apply_symmetry(rho, reference_closed_form("theta1", below)), 1
+                apply_symmetry(rho, reference_closed_form("theta1", below)), 1
             )
             out = out + scaled(
-                hecke.apply_symmetry(rho2, reference_closed_form("theta1", left)), 1
+                apply_symmetry(rho2, reference_closed_form("theta1", left)), 1
             )
         else:
             out = out + scaled(
@@ -815,3 +828,36 @@ def reference_closed_form(kind: str, idx, version: int = 1):
             out = out + scaled(s0_theta(below), 1)
             out = out + scaled(s0_theta(left), 1)
     return out
+
+
+def reference_kl_column(y):
+    """P_{x,y} for every x <= y, in (length, word) order of x, read off the
+    Hecke element closedform.kl_closed_form sums for the canonical member
+    of y: its support relabelled by the classifying symmetry, each
+    coefficient converted by to_q, equal P sharing one object.  Raises
+    ClosedFormError for the same faults as closedform.kl_column; nothing
+    is memoized."""
+    from bruhat_forge import closedform, regions, weyl
+    from bruhat_forge.laurent import ShapeError, to_q
+
+    ideal = y.ideal
+    tag = regions.classify(y)
+    coefficients = {tag.tau.apply(x): h for x, h in closedform.kl_closed_form(tag)._m.items()}
+    column = {}
+    seen = {}
+    for x in weyl.ball_elements(ideal):
+        h = coefficients.get(x)
+        if h is None:
+            break
+        try:
+            p = to_q(h, y.length - x.length)
+        except ShapeError as exc:
+            raise closedform.ClosedFormError(f"P({x.word()}, {y.word()}): {exc}") from exc
+        if p.coefficient(0) != 1:
+            raise closedform.ClosedFormError(
+                f"P({x.word()}, {y.word()}) = {p} has no constant term 1"
+            )
+        column[x] = seen.setdefault(p, p)
+    if len(column) != len(coefficients) or len(column) != ideal.bit_count():
+        raise closedform.ClosedFormError(f"closed form of {y.word()} is not supported on [e, y]")
+    return column

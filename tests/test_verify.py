@@ -632,8 +632,8 @@ def test_every_stage_caps_its_witnesses(monkeypatch, restore_closed_forms):
     assert theta.counts == {"checked": 28, "mismatches": 28}
     assert len(theta.witnesses) == 10 and theta.witnesses[0] == [0, 0]
     assert report.to_csv_rows()[2] == [theta.name, "FAIL", json.dumps(theta.counts), 10]
-    # kl_basis_theta1 and kl_basis_theta2 memoised sums of the patched
-    # theta forms; with the patch undone and the memos cleared all pass
+    # version 2 of kl_basis_theta2 memoised sums of the patched theta
+    # forms; with the patch undone and the memos cleared all pass
     restore_closed_forms()
     assert verify_closed_forms(15, 14).passed
 
@@ -673,18 +673,16 @@ def _failed_by_a_closed_form(suite) -> bool:
 
 @pytest.mark.usefixtures("restore_closed_forms")
 def test_formula_fallbacks_fail_verification(monkeypatch):
-    # a Theta1 closed form that lost its identity term: every Theta1
-    # column raises ClosedFormError, which must fail every stage reading it
-    real = closedform.kl_closed_form
-    e = weyl.identity()
+    # a Theta1 closed form that lost the term of its canonical member:
+    # every Theta1 column raises ClosedFormError, which must fail every
+    # stage reading it
+    real = closedform.closed_form_terms
 
     def lossy(tag):
-        H = real(tag)
-        if tag.kind is RegionKind.THETA1:
-            H = H - standard_basis(e).scale(H.coefficient(e))
-        return H
+        terms = real(tag)
+        return terms[1:] if tag.kind is RegionKind.THETA1 else terms
 
-    monkeypatch.setattr(closedform, "kl_closed_form", lossy)
+    monkeypatch.setattr(closedform, "closed_form_terms", lossy)
     closedform.kl_column.cache_clear()
     report = verify_conjecture(6)
     assert not report.passed
