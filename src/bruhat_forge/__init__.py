@@ -4,7 +4,12 @@ the affine Weyl group of type A2~, with closed formulas for every
 canonical basis element, a graded-poset toolkit for Bruhat intervals,
 and an exhaustive verification harness for the combinatorial
 invariance of KL polynomials under interval isomorphism.
+
+Importing the package loads the KL path only; each poset or verify name
+it exports loads its module on first access.
 """
+
+import importlib
 
 from .laurent import LaurentPoly, QPoly, ShapeError, from_q, to_q
 from .weyl import (
@@ -41,21 +46,22 @@ from .closedform import (
     kl_fast,
     product_identity_check,
 )
-from .poset import (
-    Interval,
-    IsoCertificate,
-    NotComparableError,
-    build_interval,
-    fingerprint,
-    is_isomorphic,
-    parents,
-    structural_lemma_checks,
+# The interval toolkit and the verification harness load on first use of
+# one of their names, so a `kl` or `classify` call never compiles them.
+_LAZY = dict.fromkeys(
+    "Interval IsoCertificate NotComparableError build_interval fingerprint is_isomorphic "
+    "parents structural_lemma_checks".split(), "poset"
+) | dict.fromkeys(
+    "VerificationReport verify_closed_forms verify_conjecture verify_lemma_suite".split(), "verify"
 )
-from .verify import (
-    VerificationReport,
-    verify_closed_forms,
-    verify_conjecture,
-    verify_lemma_suite,
-)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ Words on the command line are digit strings with labels read mod 3
 identity.  Exit codes: 0 success, 1 usage or bad input, 2 verification
 failure, a failed closed form or formula/recursion disagreement.  The
 environment variable BRUHAT_FORGE_CACHE points at the on-disk KL cache;
-cache hits never change any output.
+cache hits never change any output.  Only the commands that use poset,
+verify or render import them, so `kl` and `classify` load the KL path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import cache as cache_mod
-from . import closedform, hecke, poset, regions, render, verify, weyl
+from . import closedform, hecke, regions, weyl
 from .laurent import from_q
 from .weyl import Element
 
@@ -103,6 +104,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_interval(args) -> int:
+    from . import poset
+
     x = _element(args.x)
     y = _element(args.y)
     try:
@@ -137,6 +140,8 @@ def _write_reports(reports, json_fh, csv_fh) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     reports, opened = [], []
     bound = args.max_length
     try:
@@ -167,6 +172,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import verify
+
     survey = verify.interval_survey(args.max_length)
     sizes: dict[int, list[int]] = {}
     for cls in survey.classes:
@@ -182,6 +189,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import poset, render
+
     if args.interval is not None:
         x = _element(args.interval[0])
         y = _element(args.interval[1])

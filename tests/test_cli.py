@@ -2,12 +2,16 @@
 
 import collections
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from bruhat_forge import cache as cache_mod
-from bruhat_forge import closedform, hecke, regions, verify, weyl
+from bruhat_forge import cli, closedform, hecke, regions, verify, weyl
 from bruhat_forge.laurent import QPoly
 from bruhat_forge.cli import main
 
@@ -258,6 +262,33 @@ def test_kl_formula_builds_no_ball_table(capsys, monkeypatch):
     code, out, _ = run(capsys, "kl", "", regions.theta((9, 9)).word(), "--via", "formula")
     assert code == 0 and "P = 1" in out
     assert weyl.ball.cache_info().currsize == 0
+
+
+def test_kl_and_classify_import_only_the_kl_path():
+    # a cold kl or classify call compiles no interval, verification or SVG
+    # code; a poset name of the package still loads poset on first access
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from bruhat_forge import cli, regions\n"
+        "y = regions.x_chain(26).word()\n"
+        "assert cli.main(['kl', '', y, '--via', 'formula']) == 0\n"
+        "assert cli.main(['classify', y]) == 0\n"
+        "unused = ['bruhat_forge.poset', 'bruhat_forge.verify', 'bruhat_forge.render', 'hashlib']\n"
+        "loaded = [m for m in unused if m in sys.modules and m not in before]\n"
+        "assert loaded == [], loaded\n"
+        "import bruhat_forge\n"
+        "build_interval = bruhat_forge.build_interval\n"
+        "assert build_interval is sys.modules['bruhat_forge.poset'].build_interval\n"
+        "from bruhat_forge import render\n"  # a submodule, not a lazy name
+        "assert render.__name__ == 'bruhat_forge.render'\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != cache_mod.CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _polygons(path):

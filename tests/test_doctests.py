@@ -33,9 +33,42 @@ def test_doctests_are_collected():
 @pytest.mark.parametrize("name", MODULES)
 def test_every_export_resolves(name):
     # a deleted function's stale __all__ entry breaks only a star import;
-    # the package itself has no __all__, its imports bind every name it exports
+    # the package itself has no __all__: its imports bind the KL names, and
+    # the names in its lazy table, which load poset or verify, must resolve too
     module = importlib.import_module(name)
-    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+    exports = [*getattr(module, "__all__", ()), *getattr(module, "_LAZY", ())]
+    assert [n for n in exports if not hasattr(module, n)] == []
+
+
+LAZY_NAMES = {
+    "poset": [
+        "Interval",
+        "IsoCertificate",
+        "NotComparableError",
+        "build_interval",
+        "fingerprint",
+        "is_isomorphic",
+        "parents",
+        "structural_lemma_checks",
+    ],
+    "verify": [
+        "VerificationReport",
+        "verify_closed_forms",
+        "verify_conjecture",
+        "verify_lemma_suite",
+    ],
+}
+
+
+def test_lazy_names_are_their_modules_objects():
+    # the package exports these without importing poset or verify up front
+    assert bruhat_forge._LAZY == {n: m for m, names in LAZY_NAMES.items() for n in names}
+    for mod_name, names in LAZY_NAMES.items():
+        module = importlib.import_module(f"bruhat_forge.{mod_name}")
+        for name in names:
+            assert getattr(bruhat_forge, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="^module 'bruhat_forge' has no attribute 'no_such'$"):
+        bruhat_forge.no_such
 
 
 def test_readme_library_example_runs():
