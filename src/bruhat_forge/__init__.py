@@ -38,10 +38,6 @@ from .regions import RegionKind, RegionTag, ThetaIndex, classify, s_mn, theta, t
 from .closedform import (
     ClosedFormError,
     appendix_identity_check,
-    kl_basis_theta,
-    kl_basis_theta1,
-    kl_basis_theta2,
-    kl_basis_x,
     kl_column,
     kl_fast,
     product_identity_check,

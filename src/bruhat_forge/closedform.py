@@ -7,10 +7,10 @@ lower-interval sum v^k N_x for tops (x,), the two-interval sum
 v^k M_{x,y} for tops (x, y), or the bare monomial v^k H_w for tops (w,).
 A smaller family member enters as its own terms, shifted by v^k and
 relabelled by its symmetry tau (tau N_x = N_{tau x}, since tau keeps
-lengths and Bruhat order).  The family elements sum their lists into one
-hecke table; the second theta2 formula keeps its product-identity
-route.  The recursion stays an independent oracle, and every formula is
-tested against it.
+lengths and Bruhat order).  ``kl_closed_form`` sums the list of a region
+tag into one hecke table, unmemoized; ``theta2_product_form``, the
+second theta2 formula, keeps its product-identity route.  The recursion
+stays an independent oracle, and every formula is tested against it.
 
 ``kl_column`` is the one way to a KL column off the closed forms, and
 it builds no Hecke element: in the q-normalization a term v^k N_x adds
@@ -43,11 +43,8 @@ from .regions import RegionKind, ThetaIndex, s_mn, theta, theta1, theta2, x_chai
 from .weyl import IDENTITY_SYMMETRY, RHO, Element, Symmetry
 
 __all__ = [
-    "kl_basis_x",
-    "kl_basis_theta",
-    "kl_basis_theta1",
-    "kl_basis_theta2",
     "kl_closed_form",
+    "theta2_product_form",
     "closed_form_terms",
     "kl_column",
     "kl_fast",
@@ -72,6 +69,9 @@ def _shifted(k: int, terms: list[Term], tau: Symmetry = IDENTITY_SYMMETRY) -> li
 
 
 def _x_terms(n: int) -> list[Term]:
+    # N_{x_n} for n <= 3; N_{x_4} + v N_{x_1} at n = 4; for n >= 5 the
+    # term v N_{x_{n-3}} persists and even n picks up the two extra
+    # standard-basis terms v H_{s1 s0 x_{n-5}} + v^2 H_{s0 x_{n-5}}
     terms = [(0, (x_chain(n),), False)]
     if n >= 4:
         terms.append((1, (x_chain(n - 3),), False))
@@ -82,13 +82,14 @@ def _x_terms(n: int) -> list[Term]:
 
 
 def _theta_terms(idx: ThetaIndex | tuple[int, int]) -> list[Term]:
+    # the sum over i = 0..min(m, n) of v^(2i) N_{theta(m-i, n-i)}
     m, n = idx
     return [(2 * i, (theta((m - i, n - i)),), False) for i in range(min(m, n) + 1)]
 
 
 def _theta1_terms(idx: ThetaIndex | tuple[int, int]) -> list[Term]:
-    # v times the theta closed form of each neighbour (m-1, n), (m, n-1)
-    # that exists
+    # theta(m, n) s by the four-case formula: N plus v times the theta
+    # closed form of each neighbour (m-1, n), (m, n-1) that exists
     m, n = idx
     terms = [(0, (theta1(idx),), False)]
     for i in ((m - 1, n), (m, n - 1)):
@@ -97,31 +98,24 @@ def _theta1_terms(idx: ThetaIndex | tuple[int, int]) -> list[Term]:
     return terms
 
 
-def _theta2_terms(idx: ThetaIndex | tuple[int, int], version: int = 1) -> tuple[list[Term], tuple]:
-    # the terms of theta2 formula `version`, and the indices i whose
-    # canonical element of s0 theta(i) version 2 adds times v
+def _theta2_terms(idx: ThetaIndex | tuple[int, int]) -> list[Term]:
+    # the first closed form of s0 theta(m, n) s
     m, n = idx
     terms = [(0, (theta2(idx),), False)]
     if m == 0 and n == 0:
-        return terms + [(2, (weyl.generator(0),), False)], ()
+        return terms + [(2, (weyl.generator(0),), False)]
     if m == 0 or n == 0:
         # the two edges mirror each other: n = 0 uses rho where m = 0
         # uses rho^2, and the other way round
         prev = ThetaIndex(max(m - 1, 0), max(n - 1, 0))
         near, far = (RHO, _RHO2) if n == 0 else (_RHO2, RHO)
-        if version == 2:
-            terms.append((1, (far.apply(theta1(prev)), near.apply(theta(prev))), False))
-            return terms, (prev,)
         terms.append((1, (theta(prev).left_mult(0), near.apply(theta(prev))), False))
-        return terms + _shifted(1, _theta1_terms(prev), far), ()
+        return terms + _shifted(1, _theta1_terms(prev), far)
     below = ThetaIndex(m, n - 1)
     left = ThetaIndex(m - 1, n)
-    if version == 2:
-        terms.append((1, (RHO.apply(theta1(below)), _RHO2.apply(theta1(left))), False))
-        return terms, (below, left)
     terms.append((1, (theta(below).left_mult(0), theta(left).left_mult(0)), False))
     terms += _shifted(1, _theta1_terms(below), RHO) + _shifted(1, _theta1_terms(left), _RHO2)
-    return terms, ()
+    return terms
 
 
 def closed_form_terms(tag: regions.RegionTag) -> list[Term]:
@@ -135,12 +129,11 @@ def closed_form_terms(tag: regions.RegionTag) -> list[Term]:
         return _theta_terms(tag.params)
     if tag.kind is RegionKind.THETA1:
         return _theta1_terms(tag.params)
-    return _theta2_terms(tag.params)[0]
+    return _theta2_terms(tag.params)
 
 
-def _sum(terms: list[Term], products: tuple[ThetaIndex, ...] = ()) -> HeckeElement:
-    """A sum of terms, plus v times the canonical element of s0 theta(i),
-    by the product identity, for each index i in products."""
+def _sum(terms: list[Term]) -> HeckeElement:
+    """The Hecke element of a sum of terms."""
     acc: Table = {}
     for k, tops, bare in terms:
         if bare:
@@ -148,51 +141,35 @@ def _sum(terms: list[Term], products: tuple[ThetaIndex, ...] = ()) -> HeckeEleme
             row[k] = row.get(k, 0) + 1
         else:
             _add_N(acc, k, *tops)
-    for i in products:
-        _add_element(acc, hecke.mult_kl_s(kl_basis_theta(i), 0, "left"), k=1)
     return _freeze(acc)
-
-
-@functools.cache
-def kl_basis_x(n: int) -> HeckeElement:
-    """Canonical basis element of the chain x_n.
-
-    N_{x_n} for n <= 3; N_{x_4} + v N_{x_1} at n = 4; for n >= 5 the
-    term v N_{x_{n-3}} persists and even n picks up the two extra
-    standard-basis terms v H_{s1 s0 x_{n-5}} + v^2 H_{s0 x_{n-5}}.
-    """
-    if n < 1:
-        raise ValueError("kl_basis_x requires n >= 1")
-    return _sum(_x_terms(n))
-
-
-@functools.cache
-def kl_basis_theta(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
-    """Sum over i = 0..min(m, n) of v^(2i) N_{theta(m-i, n-i)}."""
-    return _sum(_theta_terms(idx))
-
-
-@functools.cache
-def kl_basis_theta1(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
-    """Canonical basis element of theta(m, n) s, by the four-case formula."""
-    return _sum(_theta1_terms(idx))
-
-
-@functools.cache
-def kl_basis_theta2(idx: ThetaIndex | tuple[int, int], version: int = 1) -> HeckeElement:
-    """Canonical basis element of s0 theta(m, n) s.
-
-    The two versions are the paired formulas whose agreement is itself a
-    consistency check; they coincide for m = n = 0.
-    """
-    if version not in (1, 2):
-        raise ValueError("version must be 1 or 2")
-    return _sum(*_theta2_terms(idx, version))
 
 
 def kl_closed_form(tag: regions.RegionTag) -> HeckeElement:
     """Closed form for the canonical member described by a region tag."""
     return _sum(closed_form_terms(tag))
+
+
+def theta2_product_form(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
+    """The second closed form of s0 theta(m, n) s, whose agreement with
+    kl_closed_form is itself a consistency check: one M term over the
+    flanking theta1 members, plus v times the canonical element of
+    s0 theta(i), by the product identity, for each flanking index i.
+    The two formulas coincide for m = n = 0."""
+    m, n = idx
+    if m == 0 and n == 0:
+        return _sum(_theta2_terms(idx))
+    if m == 0 or n == 0:
+        prev = ThetaIndex(max(m - 1, 0), max(n - 1, 0))
+        near, far = (RHO, _RHO2) if n == 0 else (_RHO2, RHO)
+        tops, flanks = (far.apply(theta1(prev)), near.apply(theta(prev))), (prev,)
+    else:
+        flanks = (ThetaIndex(m, n - 1), ThetaIndex(m - 1, n))
+        tops = (RHO.apply(theta1(flanks[0])), _RHO2.apply(theta1(flanks[1])))
+    acc = _add_N({}, 0, theta2(idx))
+    _add_N(acc, 1, *tops)
+    for i in flanks:
+        _add_element(acc, hecke.mult_kl_s(_sum(_theta_terms(i)), 0, "left"), k=1)
+    return _freeze(acc)
 
 
 # ---------------------------------------------------------------------------

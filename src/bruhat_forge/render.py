@@ -16,11 +16,12 @@ count.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from . import poset, regions, weyl
 from .regions import RegionKind
 from .weyl import Element
 
-__all__ = ["render_regions", "render_interval", "REGION_FILLS", "EDGE_COLORS"]
+__all__ = ["render_regions", "render_interval", "alcove_vertices", "REGION_FILLS", "EDGE_COLORS"]
 
 REGION_FILLS = {
     RegionKind.X: "#e8e8e8",
@@ -36,6 +37,13 @@ _SCALE = 60.0
 _SQRT3 = math.sqrt(3.0)
 
 
+def alcove_vertices(w: Element) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Cartesian vertices of w(A0), second coordinates as multiples of sqrt(3)."""
+    # weight point a*w1 + b*w2 with w1 = (1, 0), w2 = (1/2, sqrt(3)/2);
+    # the second coordinate is returned as the rational multiple of sqrt(3)
+    return tuple((Fraction(2 * a + b, 2), Fraction(b, 2)) for a, b in w.alcove_vertices())
+
+
 def _xy(frac_pair) -> tuple[float, float]:
     fx, fy = frac_pair
     # SVG's y axis points down; flip so the picture matches the plane
@@ -43,7 +51,7 @@ def _xy(frac_pair) -> tuple[float, float]:
 
 
 def _polygon(w: Element, fill: str, region: str) -> list[str]:
-    verts = [_xy(v) for v in weyl.alcove_vertices(w)]
+    verts = [_xy(v) for v in alcove_vertices(w)]
     pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in verts)
     word = w.word()
     out = [
@@ -65,7 +73,7 @@ def _document(alcoves: list[tuple[Element, str, str]]) -> str:
     xs: list[float] = []
     ys: list[float] = []
     for w, _, _ in alcoves:
-        for v in weyl.alcove_vertices(w):
+        for v in alcove_vertices(w):
             x, y = _xy(v)
             xs.append(x)
             ys.append(y)

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 
 from . import closedform, hecke, poset, regions, weyl
 from .poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
-from .regions import RegionKind, ThetaIndex
-from .weyl import Element, SYMMETRY_GROUP
+from .regions import RegionKind, RegionTag, ThetaIndex
+from .weyl import IDENTITY_SYMMETRY, Element, SYMMETRY_GROUP
 
 # bounds no caller varies: index bounds of the lemma and product checks,
 # and the share of intervals the conjecture suite sends to the oracle
@@ -424,9 +424,11 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
         pairs = itertools.product(half, half)
         return [ThetaIndex(m, n) for m, n in pairs if 2 * (m + n) + shift <= max_family_length]
 
-    def family(indices, formula, member):
+    def family(kind, indices):
         def stage():
-            bad = [i for i in indices if formula(i) != hecke.kl_basis(member(i))]
+            tags = [RegionTag(kind, IDENTITY_SYMMETRY, i) for i in indices]
+            bad = [t.params for t in tags
+                   if closedform.kl_closed_form(t) != hecke.kl_basis(t.canonical_member())]
             # chain witnesses are n, theta witnesses [m, n]
             witnesses = [list(i) if isinstance(i, ThetaIndex) else i for i in bad]
             return {"checked": len(indices), "mismatches": len(bad)}, witnesses
@@ -436,9 +438,10 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
         indices = theta_range(5)
         bad, disagreements = [], []
         for idx in indices:
-            oracle = hecke.kl_basis(regions.theta2(idx))
-            v1 = closedform.kl_basis_theta2(idx, 1)
-            v2 = closedform.kl_basis_theta2(idx, 2)
+            tag = RegionTag(RegionKind.THETA2, IDENTITY_SYMMETRY, idx)
+            oracle = hecke.kl_basis(tag.canonical_member())
+            v1 = closedform.kl_closed_form(tag)
+            v2 = closedform.theta2_product_form(idx)
             if v1 != oracle or v2 != oracle:
                 bad.append(idx)
             if v1 != v2:
@@ -461,11 +464,11 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
         {"suite": "closed-forms", "max_family_length": max_family_length, "x_max": x_max},
         [
             (f"chain family vs oracle (n <= {x_max})",
-             family(range(1, x_max + 1), closedform.kl_basis_x, regions.x_chain), False),
+             family(RegionKind.X, range(1, x_max + 1)), False),
             (f"theta family vs oracle ({lengths})",
-             family(theta_range(3), closedform.kl_basis_theta, regions.theta), False),
+             family(RegionKind.THETA, theta_range(3)), False),
             (f"theta1 family vs oracle ({lengths})",
-             family(theta_range(4), closedform.kl_basis_theta1, regions.theta1), False),
+             family(RegionKind.THETA1, theta_range(4)), False),
             (f"theta2 family both versions vs oracle ({lengths})", theta2, False),
             (f"canonical generator product identities (m, n <= {PRODUCT_BOUND})",
              products, False),

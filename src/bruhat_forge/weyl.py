@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "bit_elements",
     "enumerate_up_to_length",
     "elements_of_length",
-    "alcove_vertices",
 ]
 
 Generator = int
@@ -627,17 +625,3 @@ for _n, _tau in _D3_ORDER:
 
 SYMMETRY_BY_NAME: dict[str, Symmetry] = {tau.name: tau for tau in SYMMETRY_GROUP}
 
-
-# ---------------------------------------------------------------------------
-# alcove coordinates (Cartesian, exact)
-
-def _cartesian(v: Vec) -> tuple[Fraction, Fraction]:
-    # weight point a*w1 + b*w2 with w1 = (1, 0), w2 = (1/2, sqrt(3)/2);
-    # the second coordinate is returned as the rational multiple of sqrt(3)
-    a, b = v
-    return (Fraction(2 * a + b, 2), Fraction(b, 2))
-
-
-def alcove_vertices(w: Element) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Cartesian vertices of w(A0), second coordinates as multiples of sqrt(3)."""
-    return tuple(_cartesian(v) for v in w.alcove_vertices())

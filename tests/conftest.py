@@ -15,23 +15,16 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-_CLOSED_FORM_MEMOS = (
-    closedform.kl_basis_x,
-    closedform.kl_basis_theta,
-    closedform.kl_basis_theta1,
-    closedform.kl_basis_theta2,
-    closedform.kl_column,
-)
+_CLOSED_FORM_MEMOS = (closedform.kl_column,)
 
 
 @pytest.fixture
 def restore_closed_forms(monkeypatch):
     """For a test that patches bruhat_forge.closedform: a call that undoes
-    the test's monkeypatch and clears the five closed-form memos, made
-    again when the test ends.  The memos would otherwise keep what a
-    patched formula gave: version 2 of kl_basis_theta2 reads
-    kl_basis_theta, and kl_column keeps each column it read off a
-    patched closed_form_terms."""
+    the test's monkeypatch and clears the closed-form memo, made again
+    when the test ends.  The memo would otherwise keep what a patched
+    formula gave: kl_column keeps each column it read off a patched
+    closed_form_terms."""
 
     def restore():
         monkeypatch.undo()

@@ -115,9 +115,9 @@ def alcove_coordinates(w):
     for the embedding with A0 = triangle (0,0), (1,0), (1/2, sqrt(3)/2).
     The map is injective and identity() lands on A0 pointing up.
     """
-    from bruhat_forge import weyl
+    from bruhat_forge import render
 
-    verts = weyl.alcove_vertices(w)
+    verts = render.alcove_vertices(w)
     cx = sum(v[0] for v in verts) / 3
     cy = sum(v[1] for v in verts) / 3
     return ((cx, cy), orientation_up(w))
@@ -127,9 +127,9 @@ def orientation_up(w) -> bool:
     """Whether w(A0) points the same way as A0: its Cartesian vertices,
     in the order alcove_vertices lists them, run counterclockwise as
     those of A0 do."""
-    from bruhat_forge import weyl
+    from bruhat_forge import render
 
-    (ax, ay), (bx, by), (cx, cy) = weyl.alcove_vertices(w)
+    (ax, ay), (bx, by), (cx, cy) = render.alcove_vertices(w)
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
 
 

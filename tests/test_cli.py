@@ -266,7 +266,8 @@ def test_kl_formula_builds_no_ball_table(capsys, monkeypatch):
 
 def test_kl_and_classify_import_only_the_kl_path():
     # a cold kl or classify call compiles no interval, verification or SVG
-    # code; a poset name of the package still loads poset on first access
+    # code and loads no exact fractions; a poset name of the package still
+    # loads poset on first access
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -274,7 +275,8 @@ def test_kl_and_classify_import_only_the_kl_path():
         "y = regions.x_chain(26).word()\n"
         "assert cli.main(['kl', '', y, '--via', 'formula']) == 0\n"
         "assert cli.main(['classify', y]) == 0\n"
-        "unused = ['bruhat_forge.poset', 'bruhat_forge.verify', 'bruhat_forge.render', 'hashlib']\n"
+        "unused = ['bruhat_forge.poset', 'bruhat_forge.verify', 'bruhat_forge.render',\n"
+        "          'hashlib', 'fractions']\n"
         "loaded = [m for m in unused if m in sys.modules and m not in before]\n"
         "assert loaded == [], loaded\n"
         "import bruhat_forge\n"

@@ -7,96 +7,106 @@ import oracles
 from bruhat_forge import closedform, hecke, laurent, regions, weyl
 from bruhat_forge.closedform import (
     appendix_identity_check,
-    kl_basis_theta,
-    kl_basis_theta1,
-    kl_basis_theta2,
-    kl_basis_x,
+    kl_closed_form,
     kl_column,
     kl_fast,
     product_identity_check,
+    theta2_product_form,
 )
 from bruhat_forge.hecke import N_element, kl_basis, standard_basis
 from bruhat_forge.laurent import LaurentPoly, QPoly, to_q
 from bruhat_forge.regions import RegionKind, RegionTag, ThetaIndex, theta, theta1, theta2, x_chain
-from bruhat_forge.weyl import RHO, SYMMETRY_BY_NAME, SYMMETRY_GROUP, from_word, identity
+from bruhat_forge.weyl import (
+    IDENTITY_SYMMETRY,
+    RHO,
+    SYMMETRY_BY_NAME,
+    SYMMETRY_GROUP,
+    from_word,
+    identity,
+)
 
 V = LaurentPoly({1: 1})
 V2 = LaurentPoly({2: 1})
 RHO2 = RHO * RHO
 
 
+def family(kind, idx):
+    """The closed form of the family member x_idx, theta(idx), theta1(idx)
+    or theta2(idx) (kind "x", "theta", "theta1", "theta2"), through its
+    region tag."""
+    return kl_closed_form(RegionTag(RegionKind[kind.upper()], IDENTITY_SYMMETRY, idx))
+
+
 def test_x_formula_structure():
-    assert kl_basis_x(2) == N_element(x_chain(2))
-    assert kl_basis_x(4) == N_element(x_chain(4)) + N_element(x_chain(1)).scale(V)
+    assert family("x", 2) == N_element(x_chain(2))
+    assert family("x", 4) == N_element(x_chain(4)) + N_element(x_chain(1)).scale(V)
     tail = x_chain(1)
-    assert kl_basis_x(6) == (
+    assert family("x", 6) == (
         N_element(x_chain(6))
         + N_element(x_chain(3)).scale(V)
         + standard_basis(tail.left_mult(0).left_mult(1)).scale(V)
         + standard_basis(tail.left_mult(0)).scale(V2)
     )
-    assert kl_basis_x(7) == N_element(x_chain(7)) + N_element(x_chain(4)).scale(V)
+    assert family("x", 7) == N_element(x_chain(7)) + N_element(x_chain(4)).scale(V)
     with pytest.raises(ValueError):
-        kl_basis_x(0)
+        family("x", 0)
 
 
 def test_theta_formula_structure():
-    assert kl_basis_theta((0, 0)) == N_element(theta((0, 0)))
-    assert kl_basis_theta((1, 1)) == N_element(theta((1, 1))) + N_element(
+    assert family("theta", (0, 0)) == N_element(theta((0, 0)))
+    assert family("theta", (1, 1)) == N_element(theta((1, 1))) + N_element(
         theta((0, 0))
     ).scale(V2)
-    assert kl_basis_theta((2, 1)) == N_element(theta((2, 1))) + N_element(
+    assert family("theta", (2, 1)) == N_element(theta((2, 1))) + N_element(
         theta((1, 0))
     ).scale(V2)
 
 
 def test_theta1_formula_structure():
-    assert kl_basis_theta1((0, 0)) == N_element(theta1((0, 0)))
-    assert kl_basis_theta1((1, 0)) == N_element(theta1((1, 0))) + N_element(
+    assert family("theta1", (0, 0)) == N_element(theta1((0, 0)))
+    assert family("theta1", (1, 0)) == N_element(theta1((1, 0))) + N_element(
         theta((0, 0))
     ).scale(V)
-    assert kl_basis_theta1((1, 1)) == (
+    assert family("theta1", (1, 1)) == (
         N_element(theta1((1, 1)))
-        + kl_basis_theta((0, 1)).scale(V)
-        + kl_basis_theta((1, 0)).scale(V)
+        + family("theta", (0, 1)).scale(V)
+        + family("theta", (1, 0)).scale(V)
     )
 
 
 def test_theta2_formula_structure():
     expected00 = N_element(theta2((0, 0))) + N_element(weyl.generator(0)).scale(V2)
-    assert kl_basis_theta2((0, 0), 1) == expected00
-    assert kl_basis_theta2((0, 0), 2) == expected00
-    v1 = kl_basis_theta2((1, 0), 1)
+    assert family("theta2", (0, 0)) == expected00
+    assert theta2_product_form((0, 0)) == expected00
+    v1 = family("theta2", (1, 0))
     expected10 = (
         N_element(theta2((1, 0)))
         + hecke.M_element(theta((0, 0)).left_mult(0), RHO.apply(theta((0, 0)))).scale(V)
-        + oracles.apply_symmetry(RHO2, kl_basis_theta1((0, 0))).scale(V)
+        + oracles.apply_symmetry(RHO2, family("theta1", (0, 0))).scale(V)
     )
     assert v1 == expected10
-    with pytest.raises(ValueError):
-        kl_basis_theta2((1, 1), 3)
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_x_family_matches_oracle(n):
-    assert kl_basis_x(n) == kl_basis(x_chain(n))
+    assert family("x", n) == kl_basis(x_chain(n))
 
 
 @pytest.mark.parametrize("m", range(4))
 @pytest.mark.parametrize("n", range(4))
 def test_theta_families_match_oracle_small(m, n):
     if 2 * m + 2 * n + 5 <= 13:
-        assert kl_basis_theta((m, n)) == kl_basis(theta((m, n)))
-        assert kl_basis_theta1((m, n)) == kl_basis(theta1((m, n)))
+        assert family("theta", (m, n)) == kl_basis(theta((m, n)))
+        assert family("theta1", (m, n)) == kl_basis(theta1((m, n)))
         oracle = kl_basis(theta2((m, n)))
-        assert kl_basis_theta2((m, n), 1) == oracle
-        assert kl_basis_theta2((m, n), 2) == oracle
+        assert family("theta2", (m, n)) == oracle
+        assert theta2_product_form((m, n)) == oracle
 
 
 def test_theta2_versions_agree():
     for m in range(4):
         for n in range(4):
-            assert kl_basis_theta2((m, n), 1) == kl_basis_theta2((m, n), 2)
+            assert family("theta2", (m, n)) == theta2_product_form((m, n))
 
 
 def _family_members(max_length):
@@ -113,41 +123,39 @@ def _family_members(max_length):
 
 
 def test_in_place_closed_forms_match_immutable_sums():
-    formula = {"x": kl_basis_x, "theta": kl_basis_theta, "theta1": kl_basis_theta1}
     members = _family_members(15)
     assert {kind for kind, _, _ in members} == {"x", "theta", "theta1", "theta2"}
     for kind, idx, _ in members:
         if kind == "theta2":
-            for version in (1, 2):
-                got = kl_basis_theta2(idx, version)
+            for version, got in ((1, family(kind, idx)), (2, theta2_product_form(idx))):
                 assert got == oracles.reference_closed_form(kind, idx, version), (idx, version)
         else:
-            assert formula[kind](idx) == oracles.reference_closed_form(kind, idx), (kind, idx)
+            assert family(kind, idx) == oracles.reference_closed_form(kind, idx), (kind, idx)
 
 
 def test_closed_forms_of_the_column_tops_match_immutable_sums():
     # the canonical members behind the benchmark's KL columns, lengths 22-29
-    for kind, idx, build in (
-        ("theta1", (4, 5), kl_basis_theta1),
-        ("theta", (5, 5), kl_basis_theta),
-        ("x", 24, kl_basis_x),
-        ("theta2", (2, 8), kl_basis_theta2),
-        ("theta1", (8, 3), kl_basis_theta1),
-        ("theta", (6, 6), kl_basis_theta),
-        ("x", 28, kl_basis_x),
-        ("theta2", (9, 3), kl_basis_theta2),
+    for kind, idx in (
+        ("theta1", (4, 5)),
+        ("theta", (5, 5)),
+        ("x", 24),
+        ("theta2", (2, 8)),
+        ("theta1", (8, 3)),
+        ("theta", (6, 6)),
+        ("x", 28),
+        ("theta2", (9, 3)),
     ):
-        assert build(idx) == oracles.reference_closed_form(kind, idx), (kind, idx)
+        assert family(kind, idx) == oracles.reference_closed_form(kind, idx), (kind, idx)
 
 
 def test_coefficients_positive_below_top():
-    for build, idx in (
-        (kl_basis_x, 9),
-        (kl_basis_theta, (1, 2)),
-        (kl_basis_theta1, (2, 1)),
-        (kl_basis_theta2, (1, 1)),
+    for kind, idx in (
+        ("x", 9),
+        ("theta", (1, 2)),
+        ("theta1", (2, 1)),
+        ("theta2", (1, 1)),
     ):
-        h = build(idx)
+        h = family(kind, idx)
         top = max(h.support(), key=lambda w: w.length)
         for x, p in h.items():
             if x != top:
@@ -238,8 +246,7 @@ def test_the_closed_form_route_never_reaches_the_recursion(monkeypatch):
     monkeypatch.setattr(hecke, "kl_basis", forbidden)
     monkeypatch.setattr(hecke, "_kl_rows", forbidden)
     monkeypatch.setattr(hecke, "kl_polynomial", forbidden)
-    for memo in (kl_column, kl_basis_x, kl_basis_theta, kl_basis_theta1, kl_basis_theta2):
-        memo.cache_clear()
+    kl_column.cache_clear()
     for y, column in expected.items():
         assert kl_column(y) == column
         assert all(kl_fast(x, y) == p for x, p in column.items())
@@ -334,8 +341,7 @@ def test_kl_column_builds_no_hecke_element_and_sorts_nothing(monkeypatch):
         raise AssertionError("kl_column built a Hecke element, a v-polynomial or sorted elements")
 
     # a cold column: no closed form is memoized either
-    for memo in (kl_column, kl_basis_x, kl_basis_theta, kl_basis_theta1, kl_basis_theta2):
-        memo.cache_clear()
+    kl_column.cache_clear()
     monkeypatch.setattr(hecke.HeckeElement, "__init__", forbidden)
     monkeypatch.setattr(hecke.HeckeElement, "support", forbidden)
     monkeypatch.setattr(weyl.Element, "sort_key", forbidden)

@@ -1,5 +1,5 @@
 """The examples in the package's docstrings and in the README, run as tests,
-and its export lists."""
+its export lists and its memos."""
 
 import doctest
 import importlib
@@ -69,6 +69,25 @@ def test_lazy_names_are_their_modules_objects():
             assert getattr(bruhat_forge, name) is getattr(module, name)
     with pytest.raises(AttributeError, match="^module 'bruhat_forge' has no attribute 'no_such'$"):
         bruhat_forge.no_such
+
+
+def test_the_package_holds_six_memos():
+    # every module-level function with a cache to clear, named by the module
+    # that defines it; a new memo is new state that a reset must reach
+    memos = sorted(
+        f"{name.removeprefix('bruhat_forge.')}.{attr}"
+        for name in MODULES
+        for attr, obj in vars(importlib.import_module(name)).items()
+        if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name
+    )
+    assert memos == [
+        "closedform.kl_column",
+        "hecke._decode",
+        "hecke._kl_rows",
+        "regions._theta_hull",
+        "verify.interval_survey",
+        "weyl.ball",
+    ]
 
 
 def test_readme_library_example_runs():

@@ -622,9 +622,10 @@ def test_a_conjecture_report_judges_each_action_list_once(monkeypatch):
 
 
 def test_every_stage_caps_its_witnesses(monkeypatch, restore_closed_forms):
-    real = closedform.kl_basis_theta
+    real = closedform._theta_terms
     e = weyl.identity()
-    monkeypatch.setattr(closedform, "kl_basis_theta", lambda idx: real(idx) + standard_basis(e))
+    # every theta closed form gains the bare term H_e
+    monkeypatch.setattr(closedform, "_theta_terms", lambda idx: real(idx) + [(0, (e,), True)])
     report = verify_closed_forms(15, 14)
     theta = next(s for s in report.suites if s.name.startswith("theta family"))
     assert not theta.passed and not report.passed
@@ -632,8 +633,8 @@ def test_every_stage_caps_its_witnesses(monkeypatch, restore_closed_forms):
     assert theta.counts == {"checked": 28, "mismatches": 28}
     assert len(theta.witnesses) == 10 and theta.witnesses[0] == [0, 0]
     assert report.to_csv_rows()[2] == [theta.name, "FAIL", json.dumps(theta.counts), 10]
-    # version 2 of kl_basis_theta2 memoised sums of the patched theta
-    # forms; with the patch undone and the memos cleared all pass
+    # nothing memoises a closed form's Hecke element, so with the patch
+    # undone all pass
     restore_closed_forms()
     assert verify_closed_forms(15, 14).passed
 

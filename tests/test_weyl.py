@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from bruhat_forge import regions, weyl
+from bruhat_forge import regions, render, weyl
 from bruhat_forge.weyl import (
     IOTA,
     RHO,
@@ -317,9 +317,9 @@ def test_alcove_coordinates():
 
 
 def test_generator_alcoves_share_an_edge_with_fundamental():
-    base = set(weyl.alcove_vertices(identity()))
+    base = set(render.alcove_vertices(identity()))
     for s in range(3):
-        shared = base & set(weyl.alcove_vertices(generator(s)))
+        shared = base & set(render.alcove_vertices(generator(s)))
         assert len(shared) == 2
 
 
