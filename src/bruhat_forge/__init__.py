@@ -5,8 +5,9 @@ canonical basis element, a graded-poset toolkit for Bruhat intervals,
 and an exhaustive verification harness for the combinatorial
 invariance of KL polynomials under interval isomorphism.
 
-Importing the package loads the KL path only; each poset or verify name
-it exports loads its module on first access.
+Importing the package loads only laurent and weyl; each hecke, regions,
+closedform, poset or verify name it exports loads its module on first
+access.
 """
 
 import importlib
@@ -22,29 +23,17 @@ from .weyl import (
     from_word,
     identity,
 )
-from .hecke import (
-    HeckeElement,
-    M_element,
-    N_element,
-    content,
-    hecke_geq,
-    is_monotonic,
-    kl_basis,
-    kl_polynomial,
-    mult_kl_s,
-    standard_basis,
-)
-from .regions import RegionKind, RegionTag, ThetaIndex, classify, s_mn, theta, theta1, theta2, x_chain
-from .closedform import (
-    ClosedFormError,
-    appendix_identity_check,
-    kl_column,
-    kl_fast,
-    product_identity_check,
-)
-# The interval toolkit and the verification harness load on first use of
-# one of their names, so a `kl` or `classify` call never compiles them.
+# Every other name loads its module on first use, so a command compiles
+# only what it runs: a cached `kl` answer needs no closed form or recursion.
 _LAZY = dict.fromkeys(
+    "HeckeElement M_element N_element content hecke_geq is_monotonic kl_basis kl_polynomial "
+    "mult_kl_s standard_basis".split(), "hecke"
+) | dict.fromkeys(
+    "RegionKind RegionTag ThetaIndex classify s_mn theta theta1 theta2 x_chain".split(), "regions"
+) | dict.fromkeys(
+    "ClosedFormError appendix_identity_check kl_column kl_fast product_identity_check".split(),
+    "closedform",
+) | dict.fromkeys(
     "Interval IsoCertificate NotComparableError build_interval fingerprint is_isomorphic "
     "parents structural_lemma_checks".split(), "poset"
 ) | dict.fromkeys(

@@ -6,21 +6,21 @@ Words on the command line are digit strings with labels read mod 3
 identity.  Exit codes: 0 success, 1 usage or bad input, 2 verification
 failure, a failed closed form or formula/recursion disagreement.  The
 environment variable BRUHAT_FORGE_CACHE points at the on-disk KL cache;
-cache hits never change any output.  Only the commands that use poset,
-verify or render import them, so `kl` and `classify` load the KL path.
+cache hits never change any output.  Each command imports only the
+modules it runs: a `kl` answer read from the cache loads neither the
+closed forms nor the recursion, and json and csv load only in the
+commands that write them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from typing import Optional
 
 from . import cache as cache_mod
-from . import closedform, hecke, regions, weyl
+from . import weyl
 from .laurent import from_q
 from .weyl import Element
 
@@ -65,6 +65,8 @@ def _cmd_kl(args) -> int:
         if cached is not None:
             p_formula = cached
         else:
+            from . import closedform
+
             try:
                 p_formula = closedform.kl_fast(x, y)
             except closedform.ClosedFormError as exc:
@@ -74,6 +76,8 @@ def _cmd_kl(args) -> int:
                 kl_cache.put(x.word(), y.word(), p_formula)
     p_recursion = None
     if args.via in ("recursion", "both"):
+        from . import hecke
+
         try:
             p_recursion = hecke.kl_polynomial(x, y)[1]
         except weyl.ResourceLimitError as exc:
@@ -98,12 +102,18 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    import json
+
+    from . import regions
+
     tag = regions.classify(_element(args.word))
     print(json.dumps(tag.to_json_obj(), sort_keys=True))
     return 0
 
 
 def _cmd_interval(args) -> int:
+    import json
+
     from . import poset
 
     x = _element(args.x)
@@ -124,6 +134,8 @@ def _cmd_interval(args) -> int:
 
 
 def _write_reports(reports, json_fh, csv_fh) -> None:
+    import csv
+
     # one suite writes one JSON object, ``all`` an array in run order
     if json_fh:
         with json_fh:

@@ -20,7 +20,6 @@ of the six alcoves u * theta(m, n), u in the finite Weyl group <s1, s2>.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -104,8 +103,7 @@ def theta2(idx: ThetaIndex | tuple[int, int]) -> Element:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class RegionTag:
+class RegionTag(NamedTuple):
     """Description of w as tau(canonical member).
 
     ``params`` is a ThetaIndex for the Theta/Theta1/Theta2 kinds and the

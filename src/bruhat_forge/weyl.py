@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
@@ -559,8 +558,7 @@ def _conjugation_table(m: Mat, v: Vec) -> tuple[Mat, tuple[tuple[int, int, int],
 _CONJ_TABLES = {p: _conjugation_table(*c) for p, c in _diagram_conjugators().items()}
 
 
-@dataclass(frozen=True)
-class Symmetry:
+class Symmetry(NamedTuple):
     """An element of G: a diagram automorphism plus an optional inversion.
 
     ``perm[s]`` is the image of generator s under the diagram part; the

@@ -276,7 +276,7 @@ def test_kl_and_classify_import_only_the_kl_path():
         "assert cli.main(['kl', '', y, '--via', 'formula']) == 0\n"
         "assert cli.main(['classify', y]) == 0\n"
         "unused = ['bruhat_forge.poset', 'bruhat_forge.verify', 'bruhat_forge.render',\n"
-        "          'hashlib', 'fractions']\n"
+        "          'hashlib', 'fractions', 'dataclasses']\n"
         "loaded = [m for m in unused if m in sys.modules and m not in before]\n"
         "assert loaded == [], loaded\n"
         "import bruhat_forge\n"
@@ -291,6 +291,39 @@ def test_kl_and_classify_import_only_the_kl_path():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kl_cache_hit_loads_neither_the_closed_forms_nor_the_recursion(tmp_path):
+    # a miss computes through closedform, which loads hecke and regions; a
+    # hit only parses two words and reads one record.  Neither loads the
+    # dataclasses machinery or the json and csv writers.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from bruhat_forge import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "watched = ['bruhat_forge.closedform', 'bruhat_forge.hecke', 'bruhat_forge.regions',\n"
+        "           'dataclasses', 'json', 'csv']\n"
+        "print(*[m for m in watched if m in sys.modules and m not in before], sep=',', file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    env[cache_mod.CACHE_ENV_VAR] = str(tmp_path / "kl.cache")
+    argv = ["kl", "1", regions.theta((4, 5)).word(), "--via", "formula"]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        for _ in range(2)
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0], [proc.stderr for proc in runs]
+    miss, hit = runs
+    assert hit.stdout == miss.stdout and "P = " in hit.stdout
+    assert miss.stderr.strip().split(",") == [
+        "bruhat_forge.closedform",
+        "bruhat_forge.hecke",
+        "bruhat_forge.regions",
+    ]
+    assert hit.stderr.strip() == ""
 
 
 def _polygons(path):

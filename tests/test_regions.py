@@ -228,3 +228,24 @@ def test_region_tag_json():
     }
     obj = classify(generator(0)).to_json_obj()
     assert obj == {"kind": "X", "tau": "rho2", "chain_len": 1}
+
+
+def test_symmetry_and_region_tag_are_frozen_values():
+    # repr, hash and equality are those of the field tuple, so the order of
+    # a set or dict of tags does not depend on how the classes are declared
+    assert repr(weyl.RHO) == "Symmetry(rho)"
+    tag = classify(from_word("2010201021"))
+    assert repr(tag) == (
+        "RegionTag(kind=<RegionKind.THETA1: 'Theta1'>, tau=Symmetry(sigma_iota), "
+        "params=ThetaIndex(m=1, n=2))"
+    )
+    for tau in SYMMETRY_GROUP:
+        assert hash(tau) == hash((tau.perm, tau.inv))
+        assert weyl.Symmetry(tau.perm, tau.inv) == tau
+    assert hash(tag) == hash((tag.kind, tag.tau, tag.params))
+    assert regions.RegionTag(tag.kind, tag.tau, tag.params) == tag
+    assert tag != classify(from_word("01210"))
+    with pytest.raises(AttributeError):
+        weyl.RHO.inv = True
+    with pytest.raises(AttributeError):
+        tag.params = ThetaIndex(0, 0)
