@@ -83,7 +83,10 @@ def theta(idx: ThetaIndex | tuple[int, int]) -> Element:
 
 def s_mn(idx: ThetaIndex | tuple[int, int]) -> int:
     """The unique generator s with l(theta(m,n) * s) > l(theta(m,n))."""
-    t = theta(idx)
+    return _right_ascent(theta(idx), idx)
+
+
+def _right_ascent(t: Element, idx: ThetaIndex | tuple[int, int]) -> int:
     ascents = [s for s in (0, 1, 2) if s not in t.right_descents()]
     if len(ascents) != 1:
         raise AssertionError(f"theta{tuple(idx)} has ascents {ascents}")
@@ -92,12 +95,17 @@ def s_mn(idx: ThetaIndex | tuple[int, int]) -> int:
 
 def theta1(idx: ThetaIndex | tuple[int, int]) -> Element:
     """theta(m, n) * s(m, n); length 2m + 2n + 4."""
-    return theta(idx).right_mult(s_mn(idx))
+    t = theta(idx)
+    return t.right_mult(_right_ascent(t, idx))
 
 
 def theta2(idx: ThetaIndex | tuple[int, int]) -> Element:
     """s0 * theta(m, n) * s(m, n); length 2m + 2n + 5."""
     return theta1(idx).left_mult(0)
+
+
+# theta, theta1 and theta2 members have length 2m + 2n + 3, 4 and 5; classify scans this order
+_THETA_BUILDERS = {RegionKind.THETA: theta, RegionKind.THETA1: theta1, RegionKind.THETA2: theta2}
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +127,7 @@ class RegionTag(NamedTuple):
             return weyl.identity()
         if self.kind is RegionKind.X:
             return x_chain(self.params)
-        builder = {
-            RegionKind.THETA: theta,
-            RegionKind.THETA1: theta1,
-            RegionKind.THETA2: theta2,
-        }[self.kind]
-        return builder(self.params)
+        return _THETA_BUILDERS[self.kind](self.params)
 
     def reconstruct(self) -> Element:
         return self.tau.apply(self.canonical_member())
@@ -139,14 +142,6 @@ class RegionTag(NamedTuple):
         return obj
 
 
-def _theta_indices_of_length(length: int, shift: int) -> list[ThetaIndex]:
-    # solutions of 2m + 2n + shift == length with m, n >= 0
-    rest = length - shift
-    if rest < 0 or rest % 2:
-        return []
-    return [ThetaIndex(m, rest // 2 - m) for m in range(rest // 2 + 1)]
-
-
 def classify(w: Element) -> RegionTag:
     """The region tag of w, with deterministic tie-breaking.
 
@@ -156,22 +151,26 @@ def classify(w: Element) -> RegionTag:
     theta(n, m) images in one orbit, so the lexicographically smallest
     matching (m, n) is chosen, making the params a G-invariant, and
     the first matching symmetry in the fixed order of SYMMETRY_GROUP
-    breaks the remaining tie.
+    breaks the remaining tie.  As tau(c) = w exactly when c = tau^-1(w),
+    each member is built only when the scan reaches it and looked up
+    among the twelve preimages of w.
     """
     if w.is_identity:
         return RegionTag(RegionKind.IDENTITY, weyl.IDENTITY_SYMMETRY, None)
     L = w.length
-    # scanned in kind order, each theta family by its index
-    candidates: list[tuple[RegionKind, Element, ThetaIndex | int]] = [
-        (RegionKind.X, x_chain(L), L)
-    ]
-    candidates += [(RegionKind.THETA, theta(i), i) for i in _theta_indices_of_length(L, 3)]
-    candidates += [(RegionKind.THETA1, theta1(i), i) for i in _theta_indices_of_length(L, 4)]
-    candidates += [(RegionKind.THETA2, theta2(i), i) for i in _theta_indices_of_length(L, 5)]
-    for kind, member, params in candidates:
-        for tau in SYMMETRY_GROUP:
-            if tau.apply(member) == w:
-                return RegionTag(kind, tau, params)
+    # each preimage keeps the first symmetry in SYMMETRY_GROUP order mapping it to w
+    preimages: dict[Element, Symmetry] = {}
+    for tau in SYMMETRY_GROUP:
+        preimages.setdefault(tau.inverse_symmetry().apply(w), tau)
+    # scanned in kind order, each theta family by (m, n) with 2m + 2n + shift = L
+    scan = [(RegionKind.X, x_chain, L)]
+    for shift, (kind, build) in enumerate(_THETA_BUILDERS.items(), 3):
+        half, odd = divmod(L - shift, 2)
+        scan += [(kind, build, ThetaIndex(m, half - m)) for m in range(half + 1) if not odd]
+    for kind, build, params in scan:
+        tau = preimages.get(build(params))
+        if tau is not None:
+            return RegionTag(kind, tau, params)
     raise AssertionError(f"unclassifiable element {w!r}")  # partition says never
 
 

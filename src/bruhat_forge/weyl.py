@@ -15,18 +15,19 @@ Elements serialize as their ShortLex-minimal reduced word with generator
 order 0 < 1 < 2.
 
 Bruhat order is held one way.  The ball is numbered once, in (length,
-word) order, as its layers are enumerated; the same loop fills a
+word) order, layer by layer: layer d+1 is the set of left ascents s w
+of layer d, as w = s (s w) for s in D_L(w).  The same loop fills a
 left-multiplication table, one list per generator s of the ball index
-of s w by that of w (each new w and s in D_L(w) give both entries, as
-s w = z exactly when s z = w).  Each element caches its lower ideal
-{z : z <= w} as an int bitset over that numbering, built by Deodhar's
-property Z: [e, w] = [e, sw] U s[e, sw] for s in D_L(w) (Bjorner-Brenti,
-GTM 231, 2.2), with s[e, sw] read bit by bit through the table.  The
-upper sets {z : x <= z} within a length bound are the transpose of
-those ideals; ``ball(n)`` holds them with the lengths and down-covers,
-as tables read by ball index.  It also holds the one action of the
-symmetry group G on ball indices: for each tau, the ball index of tau w
-by that of w (tau preserves length, so each layer maps onto itself).
+of s w by that of w (an ascent gives both entries: s w = z iff s z = w).
+Each element caches its lower ideal {z : z <= w} as an int bitset over
+that numbering, built by Deodhar's property Z: [e, w] = [e, sw] U
+s[e, sw] for s in D_L(w) (Bjorner-Brenti, GTM 231, 2.2), with s[e, sw]
+read bit by bit through the table.  The upper sets {z : x <= z} within
+a length bound are the transpose of those ideals; ``ball(n)`` holds
+them with the lengths and down-covers, as tables read by ball index.
+It also holds the one action of the symmetry group G on ball indices:
+for each tau, the ball index of tau w by that of w (tau preserves
+length, so each layer maps onto itself).
 
 The symmetry group G (order 12) is generated by the diagram rotation rho
 (s0 -> s1 -> s2 -> s0), the diagram flip sigma (fixes s0, swaps s1 and
@@ -453,7 +454,11 @@ _LEFT: tuple[list[int], list[int], list[int]] = ([-1], [-1], [-1])
 
 
 def elements_of_length(n: int) -> tuple[Element, ...]:
-    """All elements of length exactly n, sorted by canonical word."""
+    """All elements of length exactly n, sorted by canonical word.
+
+    >>> [w.word() for w in elements_of_length(2)]
+    ['01', '02', '10', '12', '20', '21']
+    """
     if n < 0:
         raise ValueError("length must be non-negative")
     if n > HARD_MAX_LENGTH:
@@ -462,28 +467,24 @@ def elements_of_length(n: int) -> tuple[Element, ...]:
         )
     while _BALL[-1].length < n:
         depth = _BALL[-1].length + 1
-        prev = _BALL[_layer_start(depth - 1) :]
-        # s w for each s in D_L(w), per new w, give its left descents, its
-        # word (s + word(s w) for the least s) and its _LEFT entries
+        # each left ascent u = s w of the last layer, with its pairs (s, w): those s are its
+        # left descents, its word is s + word(w) for the least s, each pair fills two _LEFT entries
         below: dict[Element, dict[int, Element]] = {}
-        for w in prev:
-            for s in (0, 1, 2):
-                nxt = w.right_mult(s)
-                if nxt.length == depth and nxt not in below:
-                    below[nxt] = down = {
-                        t: sw for t in (0, 1, 2) if (sw := nxt.left_mult(t)).length < depth
-                    }
-                    nxt._ld = frozenset(down)
-                    t = min(down)
-                    nxt._word = str(t) + down[t]._word
-        layer = sorted(below, key=Element.sort_key)
+        for w in _BALL[_layer_start(depth - 1) :]:
+            for s in {0, 1, 2} - w.left_descents():
+                below.setdefault(w.left_mult(s), {})[s] = w
+        for u, down in below.items():
+            u._ld = frozenset(down)
+            t = min(down)
+            u._word = str(t) + down[t]._word
+        layer = sorted(below, key=Element.word)
         for act in _LEFT:
             act.extend([-1] * len(layer))
-        for i, w in enumerate(layer, len(_BALL)):
-            w._index = i
-            for s, sw in below[w].items():
-                _LEFT[s][i] = sw._index
-                _LEFT[s][sw._index] = i
+        for i, u in enumerate(layer, len(_BALL)):
+            u._index = i
+            for s, w in below[u].items():
+                _LEFT[s][i] = w._index
+                _LEFT[s][w._index] = i
         _BALL.extend(layer)
     return tuple(_BALL[_layer_start(n) : _layer_start(n + 1)])
 

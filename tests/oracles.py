@@ -92,6 +92,51 @@ def shortlex_words(max_depth: int) -> dict:
     return first
 
 
+# -- the ball by right multiplication ----------------------------------------
+
+def reference_ball(max_length: int):
+    """The ball up to max_length by the loop weyl.elements_of_length ran
+    before it grew layers by left ascents: each layer is the right
+    multiples of the last that are one length longer, each new element's
+    left descents are found by multiplying it on the left, its word is
+    s + word(s u) for the least descent s, and the layer is sorted by
+    word.  Returns the elements in ball order, their words, their left
+    descent sets and the three left-multiplication tables (-1 past
+    max_length).  Lengths come from the alcove centroid and nothing is
+    written on the elements."""
+    from bruhat_forge import weyl
+
+    def length(w):
+        px, py = w._scaled_centroid()
+        return abs(px // 3) + abs(py // 3) + abs((px + py) // 3)
+
+    layer = [weyl.identity()]
+    ball = list(layer)
+    word = {layer[0]: ""}
+    below = {layer[0]: {}}
+    for depth in range(1, max_length + 1):
+        new = {}
+        for w in layer:
+            for s in (0, 1, 2):
+                u = w.right_mult(s)
+                if length(u) == depth and u not in new:
+                    new[u] = down = {
+                        t: su for t in (0, 1, 2) if length(su := u.left_mult(t)) < depth
+                    }
+                    t = min(down)
+                    word[u] = str(t) + word[down[t]]
+        layer = sorted(new, key=word.__getitem__)
+        below.update(new)
+        ball += layer
+    index = {w: i for i, w in enumerate(ball)}
+    left = tuple([-1] * len(ball) for _ in range(3))
+    for u in ball:
+        for s, su in below[u].items():
+            left[s][index[u]] = index[su]
+            left[s][index[su]] = index[u]
+    return ball, [word[u] for u in ball], [frozenset(below[u]) for u in ball], left
+
+
 # -- Bruhat order by the subword property ------------------------------------
 
 def subword_lower_set(y) -> frozenset:
@@ -618,6 +663,39 @@ def reference_symmetry_apply(tau, w):
     lin, (tx, ty) = weyl._aff_mul(weyl._aff_mul((m, v), (weyl._LINS[w.lin], (w.tx, w.ty))), ci)
     out = weyl._make(weyl._LIN_INDEX[lin], tx, ty)
     return out.inverse() if tau.inv else out
+
+
+# -- classification by applying every symmetry to every member ----------------
+
+def reference_classify(w):
+    """The region tag of w by the scan regions.classify made before it
+    looked members up among the preimages of w: every family member of
+    length l(w) is built first, in kind order (X, Theta, Theta1, Theta2,
+    each theta family by its index), and each symmetry is applied to
+    each member in SYMMETRY_GROUP order until one gives w."""
+    from bruhat_forge import regions, weyl
+    from bruhat_forge.regions import RegionKind, RegionTag, ThetaIndex
+
+    if w.is_identity:
+        return RegionTag(RegionKind.IDENTITY, weyl.IDENTITY_SYMMETRY, None)
+    L = w.length
+
+    def indices(shift):
+        # solutions of 2m + 2n + shift == L with m, n >= 0
+        rest = L - shift
+        if rest < 0 or rest % 2:
+            return []
+        return [ThetaIndex(m, rest // 2 - m) for m in range(rest // 2 + 1)]
+
+    candidates = [(RegionKind.X, regions.x_chain(L), L)]
+    candidates += [(RegionKind.THETA, regions.theta(i), i) for i in indices(3)]
+    candidates += [(RegionKind.THETA1, regions.theta1(i), i) for i in indices(4)]
+    candidates += [(RegionKind.THETA2, regions.theta2(i), i) for i in indices(5)]
+    for kind, member, params in candidates:
+        for tau in weyl.SYMMETRY_GROUP:
+            if tau.apply(member) == w:
+                return RegionTag(kind, tau, params)
+    raise AssertionError(f"unclassifiable element {w!r}")
 
 
 # -- lower ideals by decoding and left multiplication ------------------------

@@ -1,6 +1,11 @@
 """Families, the four-region partition, classification, and the
 geometric description of theta lower intervals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import oracles
@@ -166,6 +171,60 @@ def test_classify_commutes_with_symmetries():
             other = classify(tau.apply(w))
             assert other.kind is tag.kind
             assert other.params == tag.params
+
+
+# the family slots of the benchmark's columns (lengths 22-29) and cli-kl
+# (lengths 37-39) workloads
+BENCHMARK_SLOTS = (
+    (RegionKind.THETA1, ThetaIndex(4, 5)),
+    (RegionKind.THETA, ThetaIndex(5, 5)),
+    (RegionKind.X, 24),
+    (RegionKind.THETA2, ThetaIndex(2, 8)),
+    (RegionKind.THETA1, ThetaIndex(8, 3)),
+    (RegionKind.THETA, ThetaIndex(6, 6)),
+    (RegionKind.X, 28),
+    (RegionKind.THETA2, ThetaIndex(9, 3)),
+    (RegionKind.X, 37),
+    (RegionKind.THETA, ThetaIndex(9, 9)),
+    (RegionKind.THETA1, ThetaIndex(10, 7)),
+    (RegionKind.THETA2, ThetaIndex(4, 12)),
+)
+
+
+def test_classify_matches_the_apply_every_symmetry_reference():
+    for w in weyl.enumerate_up_to_length(16):
+        assert classify(w) == oracles.reference_classify(w), w.word()
+    for kind, params in BENCHMARK_SLOTS:
+        for tau in SYMMETRY_GROUP:
+            w = regions.RegionTag(kind, tau, params).reconstruct()
+            assert classify(w) == oracles.reference_classify(w), (kind, params, tau)
+
+
+def test_classify_applies_at_most_24_symmetries_per_top():
+    # the twelve preimages of y are built once and each member is looked
+    # up among them.  Run fresh, on every image of the cli-kl slots.
+    code = (
+        "from bruhat_forge import regions, weyl\n"
+        "from bruhat_forge.regions import RegionKind, RegionTag, ThetaIndex\n"
+        "apply = weyl.Symmetry.apply\n"
+        "calls = []\n"
+        "def counted(tau, w):\n"
+        "    calls.append(tau)\n"
+        "    return apply(tau, w)\n"
+        f"for kind, params in {[(k.value, p) for k, p in BENCHMARK_SLOTS[8:]]!r}:\n"
+        "    for tau in weyl.SYMMETRY_GROUP:\n"
+        "        y = RegionTag(RegionKind(kind), tau, params).reconstruct()\n"
+        "        calls.clear()\n"
+        "        weyl.Symmetry.apply = counted\n"
+        "        regions.classify(y)\n"
+        "        weyl.Symmetry.apply = apply\n"
+        "        assert len(calls) <= 24, (kind, params, tau, len(calls))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(regions.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_in_theta_lower_examples():

@@ -381,6 +381,30 @@ def test_left_table_is_left_multiplication():
             assert weyl._LEFT[s][i] == weyl.ball_element(i).left_mult(s).ball_index
 
 
+def test_ball_matches_the_right_multiplication_reference_to_length_40():
+    # the same elements in the same order, with the same words, left
+    # descents and left-multiplication entries, for every length n <= 40
+    ball, words, descents, left = oracles.reference_ball(40)
+    assert enumerate_up_to_length(40) == tuple(ball)
+    for w, word, ld in zip(ball, words, descents):
+        assert (w.word(), w._ld) == (word, ld), word
+    n = len(ball)
+    for s in (0, 1, 2):
+        # entries past length 40 are filled only once longer layers are enumerated
+        assert [j if j < n else -1 for j in weyl._LEFT[s][:n]] == left[s], s
+
+
+def test_enumeration_interns_only_the_ball():
+    # each layer is the left ascents of the one below, so no element one
+    # length past the enumerated layers is made: 1 + 3 (1 + ... + 30)
+    _run_fresh(
+        "from bruhat_forge import weyl\n"
+        "weyl.elements_of_length(30)\n"
+        "assert len(weyl._REGISTRY) == 1396, len(weyl._REGISTRY)\n"
+        "assert max(w.length for w in weyl._REGISTRY.values()) == 30\n"
+    )
+
+
 def test_symmetry_apply_matches_the_composed_affine_maps_to_length_14():
     for tau in SYMMETRY_GROUP:
         for w in enumerate_up_to_length(14):
