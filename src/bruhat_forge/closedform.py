@@ -228,8 +228,8 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
     for part, held in parts:
         p = QPoly(Counter(half[t] for t in held))
         p = seen.setdefault(p, p)
-        for x in weyl.bit_elements(part):
-            column[x] = p
+        # the keys are all in column already, so their order stays
+        column.update(dict.fromkeys(weyl.ball_elements(part), p))
     for x, p in column.items():
         if p.coefficient(0) != 1:
             raise ClosedFormError(f"P({x.word()}, {y.word()}) = {p} has no constant term 1")

@@ -22,9 +22,10 @@ of s w by that of w (an ascent gives both entries: s w = z iff s z = w).
 Each element caches its lower ideal {z : z <= w} as an int bitset over
 that numbering, built by Deodhar's property Z: [e, w] = [e, sw] U
 s[e, sw] for s in D_L(w) (Bjorner-Brenti, GTM 231, 2.2), with s[e, sw]
-read bit by bit through the table.  The upper sets {z : x <= z} within
-a length bound are the transpose of those ideals; ``ball(n)`` holds
-them with the lengths and down-covers, as tables read by ball index.
+one gather through the table.  Dense masks such as ideals are decoded and
+mapped in C over one 0/1 byte per bit, sparse ones such as covers bit by
+bit.  The upper sets {z : x <= z} within a length bound are the transpose
+of those ideals; ``ball(n)`` holds them with the lengths and down-covers.
 It also holds the one action of the symmetry group G on ball indices:
 for each tau, the ball index of tau w by that of w (tau preserves
 length, so each layer maps onto itself).
@@ -39,6 +40,8 @@ so applying a symmetry is O(1) as well.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -268,23 +271,23 @@ class Element:
     def ideal(self) -> int:
         """The lower ideal {z : z <= w} as a bitset with bit z.ball_index.
 
-        By property Z with s = min D_L(w): the ideal of sw, OR the bit
-        of s z, read from the left-multiplication table, for each bit z
-        of that ideal (w itself is s (sw)).
+        By property Z with s = min D_L(w): the ideal of sw, OR its image
+        under s, one gather over its flags (dense): s is an involution, so
+        bit p of s[e, sw] is the flag of s z_p, for each p up to w's index.
         """
         m = self._ideal
         if m is None:
-            # reading ball_index enumerates the layer of w, which fills
-            # the table entries s z for every z below w
-            m = 1 << self.ball_index
-            if not self.is_identity:
+            # reading ball_index enumerates the layer of w, which fills the
+            # table entries s z for every z below w (-1 past the layers: it
+            # reads the zero flag padded on); n >= 2 indices give a tuple
+            n = self.ball_index + 1
+            m = 1
+            if n > 1:
                 s = min(self.left_descents())
                 below = self.left_mult(s).ideal
-                m |= below
-                act = _LEFT[s]
-                for j, bit in enumerate(bin(below)[:1:-1]):
-                    if bit == "1":
-                        m |= 1 << act[j]
+                flags = _flags(below).ljust(len(_BALL) + 1, b"\0")
+                image = operator.itemgetter(*_LEFT[s][:n])(flags)
+                m = below | int(bytes(image).translate(_FROM_FLAGS)[::-1], 2)
             self._ideal = m
         return m
 
@@ -405,10 +408,8 @@ def ball(max_length: int) -> Ball:
         ups.append(bit)
         mask = w.ideal ^ bit
         downs.append(mask >> start << start)
-        while mask:
-            low = mask & -mask
-            ups[low.bit_length() - 1] |= bit
-            mask ^= low
+        for i in itertools.compress(itertools.count(), _flags(mask)):
+            ups[i] |= bit
     images = (tuple(tau.apply(w).ball_index for w in layer) for tau in SYMMETRY_GROUP)
     actions = tuple(act + image for act, image in zip(actions, images))
     return Ball(lengths + (max_length,) * len(layer), tuple(ups), covers + tuple(downs), actions)
@@ -423,14 +424,23 @@ def ball_element(i: int) -> Element:
 
 def ball_elements(mask: int) -> tuple[Element, ...]:
     """The elements whose ball bits are set in ``mask``, in (length, word)
-    order, by one walk over the ball: for dense masks such as ideals."""
-    return tuple(w for w, bit in zip(_BALL, bin(mask)[:1:-1]) if bit == "1")
+    order, by one pass in C over its flags: for dense masks such as ideals."""
+    return tuple(itertools.compress(_BALL, _flags(mask)))
 
 
 def bit_elements(mask: int) -> tuple[Element, ...]:
     """ball_elements(mask) read bit by bit, at a cost that grows with the
-    set bits rather than the ball: for sparse masks such as covers."""
+    set bits rather than the ball: for sparse masks such as covers, Z-sets."""
     return tuple(_BALL[i] for i in _bits(mask))
+
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_FROM_FLAGS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _flags(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest first: 1 if set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_TO_FLAGS)
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -717,6 +717,38 @@ def reference_ideal(w) -> int:
     return m
 
 
+def per_bit_ideal(w, known=None) -> int:
+    """The lower ideal of w as weyl.Element.ideal built it before its
+    property-Z image became one gather: the ideal of sw (s = min D_L(w)),
+    OR the bit of s z, read from weyl._LEFT, for each set bit z of that
+    ideal, walked through its bin() string.  Recurses through itself,
+    with ``known`` as an optional memo, so no cached ideal is read."""
+    from bruhat_forge import weyl
+
+    known = {} if known is None else known
+    m = known.get(w)
+    if m is None:
+        m = 1 << w.ball_index
+        if not w.is_identity:
+            s = min(w.left_descents())
+            below = per_bit_ideal(w.left_mult(s), known)
+            m |= below
+            act = weyl._LEFT[s]
+            for j, bit in enumerate(bin(below)[:1:-1]):
+                if bit == "1":
+                    m |= 1 << act[j]
+        known[w] = m
+    return m
+
+
+def per_bit_ball_elements(mask):
+    """weyl.ball_elements before it became one compress: the ball zipped
+    with the bin() string of ``mask``, one Python test per position."""
+    from bruhat_forge import weyl
+
+    return tuple(w for w, bit in zip(weyl._BALL, bin(mask)[:1:-1]) if bit == "1")
+
+
 # -- monotonicity over every comparable pair ----------------------------------
 
 def reference_is_monotonic(H) -> bool:

@@ -1,6 +1,9 @@
 """Closed formulas vs the recursion oracle, the fast KL path, and the
 identity reports."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import oracles
@@ -331,6 +334,30 @@ def test_kl_column_matches_the_hecke_table_reference():
         assert column == reference, y.word()
         assert list(column) == list(reference)
         assert len({id(p) for p in column.values()}) == len(set(column.values()))
+
+
+def _benchmark_inputs():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kl_column_keys_follow_the_ideal_and_each_part_shares_one_p(seed):
+    # the seeded tops of the benchmark: 8 `columns` slots, 4 `cli-kl` slots
+    inputs = _benchmark_inputs()
+    tops = [top["y"] for top in inputs.column_tops(seed)]
+    tops += [from_word(y) for _, y in inputs.cli_pairs(seed)]
+    assert len(tops) == 12 and max(y.length for y in tops) == 39
+    for y in tops:
+        column = kl_column(y)
+        assert list(column) == list(weyl.lower_interval(y)), y.word()
+        assert column == oracles.reference_kl_column(y), y.word()
+        # a part is filled with one P, and equal P are one object
+        first = {}
+        assert all(first.setdefault(p, p) is p for p in column.values()), y.word()
 
 
 def test_kl_column_builds_no_hecke_element_and_sorts_nothing(monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,87 @@ def test_ideal_matches_decoded_property_z():
     ):
         assert 37 <= w.length <= 39
         assert w.ideal == oracles.reference_ideal(w), w.word()
+
+
+# a fresh interpreter that can import the oracles as well as the package
+_FRESH_ORACLES = f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\nimport oracles\n"
+
+
+def test_ideals_match_the_per_bit_walk_to_length_30():
+    # cold, longest first, so each ideal is grown down its own chain and the
+    # top layer gathers through its -1 entries; bits, and the decoded order
+    _run_fresh(
+        _FRESH_ORACLES + "from bruhat_forge import weyl\n"
+        "ball = weyl.enumerate_up_to_length(30)\n"
+        "known = {}\n"
+        "for w in reversed(ball):\n"
+        "    m = w.ideal\n"
+        "    assert m == oracles.per_bit_ideal(w, known), w.word()\n"
+        "    below = weyl.lower_interval(w)\n"
+        "    assert below == oracles.per_bit_ball_elements(m), w.word()\n"
+        "    assert [z.ball_index for z in below] == sorted(z.ball_index for z in below)\n"
+        "    assert len(below) == m.bit_count() and below[-1] is w\n"
+    )
+
+
+def test_ball_elements_match_the_per_bit_walk_on_any_mask():
+    enumerate_up_to_length(14)
+    n = len(weyl._BALL)
+    rng = random.Random(28)
+    masks = [0, 1 << n - 1, (1 << n) - 1, (1 << n + 5) - 1]
+    masks += [rng.getrandbits(n) for _ in range(200)]
+    for mask in masks:
+        decoded = weyl.ball_elements(mask)
+        assert decoded == oracles.per_bit_ball_elements(mask)
+        assert decoded == weyl.bit_elements(mask & (1 << n) - 1)
+    assert weyl.ball_elements(0) == ()
+    assert weyl.ball_elements(1 << n - 1) == (weyl._BALL[-1],)
+    assert weyl.ball_elements((1 << n + 5) - 1) == tuple(weyl._BALL)
+
+
+def test_generator_ideals_gather_two_entries_over_unfilled_ones():
+    # with only length 1 enumerated, s maps s to e (entry 0) and the other
+    # two generators past the ball (-1); the gather takes two indices
+    # (e and s), so itemgetter returns a tuple, not one flag
+    _run_fresh(
+        "from bruhat_forge import weyl\n"
+        "weyl.elements_of_length(1)\n"
+        "for s in (0, 1, 2):\n"
+        "    g = weyl.generator(s)\n"
+        "    assert sorted(weyl._LEFT[s][1:]) == [-1, -1, 0]\n"
+        "    assert g.ideal == 1 | 1 << g.ball_index, (s, g.ideal)\n"
+        "    assert weyl.lower_interval(g) == (weyl.identity(), g)\n"
+        "assert len(weyl._BALL) == 4\n"
+    )
+
+
+def test_ideals_of_the_top_layer_read_unfilled_entries_as_zero():
+    # an ascent out of the top enumerated layer is -1 in _LEFT until the
+    # next layer exists; the gather reads it as the padded zero flag
+    _run_fresh(
+        _FRESH_ORACLES + "from bruhat_forge import weyl\n"
+        "top = weyl.elements_of_length(9)\n"
+        "n = len(weyl._BALL)\n"
+        "for w in top:\n"
+        "    i = w.ball_index\n"
+        "    assert [weyl._LEFT[s][i] for s in (0, 1, 2)].count(-1) == 3 - len(w._ld)\n"
+        "    assert w.ideal == oracles.per_bit_ideal(w) == oracles.reference_ideal(w), w.word()\n"
+        "assert len(weyl._BALL) == n and max(w.length for w in weyl._BALL) == 9\n"
+    )
+
+
+def test_a_long_ideal_parses_past_the_int_string_limit():
+    # base-2 parsing is exempt from the int/str digit limit: an ideal of
+    # more than 4300 bits still builds and decodes with the limit at 640
+    _run_fresh(
+        _FRESH_ORACLES + "sys.set_int_max_str_digits(640)\n"
+        "from bruhat_forge import regions, weyl\n"
+        "y = regions.x_chain(56)\n"
+        "m = y.ideal\n"
+        "assert y.length == 56 and m.bit_length() > 4300, (y.length, m.bit_length())\n"
+        "assert m == oracles.per_bit_ideal(y)\n"
+        "assert weyl.lower_interval(y) == oracles.per_bit_ball_elements(m)\n"
+    )
 
 
 def test_left_table_is_left_multiplication():
