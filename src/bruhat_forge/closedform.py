@@ -8,9 +8,10 @@ v^k M_{x,y} for tops (x, y), or the bare monomial v^k H_w for tops (w,).
 A smaller family member enters as its own terms, shifted by v^k and
 relabelled by its symmetry tau (tau N_x = N_{tau x}, since tau keeps
 lengths and Bruhat order).  ``kl_closed_form`` sums the list of a region
-tag into one hecke table, unmemoized; ``theta2_product_form``, the
-second theta2 formula, keeps its product-identity route.  The recursion
-stays an independent oracle, and every formula is tested against it.
+tag by one ``HeckeElement.from_monomials`` call, unmemoized;
+``theta2_product_form``, the second theta2 formula, keeps its
+product-identity route.  The recursion stays an independent oracle, and
+every formula is tested against it.
 
 ``kl_column`` is the one way to a KL column off the closed forms, and
 it builds no Hecke element: in the q-normalization a term v^k N_x adds
@@ -29,16 +30,8 @@ import functools
 from collections import Counter
 
 from . import hecke, regions, weyl
-from .hecke import (
-    HeckeElement,
-    N_element,
-    Table,
-    _add_element,
-    _add_mult_gen,
-    _add_N,
-    _freeze,
-)
-from .laurent import LaurentPoly, QPoly
+from .hecke import HeckeElement, N_element
+from .laurent import V, LaurentPoly, QPoly
 from .regions import RegionKind, ThetaIndex, s_mn, theta, theta1, theta2, x_chain
 from .weyl import IDENTITY_SYMMETRY, RHO, Element, Symmetry
 
@@ -132,16 +125,22 @@ def closed_form_terms(tag: regions.RegionTag) -> list[Term]:
     return _theta2_terms(tag.params)
 
 
+def _mask(term: Term) -> int:
+    """The ball bits of a term: the ideal of x, of both tops for M, the bit
+    of w for a bare H_w."""
+    _, tops, bare = term
+    # tops[-1] is tops[0] but for an M term
+    return 1 << tops[0].ball_index if bare else tops[0].ideal | tops[-1].ideal
+
+
 def _sum(terms: list[Term]) -> HeckeElement:
-    """The Hecke element of a sum of terms."""
-    acc: Table = {}
-    for k, tops, bare in terms:
-        if bare:
-            row = acc.setdefault(tops[0], {})
-            row[k] = row.get(k, 0) + 1
-        else:
-            _add_N(acc, k, *tops)
-    return _freeze(acc)
+    """The Hecke element of a sum of terms: v^(k+l(x)-l(z)) H_z for each z
+    in the mask of each term, x its first top."""
+    return HeckeElement.from_monomials(
+        (z, k + tops[0].length - z.length, 1)
+        for k, tops, bare in terms
+        for z in weyl.ball_elements(_mask((k, tops, bare)))
+    )
 
 
 def kl_closed_form(tag: regions.RegionTag) -> HeckeElement:
@@ -165,11 +164,10 @@ def theta2_product_form(idx: ThetaIndex | tuple[int, int]) -> HeckeElement:
     else:
         flanks = (ThetaIndex(m, n - 1), ThetaIndex(m - 1, n))
         tops = (RHO.apply(theta1(flanks[0])), _RHO2.apply(theta1(flanks[1])))
-    acc = _add_N({}, 0, theta2(idx))
-    _add_N(acc, 1, *tops)
-    for i in flanks:
-        _add_element(acc, hecke.mult_kl_s(_sum(_theta_terms(i)), 0, "left"), k=1)
-    return _freeze(acc)
+    # multiplying by H_s0 + v is linear: one product over both flanks' terms
+    flank_terms = [term for i in flanks for term in _theta_terms(i)]
+    product = hecke.mult_kl_s(_sum(flank_terms), 0, "left").scale(V)
+    return _sum([(0, (theta2(idx),), False), (1, tops, False)]) + product
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +201,8 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
     tag = regions.classify(y)
     terms = _shifted(0, closed_form_terms(tag), tag.tau)
     parts: list[tuple[int, tuple[int, ...]]] = []  # (mask, the terms holding it)
-    for t, (k, tops, bare) in enumerate(terms):
-        # tops[-1] is tops[0] but for an M term
-        rest = 1 << tops[0].ball_index if bare else tops[0].ideal | tops[-1].ideal
+    for t, term in enumerate(terms):
+        rest = _mask(term)
         split = []
         for part, held in parts:
             inside = part & rest
@@ -230,9 +227,10 @@ def kl_column(y: Element) -> dict[Element, QPoly]:
         p = seen.setdefault(p, p)
         # the keys are all in column already, so their order stays
         column.update(dict.fromkeys(weyl.ball_elements(part), p))
-    for x, p in column.items():
-        if p.coefficient(0) != 1:
-            raise ClosedFormError(f"P({x.word()}, {y.word()}) = {p} has no constant term 1")
+    # each distinct P is tested once; a failure names its first x in column order
+    if any(p.coefficient(0) != 1 for p in seen):
+        x, p = next((x, p) for x, p in column.items() if p.coefficient(0) != 1)
+        raise ClosedFormError(f"P({x.word()}, {y.word()}) = {p} has no constant term 1")
     return column
 
 
@@ -259,14 +257,13 @@ def appendix_identity_check(m: int, n: int) -> dict:
     if m < 1 or n < 1:
         raise ValueError("appendix_identity_check requires m, n >= 1")
     s = s_mn((m, n))
-    acc: Table = {}
-    _add_mult_gen(acc, N_element(theta((m, n))), s, True)
-    _add_N(acc, 2, theta1((m - 1, n - 1)))
-    left = _freeze(acc)
-    acc = _add_N({}, 0, theta1((m, n)))
-    _add_N(acc, 1, theta((m - 1, n)))
-    _add_N(acc, 1, theta((m, n - 1)))
-    right = _freeze(acc)
+    left = hecke.mult_kl_s(N_element(theta((m, n))), s, "right")
+    left += _sum([(2, (theta1((m - 1, n - 1)),), False)])
+    right = _sum([
+        (0, (theta1((m, n)),), False),
+        (1, (theta((m - 1, n)),), False),
+        (1, (theta((m, n - 1)),), False),
+    ])
     content_formula = 3 * (3 * m * m + 3 * n * n + 12 * m * n + 5 * m + 5 * n + 4)
     anchors = {
         "theta(m,n)s": (theta1((m, n)), LaurentPoly({0: 1})),

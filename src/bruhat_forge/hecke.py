@@ -12,10 +12,10 @@ M_{x,y} (union of two lower intervals), coefficient extraction by
 HeckeElement.coefficient, the content c(H) (total coefficient mass at
 v = 1), monotonic elements, and the coefficientwise order on Hecke elements.
 
-Products by a generator, N_x and M_{x,y} are summed in place into one
-table Element -> (exponent -> coefficient) and frozen into an immutable
-HeckeElement once, N_x and M_{x,y} as monomials read off the ideal
-bitsets by the helper the closed forms share.  The recursion runs on
+Products by a generator, N_x, M_{x,y} and the closed forms are each one
+HeckeElement.from_monomials call, a sum of monomials c v^e H_z: two for
+each monomial of the factor of a product, one for each element of the
+ideal bitsets of N_x or M_{x,y}.  The recursion runs on
 rows instead: ball index of x -> h_{x,w} at v = 2^32, one int whose
 32-bit fields are the coefficients.  Multiplying by H_s + v is then an
 add and a one-field shift per x, with s x read off the weyl
@@ -29,7 +29,7 @@ P_{x,y} stay independent.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from . import weyl
 from .laurent import ONE, ZERO, LaurentPoly, QPoly, to_q
@@ -65,6 +65,15 @@ class HeckeElement:
     def zero(cls) -> "HeckeElement":
         return cls()
 
+    @classmethod
+    def from_monomials(cls, triples: Iterable[tuple[Element, int, int]]) -> "HeckeElement":
+        """The sum of c v^e H_z over the (z, e, c) triples; zeros drop."""
+        acc: dict[Element, dict[int, int]] = {}
+        for z, e, c in triples:
+            row = acc.setdefault(z, {})
+            row[e] = row.get(e, 0) + c
+        return cls({z: LaurentPoly(row) for z, row in acc.items()})
+
     def support(self) -> tuple[Element, ...]:
         return tuple(sorted(self._m, key=Element.sort_key))
 
@@ -98,10 +107,16 @@ class HeckeElement:
         return "HeckeElement(" + " + ".join(parts or ["0"]) + ")"
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        return _freeze(_add_element(_add_element({}, self), other, 1))
+        m = dict(self._m)
+        for x, p in other._m.items():
+            m[x] = m.get(x, ZERO) + p
+        return HeckeElement(m)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return _freeze(_add_element(_add_element({}, self), other, -1))
+        m = dict(self._m)
+        for x, p in other._m.items():
+            m[x] = m.get(x, ZERO) - p
+        return HeckeElement(m)
 
     def scale(self, p: LaurentPoly) -> "HeckeElement":
         if not p:
@@ -122,53 +137,21 @@ def standard_basis(w: Element) -> HeckeElement:
     return HeckeElement({w: ONE})
 
 
-# A Hecke element under construction: Element -> (exponent -> coefficient),
-# zeros allowed until it is frozen.
-Table = dict[Element, dict[int, int]]
-
-
-def _add_mult_gen(acc: Table, H: HeckeElement, s: int, right: bool) -> None:
-    """Add H times H_s + v, on either side, into acc.
+def mult_kl_s(H: HeckeElement, s: int, side: str = "right") -> HeckeElement:
+    """Multiply by the canonical generator H_s + v H_id on either side.
 
     H_x (H_s + v) = H_{xs} + v H_x when the length goes up, and
-    H_{xs} + v^-1 H_x when it goes down.
+    H_{xs} + v^-1 H_x when it goes down: two monomials for each of H's.
     """
-    for x, p in H._m.items():
-        xs = x.right_mult(s) if right else x.left_mult(s)
-        p.add_to(acc.setdefault(xs, {}), 1, 0)
-        p.add_to(acc.setdefault(x, {}), 1, 1 if xs.length > x.length else -1)
-
-
-def _add_element(acc: Table, H: HeckeElement, coeff: int = 1, k: int = 0) -> Table:
-    """Add coeff * v^k * H into acc and return acc; H itself is left untouched."""
-    for x, p in H._m.items():
-        p.add_to(acc.setdefault(x, {}), coeff, k)
-    return acc
-
-
-def _add_N(acc: Table, k: int, x: Element, y: Optional[Element] = None) -> Table:
-    """Add v^k N_x into acc, or v^k M_{x,y} when y is given, and return acc:
-    one monomial v^(k+l(x)-l(z)) H_z for each z set in the ideal bitset
-    of x (or in the OR of the ideals of x and y)."""
-    top = k + x.length
-    for z in weyl.ball_elements(x.ideal if y is None else x.ideal | y.ideal):
-        row = acc.setdefault(z, {})
-        e = top - z.length
-        row[e] = row.get(e, 0) + 1
-    return acc
-
-
-def _freeze(acc: Table) -> HeckeElement:
-    return HeckeElement({x: LaurentPoly(row) for x, row in acc.items()})
-
-
-def mult_kl_s(H: HeckeElement, s: int, side: str = "right") -> HeckeElement:
-    """Multiply by the canonical generator H_s + v H_id on either side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    acc: Table = {}
-    _add_mult_gen(acc, H, s, side == "right")
-    return _freeze(acc)
+    monomials = []
+    for x, p in H._m.items():
+        xs = x.right_mult(s) if side == "right" else x.left_mult(s)
+        up = 1 if xs.length > x.length else -1
+        for e, c in p.items():
+            monomials += [(xs, e, c), (x, e + up, c)]
+    return HeckeElement.from_monomials(monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +244,7 @@ def kl_polynomial(x: Element, w: Element) -> tuple[LaurentPoly, QPoly]:
 
 def N_element(x: Element) -> HeckeElement:
     """Sum over z <= x of v^(l(x)-l(z)) H_z."""
-    return _freeze(_add_N({}, 0, x))
+    return M_element(x, x)
 
 
 def M_element(x: Element, y: Element) -> HeckeElement:
@@ -270,7 +253,10 @@ def M_element(x: Element, y: Element) -> HeckeElement:
     The exponents are centered on l(x), so M_{x,y} = M_{y,x} only when
     the two lengths agree.
     """
-    return _freeze(_add_N({}, 0, x, y))
+    top = x.length
+    return HeckeElement.from_monomials(
+        (z, top - z.length, 1) for z in weyl.ball_elements(x.ideal | y.ideal)
+    )
 
 
 def content(H: HeckeElement) -> int:

@@ -175,14 +175,6 @@ class LaurentPoly(_Poly):
     __add__ = __radd__ = _Poly.__add__
     __sub__ = _Poly.__sub__
 
-    def __neg__(self) -> "LaurentPoly":
-        return self._wrap({e: -c for e, c in self._c.items()})
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        if not isinstance(other, int):
-            return NotImplemented
-        return LaurentPoly({0: other}) - self
-
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
@@ -199,32 +191,14 @@ class LaurentPoly(_Poly):
                     acc.pop(e, None)
         return self._wrap(acc)
 
-    __rmul__ = __mul__
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
         return self._wrap({e + k: c for e, c in self._c.items()})
-
-    def add_to(self, acc: dict[int, int], coeff: int, k: int) -> None:
-        """Add coeff * v^k * self into the exponent -> coefficient table acc.
-
-        Zeros are left in acc; ``LaurentPoly(acc)`` drops them.
-        """
-        for e, c in self._c.items():
-            e += k
-            acc[e] = acc.get(e, 0) + coeff * c
-
-    # -- involutions ------------------------------------------------------------------
-
-    def bar(self) -> "LaurentPoly":
-        """The involution v -> v^-1 (exponent k maps to -k)."""
-        return self._wrap({-e: c for e, c in self._c.items()})
 
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
-V_INV = LaurentPoly({-1: 1})
 
 
 class QPoly(_Poly):

@@ -9,7 +9,10 @@ wall-counting formula, ShortLex words from listing every reduced word,
 Bruhat order comes from the subword property, polynomial arithmetic
 uses dense coefficient lists, the canonical basis is rebuilt as new
 immutable elements at every step of its recursion, and isomorphism
-testing enumerates bijections outright.
+testing enumerates bijections outright.  The in-place table sums the
+package used before ``HeckeElement.from_monomials`` are kept here as
+references for it, with the Laurent arithmetic only the tests use
+(negation, int - p, the bar involution and v^-1).
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from functools import lru_cache
+
+from bruhat_forge.laurent import LaurentPoly
 
 # -- the group as 3x3 matrices in root coordinates ---------------------------
 
@@ -183,8 +188,6 @@ def orientation_up(w) -> bool:
 def laurent_from_pairs(pairs):
     """The LaurentPoly summing c v^e over the (e, c) pairs; repeated
     exponents add up."""
-    from bruhat_forge.laurent import LaurentPoly
-
     acc: dict = {}
     for e, c in pairs:
         acc[e] = acc.get(e, 0) + c
@@ -218,6 +221,26 @@ def dense_add(a_pairs, b_pairs, lo=-64, hi=64):
     return [[lo + k, x + y] for k, (x, y) in enumerate(zip(a, b)) if x + y]
 
 
+# -- Laurent arithmetic that only the tests use --------------------------------
+
+V_INV = LaurentPoly({-1: 1})
+
+
+def neg(p):
+    """-p."""
+    return LaurentPoly({e: -c for e, c in p.items()})
+
+
+def rsub(n: int, p):
+    """The int n minus p."""
+    return LaurentPoly({0: n}) - p
+
+
+def bar(p):
+    """The involution v -> v^-1 (exponent k maps to -k)."""
+    return LaurentPoly({-e: c for e, c in p.items()})
+
+
 # -- the canonical basis by the immutable recursion ----------------------------
 
 def mult_std(h, s: int, side: str = "right"):
@@ -225,7 +248,7 @@ def mult_std(h, s: int, side: str = "right"):
     operations: H_x H_s = H_{xs} when the length goes up, and
     H_{xs} + (v^-1 - v) H_x when it goes down."""
     from bruhat_forge.hecke import HeckeElement
-    from bruhat_forge.laurent import V, V_INV, ZERO
+    from bruhat_forge.laurent import V, ZERO
 
     terms: dict = {}
     for x, p in h.items():
@@ -239,7 +262,7 @@ def mult_std(h, s: int, side: str = "right"):
 def _times_kl_generator(h, s: int):
     """h * (H_s + v), term by term through public HeckeElement operations."""
     from bruhat_forge.hecke import HeckeElement
-    from bruhat_forge.laurent import V, V_INV, ZERO
+    from bruhat_forge.laurent import V, ZERO
 
     terms: dict = {}
     for x, p in h.items():
@@ -254,8 +277,6 @@ def reference_kl_basis(w):
     """C_w = C_{ws}(H_s + v) - sum of mu(x, ws) C_x over x with xs < x,
     s = min D_R(w), each step a new immutable HeckeElement."""
     from bruhat_forge.hecke import standard_basis
-    from bruhat_forge.laurent import LaurentPoly
-
     if w.is_identity:
         return standard_basis(w)
     s = min(w.right_descents())
@@ -274,7 +295,7 @@ def reference_kl_basis(w):
 def _bar_standard(x):
     """Image of H_x under the bar involution: bar(H_s) = H_s + (v - v^-1)."""
     from bruhat_forge.hecke import standard_basis
-    from bruhat_forge.laurent import V, V_INV
+    from bruhat_forge.laurent import V
 
     if x.is_identity:
         return standard_basis(x)
@@ -289,7 +310,7 @@ def bar_involution(H):
 
     out = HeckeElement()
     for x, p in H.items():
-        out = out + _bar_standard(x).scale(p.bar())
+        out = out + _bar_standard(x).scale(bar(p))
     return out
 
 
@@ -851,7 +872,6 @@ def reference_closed_form(kind: str, idx, version: int = 1):
     M_element(...) and family terms, scaled by powers of v."""
     from bruhat_forge import hecke, weyl
     from bruhat_forge.hecke import HeckeElement, M_element, N_element, standard_basis
-    from bruhat_forge.laurent import LaurentPoly
     from bruhat_forge.regions import ThetaIndex, theta, theta1, theta2, x_chain
 
     rho = weyl.RHO
@@ -938,6 +958,108 @@ def reference_closed_form(kind: str, idx, version: int = 1):
             out = out + scaled(s0_theta(below), 1)
             out = out + scaled(s0_theta(left), 1)
     return out
+
+
+# -- the in-place table sums -------------------------------------------------
+#
+# How the package summed Hecke elements before HeckeElement.from_monomials:
+# one mutable table Element -> (exponent -> coefficient), zeros allowed
+# until it is frozen into a HeckeElement once.
+
+def _add_poly(row: dict, p, coeff: int, k: int) -> None:
+    # coeff * v^k * p into an exponent -> coefficient row
+    for e, c in p.items():
+        row[e + k] = row.get(e + k, 0) + coeff * c
+
+
+def add_mult_gen(acc: dict, H, s: int, right: bool) -> None:
+    """Add H times H_s + v, on either side, into acc."""
+    for x, p in H._m.items():
+        xs = x.right_mult(s) if right else x.left_mult(s)
+        _add_poly(acc.setdefault(xs, {}), p, 1, 0)
+        _add_poly(acc.setdefault(x, {}), p, 1, 1 if xs.length > x.length else -1)
+
+
+def add_element(acc: dict, H, coeff: int = 1, k: int = 0) -> dict:
+    """Add coeff * v^k * H into acc and return acc."""
+    for x, p in H._m.items():
+        _add_poly(acc.setdefault(x, {}), p, coeff, k)
+    return acc
+
+
+def add_N(acc: dict, k: int, x, y=None) -> dict:
+    """Add v^k N_x into acc, or v^k M_{x,y} when y is given, and return acc."""
+    from bruhat_forge import weyl
+
+    top = k + x.length
+    for z in weyl.ball_elements(x.ideal if y is None else x.ideal | y.ideal):
+        row = acc.setdefault(z, {})
+        e = top - z.length
+        row[e] = row.get(e, 0) + 1
+    return acc
+
+
+def freeze(acc: dict):
+    from bruhat_forge.hecke import HeckeElement
+
+    return HeckeElement({x: LaurentPoly(row) for x, row in acc.items()})
+
+
+def table_sum(terms):
+    """The Hecke element of a list of closed-form terms (k, tops, bare)."""
+    acc: dict = {}
+    for k, tops, bare in terms:
+        if bare:
+            row = acc.setdefault(tops[0], {})
+            row[k] = row.get(k, 0) + 1
+        else:
+            add_N(acc, k, *tops)
+    return freeze(acc)
+
+
+def table_mult_kl_s(H, s: int, side: str = "right"):
+    acc: dict = {}
+    add_mult_gen(acc, H, s, side == "right")
+    return freeze(acc)
+
+
+def table_N_element(x):
+    return freeze(add_N({}, 0, x))
+
+
+def table_M_element(x, y):
+    return freeze(add_N({}, 0, x, y))
+
+
+def table_add(a, b, coeff: int = 1):
+    """a + coeff * b."""
+    return freeze(add_element(add_element({}, a), b, coeff))
+
+
+def per_flank_theta2_product_form(idx):
+    """The second closed form of s0 theta(m, n) s, one product by
+    H_s0 + v per flanking index."""
+    from bruhat_forge import closedform
+    from bruhat_forge.regions import ThetaIndex, theta, theta1, theta2
+    from bruhat_forge.weyl import RHO
+
+    rho2 = RHO * RHO
+    m, n = idx
+    if m == 0 and n == 0:
+        return table_sum(closedform._theta2_terms(idx))
+    if m == 0 or n == 0:
+        prev = ThetaIndex(max(m - 1, 0), max(n - 1, 0))
+        near, far = (RHO, rho2) if n == 0 else (rho2, RHO)
+        tops, flanks = (far.apply(theta1(prev)), near.apply(theta(prev))), (prev,)
+    else:
+        flanks = (ThetaIndex(m, n - 1), ThetaIndex(m - 1, n))
+        tops = (RHO.apply(theta1(flanks[0])), rho2.apply(theta1(flanks[1])))
+    acc = add_N({}, 0, theta2(idx))
+    add_N(acc, 1, *tops)
+    for i in flanks:
+        product = table_mult_kl_s(table_sum(closedform._theta_terms(i)), 0, "left")
+        add_element(acc, product, k=1)
+    return freeze(acc)
 
 
 def reference_kl_column(y):

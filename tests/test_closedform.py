@@ -151,6 +151,22 @@ def test_closed_forms_of_the_column_tops_match_immutable_sums():
         assert family(kind, idx) == oracles.reference_closed_form(kind, idx), (kind, idx)
 
 
+def test_term_sums_match_the_table_reference_to_length_16():
+    # every region tag to length 16, its terms relabelled by the tag's tau
+    tags = {regions.classify(y) for y in weyl.enumerate_up_to_length(16)}
+    assert {tag.kind for tag in tags} == set(RegionKind)
+    for tag in tags:
+        terms = closedform._shifted(0, closedform.closed_form_terms(tag), tag.tau)
+        assert closedform._sum(terms) == oracles.table_sum(terms), tag
+
+
+def test_theta2_product_form_matches_the_per_flank_reference():
+    for m in range(5):
+        for n in range(5):
+            got = theta2_product_form((m, n))
+            assert got == oracles.per_flank_theta2_product_form((m, n)), (m, n)
+
+
 def test_coefficients_positive_below_top():
     for kind, idx in (
         ("x", 9),
@@ -228,11 +244,33 @@ def test_kl_column_rejects_a_broken_closed_form(monkeypatch, factor, message):
     # a failed column is never memoized, so it fails on every call, and
     # kl_fast raises the same error: nothing answers from the recursion
     for _ in range(2):
-        with pytest.raises(closedform.ClosedFormError, match=message):
+        with pytest.raises(closedform.ClosedFormError, match=message) as column_error:
             kl_column(y)
-        with pytest.raises(closedform.ClosedFormError, match=message):
+        with pytest.raises(closedform.ClosedFormError, match=message) as fast_error:
             kl_fast(identity(), y)
+        if factor > 0:
+            # each distinct P is tested once, and the message names the
+            # first failing x in column order
+            full = "P(, 1201) = 2 + q has no constant term 1"
+            assert str(column_error.value) == str(fast_error.value) == full
     assert closedform.fallback_log() == ()
+
+
+@pytest.mark.usefixtures("restore_closed_forms")
+def test_kl_column_names_the_first_failing_x_in_column_order(monkeypatch):
+    # one bare v^(l(y)-l(z)) H_z lifts the constant term of P_{z,y} to 2;
+    # added later in the term list, the earlier z in column order is named
+    y = from_word("1234")
+    assert regions.classify(y).tau == IDENTITY_SYMMETRY
+    lower = weyl.lower_interval(y)
+    early, late = lower[2], lower[5]
+    real = closedform.closed_form_terms
+    extra = [(y.length - z.length, (z,), True) for z in (late, early)]
+    monkeypatch.setattr(closedform, "closed_form_terms", lambda tag: real(tag) + extra)
+    kl_column.cache_clear()
+    with pytest.raises(closedform.ClosedFormError) as raised:
+        kl_column(y)
+    assert str(raised.value) == f"P({early.word()}, {y.word()}) = 2 + q has no constant term 1"
 
 
 def test_the_closed_form_route_never_reaches_the_recursion(monkeypatch):
@@ -373,8 +411,7 @@ def test_kl_column_builds_no_hecke_element_and_sorts_nothing(monkeypatch):
     monkeypatch.setattr(hecke.HeckeElement, "support", forbidden)
     monkeypatch.setattr(weyl.Element, "sort_key", forbidden)
     monkeypatch.setattr(LaurentPoly, "__init__", forbidden)
-    monkeypatch.setattr(hecke, "_add_N", forbidden)
-    monkeypatch.setattr(closedform, "_add_N", forbidden)
+    monkeypatch.setattr(hecke.HeckeElement, "from_monomials", forbidden)
     monkeypatch.setattr(laurent, "to_q", forbidden)
     for y in tops:
         column = kl_column(y)

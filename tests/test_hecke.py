@@ -360,8 +360,70 @@ def test_sums_are_taken_key_by_key_in_order():
     for a, b in pairs:
         keys = list(dict.fromkeys([*a._m, *b._m]))
         for total, sign in ((a + b, 1), (a - b, -1)):
-            expected = {x: a.coefficient(x) + sign * b.coefficient(x) for x in keys}
+            expected = {x: a.coefficient(x) + b.coefficient(x) * sign for x in keys}
             assert list(total._m.items()) == [(x, p) for x, p in expected.items() if p]
+
+
+def test_from_monomials_sums_and_drops_cancelled_terms():
+    triples = [(S1, 1, 2), (ID, 0, 1), (S1, 1, -2), (ID, 0, -1), (T00, -1, 3)]
+    assert hecke.HeckeElement.from_monomials(triples[:4]) == hecke.HeckeElement()
+    assert not hecke.HeckeElement.from_monomials(triples[:4])
+    assert not hecke.HeckeElement.from_monomials([])
+    total = hecke.HeckeElement.from_monomials(triples + [(T00, 2, 1), (T00, -1, 1)])
+    assert total == hecke.HeckeElement({T00: LaurentPoly({-1: 4, 2: 1})})
+    assert total.support() == (T00,)
+
+
+def _closure_sample():
+    """The monotonic-closure pairs of verify_lemma_suite: (w, u, s) over
+    the elements to length 5."""
+    sample = weyl.enumerate_up_to_length(5)
+    return [(w, sample[(i * 7 + 3) % len(sample)], i % 3) for i, w in enumerate(sample)]
+
+
+def _cardinality_tops():
+    """The N and M tops of the cardinality-polynomial stage."""
+    from bruhat_forge.verify import CARDINALITY_BOUND
+
+    rho, rho2 = weyl.RHO, weyl.RHO * weyl.RHO
+    indices = [(m, n) for m in range(CARDINALITY_BOUND + 1) for n in range(CARDINALITY_BOUND + 1)]
+    singles = [build(i) for i in indices for build in (regions.theta, regions.theta1, regions.theta2)]
+    pairs = [
+        (rho.apply(regions.theta1((m, n - 1))), rho2.apply(regions.theta1((m - 1, n))))
+        for m, n in indices
+        if m >= 1 and n >= 1
+    ]
+    return singles, pairs
+
+
+def test_N_M_and_sums_match_the_table_reference_on_the_lemma_samples():
+    singles, pairs = _cardinality_tops()
+    closure = _closure_sample()
+    assert (len(singles), len(pairs), len(closure)) == (75, 16, 46)
+    for x in singles + [w for w, _, _ in closure]:
+        assert N_element(x) == oracles.table_N_element(x), x.word()
+    for x, y in pairs + [(w, u) for w, u, _ in closure]:
+        assert M_element(x, y) == oracles.table_M_element(x, y), (x.word(), y.word())
+    for w, u, _ in closure:
+        for a, b in ((N_element(w), kl_basis(u)), (kl_basis(u), N_element(w).scale(V))):
+            assert a + b == oracles.table_add(a, b), (w.word(), u.word())
+            assert a - b == oracles.table_add(a, b, -1), (w.word(), u.word())
+            assert not a - a and a - a == hecke.HeckeElement()
+
+
+def test_mult_kl_s_matches_the_table_reference():
+    # both sides and every s: a descent puts v^-1 on H_x
+    descents = 0
+    for w in weyl.enumerate_up_to_length(6):
+        for H in (N_element(w), kl_basis(w), standard_basis(w)):
+            for s in range(3):
+                for side in ("left", "right"):
+                    got = mult_kl_s(H, s, side)
+                    assert got == oracles.table_mult_kl_s(H, s, side), (w.word(), s, side)
+                    descents += any(
+                        p.coefficient(-1) for p in (got.coefficient(x) for x in H.support())
+                    )
+    assert descents > 0
 
 
 def _package_imports() -> dict[str, set[str]]:
@@ -398,3 +460,34 @@ def test_recursion_cannot_reach_the_closed_forms():
     # the walk does find the closed forms where they are imported
     assert "closedform" in _reachable(graph, "verify")
     assert "closedform" in _reachable(graph, "poset")
+
+
+def test_closedform_uses_only_public_hecke_names():
+    # only hecke decides how a Hecke element is stored: closedform imports
+    # no private name from it and reads no private attribute of the module
+    package = pathlib.Path(bruhat_forge.__file__).parent
+    tree = ast.parse((package / "closedform.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "hecke"
+        for alias in node.names
+    }
+    assert "HeckeElement" in imported
+    assert not {name for name in imported if name.startswith("_") or name == "Table"}
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "hecke"
+    }
+    assert "mult_kl_s" in read
+    assert not {name for name in read if name.startswith("_")}
+    # and hecke imports nothing from closedform, in any form
+    for node in ast.walk(ast.parse((package / "hecke.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert "closedform" not in (node.module or "")
+            assert "closedform" not in {alias.name for alias in node.names}
+        if isinstance(node, ast.Import):
+            assert not any("closedform" in alias.name for alias in node.names)
