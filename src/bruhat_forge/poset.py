@@ -1,8 +1,7 @@
 """
 Bruhat intervals [x, y] as graded posets, isomorphism testing with
-certificates, an isomorphism-invariant fingerprint for bucketing, and
-the two poset invariants that drive the interval comparisons: m-parent
-counts and the Z-sets
+certificates, and the two poset invariants that drive the interval
+comparisons: m-parent counts and the Z-sets
 
     Z^m = { z in [x, y] : l(y) - l(z) = m and P_{z,y}(q) = 1 + q }.
 
@@ -10,7 +9,9 @@ Isomorphism search refines the rank partition by iterated neighborhood
 colors and then backtracks over class-respecting, rank-by-rank
 assignments checking cover preservation; Bruhat intervals are graded,
 so rank is forced and cover preservation suffices for order
-isomorphism.
+isomorphism.  Refinement also leaves ``Interval.key``, on which the
+survey buckets intervals; ``fingerprint``, taken of class founders
+only, orders its classes.
 
 Both invariants read order off the ball tables (weyl.ball): m-parents
 lie in two upper sets, and ``z_masks(y)`` holds every Z^m of [e, y] as a
@@ -55,12 +56,13 @@ class Interval:
     covers are read once from the ball: the down-covers of z are the
     members of its lower ideal one length below it (Bruhat order is
     graded by length).  ``down_masks[i]`` holds, as a position bitset,
-    the members that member i covers.  ``colors`` are refined from the
-    same pass.
+    the members that member i covers.  ``colors`` and their invariant
+    ``key`` (see _refine) are refined from the same pass.
     """
 
     __slots__ = (
-        "bottom", "top", "members", "mask", "ranks", "span", "rank_sizes", "down_masks", "colors"
+        "bottom", "top", "members", "mask", "ranks", "span", "rank_sizes", "down_masks", "colors",
+        "key",
     )
 
     def __init__(self, bottom: Element, top: Element, members: list[Element]):
@@ -87,7 +89,7 @@ class Interval:
                 down_masks[p] |= 1 << q
                 covers ^= low
         self.down_masks = tuple(down_masks)
-        self.colors = _refine(self.ranks, downs, ups)
+        self.colors, self.key = _refine(self.ranks, downs, ups)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -123,36 +125,42 @@ class Interval:
         }
 
 
-def _refine(ranks: tuple[int, ...], downs: list, ups: list) -> tuple[int, ...]:
-    """Stable colors from iterated (rank, neighbor-multiset) refinement;
-    ``downs[i]`` and ``ups[i]`` list the neighbors of member i, and the
-    ranks take every value in 0..k-1.  The palette sorts by old color
-    first, so a round that splits no class gives back the colors it read:
-    the loop stops there, or at a discrete partition.  Round one reads
-    cover counts, as the neighbors of a rank-r member have colors r +- 1.
+def _refine(ranks: tuple[int, ...], downs: list, ups: list) -> tuple[tuple[int, ...], int]:
+    """Stable colors from iterated (rank, neighbor-multiset) refinement,
+    and a key; ``downs[i]`` and ``ups[i]`` list the neighbors of member i,
+    and the ranks take every value in 0..k-1.  The palette sorts by old
+    color first, so a round that splits no class gives back the colors it
+    read: the loop stops there, or at a discrete partition.  Round one
+    reads cover counts, as the neighbors of a rank-r member have colors
+    r +- 1.  The key hashes the sorted colors with the palette held at the
+    stop: round one's (rank, down count, up count) triples, the last
+    round's, or the one that made the colors discrete.  Refinement is
+    canonical, so isomorphic intervals share keys.
     """
     n, k = len(ranks), max(ranks) + 1
     colors = ranks
     data = [(r, len(down), len(up)) for r, down, up in zip(ranks, downs, ups)]
-    # per side, (member, its one neighbor) and (member, itemgetter of its neighbors)
-    reads = [
-        (
-            [(i, nbrs[0]) for i, nbrs in enumerate(side) if len(nbrs) == 1],
-            [(i, itemgetter(*nbrs)) for i, nbrs in enumerate(side) if len(nbrs) > 1],
-        )
-        for side in (downs, ups)
-    ]
+    palette, reads = set(), None
     while k < n:
-        palette = sorted(set(data))
+        palette = set(data)
         if len(palette) == k:
             break
+        palette = sorted(palette)
         k = len(palette)
         index = {d: c for c, d in enumerate(palette)}
         colors = [index[d] for d in data]
         if k == n:
             break
+        # per side, (member, its one neighbor) and (member, itemgetter of its neighbors)
+        reads = reads or [
+            (
+                [(i, nbrs[0]) for i, nbrs in enumerate(side) if len(nbrs) == 1],
+                [(i, itemgetter(*nbrs)) for i, nbrs in enumerate(side) if len(nbrs) > 1],
+            )
+            for side in (downs, ups)
+        ]
         data = list(zip(colors, *(_multisets(*read, colors) for read in reads)))
-    return tuple(colors)
+    return tuple(colors), hash((frozenset(palette), tuple(sorted(colors))))
 
 
 def _multisets(one: list, many: list, colors: list) -> list[tuple[int, ...]]:
@@ -356,8 +364,8 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
 def fingerprint(a: Interval) -> str:
     """Isomorphism-invariant digest of the refined color structure.
 
-    Equal for isomorphic intervals by construction; used to gate the
-    backtracking search.
+    Equal for isomorphic intervals by construction; the survey computes
+    it for class founders only, and orders its classes by it.
     """
     colors = a.colors
     edge_profile = sorted(

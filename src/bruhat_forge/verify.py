@@ -9,17 +9,17 @@ group G: diagram automorphisms and w -> w^-1 are Bruhat-order
 automorphisms (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
 ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
 so [x, y] and [tau x, tau y] are isomorphic.  Each orbit representative
-is classified as soon as it is built: it is bucketed by (span, size,
-rank vector, fingerprint) and searched against the class representatives
-already in its bucket, and its interval is kept, until the last orbit is
-classified, only if it founds a class.  Every other interval inherits
-its orbit representative's class and certificate, stored with the action
-of G on ball indices (weyl.ball) and composed only when read.  Every
-stage reads P_{x,y} from the KL column of y.  Neither citation is taken
-on trust: the KL equality runs over every interval, each searched
-certificate is re-validated, and every stage that leans on a symmetry
-takes one poset.is_automorphism verdict per action list, which composed
-certificates inherit.
+is classified as soon as it is built: bucketed by (span, size, rank
+vector, refinement key), searched against the class representatives in
+its bucket, and, only if it founds a class, fingerprinted to order the
+classes and kept until the last orbit is classified.  Every other
+interval inherits its orbit representative's class and certificate,
+stored with the action of G on ball indices (weyl.ball) and composed
+only when read.  Every stage reads P_{x,y} from the KL column of y.
+Neither citation is taken on trust: the KL equality runs over every
+interval, each searched certificate is re-validated, and every stage
+that leans on a symmetry takes one poset.is_automorphism verdict per
+action list, which composed certificates inherit.
 
 ``verify_closed_forms`` replays every closed formula against the
 canonical-basis recursion; ``verify_lemma_suite`` exercises the
@@ -217,10 +217,14 @@ def interval_survey(max_length: int) -> Survey:
 
     Pairs run by top, then bottom, in ball-index order, so the first pair
     of the G-orbit of (x, y) is the least (tau y, tau x) over the weyl.ball
-    action lists, and no orbit table is kept.  Only first pairs are built,
-    each classified at once against the representatives in its bucket;
-    only one that founds a class keeps its Interval, until the last is
-    classified.  Every other pair (tau x, tau y) takes the class of its
+    action lists.  No orbit table is kept: to_low[j] and from_low[j] hold
+    the lists, in SYMMETRY_GROUP order, carrying element j onto its least
+    image and back.  Only first pairs are built, each bucketed by (span,
+    size, rank sizes, Interval.key) and searched against the
+    representatives in its bucket; only a founder of a class keeps its
+    Interval, until the last is classified, and is fingerprinted: classes
+    sort by the repr of (span, size, rank sizes, fingerprint), then
+    creation.  Every other pair (tau x, tau y) takes the class of its
     first pair (x, y) and the ComposedCertificate of c with the least-k
     tau_k carrying (x, y) onto it, c being the certificate of (x, y) or,
     for a representative, a poset.IdentityCertificate of the pair alone.
@@ -229,24 +233,25 @@ def interval_survey(max_length: int) -> Survey:
     """
     pairs = _interval_pairs(max_length)
     actions = weyl.ball(max_length).actions
-    # a pair is first in its orbit only if its top is its least image over G
     low = [min(images) for images in zip(*actions)]
-
-    def first(i: int, j: int) -> tuple[int, int]:
-        # the first pair in the orbit of (i, j), as ball indices (top, bottom)
-        return min((act[j], act[i]) for act in actions if act[j] == low[j])
+    to_low = [tuple(act for act in actions if act[j] == m) for j, m in enumerate(low)]
+    from_low = [tuple(act for act in actions if act[m] == j) for j, m in enumerate(low)]
 
     # first pair (top, bottom) -> (its class, certificate onto the representative)
     placed: dict[tuple[int, int], tuple[IsoClass, IsoCertificate]] = {}
     # key -> (class, representative Interval) entries in creation order
     buckets: dict[tuple, list[tuple[IsoClass, poset.Interval]]] = {}
+    # ((span, size, rank sizes, fingerprint), class) per class, in creation order
+    order: list[tuple[tuple, IsoClass]] = []
     for x, y in pairs:
         i, j = x.ball_index, y.ball_index
-        if j != low[j] or first(i, j) != (j, i):
+        # a pair is first in its orbit iff its top is its least image over
+        # G and no list fixing the top lowers its bottom
+        if j != low[j] or min(act[i] for act in to_low[j]) != i:
             continue
         interval = build_interval(x, y)
-        key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
-        bucket = buckets.setdefault(key, [])
+        shape = (interval.span, len(interval), interval.rank_sizes)
+        bucket = buckets.setdefault((*shape, interval.key), [])
         for cls, rep in bucket:
             cert = is_isomorphic(interval, rep)
             if cert is not None:
@@ -255,18 +260,20 @@ def interval_survey(max_length: int) -> Survey:
         else:
             cls = IsoClass(rep=(x, y), members=[], certs={})
             bucket.append((cls, interval))
+            order.append(((*shape, fingerprint(interval)), cls))
             placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
-    classes = [cls for key in sorted(buckets, key=repr) for cls, _ in buckets[key]]
+    # sorted is stable, so classes whose keys share a repr keep creation order
+    classes = [cls for _, cls in sorted(order, key=lambda entry: repr(entry[0]))]
     # the representatives' intervals go before any certificate is composed
     del buckets
 
     for pair in pairs:
         i, j = pair[0].ball_index, pair[1].ball_index
-        fj, fi = first(i, j)
+        fj, fi = low[j], min(act[i] for act in to_low[j])
         cls, cert = placed[fj, fi]
         cls.members.append(pair)
         if (fi, fj) != (i, j):
-            act = next(act for act in actions if act[fi] == i and act[fj] == j)
+            act = next(act for act in from_low[j] if act[fi] == i)
             cls.certs[pair] = poset.ComposedCertificate(cert, act)
         elif pair != cls.rep:
             cls.certs[pair] = cert
@@ -339,12 +346,11 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
 
     def equal_within_classes():
         survey = interval_survey(max_length)
-        violations = [
-            (cls.rep, (x, y))
-            for cls in survey.classes
-            for x, y in cls.members
-            if column(y)[x] != column(cls.rep[1])[cls.rep[0]]
-        ]
+        violations = []
+        for cls in survey.classes:
+            rx, ry = cls.rep
+            p_rep = column(ry)[rx]
+            violations.extend((cls.rep, (x, y)) for x, y in cls.members if column(y)[x] != p_rep)
         violations.sort(key=lambda v: (v[1][1].sort_key(), v[1][0].sort_key()))
         counts = {
             "intervals": len(survey.intervals),

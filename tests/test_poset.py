@@ -280,9 +280,16 @@ def _poset(sizes, covers):
     return ranks, downs, ups
 
 
+def _colors(poset_lists):
+    # _refine returns (colors, key); the reference gives the colors alone
+    colors, key = poset._refine(*poset_lists)
+    assert isinstance(key, int)
+    return colors
+
+
 @given(_layered_posets())
 def test_refine_matches_the_reference_on_layered_posets(poset_lists):
-    assert poset._refine(*poset_lists) == oracles.reference_refine(*poset_lists)
+    assert _colors(poset_lists) == oracles.reference_refine(*poset_lists)
 
 
 def test_refine_matches_the_reference_on_shaped_posets():
@@ -294,11 +301,11 @@ def test_refine_matches_the_reference_on_shaped_posets():
     discrete = _poset([1, 3, 1], [(0, 1), (0, 2), (1, 4)])
     # the two atoms split only in round two, through their up-neighbors
     late = _poset([1, 2, 2, 1], [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
-    assert poset._refine(*chain) == chain[0] == oracles.reference_refine(*chain)
-    assert poset._refine(*complete) == complete[0] == oracles.reference_refine(*complete)
-    assert len(set(poset._refine(*discrete))) == 5
-    assert poset._refine(*discrete) == oracles.reference_refine(*discrete)
-    assert poset._refine(*late) == (0, 1, 2, 3, 4, 5) == oracles.reference_refine(*late)
+    assert _colors(chain) == chain[0] == oracles.reference_refine(*chain)
+    assert _colors(complete) == complete[0] == oracles.reference_refine(*complete)
+    assert len(set(_colors(discrete))) == 5
+    assert _colors(discrete) == oracles.reference_refine(*discrete)
+    assert _colors(late) == (0, 1, 2, 3, 4, 5) == oracles.reference_refine(*late)
     neighbors = {len(n) for p in (chain, complete, discrete, late) for n in p[1] + p[2]}
     assert {0, 1, 3} <= neighbors
 
@@ -315,9 +322,56 @@ def test_survey_is_unchanged_under_the_reference_refinement(monkeypatch):
         )
 
     fast = classes()
-    monkeypatch.setattr(poset, "_refine", oracles.reference_refine)
+    refine = poset._refine
+    calls = []
+
+    def reference(ranks, downs, ups):
+        # the reference's colors, with the key of the refinement under test
+        calls.append(ranks)
+        return oracles.reference_refine(ranks, downs, ups), refine(ranks, downs, ups)[1]
+
+    monkeypatch.setattr(poset, "_refine", reference)
     assert classes() == fast
+    assert calls
     interval_survey.cache_clear()
+
+
+def test_key_partitions_like_the_fingerprint_and_no_search_fails(monkeypatch):
+    from bruhat_forge import verify
+
+    # every orbit-first interval with l(y) <= 12: equal keys iff equal fingerprints
+    actions = weyl.ball(12).actions
+    firsts = [
+        build_interval(x, y)
+        for y in weyl.enumerate_up_to_length(12)
+        for x in weyl.lower_interval(y)
+        if x != y
+        and min((act[y.ball_index], act[x.ball_index]) for act in actions)
+        == (y.ball_index, x.ball_index)
+    ]
+    keys = [interval.key for interval in firsts]
+    prints = [fingerprint(interval) for interval in firsts]
+    assert len(set(keys)) == len(set(prints)) == len(set(zip(keys, prints)))
+    assert len(set(keys)) == len(verify.interval_survey(12).classes)
+
+    # so the survey's buckets send no search to a non-isomorphic representative
+    results = []
+
+    def counting(a, b):
+        results.append(is_isomorphic(a, b))
+        return results[-1]
+
+    monkeypatch.setattr(verify, "is_isomorphic", counting)
+    verify.interval_survey.__wrapped__(12)
+    assert results and all(cert is not None for cert in results)
+
+    # and [x, y], [tau x, tau y] share a key for every tau
+    rng = random.Random(30)
+    pairs = [(x, y) for y in weyl.enumerate_up_to_length(10) for x in weyl.lower_interval(y)]
+    for x, y in rng.sample(pairs, 60):
+        key = build_interval(x, y).key
+        for tau in weyl.SYMMETRY_GROUP:
+            assert build_interval(tau.apply(x), tau.apply(y)).key == key, (x, y, tau.name)
 
 
 def test_parent_counts_preserved_by_certificates():

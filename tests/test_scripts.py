@@ -1,6 +1,8 @@
-"""The scripts under scripts/, run as a user runs them: each is a preset
-of the bruhat-forge command line and shares its errors and exit codes."""
+"""The scripts under scripts/, run as a user runs them: each but
+survey_digest.py is a preset of the bruhat-forge command line and shares
+its errors and exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from bruhat_forge import regions, weyl
 from bruhat_forge.cli import main
 from bruhat_forge.render import render_interval, render_regions
@@ -106,6 +109,18 @@ def test_script_help(tmp_path, name):
     proc = _run_script(name, "--help", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_survey_digest_matches_the_orbit_table_reference(tmp_path):
+    proc = _run_script("survey_digest.py", "--max-length", "4", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    path = ROOT / "scripts" / "survey_digest.py"
+    spec = importlib.util.spec_from_file_location("survey_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    expected = script.digest(oracles.orbit_table_survey(4))
+    assert len(expected) == 64
+    assert proc.stdout.split() == [expected, "max_length=4", "intervals=222", "classes=7"]
 
 
 def test_render_figures_writes_gallery(tmp_path):
