@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Print one sha256 over the interval survey to --max-length: its class
-order, each class's representative and member order, every certificate
-as a word map, and the census.  Two checkouts that print the same digest
-classify every interval alike.
+"""Print one sha256 over the interval survey to --max-length: its classes
+in founding order, each class's representative and member order, every
+certificate as a word map, and the census.  Two checkouts that print the
+same digest classify every interval alike.
 
 Usage: python scripts/survey_digest.py [--max-length 8]
 """

@@ -9,9 +9,9 @@ Isomorphism search refines the rank partition by iterated neighborhood
 colors and then backtracks over class-respecting, rank-by-rank
 assignments checking cover preservation; Bruhat intervals are graded,
 so rank is forced and cover preservation suffices for order
-isomorphism.  Refinement also leaves ``Interval.key``, on which the
-survey buckets intervals; ``fingerprint``, taken of class founders
-only, orders its classes.
+isomorphism.  Each [x, y] is cut from a cover table of [e, y], one per
+top in the survey, and refinement leaves ``Interval.key``, on which the
+survey buckets intervals; it keeps classes in founding order.
 
 Both invariants read order off the ball tables (weyl.ball): m-parents
 lie in two upper sets, and ``z_masks(y)`` holds every Z^m of [e, y] as a
@@ -21,13 +21,14 @@ ball bitset, so Z^m of [x, y] is that mask met with the upper set of x.
 from __future__ import annotations
 
 import hashlib
+from itertools import accumulate, compress, count
 from operator import itemgetter
 from typing import Optional
 
 from . import closedform, regions, weyl
 from .laurent import QPoly, Q_PLUS_ONE
 from .regions import RegionKind, ThetaIndex
-from .weyl import RHO, SIGMA, Element, _bits
+from .weyl import RHO, SIGMA, Element, _bits, _flags
 
 __all__ = [
     "Interval",
@@ -53,11 +54,10 @@ class Interval:
 
     Members are indexed in (rank, canonical word) order, which is their
     ball-index order, and ``mask`` holds them as a ball bitset.  The
-    covers are read once from the ball: the down-covers of z are the
-    members of its lower ideal one length below it (Bruhat order is
-    graded by length).  ``down_masks[i]`` holds, as a position bitset,
-    the members that member i covers.  ``colors`` and their invariant
-    ``key`` (see _refine) are refined from the same pass.
+    covers are read from ``table``, the cover_table of the top, and kept
+    where they stay inside.  ``down_masks[i]`` holds, as a position
+    bitset, the members that member i covers.  ``colors`` and their
+    invariant ``key`` (see _refine) are refined from the same lists.
     """
 
     __slots__ = (
@@ -65,30 +65,23 @@ class Interval:
         "key",
     )
 
-    def __init__(self, bottom: Element, top: Element, members: list[Element]):
+    def __init__(self, bottom: Element, top: Element, table: tuple):
+        top_members, local, top_downs, top_ups = table
         self.bottom = bottom
         self.top = top
-        self.members = tuple(members)
+        self.mask = interval_mask(bottom, top)
+        # the members' positions in the table, by one pass in C over flags
+        chosen = list(compress(local, _flags(self.mask)))
+        position = dict(zip(chosen, count()))
+        self.members = tuple(map(top_members.__getitem__, chosen))
         base = bottom.length
         self.ranks = tuple(z.length - base for z in self.members)
         self.span = top.length - base
         self.rank_sizes = tuple(self.ranks.count(r) for r in range(self.span + 1))
-        lower_covers = weyl.ball(top.length).covers
-        self.mask = inside = interval_mask(bottom, top)
-        position = {z.ball_index: p for p, z in enumerate(self.members)}
-        downs: list[list[int]] = [[] for _ in self.members]
-        ups: list[list[int]] = [[] for _ in self.members]
-        down_masks = [0] * len(position)
-        for p, i in enumerate(position):
-            covers = lower_covers[i] & inside
-            while covers:
-                low = covers & -covers
-                q = position[low.bit_length() - 1]
-                downs[p].append(q)
-                ups[q].append(p)
-                down_masks[p] |= 1 << q
-                covers ^= low
-        self.down_masks = tuple(down_masks)
+        # every member covering a member of [x, y] lies in [x, y]
+        ups = [list(map(position.__getitem__, top_ups[p])) for p in chosen]
+        downs = [[position[q] for q in top_downs[p] if q in position] for p in chosen]
+        self.down_masks = tuple(sum(map((1).__lshift__, down)) for down in downs)
         self.colors, self.key = _refine(self.ranks, downs, ups)
 
     def __len__(self) -> int:
@@ -178,13 +171,29 @@ def interval_mask(x: Element, y: Element) -> int:
     return y.ideal & weyl.upper_set(x, y.length)
 
 
+def cover_table(y: Element) -> tuple:
+    """The covers of [e, y], cut by Interval to each [x, y]: its members in
+    ball order; ``local``, by ball index, each member's position among
+    them; per position, the positions of the members it covers (the rest
+    of its lower ideal one length down) and of those covering it."""
+    members = weyl.ball_elements(y.ideal)
+    covers = weyl.ball(y.length).covers
+    local = list(accumulate(_flags(y.ideal), initial=0))
+    downs = [[local[i] for i in _bits(covers[z.ball_index])] for z in members]
+    ups: list[list[int]] = [[] for _ in members]
+    for p, down in enumerate(downs):
+        for q in down:
+            ups[q].append(p)
+    return members, local, downs, ups
+
+
 def build_interval(x: Element, y: Element) -> Interval:
     """The interval [x, y]; raises NotComparableError when x is not below y."""
     if not weyl.bruhat_leq(x, y):
         raise NotComparableError(
             f"{x.word() or 'id'!s} is not below {y.word() or 'id'!s} in Bruhat order"
         )
-    return Interval(x, y, list(weyl.ball_elements(interval_mask(x, y))))
+    return Interval(x, y, cover_table(y))
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +328,7 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
     Deterministic for fixed inputs: members are scanned in canonical
     order and the first completed assignment wins.
     """
-    if (
-        len(a.members) != len(b.members)
-        or a.span != b.span
-        or a.rank_sizes != b.rank_sizes
-    ):
+    if a.rank_sizes != b.rank_sizes:  # so spans and sizes agree
         return None
     ca, cb = a.colors, b.colors
     if sorted(ca) != sorted(cb):
@@ -364,8 +369,8 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
 def fingerprint(a: Interval) -> str:
     """Isomorphism-invariant digest of the refined color structure.
 
-    Equal for isomorphic intervals by construction; the survey computes
-    it for class founders only, and orders its classes by it.
+    Equal for isomorphic intervals by construction.  No survey reads it:
+    they bucket on Interval.key.
     """
     colors = a.colors
     edge_profile = sorted(

@@ -9,13 +9,14 @@ group G: diagram automorphisms and w -> w^-1 are Bruhat-order
 automorphisms (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
 ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
 so [x, y] and [tau x, tau y] are isomorphic.  Each orbit representative
-is classified as soon as it is built: bucketed by (span, size, rank
-vector, refinement key), searched against the class representatives in
-its bucket, and, only if it founds a class, fingerprinted to order the
-classes and kept until the last orbit is classified.  Every other
-interval inherits its orbit representative's class and certificate,
-stored with the action of G on ball indices (weyl.ball) and composed
-only when read.  Every stage reads P_{x,y} from the KL column of y.
+is classified, in the order the classes are founded, as soon as it is
+built from its top's cover table: bucketed by (rank vector, refinement
+key), searched against the class representatives in its bucket, and
+kept only if it founds a class, until the last orbit is classified.
+Every other interval inherits its orbit representative's class and
+certificate, stored with the action of G on ball indices (weyl.ball)
+and composed only when read.  Every stage reads P_{x,y} from the KL
+column of y.
 Neither citation is taken on trust: the KL equality runs over every
 interval, each searched certificate is re-validated, and every stage
 that leans on a symmetry takes one poset.is_automorphism verdict per
@@ -42,10 +43,10 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import closedform, hecke, poset, regions, weyl
-from .poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
+from .poset import IsoCertificate, build_interval, is_isomorphic
 from .regions import RegionKind, RegionTag, ThetaIndex
 from .weyl import IDENTITY_SYMMETRY, Element, SYMMETRY_GROUP
 
@@ -78,13 +79,7 @@ class SuiteResult:
     elapsed: float = 0.0
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "counts": self.counts,
-            "witnesses": self.witnesses,
-            "elapsed": round(self.elapsed, 3),
-        }
+        return {**asdict(self), "elapsed": round(self.elapsed, 3)}
 
 
 @dataclass
@@ -174,6 +169,11 @@ def _words(pair: tuple[Element, Element]) -> list[str]:
     return [w.word() for w in pair]
 
 
+def _by_top(pair: tuple[Element, Element]) -> tuple:
+    # witness order: by top, then bottom, each by (length, word)
+    return pair[1].sort_key(), pair[0].sort_key()
+
+
 # ---------------------------------------------------------------------------
 # the interval survey shared by the conjecture suite and the census
 
@@ -192,17 +192,13 @@ class Survey:
 
     def census_rows(self) -> list[dict]:
         # isomorphic intervals have one span, so each class counts under its rep's
-        by_span: dict[int, int] = {}
-        counts: dict[int, int] = {}
+        rows: dict[int, dict] = {}
         for cls in self.classes:
-            x, y = cls.rep
-            span = y.length - x.length
-            by_span[span] = by_span.get(span, 0) + 1
-            counts[span] = counts.get(span, 0) + len(cls.members)
-        return [
-            {"span": d, "classes": by_span[d], "intervals": counts[d]}
-            for d in sorted(by_span)
-        ]
+            span = cls.rep[1].length - cls.rep[0].length
+            row = rows.setdefault(span, {"span": span, "classes": 0, "intervals": 0})
+            row["classes"] += 1
+            row["intervals"] += len(cls.members)
+        return [rows[span] for span in sorted(rows)]
 
 
 def _interval_pairs(max_length: int) -> list[tuple[Element, Element]]:
@@ -219,17 +215,17 @@ def interval_survey(max_length: int) -> Survey:
     of the G-orbit of (x, y) is the least (tau y, tau x) over the weyl.ball
     action lists.  No orbit table is kept: to_low[j] and from_low[j] hold
     the lists, in SYMMETRY_GROUP order, carrying element j onto its least
-    image and back.  Only first pairs are built, each bucketed by (span,
-    size, rank sizes, Interval.key) and searched against the
-    representatives in its bucket; only a founder of a class keeps its
-    Interval, until the last is classified, and is fingerprinted: classes
-    sort by the repr of (span, size, rank sizes, fingerprint), then
-    creation.  Every other pair (tau x, tau y) takes the class of its
-    first pair (x, y) and the ComposedCertificate of c with the least-k
-    tau_k carrying (x, y) onto it, c being the certificate of (x, y) or,
-    for a representative, a poset.IdentityCertificate of the pair alone.
-    The first pair of a class is the first of its orbit, so representatives,
-    class ids and member order are those of classifying every pair.
+    image and back.  Only first pairs are built, from one poset.cover_table
+    per top, each bucketed by (rank sizes, Interval.key) and searched
+    against the representatives in its bucket; only a founder of a class
+    keeps its Interval, until the last is classified.  Classes stay in
+    founding order.  Every other pair (tau x, tau y) takes the class of
+    its first pair (x, y) and the ComposedCertificate of c with the
+    least-k tau_k carrying (x, y) onto it, c being the certificate of
+    (x, y) or, for a representative, a poset.IdentityCertificate of the
+    pair alone.  The first pair of a class is the first of its orbit, so
+    representatives, class ids and member order are those of classifying
+    every pair.
     """
     pairs = _interval_pairs(max_length)
     actions = weyl.ball(max_length).actions
@@ -241,17 +237,18 @@ def interval_survey(max_length: int) -> Survey:
     placed: dict[tuple[int, int], tuple[IsoClass, IsoCertificate]] = {}
     # key -> (class, representative Interval) entries in creation order
     buckets: dict[tuple, list[tuple[IsoClass, poset.Interval]]] = {}
-    # ((span, size, rank sizes, fingerprint), class) per class, in creation order
-    order: list[tuple[tuple, IsoClass]] = []
+    classes: list[IsoClass] = []
+    top = table = None
     for x, y in pairs:
         i, j = x.ball_index, y.ball_index
         # a pair is first in its orbit iff its top is its least image over
         # G and no list fixing the top lowers its bottom
         if j != low[j] or min(act[i] for act in to_low[j]) != i:
             continue
-        interval = build_interval(x, y)
-        shape = (interval.span, len(interval), interval.rank_sizes)
-        bucket = buckets.setdefault((*shape, interval.key), [])
+        if y is not top:
+            top, table = y, poset.cover_table(y)
+        interval = poset.Interval(x, y, table)
+        bucket = buckets.setdefault((interval.rank_sizes, interval.key), [])
         for cls, rep in bucket:
             cert = is_isomorphic(interval, rep)
             if cert is not None:
@@ -260,12 +257,10 @@ def interval_survey(max_length: int) -> Survey:
         else:
             cls = IsoClass(rep=(x, y), members=[], certs={})
             bucket.append((cls, interval))
-            order.append(((*shape, fingerprint(interval)), cls))
+            classes.append(cls)
             placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
-    # sorted is stable, so classes whose keys share a repr keep creation order
-    classes = [cls for _, cls in sorted(order, key=lambda entry: repr(entry[0]))]
     # the representatives' intervals go before any certificate is composed
-    del buckets
+    del buckets, table
 
     for pair in pairs:
         i, j = pair[0].ball_index, pair[1].ball_index
@@ -281,7 +276,7 @@ def interval_survey(max_length: int) -> Survey:
 
 
 def _failing_certificates(classes, max_length: int, valid, list_ok) -> list:
-    """The members, in class and member order, whose certificate fails.
+    """The members, by top and then bottom, whose certificate fails.
 
     A certificate z -> base(tau^-1 z) holds tau's action list (a plain one,
     the identity).  Each base is judged once: an IdentityCertificate passes
@@ -309,8 +304,8 @@ def _failing_certificates(classes, max_length: int, valid, list_ok) -> list:
                 acts[id(act)] = list_ok(act)
             ok, i, j = bases[base]
             if not (ok and acts[id(act)]) or (act[i], act[j]) != (x.ball_index, y.ball_index):
-                bad.append({"member": _words((x, y)), "rep": _words(cls.rep)})
-    return bad
+                bad.append((_by_top((x, y)), _words((x, y)), _words(cls.rep)))
+    return [{"member": member, "rep": rep} for _, member, rep in sorted(bad)]
 
 
 def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> VerificationReport:
@@ -351,7 +346,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
             rx, ry = cls.rep
             p_rep = column(ry)[rx]
             violations.extend((cls.rep, (x, y)) for x, y in cls.members if column(y)[x] != p_rep)
-        violations.sort(key=lambda v: (v[1][1].sort_key(), v[1][0].sort_key()))
+        violations.sort(key=lambda v: _by_top(v[1]))
         counts = {
             "intervals": len(survey.intervals),
             "classes": len(survey.classes),
@@ -388,7 +383,7 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
         # every class representative goes through the oracle as well, so a
         # corruption hitting a whole class uniformly cannot hide behind the
         # within-class equality check
-        checks = dict.fromkeys([cls.rep for cls in survey.classes] + sample)
+        checks = sorted({*(cls.rep for cls in survey.classes), *sample}, key=_by_top)
         bad = [_words((x, y)) for x, y in checks if hecke.kl_polynomial(x, y)[1] != column(y)[x]]
         counts = {"class_reps": len(survey.classes), "sampled": len(sample), "mismatches": len(bad)}
         return counts, bad

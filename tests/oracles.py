@@ -389,6 +389,39 @@ def reference_fingerprint(interval) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def reference_interval(x, y):
+    """[x, y] built on its own, with no cover table: a position dict over
+    its members, and the down-covers of each member read bit by bit off
+    the ball's covers met with the interval mask.  A namespace holding
+    members, ranks, mask, down_masks, colors and key."""
+    from types import SimpleNamespace
+
+    from bruhat_forge import poset, weyl
+
+    mask = poset.interval_mask(x, y)
+    members = weyl.ball_elements(mask)
+    ranks = tuple(z.length - x.length for z in members)
+    lower_covers = weyl.ball(y.length).covers
+    position = {z.ball_index: p for p, z in enumerate(members)}
+    downs: list[list[int]] = [[] for _ in members]
+    ups: list[list[int]] = [[] for _ in members]
+    down_masks = [0] * len(members)
+    for p, i in enumerate(position):
+        covers = lower_covers[i] & mask
+        while covers:
+            low = covers & -covers
+            q = position[low.bit_length() - 1]
+            downs[p].append(q)
+            ups[q].append(p)
+            down_masks[p] |= 1 << q
+            covers ^= low
+    colors, key = poset._refine(ranks, downs, ups)
+    return SimpleNamespace(
+        members=members, ranks=ranks, mask=mask, down_masks=tuple(down_masks),
+        colors=colors, key=key,
+    )
+
+
 # -- brute-force interval isomorphism ----------------------------------------
 
 def brute_force_isomorphic(a, b) -> bool:
@@ -436,10 +469,11 @@ def brute_force_isomorphic(a, b) -> bool:
 def per_pair_survey(max_length: int):
     """Classify every interval with l(y) <= max_length on its own.
 
-    Each pair is built, bucketed by (span, size, rank vector,
-    fingerprint) and searched against the class representatives of its
-    bucket, with no use of the symmetry group.  Returns a verify.Survey
-    with the certificates the search found.
+    Each pair, in pair order, is built, bucketed by (span, size, rank
+    vector, fingerprint) and searched against the class representatives
+    of its bucket, with no use of the symmetry group; classes are listed
+    in the order they are founded.  Returns a verify.Survey with the
+    certificates the search found.
     """
     from bruhat_forge import weyl
     from bruhat_forge.poset import build_interval, fingerprint, is_isomorphic
@@ -451,24 +485,21 @@ def per_pair_survey(max_length: int):
         for x in weyl.lower_interval(y)
         if x != y
     ]
-    built = {pair: build_interval(*pair) for pair in pairs}
-    buckets: dict = {}
-    for pair, interval in built.items():
-        key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
-        buckets.setdefault(key, []).append(pair)
+    buckets: dict = {}  # key -> (class, representative interval) entries
     classes: list = []
-    for key in sorted(buckets, key=repr):
-        pending: list = []
-        for pair in buckets[key]:
-            for cid in pending:
-                cert = is_isomorphic(built[pair], built[classes[cid].rep])
-                if cert is not None:
-                    classes[cid].members.append(pair)
-                    classes[cid].certs[pair] = cert
-                    break
-            else:
-                classes.append(IsoClass(rep=pair, members=[pair], certs={}))
-                pending.append(len(classes) - 1)
+    for pair in pairs:
+        interval = build_interval(*pair)
+        key = (interval.span, len(interval), interval.rank_sizes, fingerprint(interval))
+        bucket = buckets.setdefault(key, [])
+        for cls, rep in bucket:
+            cert = is_isomorphic(interval, rep)
+            if cert is not None:
+                cls.members.append(pair)
+                cls.certs[pair] = cert
+                break
+        else:
+            classes.append(IsoClass(rep=pair, members=[pair], certs={}))
+            bucket.append((classes[-1], interval))
     return Survey(max_length, pairs, classes)
 
 
@@ -478,7 +509,8 @@ def orbit_table_survey(max_length: int):
     Each orbit-first pair, in pair order, records for every tau_k the pair
     it carries itself onto, with the least such k, in a dict over all
     pairs; a class representative's certificate onto itself is a full
-    {z: z} IsoCertificate.  Returns a verify.Survey.
+    {z: z} IsoCertificate.  Classes are listed in the order they are
+    founded.  Returns a verify.Survey.
     """
     from bruhat_forge import poset, weyl
     from bruhat_forge.poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
@@ -489,6 +521,7 @@ def orbit_table_survey(max_length: int):
     orbit_of: dict = {}  # pair -> (first pair of its orbit, k)
     placed: dict = {}  # first pair -> (its class, certificate onto the rep)
     buckets: dict = {}
+    classes: list = []
     for x, y in pairs:
         i, j = x.ball_index, y.ball_index
         if (i, j) in orbit_of:
@@ -506,8 +539,8 @@ def orbit_table_survey(max_length: int):
         else:
             cls = IsoClass(rep=(x, y), members=[], certs={})
             bucket.append((cls, interval))
+            classes.append(cls)
             placed[(x, y)] = (cls, IsoCertificate({z: z for z in interval.members}))
-    classes = [cls for key in sorted(buckets, key=repr) for cls, _ in buckets[key]]
     for pair in pairs:
         first, k = orbit_of[pair[0].ball_index, pair[1].ball_index]
         cls, cert = placed[first]
@@ -577,33 +610,38 @@ def composed_certificates(max_length: int) -> dict:
     return certs
 
 
+def by_top_then_bottom(witnesses: list) -> list:
+    # witnesses {"member": [x, y], ...} sorted by y, then x, each by (length, word)
+    return sorted(witnesses, key=lambda w: [(len(z), z) for z in reversed(w["member"])])
+
+
 def reference_certificate_verdicts(survey) -> tuple[dict, list]:
     """The certificate stage of verify_conjecture by IsoCertificate.is_valid
     on every certificate of the survey, the composed ones included: its
-    counts and its failing members, in class and member order."""
-    bad = [
+    counts and its failing members, by top and then bottom."""
+    bad = by_top_then_bottom([
         {"member": [w.word() for w in member], "rep": [w.word() for w in cls.rep]}
         for cls in survey.classes
         for member, cert in cls.certs.items()
         if not cert.is_valid(member, cls.rep)
-    ]
+    ])
     return {"certificates": sum(len(c.certs) for c in survey.classes), "invalid": len(bad)}, bad
 
 
 def reference_z_stage(survey) -> tuple[dict, list]:
     """The Z-set stage of verify_lemma_suite read per certificate:
     poset._z_preserved on the index of every certificate of the survey,
-    the composed ones included; its counts and its failing members, in
-    class and member order."""
+    the composed ones included; its counts and its failing members, by
+    top and then bottom."""
     from bruhat_forge import poset, weyl
 
     masks = [poset.z_masks(y) for y in weyl.enumerate_up_to_length(survey.max_length)]
-    bad = [
+    bad = by_top_then_bottom([
         {"member": [w.word() for w in member], "rep": [w.word() for w in cls.rep]}
         for cls in survey.classes
         for member, cert in cls.certs.items()
         if not poset._z_preserved(masks, cert, member, cls.rep)
-    ]
+    ])
     classes = survey.classes
     return {"certificates": sum(len(c.certs) for c in classes), "classes": len(classes)}, bad
 

@@ -252,6 +252,36 @@ def test_colors_and_fingerprint_match_reference_to_length_8():
     assert checked == 3180
 
 
+def _built_fields(interval) -> tuple:
+    names = ("members", "ranks", "mask", "down_masks", "colors", "key")
+    return tuple(getattr(interval, name) for name in names)
+
+
+def test_intervals_match_the_reference_builder():
+    # every [x, y] with l(y) <= 8, x = y included, through build_interval
+    checked = 0
+    for y in weyl.enumerate_up_to_length(8):
+        for x in weyl.lower_interval(y):
+            expected = _built_fields(oracles.reference_interval(x, y))
+            assert _built_fields(build_interval(x, y)) == expected, (x, y)
+            checked += 1
+    assert checked == 3180 + 109
+    # and every orbit-first [x, y] at L=12, cut as the survey cuts them
+    # from one cover table per top
+    actions = weyl.ball(12).actions
+    checked = 0
+    for y in weyl.enumerate_up_to_length(12):
+        table = poset.cover_table(y)
+        for x in weyl.lower_interval(y):
+            i, j = x.ball_index, y.ball_index
+            if x == y or min((act[j], act[i]) for act in actions) != (j, i):
+                continue
+            expected = _built_fields(oracles.reference_interval(x, y))
+            assert _built_fields(poset.Interval(x, y, table)) == expected, (x, y)
+            checked += 1
+    assert checked == 1515
+
+
 @st.composite
 def _layered_posets(draw):
     # ranks 0..k-1, each taken, members in a drawn order, and covers only
@@ -430,6 +460,7 @@ def test_fingerprint_collision_rate_reported():
         f"fingerprint census at length 7: {len(intervals)} intervals, "
         f"{len(fps)} fingerprints, {classes} classes, {collisions} collisions"
     )
+    assert collisions == 0
 
 
 def test_parents_table_and_errors():

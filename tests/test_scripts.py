@@ -123,6 +123,20 @@ def test_survey_digest_matches_the_orbit_table_reference(tmp_path):
     assert proc.stdout.split() == [expected, "max_length=4", "intervals=222", "classes=7"]
 
 
+def test_survey_digest_is_pinned_at_length_8(tmp_path):
+    # classes in founding order: a change to how intervals are built,
+    # refined or searched that moves any class, member or certificate
+    # moves this digest
+    proc = _run_script("survey_digest.py", "--max-length", "8", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "ccfc9daba933a99aee741079d6ed3cd07eb032be9326e3297a46a23f08cd9970",
+        "max_length=8",
+        "intervals=3180",
+        "classes=86",
+    ]
+
+
 def test_render_figures_writes_gallery(tmp_path):
     out = tmp_path / "figs"
     proc = _run_script("render_figures.py", "--out-dir", str(out), cwd=tmp_path)

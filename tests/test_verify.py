@@ -392,7 +392,9 @@ def test_certificate_stage_fails_every_member_of_a_corrupted_action_list(monkeyp
         _, ref_bad = oracles.reference_certificate_verdicts(survey)
         assert ref_bad and all(w in bad for w in ref_bad)
         # the list fails as a whole: every member composed through it
-        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for cls, m, _ in users]
+        assert bad == oracles.by_top_then_bottom(
+            [{"member": _words(m), "rep": _words(cls.rep)} for cls, m, _ in users]
+        )
         assert counts["invalid"] == len(users)
     finally:
         for _, _, c in users:
@@ -413,6 +415,59 @@ def test_certificate_stage_fails_certificates_stored_under_the_wrong_member(monk
         assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for m in (a, b)]
     finally:
         interval_survey.cache_clear()
+
+
+def test_certificate_witnesses_run_by_top_then_bottom(monkeypatch):
+    # one certificate corrupted in each of two classes, the class founded
+    # later holding the earlier member: the witnesses follow (y, x), not
+    # class order
+    survey = interval_survey(6)
+
+    def at(pair):
+        return pair[1].ball_index, pair[0].ball_index
+
+    try:
+        (first, a), (later, b) = next(
+            ((cls, a), (other, b))
+            for n, cls in enumerate(survey.classes)
+            for a in cls.certs
+            for other in survey.classes[n + 1 :]
+            for b in other.certs
+            if at(b) < at(a)
+        )
+        stored = first.certs[a], later.certs[b]
+        first.certs[a], later.certs[b] = poset.IdentityCertificate(a), poset.IdentityCertificate(b)
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        assert bad == [
+            {"member": _words(b), "rep": _words(later.rep)},
+            {"member": _words(a), "rep": _words(first.rep)},
+        ]
+        first.certs[a], later.certs[b] = stored
+        assert _certificate_stage(6).passed
+    finally:
+        interval_survey.cache_clear()
+
+
+def test_oracle_witnesses_run_by_top_then_bottom(monkeypatch):
+    # a wrong q^5 term in the recursion's P_{x,y} for every pair of span
+    # <= 2 the stage checks, class representatives and sampled pairs: it
+    # names them by top, then bottom
+    kl_polynomial, checked = hecke.kl_polynomial, []
+
+    def corrupted(x, y):
+        h, p = kl_polynomial(x, y)
+        if y.length - x.length <= 2:
+            checked.append((x, y))
+            p = p + QPoly({5: 1})
+        return h, p
+
+    monkeypatch.setattr(hecke, "kl_polynomial", corrupted)
+    stages = _stage_results(monkeypatch, lambda: verify_conjecture(6), [])
+    (counts, bad), _ = stages["oracle cross-check (class reps + sample)"]
+    expected = sorted(checked, key=lambda pair: (pair[1].ball_index, pair[0].ball_index))
+    assert counts["mismatches"] == len(checked) > 2
+    assert bad == [_words(pair) for pair in expected]
 
 
 def _z_stage(monkeypatch, max_length, calls=None):
@@ -540,7 +595,9 @@ def test_z_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
             c.act = tuple(act)
         (counts, bad), _ = _z_stage(monkeypatch, 6)
         assert len(users) > 10
-        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for cls, m, _ in users]
+        assert bad == oracles.by_top_then_bottom(
+            [{"member": _words(m), "rep": _words(cls.rep)} for cls, m, _ in users]
+        )
     finally:
         for _, _, c in users:
             c.act = shared
