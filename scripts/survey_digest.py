@@ -16,13 +16,18 @@ from bruhat_forge import verify, weyl
 
 
 def digest(survey) -> str:
-    """The sha256 hex digest of a verify.Survey, certificates read as word maps."""
+    """The sha256 hex digest of a verify.Survey, certificates read as word maps.
+
+    The hash is that of json.dumps([classes, census], sort_keys=True), fed
+    one class at a time with the separators json.dumps writes, so no more
+    than one class is ever held as JSON."""
 
     def words(pair):
         return [z.word() for z in pair]
 
-    classes = [
-        {
+    sha = hashlib.sha256(b"[[")
+    for k, cls in enumerate(survey.classes):
+        obj = {
             "rep": words(cls.rep),
             "members": [words(m) for m in cls.members],
             "certs": [
@@ -31,10 +36,11 @@ def digest(survey) -> str:
                 if m in cls.certs
             ],
         }
-        for cls in survey.classes
-    ]
-    blob = json.dumps([classes, survey.census_rows()], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+        if k:
+            sha.update(b", ")
+        sha.update(json.dumps(obj, sort_keys=True).encode())
+    sha.update(b"], " + json.dumps(survey.census_rows(), sort_keys=True).encode() + b"]")
+    return sha.hexdigest()
 
 
 def _length(text: str) -> int:

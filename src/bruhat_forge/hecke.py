@@ -21,14 +21,15 @@ rows instead: ball index of x -> h_{x,w} at v = 2^32, one int whose
 add and a one-field shift per x, with s x read off the weyl
 left-multiplication table, and a mu correction one multiply-and-subtract
 per x.  The rows are the one memo, decoded at the kl_basis and
-kl_polynomial boundary.  The recursion uses nothing from the closed
-forms (this module does not import closedform), so the two routes to
-P_{x,y} stay independent.
+kl_polynomial boundary; kl_mismatches reads them undecoded.  The
+recursion uses nothing from the closed forms (this module does not
+import closedform), so the two routes to P_{x,y} stay independent.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import weyl
@@ -41,6 +42,7 @@ __all__ = [
     "mult_kl_s",
     "kl_basis",
     "kl_polynomial",
+    "kl_mismatches",
     "N_element",
     "M_element",
     "content",
@@ -237,6 +239,27 @@ def kl_polynomial(x: Element, w: Element) -> tuple[LaurentPoly, QPoly]:
         return ZERO, QPoly.zero()
     p = _decode(h)
     return p, to_q(p, w.length - x.length)
+
+
+def kl_mismatches(w: Element, column: Mapping[Element, QPoly]) -> list[Element]:
+    """The x <= w, in (length, word) order, whose P_{x,w} column lacks or
+    holds other than the recursion: x's row entry shifted up l(x) fields
+    against one row value v^l(w) P(v^-2) per distinct P.  A P of degree past
+    l(w)/2 or with a coefficient outside the 32-bit fields is a mismatch."""
+    rows = _rows(w, DEFAULT_KL_CAP)
+    lengths = weyl.ball(w.length).lengths
+    raised: dict[Optional[QPoly], Optional[int]] = {None: None}
+    bad = []
+    for x, i in zip(weyl.ball_elements(w.ideal), compress(count(), weyl._flags(w.ideal))):
+        p = column.get(x)
+        h = raised.get(p, False)
+        if h is False:
+            terms = [(c, w.length - 2 * k) for k, c in p.items()]
+            fits = all(e >= 0 and -_HALF <= c < _HALF for c, e in terms)
+            h = raised[p] = sum(c << (_FIELD * e) for c, e in terms) if fits else None
+        if rows.get(i, 0) << (_FIELD * lengths[i]) != h:
+            bad.append(x)
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,17 @@ kept only if it founds a class, until the last orbit is classified.
 Every other interval inherits its orbit representative's class and
 certificate, stored with the action of G on ball indices (weyl.ball)
 and composed only when read.  Every stage reads P_{x,y} from the KL
-column of y.
+column of y, each entry of which the oracle stage checks by the recursion.
 Neither citation is taken on trust: the KL equality runs over every
 interval, each searched certificate is re-validated, and every stage
 that leans on a symmetry takes one poset.is_automorphism verdict per
 action list, which composed certificates inherit.
 
 ``verify_closed_forms`` replays every closed formula against the
-canonical-basis recursion; ``verify_lemma_suite`` exercises the
-supporting lemmas (region partition, intersection and boundary
-identities, cardinality polynomials, the appendix identity, parent
-counts, monotonicity, Z-set preservation and the structural lemmas).
+canonical-basis recursion; ``verify_lemma_suite`` runs the same oracle
+stage and exercises the supporting lemmas (region partition, intersection
+and boundary identities, cardinality polynomials, the appendix identity,
+parent counts, monotonicity, Z-set preservation and the structural lemmas).
 
 Every report is an ordered list of stages, each a function returning
 (counts, witnesses), run by one runner that times each stage, caps its
@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import random
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -50,15 +49,13 @@ from .poset import IsoCertificate, build_interval, is_isomorphic
 from .regions import RegionKind, RegionTag, ThetaIndex
 from .weyl import IDENTITY_SYMMETRY, Element, SYMMETRY_GROUP
 
-# bounds no caller varies: index bounds of the lemma and product checks,
-# and the share of intervals the conjecture suite sends to the oracle
+# bounds no caller varies: index bounds of the lemma and product checks
 LEMMA22_BOUND = 4
 BOUNDARY_BOUND = 3
 CARDINALITY_BOUND = 4
 IDENTITY_BOUND = 3
 PARENTS_BOUND = 3
 PRODUCT_BOUND = 3
-SAMPLE_RATE = 0.01
 
 __all__ = [
     "SuiteResult",
@@ -127,7 +124,7 @@ class VerificationReport:
 
 
 def _within_kl_cap(*bounds: int) -> None:
-    # every suite compares with hecke.kl_basis, which refuses lengths above
+    # every suite compares with the recursion, which refuses lengths above
     # its cap: fail before any work rather than after the survey
     cap = hecke.DEFAULT_KL_CAP
     if max(bounds) > cap:
@@ -172,6 +169,19 @@ def _words(pair: tuple[Element, Element]) -> list[str]:
 def _by_top(pair: tuple[Element, Element]) -> tuple:
     # witness order: by top, then bottom, each by (length, word)
     return pair[1].sort_key(), pair[0].sort_key()
+
+
+def _oracle_stage(max_length: int) -> tuple:
+    """The stage both suites run: every entry of kl_column(y), l(y) <=
+    max_length, against the recursion; witnesses by top, then bottom."""
+
+    def oracle():
+        tops = weyl.enumerate_up_to_length(max_length)
+        bad = [(x, y) for y in tops for x in hecke.kl_mismatches(y, closedform.kl_column(y))]
+        counts = {"pairs": sum(y.ideal.bit_count() for y in tops), "mismatches": len(bad)}
+        return counts, [_words(pair) for pair in bad]
+
+    return f"closed forms vs recursion (l(y) <= {max_length})", oracle, False
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +296,7 @@ def _failing_certificates(classes, max_length: int, valid, list_ok) -> list:
     A certificate passes when both do and act carries the source onto the
     member.
     """
-    same = tuple(range(len(weyl.ball(max_length).lengths)))
+    same = weyl.ball(max_length).actions[0]  # the identity's list
     acts: dict[int, bool] = {}  # by ids of lists the survey holds
     bad = []
     for cls in classes:
@@ -316,16 +326,16 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     judges every survey certificate through _failing_certificates: each
     plain base once on covers, each representative's identity by the pair
     it names, and each of the 12 action lists once by
-    poset.is_automorphism.  It cross-checks the fast KL path against the
-    recursion oracle on the class representatives and a deterministic
-    random sample, and, for a sample of intervals [x, y] and every tau in
-    G, compares P_{x,y} with P_{tau x, tau y}, tau failing as a whole if
-    its list is no automorphism.  A closed form that fails fails every
-    stage that reads its column, as in every lemma suite.
+    poset.is_automorphism.  Its oracle stage, which the lemma suite runs
+    too, compares every KL column it reads with the recursion.  No stage
+    checks P_{tau x, tau y} = P_{x,y} apart: (tau x, tau y) is a member
+    of the class of (x, y), which the first stage compares with its
+    representative.  A closed form that fails fails every stage that
+    reads its column, as in every lemma suite.
 
-    The survey runs in one process. ``jobs`` accepts only 1 and stays,
-    with its report scope key, until ``perfbench/worker.py`` stops
-    passing it; then the keyword goes.
+    The survey runs in one process.  ``jobs`` accepts only 1 and ``seed``
+    is ignored, as nothing is sampled; both stay, ``jobs`` with its report
+    scope key, until ``perfbench/worker.py`` stops passing them.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
@@ -335,9 +345,6 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     # memoised KL columns; the first stage builds both, so their time
     # counts there
     column = closedform.kl_column
-    orbit_sample: list[tuple[Element, Element]] = []  # filled by the oracle stage
-    # one verdict per action list, for the certificate and orbit stages
-    automorphism = functools.cache(functools.partial(poset.is_automorphism, max_length=max_length))
 
     def equal_within_classes():
         survey = interval_survey(max_length)
@@ -364,48 +371,16 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
 
     def certificates():
         classes = interval_survey(max_length).classes
+        automorphism = functools.partial(poset.is_automorphism, max_length=max_length)
         bad = _failing_certificates(classes, max_length, IsoCertificate.is_valid, automorphism)
         return {"certificates": sum(len(c.certs) for c in classes), "invalid": len(bad)}, bad
-
-    def oracle():
-        survey = interval_survey(max_length)
-        rng = random.Random(seed)
-        k = min(max(25, int(len(survey.intervals) * SAMPLE_RATE)), len(survey.intervals))
-        by_span: dict[int, list[tuple[Element, Element]]] = {}
-        for pair in survey.intervals:
-            by_span.setdefault(pair[1].length - pair[0].length, []).append(pair)
-        sample = []
-        for span in sorted(by_span):
-            stratum = by_span[span]
-            take = min(len(stratum), max(2, round(k * len(stratum) / len(survey.intervals))))
-            sample.extend(rng.sample(stratum, take))
-        orbit_sample.extend(sample[: max(10, k // 2)])
-        # every class representative goes through the oracle as well, so a
-        # corruption hitting a whole class uniformly cannot hide behind the
-        # within-class equality check
-        checks = sorted({*(cls.rep for cls in survey.classes), *sample}, key=_by_top)
-        bad = [_words((x, y)) for x, y in checks if hecke.kl_polynomial(x, y)[1] != column(y)[x]]
-        counts = {"class_reps": len(survey.classes), "sampled": len(sample), "mismatches": len(bad)}
-        return counts, bad
-
-    def orbits():
-        bad = []
-        actions = weyl.ball(max_length).actions
-        autos = [automorphism(act) for act in actions]
-        for x, y in orbit_sample:
-            for tau, act, auto in zip(SYMMETRY_GROUP, actions, autos):
-                tx, ty = weyl.ball_element(act[x.ball_index]), weyl.ball_element(act[y.ball_index])
-                if not auto or column(ty).get(tx) != column(y)[x]:
-                    bad.append([tau.name, x.word(), y.word()])
-        return {"sampled": len(orbit_sample) * len(SYMMETRY_GROUP)}, bad
 
     return _report(
         {"suite": "conjecture", "max_length": max_length, "jobs": jobs},
         [
             (f"conjecture(max_length={max_length})", equal_within_classes),
             ("certificates re-validated", certificates, False),
-            ("oracle cross-check (class reps + sample)", oracle, False),
-            ("symmetry orbits land in one class", orbits, False),
+            _oracle_stage(max_length),
         ],
         census=lambda: interval_survey(max_length).census_rows(),
     )
@@ -484,9 +459,9 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
     """Run every supporting-lemma check at desk scale.
 
     ``partition_bound`` bounds the region partition; ``max_length`` bounds
-    l(y) in the monotonicity, G-invariance, Z-set and structural stages,
-    at most hecke.DEFAULT_KL_CAP.  The index bounds (m, n <= k) are the
-    module constants.  Order is read from the ball tables: monotonicity
+    l(y) in the oracle, monotonicity, G-invariance, Z-set and structural
+    stages, at most hecke.DEFAULT_KL_CAP.  The index bounds (m, n <= k) are
+    the module constants.  Order is read from the ball tables: monotonicity
     (Braden-MacPherson, Math. Ann. 321, 2001) is tested on down-covers,
     and Z-sets are poset.z_masks bitsets, one KL column per top.
     """
@@ -772,6 +747,7 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
             (f"appendix identity (m, n <= {IDENTITY_BOUND})", appendix_identity),
             (f"parent-count table (m, n <= {PARENTS_BOUND})", parent_counts),
             ("coatom set of s0*theta(1,3)*s", coatoms),
+            _oracle_stage(max_length),
             (f"monotonicity along chains (l(y) <= {max_length})", monotonicity),
             ("monotonic element closure properties", monotonic_elements),
             (f"G-invariance of length, order, KL (l <= {max_length})", g_invariance),

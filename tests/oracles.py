@@ -862,6 +862,25 @@ def reference_chain_stage(max_length: int):
     return {"chains": checked}, bad
 
 
+def reference_oracle_stage(max_length: int):
+    """The closed-forms-vs-recursion stage read pair by pair: for every
+    x <= y with l(y) <= max_length, P_{x,y} from hecke.kl_polynomial
+    against closedform.kl_column(y), an entry the column lacks a
+    mismatch: (counts, witnesses), by top and then bottom, as the stage
+    returns them.  Both are read through the modules, so a test that
+    patches either patches this as well."""
+    from bruhat_forge import closedform, hecke, weyl
+
+    pairs, bad = 0, []
+    for y in weyl.enumerate_up_to_length(max_length):
+        column = closedform.kl_column(y)
+        for x in weyl.lower_interval(y):
+            pairs += 1
+            if hecke.kl_polynomial(x, y)[1] != column.get(x):
+                bad.append([x.word(), y.word()])
+    return {"pairs": pairs, "mismatches": len(bad)}, bad
+
+
 # -- Z-sets by one Bruhat test per candidate ----------------------------------
 
 def reference_z_sets(x, y, ms) -> dict:

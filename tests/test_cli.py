@@ -100,7 +100,7 @@ def test_verify_with_a_failed_closed_form_still_writes_its_report(tmp_path, caps
     code, out, _ = run(capsys, "verify", "conjecture", "--max-length", "4", "--json-out", str(path))
     assert code == 2
     suites = json.loads(path.read_text())["suites"]
-    assert [s["passed"] for s in suites] == [False, True, False, False]
+    assert [s["passed"] for s in suites] == [False, True, False]
     assert suites[0]["counts"] == {"fallbacks": 1}
     assert suites[0]["witnesses"][0].endswith("is not supported on [e, y]")
     assert out.splitlines()[0].startswith("FAIL conjecture(max_length=4) (fallbacks=1)")

@@ -188,6 +188,30 @@ def test_kl_polynomial_off_the_interval_and_above_the_cap():
         kl_polynomial(ID, regions.x_chain(25))
 
 
+def test_kl_mismatches_is_exact():
+    # a column read off the recursion agrees everywhere, its P shared or
+    # not; an entry made wrong, dropped, of degree past l(y)/2, or moved
+    # by 2^64 q^j - q^(j-1), which packs to the true int at v = 2^32
+    # when nothing checks the 32-bit field range, is named
+    y = regions.theta2((1, 2))
+    column = {x: kl_polynomial(x, y)[1] for x in weyl.lower_interval(y)}
+    assert hecke.kl_mismatches(y, column) == []
+    shared = {}
+    assert hecke.kl_mismatches(y, {x: shared.setdefault(p, p) for x, p in column.items()}) == []
+    assert len(shared) < len(column)
+    wrong, lost, deep, wide = [x for x, p in column.items() if p.degree() >= 1][:4]
+    column[wrong] = column[wrong] + QPoly({0: 1})
+    del column[lost]
+    column[deep] = column[deep] + QPoly({y.length // 2 + 1: 1})
+    j = column[wide].degree()
+    column[wide] = column[wide] + QPoly({j: 1 << 64, j - 1: -1})
+    named = sorted([wrong, lost, deep, wide], key=lambda x: x.ball_index)
+    assert hecke.kl_mismatches(y, column) == named
+    assert [x for x in weyl.lower_interval(y) if kl_polynomial(x, y)[1] != column.get(x)] == named
+    with pytest.raises(ResourceLimitError, match="cap 24$"):
+        hecke.kl_mismatches(regions.x_chain(25), {})
+
+
 def test_kl_basis_shares_one_polynomial_per_row_value():
     # the rows are the one memo; each call decodes them, and equal row
     # values give one LaurentPoly, within a column and across calls

@@ -15,7 +15,7 @@ from bruhat_forge import closedform, hecke, poset, verify, weyl
 from bruhat_forge.hecke import standard_basis
 from bruhat_forge.laurent import LaurentPoly, QPoly
 from bruhat_forge.poset import build_interval
-from bruhat_forge.regions import RegionKind
+from bruhat_forge.regions import RegionKind, theta2
 from bruhat_forge.verify import (
     interval_survey,
     verify_closed_forms,
@@ -86,6 +86,7 @@ def test_fixed_index_bounds_in_suite_names():
         "appendix identity (m, n <= 3)",
         "parent-count table (m, n <= 3)",
         "coatom set of s0*theta(1,3)*s",
+        "closed forms vs recursion (l(y) <= 2)",
         "monotonicity along chains (l(y) <= 2)",
         "monotonic element closure properties",
         "G-invariance of length, order, KL (l <= 2)",
@@ -107,13 +108,15 @@ def test_fixed_index_bounds_in_suite_names():
         "theta2 family both versions vs oracle (length <= 3)",
         "canonical generator product identities (m, n <= 3)",
     ]
-    # every lemma stage carries a fallback count: 0 while it passes, 1 when
-    # a closed form it reads fails; the closed-form stages read no column
+    # every lemma stage but the oracle, which reports as in the conjecture
+    # suite, carries a fallback count: 0 while it passes, 1 when a closed
+    # form it reads fails; the closed-form stages read no column
     assert [sorted(s.counts) for s in lemmas.suites] == [
         ["Identity", "Theta", "Theta1", "Theta2", "X", "fallbacks"],
         ["fallbacks", "patterns"],
         *[["checked", "fallbacks"]] * 5,
         ["coatoms", "fallbacks"],
+        ["mismatches", "pairs"],
         ["chains", "fallbacks"],
         *[["checked", "fallbacks"]] * 2,
         ["certificates", "classes", "fallbacks"],
@@ -133,8 +136,7 @@ def test_report_serialization():
     assert [sorted(s["counts"]) for s in obj["suites"]] == [
         ["classes", "fallbacks", "intervals", "violations"],
         ["certificates", "invalid"],
-        ["class_reps", "mismatches", "sampled"],
-        ["sampled"],
+        ["mismatches", "pairs"],
     ]
     assert {"scope", "suites", "census", "elapsed", "passed"} <= set(obj)
     rows = report.to_csv_rows()
@@ -450,24 +452,50 @@ def test_certificate_witnesses_run_by_top_then_bottom(monkeypatch):
 
 
 def test_oracle_witnesses_run_by_top_then_bottom(monkeypatch):
-    # a wrong q^5 term in the recursion's P_{x,y} for every pair of span
-    # <= 2 the stage checks, class representatives and sampled pairs: it
-    # names them by top, then bottom
-    kl_polynomial, checked = hecke.kl_polynomial, []
+    # a wrong constant term in the recursion's P_{x,y}, h + v^(l(y)-l(x)),
+    # for every pair of span 1 or 2: the stage names them all, by top and
+    # then bottom, as the per-pair reference does
+    rows = hecke._rows
 
-    def corrupted(x, y):
-        h, p = kl_polynomial(x, y)
-        if y.length - x.length <= 2:
-            checked.append((x, y))
-            p = p + QPoly({5: 1})
-        return h, p
+    def corrupted(w, max_length):
+        out = dict(rows(w, max_length))
+        for i in out:
+            span = w.length - weyl.ball_element(i).length
+            if 1 <= span <= 2:
+                out[i] += 1 << (32 * span)
+        return out
 
-    monkeypatch.setattr(hecke, "kl_polynomial", corrupted)
+    monkeypatch.setattr(hecke, "_rows", corrupted)
     stages = _stage_results(monkeypatch, lambda: verify_conjecture(6), [])
-    (counts, bad), _ = stages["oracle cross-check (class reps + sample)"]
-    expected = sorted(checked, key=lambda pair: (pair[1].ball_index, pair[0].ball_index))
-    assert counts["mismatches"] == len(checked) > 2
+    (counts, bad), _ = stages["closed forms vs recursion (l(y) <= 6)"]
+    assert (counts, bad) == oracles.reference_oracle_stage(6)
+    expected = [
+        (x, y)
+        for y in weyl.enumerate_up_to_length(6)
+        for x in weyl.lower_interval(y)
+        if 1 <= y.length - x.length <= 2
+    ]
+    assert counts == {"pairs": 1099, "mismatches": len(expected)} and len(expected) > 2
     assert bad == [_words(pair) for pair in expected]
+
+
+def test_oracle_stage_names_missing_and_unencodable_entries(monkeypatch):
+    # one column loses an entry, and another takes P + 2^64 q^j - q^(j-1),
+    # j the degree of P: packed at v = 2^32 with no range check on its
+    # coefficients, that P gives the int of the true one; both mismatch
+    y = theta2((1, 1))
+    real = closedform.kl_column
+    column = dict(real(y))
+    lost, wide = [x for x, p in column.items() if p.degree() >= 1][:2]
+    del column[lost]
+    j = column[wide].degree()
+    column[wide] = column[wide] + QPoly({j: 1 << 64, j - 1: -1})
+    monkeypatch.setattr(closedform, "kl_column", lambda w: column if w is y else real(w))
+    name, stage, fallbacks = verify._oracle_stage(y.length)
+    assert (name, fallbacks) == (f"closed forms vs recursion (l(y) <= {y.length})", False)
+    counts, bad = stage()
+    assert (counts, bad) == oracles.reference_oracle_stage(y.length)
+    assert bad == [_words((x, y)) for x in sorted([lost, wide], key=lambda x: x.ball_index)]
 
 
 def _z_stage(monkeypatch, max_length, calls=None):
@@ -633,7 +661,7 @@ def test_z_stage_checks_that_each_list_carries_the_z_sets(monkeypatch):
     assert ref_bad and all(w in bad for w in ref_bad)
 
 
-def test_a_broken_symmetry_fails_the_orbit_and_g_invariance_stages(monkeypatch):
+def test_a_broken_symmetry_fails_the_g_invariance_stage(monkeypatch):
     # one action list of the ball table exchanges two elements of one
     # length whose covers differ; the survey was built before, so only
     # the stages that read the table's lists see it
@@ -653,12 +681,6 @@ def test_a_broken_symmetry_fails_the_orbit_and_g_invariance_stages(monkeypatch):
     broken = table._replace(actions=actions)
     monkeypatch.setattr(weyl, "ball", lambda m: broken if m == n else ball(m))
 
-    stages = _stage_results(monkeypatch, lambda: verify_conjecture(n), [])
-    (counts, bad), _ = stages["symmetry orbits land in one class"]
-    # every sampled interval fails for tau, and for no other symmetry
-    assert bad == [w for w in bad if w[0] == tau.name]
-    assert len(bad) == counts["sampled"] // len(weyl.SYMMETRY_GROUP) > 0
-
     stages = _stage_results(monkeypatch, lambda: verify_lemma_suite(n, partition_bound=2), [])
     (_, bad), _ = stages[f"G-invariance of length, order, KL (l <= {n})"]
     assert bad[0] == {"tau": tau.name, "rule": "automorphism"}
@@ -666,7 +688,7 @@ def test_a_broken_symmetry_fails_the_orbit_and_g_invariance_stages(monkeypatch):
 
 
 def test_a_conjecture_report_judges_each_action_list_once(monkeypatch):
-    # the certificate and orbit stages share one verdict per list
+    # the certificate stage takes one verdict per action list
     real, judged = poset.is_automorphism, []
 
     def counted(act, max_length):
@@ -694,6 +716,35 @@ def test_every_stage_caps_its_witnesses(monkeypatch, restore_closed_forms):
     # undone all pass
     restore_closed_forms()
     assert verify_closed_forms(15, 14).passed
+
+
+def test_a_wrong_theta_formula_fails_the_oracle_stage_of_both_suites(
+    monkeypatch, restore_closed_forms
+):
+    # each theta closed form of more than one term loses its last: every
+    # column stays well formed and G-invariant, so only the comparison
+    # with the recursion sees the 18 wrong P at L=8, in both suites
+    def counts(report):
+        return {s.name: (s.passed, s.counts) for s in report.suites}
+
+    suites = (verify_conjecture, verify_lemma_suite)
+    before = [counts(suite(8)) for suite in suites]
+    real = closedform._theta_terms
+    monkeypatch.setattr(closedform, "_theta_terms", lambda idx: real(idx)[:-1] or real(idx))
+    closedform.kl_column.cache_clear()
+    oracle = "closed forms vs recursion (l(y) <= 8)"
+    for suite, clean in zip(suites, before):
+        report = suite(8)
+        assert not report.passed
+        after = counts(report)
+        assert after.pop(oracle) == (False, {"pairs": 3289, "mismatches": 18})
+        assert clean.pop(oracle) == (True, {"pairs": 3289, "mismatches": 0})
+        assert after == clean
+    _, bad = oracles.reference_oracle_stage(8)
+    assert len(bad) == 18
+    assert next(s for s in report.suites if s.name == oracle).witnesses == bad[:10]
+    restore_closed_forms()
+    assert all(suite(8).passed for suite in suites)
 
 
 def test_reports_are_built_only_by_the_stage_runner():
@@ -746,7 +797,7 @@ def test_formula_fallbacks_fail_verification(monkeypatch):
     assert not report.passed
     # each stage that reads a KL column fails with the reason; the
     # certificate stage, which reads none, still runs after the first
-    assert [_failed_by_a_closed_form(s) for s in report.suites] == [True, False, True, True]
+    assert [_failed_by_a_closed_form(s) for s in report.suites] == [True, False, True]
     certificates, survey = report.suites[1], interval_survey(6)
     assert certificates.passed
     certs = len(survey.intervals) - len(survey.classes)
@@ -757,6 +808,7 @@ def test_formula_fallbacks_fail_verification(monkeypatch):
     lemmas = verify_lemma_suite(max_length=5, partition_bound=4)
     failed = {s.name.split(" (")[0] for s in lemmas.suites if _failed_by_a_closed_form(s)}
     assert failed == {
+        "closed forms vs recursion",
         "monotonicity along chains",
         "G-invariance of length, order, KL",
         "Z-set preservation",
