@@ -166,9 +166,6 @@ class LaurentPoly(_Poly):
     def one(cls) -> "LaurentPoly":
         return ONE
 
-    def min_exp(self) -> int:
-        return min(self._c)
-
     # -- ring operations --------------------------------------------------------
 
     # named in this class's own dict, where layer tracing wraps them
@@ -190,10 +187,6 @@ class LaurentPoly(_Poly):
                 else:
                     acc.pop(e, None)
         return self._wrap(acc)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        return self._wrap({e + k: c for e, c in self._c.items()})
 
 
 ZERO = LaurentPoly()

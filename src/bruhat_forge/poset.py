@@ -204,19 +204,13 @@ class IsoCertificate:
 
     Stored as ``index``, a dict from the ball index of each member to the
     ball index of its image; ``mapping`` decodes it to elements on
-    demand.  ``IsoCertificate(mapping)`` takes a member-to-member dict.
+    demand.
     """
 
     __slots__ = ("index",)
 
-    def __init__(self, mapping: dict[Element, Element]):
-        self.index = {z.ball_index: w.ball_index for z, w in mapping.items()}
-
-    @classmethod
-    def from_index(cls, index: dict[int, int]) -> "IsoCertificate":
-        cert = cls.__new__(cls)
-        cert.index = index
-        return cert
+    def __init__(self, index: dict[int, int]):
+        self.index = index
 
     @property
     def mapping(self) -> dict[Element, Element]:
@@ -361,7 +355,7 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
 
     if not extend(0):
         return None
-    return IsoCertificate.from_index(
+    return IsoCertificate(
         {z.ball_index: b.members[j].ball_index for z, j in zip(a.members, amap)}
     )
 

@@ -464,6 +464,12 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
     the module constants.  Order is read from the ball tables: monotonicity
     (Braden-MacPherson, Math. Ann. 321, 2001) is tested on down-covers,
     and Z-sets are poset.z_masks bitsets, one KL column per top.
+
+    Each monotonicity fact is checked once, on P: with the oracle stage
+    passing, h_{x,y} - v h_{z,y} = v^(l(y)-l(x)) (P_{x,y} - P_{z,y})(v^-2)
+    for a cover x < z, and P_{x,y} >= ... >= P_{y,y} = 1 along a saturated
+    chain gives non-negativity, so kl_basis(y) is monotonic when the chain
+    stage passes at y.  Only the closure samples build a canonical element.
     """
     _within_kl_cap(max_length)
 
@@ -644,25 +650,18 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
         return {"coatoms": len(got)}, bad
 
     def monotonicity():
-        # h_x - v^k h_z and P_x - P_z telescope along a maximal chain of
-        # the graded [x, z], so the down-covers of z decide every x <= z;
-        # "chains" counts those pairs
+        # P_{x,y} - P_{z,y} in N[q], which with the oracle stage passing is
+        # the h form too (docstring); differences telescope along a maximal
+        # chain of the graded [x, z], so the down-covers of z decide every
+        # x <= z; "chains" counts those pairs
         bad = []
         checked = 0
         covers = weyl.ball(max_length).covers
         for y in weyl.enumerate_up_to_length(max_length):
-            basis = hecke.kl_basis(y)
             ps = closedform.kl_column(y)
-            hs = {z: basis.coefficient(z) for z in ps}
             for z, pz in ps.items():
                 checked += z.ideal.bit_count()
-                vhz = hs[z].shift(1)
                 for x in weyl.bit_elements(covers[z.ball_index]):
-                    diff = hs[x] - vhz
-                    if not diff.is_nonneg() or (diff and diff.min_exp() < 0):
-                        bad.append(
-                            {"x": x.word(), "z": z.word(), "y": y.word(), "v": str(diff)}
-                        )
                     if not ps[x].dominates(pz):
                         bad.append(
                             {"x": x.word(), "z": z.word(), "y": y.word(), "q": str(ps[x] - pz)}
@@ -670,14 +669,15 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
         return {"chains": checked}, bad
 
     def monotonic_elements():
+        # kl_basis(w) is monotonic when the chain stage passes at y = w: its
+        # h_{x,w} are the P_{x,w} the oracle checks, and P_{x,w} >= ... >=
+        # P_{w,w} = 1 on a saturated chain; so N_w and the samples remain
         bad = []
         checked = 0
         for w in weyl.enumerate_up_to_length(max_length):
             checked += 1
             if not hecke.is_monotonic(hecke.N_element(w)):
                 bad.append({"w": w.word(), "rule": "N monotonic"})
-            if not hecke.is_monotonic(hecke.kl_basis(w)):
-                bad.append({"w": w.word(), "rule": "canonical monotonic"})
         sample = [w for w in weyl.enumerate_up_to_length(5)]
         for i, w in enumerate(sample):
             u = sample[(i * 7 + 3) % len(sample)]

@@ -241,6 +241,16 @@ def bar(p):
     return LaurentPoly({-e: c for e, c in p.items()})
 
 
+def shift(p, k: int):
+    """v^k p."""
+    return LaurentPoly({e + k: c for e, c in p.items()})
+
+
+def min_exp(p) -> int:
+    """The least exponent of a nonzero p."""
+    return min(e for e, _ in p.items())
+
+
 # -- the canonical basis by the immutable recursion ----------------------------
 
 def mult_std(h, s: int, side: str = "right"):
@@ -540,7 +550,8 @@ def orbit_table_survey(max_length: int):
             cls = IsoClass(rep=(x, y), members=[], certs={})
             bucket.append((cls, interval))
             classes.append(cls)
-            placed[(x, y)] = (cls, IsoCertificate({z: z for z in interval.members}))
+            identity = {z.ball_index: z.ball_index for z in interval.members}
+            placed[(x, y)] = (cls, IsoCertificate(identity))
     for pair in pairs:
         first, k = orbit_of[pair[0].ball_index, pair[1].ball_index]
         cls, cert = placed[first]
@@ -596,7 +607,8 @@ def composed_certificates(max_length: int) -> dict:
             else:
                 reps.append(first)
                 pending.append(len(reps) - 1)
-                placed[first] = (len(reps) - 1, IsoCertificate({z: z for z in built[first].members}))
+                identity = {z.ball_index: z.ball_index for z in built[first].members}
+                placed[first] = (len(reps) - 1, IsoCertificate(identity))
     certs = {}
     for pair in pairs:
         first, act = orbit_of[pair[0].ball_index, pair[1].ball_index]
@@ -606,7 +618,7 @@ def composed_certificates(max_length: int) -> dict:
         if pair == first:
             certs[pair] = cert
         else:
-            certs[pair] = IsoCertificate.from_index({act[i]: k for i, k in cert.index.items()})
+            certs[pair] = IsoCertificate({act[i]: k for i, k in cert.index.items()})
     return certs
 
 
@@ -652,7 +664,7 @@ def cert_inverse(cert):
     """The certificate b -> a of a certificate a -> b."""
     from bruhat_forge.poset import IsoCertificate
 
-    return IsoCertificate.from_index({j: i for i, j in cert.index.items()})
+    return IsoCertificate({j: i for i, j in cert.index.items()})
 
 
 def cert_compose(later, earlier):
@@ -660,7 +672,7 @@ def cert_compose(later, earlier):
     from bruhat_forge.poset import IsoCertificate
 
     index = later.index
-    return IsoCertificate.from_index({i: index[j] for i, j in earlier.index.items()})
+    return IsoCertificate({i: index[j] for i, j in earlier.index.items()})
 
 
 def to_index_permutation(cert, a, b) -> list[int]:
@@ -827,10 +839,12 @@ def reference_is_monotonic(H) -> bool:
 
 def reference_chain_stage(max_length: int):
     """The lemma suite's chain stage tested over every pair x <= z <= y
-    with l(y) <= max_length: (counts, witnesses), as the stage returns
-    them.  The h and P columns are read through the modules, so a test
-    that patches hecke.kl_basis or closedform.kl_column patches
-    this as well."""
+    with l(y) <= max_length, in both forms: h_{x,y} - v^k h_{z,y} in N[v]
+    on the decoded recursion (a "v" witness) and P_{x,y} - P_{z,y} in
+    N[q] on the closed forms (a "q" witness, as the stage writes it);
+    (counts, witnesses).  The h and P columns are read through the
+    modules, so a test that patches hecke.kl_basis, hecke._rows or
+    closedform.kl_column patches this as well."""
     from bruhat_forge import closedform, hecke, weyl
 
     bad = []
@@ -842,7 +856,7 @@ def reference_chain_stage(max_length: int):
         # when no h in the column has a negative power of v, a
         # difference h_x - v^k h_z (k >= 0) that dominates() accepts
         # lies in N[v]; any other difference is built and tested
-        nonneg_powers = all(not h or h.min_exp() >= 0 for h in hs.values())
+        nonneg_powers = all(not h or min_exp(h) >= 0 for h in hs.values())
         for z, pz in ps.items():
             hz = hs[z]
             lz = z.length
@@ -850,8 +864,8 @@ def reference_chain_stage(max_length: int):
                 checked += 1
                 k = lz - x.length
                 if not (nonneg_powers and hs[x].dominates(hz, k)):
-                    diff = hs[x] - hz.shift(k)
-                    if not diff.is_nonneg() or (diff and diff.min_exp() < 0):
+                    diff = hs[x] - shift(hz, k)
+                    if not diff.is_nonneg() or (diff and min_exp(diff) < 0):
                         bad.append(
                             {"x": x.word(), "z": z.word(), "y": y.word(), "v": str(diff)}
                         )

@@ -178,7 +178,7 @@ def test_coefficients_positive_below_top():
         top = max(h.support(), key=lambda w: w.length)
         for x, p in h.items():
             if x != top:
-                assert p.is_nonneg() and p.min_exp() >= 1
+                assert p.is_nonneg() and oracles.min_exp(p) >= 1
 
 
 def test_kl_fast_examples():

@@ -118,8 +118,8 @@ def test_rows_round_trip_with_negative_and_widest_coefficients(coeffs):
     assert hecke._decode(_pack(p)) == p
     # the recursion's two steps: times v is a shift up by one field, and
     # v^-1 is the shift down, exact once the v^0 field is zero
-    assert hecke._decode(_pack(p) << 32) == p.shift(1)
-    assert hecke._decode(_pack(p.shift(1)) >> 32) == p
+    assert hecke._decode(_pack(p) << 32) == oracles.shift(p, 1)
+    assert hecke._decode(_pack(oracles.shift(p, 1)) >> 32) == p
 
 
 @given(st.dictionaries(st.integers(0, 16), st.integers(-WIDE, WIDE), max_size=8))
@@ -328,7 +328,7 @@ def test_unitriangularity_to_length_12():
             if x == w:
                 continue
             assert x.length < w.length
-            assert p.is_nonneg() and p.min_exp() >= 1, (x.word(), w.word())
+            assert p.is_nonneg() and oracles.min_exp(p) >= 1, (x.word(), w.word())
 
 
 def test_kl_basis_support_is_the_full_lower_interval():

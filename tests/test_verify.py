@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import json
+import operator
 import tracemalloc
 from pathlib import Path
 
@@ -12,8 +13,7 @@ import pytest
 
 import oracles
 from bruhat_forge import closedform, hecke, poset, verify, weyl
-from bruhat_forge.hecke import standard_basis
-from bruhat_forge.laurent import LaurentPoly, QPoly
+from bruhat_forge.laurent import QPoly
 from bruhat_forge.poset import build_interval
 from bruhat_forge.regions import RegionKind, theta2
 from bruhat_forge.verify import (
@@ -451,10 +451,9 @@ def test_certificate_witnesses_run_by_top_then_bottom(monkeypatch):
         interval_survey.cache_clear()
 
 
-def test_oracle_witnesses_run_by_top_then_bottom(monkeypatch):
+def _raise_short_spans(monkeypatch):
     # a wrong constant term in the recursion's P_{x,y}, h + v^(l(y)-l(x)),
-    # for every pair of span 1 or 2: the stage names them all, by top and
-    # then bottom, as the per-pair reference does
+    # for every pair of span 1 or 2
     rows = hecke._rows
 
     def corrupted(w, max_length):
@@ -466,6 +465,13 @@ def test_oracle_witnesses_run_by_top_then_bottom(monkeypatch):
         return out
 
     monkeypatch.setattr(hecke, "_rows", corrupted)
+
+
+def test_oracle_witnesses_run_by_top_then_bottom(monkeypatch):
+    # with P_{x,y} + 1 in the recursion for every pair of span 1 or 2, the
+    # stage names them all, by top and then bottom, as the per-pair
+    # reference does
+    _raise_short_spans(monkeypatch)
     stages = _stage_results(monkeypatch, lambda: verify_conjecture(6), [])
     (counts, bad), _ = stages["closed forms vs recursion (l(y) <= 6)"]
     assert (counts, bad) == oracles.reference_oracle_stage(6)
@@ -833,17 +839,10 @@ def test_orbit_survey_matches_per_pair_reference():
             assert set(cls.certs) == set(cls.members) - {cls.rep}
 
 
-@pytest.mark.usefixtures("restore_closed_forms")
-@pytest.mark.parametrize("bump", [LaurentPoly({1: -1}), LaurentPoly({-1: 1})])
-def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
-    # corrupt h_{e,y} by bump, and P_{e,y} by -q, for one y
-    y = weyl.from_word("1201")
+def _lowered_column(monkeypatch, y):
+    # P_{e,y} - q in the column of y, which breaks monotonicity at e
     e = weyl.identity()
-    kl_basis, kl_column = hecke.kl_basis, closedform.kl_column
-
-    def bad_kl_basis(w, max_length=hecke.DEFAULT_KL_CAP):
-        h = kl_basis(w, max_length)
-        return h + standard_basis(e).scale(bump) if w == y else h
+    kl_column = closedform.kl_column
 
     def bad_column(w):
         column = dict(kl_column(w))
@@ -851,21 +850,57 @@ def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
             column[e] = column[e] - QPoly({1: 1})
         return column
 
-    monkeypatch.setattr(hecke, "kl_basis", bad_kl_basis)
     monkeypatch.setattr(closedform, "kl_column", bad_column)
+
+
+@pytest.mark.usefixtures("restore_closed_forms")
+def test_monotonicity_stages_report_witnesses(monkeypatch):
+    # a column that breaks monotonicity fails the chain stage on P and the
+    # oracle stage; the closure stage decodes no column, so it passes
+    y = weyl.from_word("1201")
+    _lowered_column(monkeypatch, y)
     report = verify_lemma_suite(max_length=4, partition_bound=2)
     suites = {s.name: s for s in report.suites}
     chains = suites["monotonicity along chains (l(y) <= 4)"]
-    assert not chains.passed
-    for key in ("v", "q"):
-        assert any(w["y"] == y.word() and key in w for w in chains.witnesses)
-    # the covers-only stage fails where the all-pairs reference fails
-    ref_counts, ref_bad = oracles.reference_chain_stage(4)
-    assert chains.counts["chains"] == ref_counts["chains"] and ref_bad
-    closure = suites["monotonic element closure properties"]
-    canonical = {"w": y.word(), "rule": "canonical monotonic"}
-    # a v^-1 term keeps every coefficient difference non-negative
-    assert (canonical in closure.witnesses) == (bump.min_exp() > 0)
+    assert not chains.passed and not report.passed
+    assert any(w["y"] == y.word() and "q" in w for w in chains.witnesses)
+    assert not any("v" in w for w in chains.witnesses)
+    oracle = suites["closed forms vs recursion (l(y) <= 4)"]
+    assert not oracle.passed and oracle.witnesses == [["", y.word()]]
+    assert suites["monotonic element closure properties"].passed
+
+
+def test_a_non_monotone_recursion_row_fails_the_oracle_stage(monkeypatch):
+    # with P_{x,y} + 1 in the recursion for every pair of span 1 or 2,
+    # h_{x,y} falls below v h_{z,y} for x three ranks below y, as the h
+    # form of the all-pairs reference sees; the lemma suite sees it in its
+    # oracle stage, and in the closure stage's sums, which decode rows of
+    # length <= 5
+    _raise_short_spans(monkeypatch)
+    _, ref_bad = oracles.reference_chain_stage(4)
+    assert any("v" in w for w in ref_bad)
+    report = verify_lemma_suite(max_length=4, partition_bound=2)
+    failed = [s.name for s in report.suites if not s.passed]
+    assert failed == [
+        "closed forms vs recursion (l(y) <= 4)",
+        "monotonic element closure properties",
+    ]
+
+
+def test_the_lemma_suite_decodes_only_the_closure_samples(monkeypatch):
+    # every P the stages read comes from kl_column, checked once by the
+    # oracle stage on undecoded rows; kl_basis serves only the closure
+    # stage's sums, over elements of length at most 5
+    lengths = []
+    kl_basis = hecke.kl_basis
+
+    def spy(w, *args):
+        lengths.append(w.length)
+        return kl_basis(w, *args)
+
+    monkeypatch.setattr(hecke, "kl_basis", spy)
+    assert verify_lemma_suite(10, 4).passed
+    assert lengths and max(lengths) <= 5
 
 
 def test_survey_matches_the_orbit_table_reference():
@@ -943,11 +978,25 @@ def _chain_stage(max_length):
     return next(s for s in report.suites if s.name.startswith("monotonicity along chains"))
 
 
-def test_chain_stage_on_covers_matches_the_all_pairs_reference():
-    chains = _chain_stage(8)
-    ref_counts, ref_bad = oracles.reference_chain_stage(8)
-    assert chains.passed and not ref_bad
-    assert chains.counts == {**ref_counts, "fallbacks": 0}
+@pytest.mark.usefixtures("restore_closed_forms")
+def test_chain_stage_on_covers_matches_the_all_pairs_reference(monkeypatch):
+    # the reference tests h as well as P over every pair; with the recursion
+    # intact it finds no "v" witness, and its "q" witnesses on covers are
+    # the stage's, so the stage's P test alone gives its verdict, on the
+    # closed forms and with one column lowered
+    report = functools.partial(verify_lemma_suite, 10, partition_bound=2)
+    for lowered in (False, True):
+        if lowered:
+            _lowered_column(monkeypatch, weyl.elements_of_length(10)[0])
+        (counts, bad), _ = _stage_results(monkeypatch, report, [])[
+            "monotonicity along chains (l(y) <= 10)"
+        ]
+        ref_counts, ref_bad = oracles.reference_chain_stage(10)
+        assert not any("v" in w for w in ref_bad)
+        assert counts == ref_counts and bool(bad) == bool(ref_bad) == lowered
+        on_covers = [w for w in ref_bad if len(w["z"]) - len(w["x"]) == 1]
+        key = operator.itemgetter("x", "z", "y", "q")
+        assert sorted(map(key, bad)) == sorted(map(key, on_covers))
 
 
 def test_chain_count_is_the_number_of_chains_in_the_subword_order():
