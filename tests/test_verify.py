@@ -839,26 +839,29 @@ def test_orbit_survey_matches_per_pair_reference():
             assert set(cls.certs) == set(cls.members) - {cls.rep}
 
 
-def _lowered_column(monkeypatch, y):
-    # P_{e,y} - q in the column of y, which breaks monotonicity at e
+def _lowered_column(monkeypatch, y, drop=QPoly({1: 1})):
+    # P_{e,y} - drop in the column of y, which for drop = q or 1 breaks
+    # monotonicity at e
     e = weyl.identity()
     kl_column = closedform.kl_column
 
     def bad_column(w):
         column = dict(kl_column(w))
         if w == y:
-            column[e] = column[e] - QPoly({1: 1})
+            column[e] = column[e] - drop
         return column
 
     monkeypatch.setattr(closedform, "kl_column", bad_column)
 
 
 @pytest.mark.usefixtures("restore_closed_forms")
-def test_monotonicity_stages_report_witnesses(monkeypatch):
-    # a column that breaks monotonicity fails the chain stage on P and the
-    # oracle stage; the closure stage decodes no column, so it passes
+@pytest.mark.parametrize("bump", [QPoly({1: 1}), QPoly({0: 1})])
+def test_monotonicity_stages_report_witnesses(monkeypatch, bump):
+    # a column lowered by q, or by 1, breaks monotonicity: it fails the
+    # chain stage on P and the oracle stage; the closure stage decodes no
+    # column, so it passes
     y = weyl.from_word("1201")
-    _lowered_column(monkeypatch, y)
+    _lowered_column(monkeypatch, y, bump)
     report = verify_lemma_suite(max_length=4, partition_bound=2)
     suites = {s.name: s for s in report.suites}
     chains = suites["monotonicity along chains (l(y) <= 4)"]
