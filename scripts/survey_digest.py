@@ -25,16 +25,16 @@ def digest(survey) -> str:
     def words(pair):
         return [z.word() for z in pair]
 
+    def word_map(cert):
+        at = weyl.ball_element
+        return sorted((at(i).word(), at(j).word()) for i, j in cert.index.items())
+
     sha = hashlib.sha256(b"[[")
     for k, cls in enumerate(survey.classes):
         obj = {
             "rep": words(cls.rep),
             "members": [words(m) for m in cls.members],
-            "certs": [
-                [words(m), sorted((z.word(), w.word()) for z, w in cls.certs[m].mapping.items())]
-                for m in cls.members
-                if m in cls.certs
-            ],
+            "certs": [[words(m), word_map(cls.certs[m])] for m in cls.members if m in cls.certs],
         }
         if k:
             sha.update(b", ")

@@ -35,9 +35,10 @@ _LAZY = dict.fromkeys(
     "closedform",
 ) | dict.fromkeys(
     "Interval IsoCertificate NotComparableError build_interval fingerprint is_isomorphic "
-    "parents structural_lemma_checks".split(), "poset"
+    "parents".split(), "poset"
 ) | dict.fromkeys(
-    "VerificationReport verify_closed_forms verify_conjecture verify_lemma_suite".split(), "verify"
+    "VerificationReport structural_lemma_checks verify_closed_forms verify_conjecture "
+    "verify_lemma_suite".split(), "verify"
 )
 
 

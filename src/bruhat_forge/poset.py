@@ -1,9 +1,9 @@
 """
 Bruhat intervals [x, y] as graded posets, isomorphism testing with
-certificates, and the two poset invariants that drive the interval
-comparisons: m-parent counts and the Z-sets
-
-    Z^m = { z in [x, y] : l(y) - l(z) = m and P_{z,y}(q) = 1 + q }.
+certificates, and m-parent counts, all read off the Bruhat order of weyl
+and its ball tables (weyl.ball).  No KL polynomial enters here, so the
+surveys' "isomorphic intervals share P_{x,y}" compares two invariants
+computed apart.
 
 Isomorphism search refines the rank partition by iterated neighborhood
 colors and then backtracks over class-respecting, rank-by-rank
@@ -12,23 +12,16 @@ so rank is forced and cover preservation suffices for order
 isomorphism.  Each [x, y] is cut from a cover table of [e, y], one per
 top in the survey, and refinement leaves ``Interval.key``, on which the
 survey buckets intervals; it keeps classes in founding order.
-
-Both invariants read order off the ball tables (weyl.ball): m-parents
-lie in two upper sets, and ``z_masks(y)`` holds every Z^m of [e, y] as a
-ball bitset, so Z^m of [x, y] is that mask met with the upper set of x.
 """
 
 from __future__ import annotations
 
-import hashlib
 from itertools import accumulate, compress, count
 from operator import itemgetter
 from typing import Optional
 
-from . import closedform, regions, weyl
-from .laurent import QPoly, Q_PLUS_ONE
-from .regions import RegionKind, ThetaIndex
-from .weyl import RHO, SIGMA, Element, _bits, _flags
+from . import weyl
+from .weyl import Element, _bits, _flags
 
 __all__ = [
     "Interval",
@@ -40,8 +33,6 @@ __all__ = [
     "is_isomorphic",
     "fingerprint",
     "parents",
-    "z_masks",
-    "structural_lemma_checks",
 ]
 
 
@@ -366,6 +357,7 @@ def fingerprint(a: Interval) -> str:
     Equal for isomorphic intervals by construction.  No survey reads it:
     they bucket on Interval.key.
     """
+    import hashlib  # loaded only here: it maps libcrypto into the process
     colors = a.colors
     edge_profile = sorted(
         (colors[i], cj) for cj, mask in zip(colors, a.down_masks) for i in _bits(mask)
@@ -390,120 +382,3 @@ def parents(a: Element, b: Element, interval: Interval, m: int) -> frozenset[Ele
     top = interval.top
     above = top.ideal & weyl.upper_set(a, top.length) & weyl.upper_set(b, top.length)
     return frozenset(z for z in weyl.ball_elements(above) if z.length == a.length + m)
-
-
-def z_masks(y: Element) -> dict[int, int]:
-    """Each non-empty Z^m of [e, y] as a ball bitset keyed by m, from one
-    pass over the KL column of y.
-
-    >>> from bruhat_forge.regions import theta, theta1
-    >>> set(weyl.ball_elements(z_masks(theta1((1, 1)))[3])) == {theta((0, 1)), theta((1, 0))}
-    True
-    """
-    masks: dict[int, int] = {}
-    for z, p in closedform.kl_column(y).items():
-        if p == Q_PLUS_ONE:
-            m = y.length - z.length
-            masks[m] = masks.get(m, 0) | 1 << z.ball_index
-    return masks
-
-
-def _z_preserved(masks, cert: IsoCertificate, a: tuple, b: tuple) -> bool:
-    # a and b are (bottom, top) pairs; masks[i] is the z_masks of ball element i
-    za, zb = masks[a[1].ball_index], masks[b[1].ball_index]
-    upper_a, upper_b = weyl.upper_set(a[0], a[1].length), weyl.upper_set(b[0], b[1].length)
-    index = cert.index
-    return all(
-        {index[i] for i in _bits(za.get(m, 0) & upper_a)} == set(_bits(zb.get(m, 0) & upper_b))
-        for m in range(1, 5)
-    )
-
-
-# ---------------------------------------------------------------------------
-# structural consequences of the Z-sets
-
-def _six_case_elements(idx: ThetaIndex) -> list[Element]:
-    m, n = idx
-    if m == 0 and n == 0:
-        return [weyl.generator(0), weyl.identity()]
-    if m > 0 and n == 0:
-        return [
-            RHO.apply(regions.theta((m - 1, 0))),
-            RHO.apply(regions.x_chain(2 * m)),
-        ]
-    if m == 0 and n > 0:
-        rho2 = RHO * RHO
-        return [
-            rho2.apply(regions.theta((0, n - 1))),
-            rho2.apply(SIGMA.apply(regions.x_chain(2 * n))),
-        ]
-    return []
-
-
-def structural_lemma_checks(bound: int) -> dict:
-    """Check the Z-set lemmas on every interval with l(y) <= bound.
-
-    * tops in Theta1, Theta2 or X: |Z^3| = 1 forces P = 1 + q;
-    * tops in Theta1 or X: empty Z^3 forces P = 1;
-    * tops in X: P is 1 or 1 + q according to Z^3 being empty or not;
-    * tops in Theta2 with empty Z^3 and P != 1: the pulled-back bottom
-      is one of the six exceptional cases, with P = 1 + q, |Z^4| = 1 and
-      length gap 4 or 5.
-    """
-    one = QPoly.one()
-    counts = {"theta1_x_unique": 0, "empty_z3": 0, "x_tops": 0, "six_case": 0}
-    violations: list[dict] = []
-    instances: list[dict] = []
-    for y in weyl.enumerate_up_to_length(bound):
-        if y.is_identity:
-            continue
-        tag = regions.classify(y)
-        kind = tag.kind
-        if kind is RegionKind.THETA:
-            continue
-        column = closedform.kl_column(y)
-        zs = z_masks(y)
-        inv = tag.tau.inverse_symmetry()
-        six = _six_case_elements(tag.params) if kind is RegionKind.THETA2 else []
-        for x, p_xy in column.items():
-            upper = weyl.upper_set(x, y.length)
-            z3 = (zs.get(3, 0) & upper).bit_count()
-
-            def flag(rule: str) -> None:
-                violations.append(
-                    {"rule": rule, "x": x.word(), "y": y.word(), "P": str(p_xy), "z3": z3}
-                )
-
-            if z3 == 1:
-                counts["theta1_x_unique"] += 1
-                if p_xy != Q_PLUS_ONE:
-                    flag("|Z3| = 1 forces P = 1 + q")
-            if z3 == 0 and kind in (RegionKind.THETA1, RegionKind.X):
-                counts["empty_z3"] += 1
-                if p_xy != one:
-                    flag("empty Z3 forces P = 1")
-            if kind is RegionKind.X:
-                counts["x_tops"] += 1
-                expected = one if z3 == 0 else Q_PLUS_ONE
-                if p_xy != expected:
-                    flag("X tops: P determined by Z3")
-            if kind is RegionKind.THETA2 and z3 == 0 and p_xy != one:
-                counts["six_case"] += 1
-                z4 = (zs.get(4, 0) & upper).bit_count()
-                gap = y.length - x.length
-                x0 = inv.apply(x)
-                ok = x0 in six and p_xy == Q_PLUS_ONE and z4 == 1 and gap in (4, 5)
-                m, n = tag.params
-                instances.append(
-                    {"x": x.word(), "y": y.word(), "m": m, "n": n, "case_element": x0.word(),
-                     "gap": gap, "ok": ok}
-                )
-                if not ok:
-                    flag("six-case lemma")
-    return {
-        "bound": bound,
-        "counts": counts,
-        "six_case_instances": instances,
-        "violations": violations,
-        "holds": not violations,
-    }

@@ -27,6 +27,9 @@ canonical-basis recursion; ``verify_lemma_suite`` runs the same oracle
 stage and exercises the supporting lemmas (region partition, intersection
 and boundary identities, cardinality polynomials, the appendix identity,
 parent counts, monotonicity, Z-set preservation and the structural lemmas).
+The Z-sets Z^m = {z in [x, y] : l(y) - l(z) = m, P_{z,y} = 1 + q} read P,
+so they live here, not in poset: z_masks(y) holds those of [e, y] as ball
+bitsets, and Z^m of [x, y] is one of them met with the upper set of x.
 
 Every report is an ordered list of stages, each a function returning
 (counts, witnesses), run by one runner that times each stage, caps its
@@ -45,9 +48,10 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import closedform, hecke, poset, regions, weyl
+from .laurent import QPoly, Q_PLUS_ONE
 from .poset import IsoCertificate, build_interval, is_isomorphic
 from .regions import RegionKind, RegionTag, ThetaIndex
-from .weyl import IDENTITY_SYMMETRY, Element, SYMMETRY_GROUP
+from .weyl import IDENTITY_SYMMETRY, RHO, SIGMA, Element, SYMMETRY_GROUP, _bits
 
 # bounds no caller varies: index bounds of the lemma and product checks
 LEMMA22_BOUND = 4
@@ -64,6 +68,8 @@ __all__ = [
     "verify_closed_forms",
     "verify_lemma_suite",
     "interval_survey",
+    "z_masks",
+    "structural_lemma_checks",
 ]
 
 
@@ -125,7 +131,7 @@ class VerificationReport:
 
 def _within_kl_cap(*bounds: int) -> None:
     # every suite compares with the recursion, which refuses lengths above
-    # its cap: fail before any work rather than after the survey
+    # its cap, and the survey is past desk scale there: fail before any work
     cap = hecke.DEFAULT_KL_CAP
     if max(bounds) > cap:
         raise weyl.ResourceLimitError(f"length {max(bounds)} exceeds the KL recursion cap {cap}")
@@ -237,6 +243,7 @@ def interval_survey(max_length: int) -> Survey:
     representatives, class ids and member order are those of classifying
     every pair.
     """
+    _within_kl_cap(max_length)
     pairs = _interval_pairs(max_length)
     actions = weyl.ball(max_length).actions
     low = [min(images) for images in zip(*actions)]
@@ -453,6 +460,123 @@ def verify_closed_forms(max_family_length: int = 15, x_max: int = 14) -> Verific
 
 
 # ---------------------------------------------------------------------------
+# Z-sets and their structural consequences
+
+def z_masks(y: Element) -> dict[int, int]:
+    """Each non-empty Z^m of [e, y] as a ball bitset keyed by m, from one
+    pass over the KL column of y.
+
+    >>> from bruhat_forge.regions import theta, theta1
+    >>> set(weyl.ball_elements(z_masks(theta1((1, 1)))[3])) == {theta((0, 1)), theta((1, 0))}
+    True
+    """
+    masks: dict[int, int] = {}
+    for z, p in closedform.kl_column(y).items():
+        if p == Q_PLUS_ONE:
+            m = y.length - z.length
+            masks[m] = masks.get(m, 0) | 1 << z.ball_index
+    return masks
+
+
+def _z_preserved(masks, cert: IsoCertificate, a: tuple, b: tuple) -> bool:
+    # a and b are (bottom, top) pairs; masks[i] is the z_masks of ball element i
+    za, zb = masks[a[1].ball_index], masks[b[1].ball_index]
+    upper_a, upper_b = weyl.upper_set(a[0], a[1].length), weyl.upper_set(b[0], b[1].length)
+    index = cert.index
+    return all(
+        {index[i] for i in _bits(za.get(m, 0) & upper_a)} == set(_bits(zb.get(m, 0) & upper_b))
+        for m in range(1, 5)
+    )
+
+
+def _six_case_elements(idx: ThetaIndex) -> list[Element]:
+    m, n = idx
+    if m == 0 and n == 0:
+        return [weyl.generator(0), weyl.identity()]
+    if m > 0 and n == 0:
+        return [
+            RHO.apply(regions.theta((m - 1, 0))),
+            RHO.apply(regions.x_chain(2 * m)),
+        ]
+    if m == 0 and n > 0:
+        rho2 = RHO * RHO
+        return [
+            rho2.apply(regions.theta((0, n - 1))),
+            rho2.apply(SIGMA.apply(regions.x_chain(2 * n))),
+        ]
+    return []
+
+
+def structural_lemma_checks(bound: int) -> dict:
+    """Check the Z-set lemmas on every interval with l(y) <= bound.
+
+    * tops in Theta1, Theta2 or X: |Z^3| = 1 forces P = 1 + q;
+    * tops in Theta1 or X: empty Z^3 forces P = 1;
+    * tops in X: P is 1 or 1 + q according to Z^3 being empty or not;
+    * tops in Theta2 with empty Z^3 and P != 1: the pulled-back bottom
+      is one of the six exceptional cases, with P = 1 + q, |Z^4| = 1 and
+      length gap 4 or 5.
+    """
+    one = QPoly.one()
+    counts = {"theta1_x_unique": 0, "empty_z3": 0, "x_tops": 0, "six_case": 0}
+    violations: list[dict] = []
+    instances: list[dict] = []
+    for y in weyl.enumerate_up_to_length(bound):
+        if y.is_identity:
+            continue
+        tag = regions.classify(y)
+        kind = tag.kind
+        if kind is RegionKind.THETA:
+            continue
+        column = closedform.kl_column(y)
+        zs = z_masks(y)
+        inv = tag.tau.inverse_symmetry()
+        six = _six_case_elements(tag.params) if kind is RegionKind.THETA2 else []
+        for x, p_xy in column.items():
+            upper = weyl.upper_set(x, y.length)
+            z3 = (zs.get(3, 0) & upper).bit_count()
+
+            def flag(rule: str) -> None:
+                violations.append(
+                    {"rule": rule, "x": x.word(), "y": y.word(), "P": str(p_xy), "z3": z3}
+                )
+
+            if z3 == 1:
+                counts["theta1_x_unique"] += 1
+                if p_xy != Q_PLUS_ONE:
+                    flag("|Z3| = 1 forces P = 1 + q")
+            if z3 == 0 and kind in (RegionKind.THETA1, RegionKind.X):
+                counts["empty_z3"] += 1
+                if p_xy != one:
+                    flag("empty Z3 forces P = 1")
+            if kind is RegionKind.X:
+                counts["x_tops"] += 1
+                expected = one if z3 == 0 else Q_PLUS_ONE
+                if p_xy != expected:
+                    flag("X tops: P determined by Z3")
+            if kind is RegionKind.THETA2 and z3 == 0 and p_xy != one:
+                counts["six_case"] += 1
+                z4 = (zs.get(4, 0) & upper).bit_count()
+                gap = y.length - x.length
+                x0 = inv.apply(x)
+                ok = x0 in six and p_xy == Q_PLUS_ONE and z4 == 1 and gap in (4, 5)
+                m, n = tag.params
+                instances.append(
+                    {"x": x.word(), "y": y.word(), "m": m, "n": n, "case_element": x0.word(),
+                     "gap": gap, "ok": ok}
+                )
+                if not ok:
+                    flag("six-case lemma")
+    return {
+        "bound": bound,
+        "counts": counts,
+        "six_case_instances": instances,
+        "violations": violations,
+        "holds": not violations,
+    }
+
+
+# ---------------------------------------------------------------------------
 # lemma suite
 
 def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> VerificationReport:
@@ -463,7 +587,7 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
     stages, at most hecke.DEFAULT_KL_CAP.  The index bounds (m, n <= k) are
     the module constants.  Order is read from the ball tables: monotonicity
     (Braden-MacPherson, Math. Ann. 321, 2001) is tested on down-covers,
-    and Z-sets are poset.z_masks bitsets, one KL column per top.
+    and Z-sets are z_masks bitsets, one KL column per top.
 
     Each monotonicity fact is checked once, on P: with the oracle stage
     passing, h_{x,y} - v h_{z,y} = v^(l(y)-l(x)) (P_{x,y} - P_{z,y})(v^-2)
@@ -711,23 +835,23 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
 
     def z_preservation():
         classes = interval_survey(max_length).classes
-        masks = [poset.z_masks(y) for y in weyl.enumerate_up_to_length(max_length)]
+        masks = [z_masks(y) for y in weyl.enumerate_up_to_length(max_length)]
 
         def mapped(act):
             # an automorphism tau carries up(x) onto up(tau x), so with each
             # z_masks(y) onto z_masks(tau y) it carries Z^m([x, y]) onto
             # Z^m([tau x, tau y])
             return poset.is_automorphism(act, max_length) and [masks[j] for j in act] == [
-                {m: sum(1 << act[i] for i in poset._bits(z)) for m, z in zs.items()}
+                {m: sum(1 << act[i] for i in _bits(z)) for m, z in zs.items()}
                 for zs in masks
             ]
 
-        preserved = functools.partial(poset._z_preserved, masks)
+        preserved = functools.partial(_z_preserved, masks)
         bad = _failing_certificates(classes, max_length, preserved, mapped)
         return {"certificates": sum(len(c.certs) for c in classes), "classes": len(classes)}, bad
 
     def structural():
-        rep = poset.structural_lemma_checks(max_length)
+        rep = structural_lemma_checks(max_length)
         return rep["counts"], rep["violations"]
 
     return _report(

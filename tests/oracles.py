@@ -642,17 +642,17 @@ def reference_certificate_verdicts(survey) -> tuple[dict, list]:
 
 def reference_z_stage(survey) -> tuple[dict, list]:
     """The Z-set stage of verify_lemma_suite read per certificate:
-    poset._z_preserved on the index of every certificate of the survey,
+    verify._z_preserved on the index of every certificate of the survey,
     the composed ones included; its counts and its failing members, by
     top and then bottom."""
-    from bruhat_forge import poset, weyl
+    from bruhat_forge import verify, weyl
 
-    masks = [poset.z_masks(y) for y in weyl.enumerate_up_to_length(survey.max_length)]
+    masks = [verify.z_masks(y) for y in weyl.enumerate_up_to_length(survey.max_length)]
     bad = by_top_then_bottom([
         {"member": [w.word() for w in member], "rep": [w.word() for w in cls.rep]}
         for cls in survey.classes
         for member, cert in cls.certs.items()
-        if not poset._z_preserved(masks, cert, member, cls.rep)
+        if not verify._z_preserved(masks, cert, member, cls.rep)
     ])
     classes = survey.classes
     return {"certificates": sum(len(c.certs) for c in classes), "classes": len(classes)}, bad

@@ -255,6 +255,16 @@ def test_verify_beyond_the_kl_cap_fails_before_any_suite(tmp_path, capsys, monke
     assert not report.exists()
 
 
+def test_census_beyond_the_kl_cap_fails_before_the_survey(capsys, monkeypatch):
+    # the survey keeps to the suites' bound: past it, no pair is listed
+    monkeypatch.setattr(verify, "_interval_pairs", lambda *a: pytest.fail("pairs listed"))
+    bound = hecke.DEFAULT_KL_CAP + 1
+    code, out, err = run(capsys, "census", "--max-length", str(bound))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.rstrip().endswith(f"cap {hecke.DEFAULT_KL_CAP}")
+
+
 def test_kl_formula_builds_no_ball_table(capsys, monkeypatch):
     monkeypatch.delenv(cache_mod.CACHE_ENV_VAR, raising=False)
     closedform.kl_column.cache_clear()
@@ -291,6 +301,34 @@ def test_kl_and_classify_import_only_the_kl_path():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_interval_and_render_load_no_kl_code(tmp_path):
+    # poset decides order and isomorphism without P: a cold interval or
+    # interval picture loads neither the closed forms nor the recursion,
+    # and interval neither the regions nor hashlib
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from bruhat_forge import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "watched = ['bruhat_forge.closedform', 'bruhat_forge.hecke', 'bruhat_forge.regions',\n"
+        "           'hashlib']\n"
+        "print(*[m for m in watched if m in sys.modules and m not in before], sep=',', file=sys.stderr)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != cache_mod.CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    svg = str(tmp_path / "interval.svg")
+    for argv, loaded in (
+        (["interval", "", "1210"], ""),
+        (["interval", "", "1210", "--json"], ""),
+        (["render", "--interval", "", "1210", "-o", svg], "bruhat_forge.regions"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == loaded, argv
 
 
 def test_kl_cache_hit_loads_neither_the_closed_forms_nor_the_recursion(tmp_path):

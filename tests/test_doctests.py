@@ -26,7 +26,7 @@ def test_doctests_pass(name):
 
 
 def test_doctests_are_collected():
-    # weyl, laurent, regions and poset carry examples; a rename must not drop them
+    # weyl, laurent, regions and verify carry examples; a rename must not drop them
     assert sum(doctest.testmod(importlib.import_module(n)).attempted for n in MODULES) >= 14
 
 
@@ -80,10 +80,10 @@ LAZY_NAMES = {
         "fingerprint",
         "is_isomorphic",
         "parents",
-        "structural_lemma_checks",
     ],
     "verify": [
         "VerificationReport",
+        "structural_lemma_checks",
         "verify_closed_forms",
         "verify_conjecture",
         "verify_lemma_suite",

@@ -450,19 +450,61 @@ def test_mult_kl_s_matches_the_table_reference():
     assert descents > 0
 
 
+def _imported_modules(source: str) -> set[str]:
+    """The package modules that ``source`` imports, relatively (``from .``)
+    or by the absolute name bruhat_forge, at module level or inside a
+    function.  A package name that is not a module counts as the module it
+    loads lazily (bruhat_forge._LAZY), or else as __init__."""
+    package = pathlib.Path(bruhat_forge.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") + ["__init__"] for alias in node.names]
+            found.update(path[1] for path in paths if path[0] == "bruhat_forge")
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        path = (node.module or "").split(".")
+        if node.level == 0 and path[0] == "bruhat_forge":
+            path = path[1:]
+        elif node.level != 1:
+            continue
+        if path and path[0]:  # from .m import name, from bruhat_forge.m import name
+            found.add(path[0])
+        else:  # from . import name, from bruhat_forge import name
+            for alias in node.names:
+                name = alias.name
+                found.add(name if name in modules else bruhat_forge._LAZY.get(name, "__init__"))
+    return found
+
+
 def _package_imports() -> dict[str, set[str]]:
-    """module -> the package modules its ``from .`` statements name."""
-    graph = {}
-    for path in pathlib.Path(bruhat_forge.__file__).parent.glob("*.py"):
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module:
-                    names.add(node.module.split(".")[0])
-                else:
-                    names.update(alias.name for alias in node.names)
-        graph[path.stem] = names
+    """module -> the package modules it imports; importing the package
+    itself reaches every module its lazy names load."""
+    package = pathlib.Path(bruhat_forge.__file__).parent
+    graph = {path.stem: _imported_modules(path.read_text()) for path in package.glob("*.py")}
+    graph["__init__"] |= set(bruhat_forge._LAZY.values())
     return graph
+
+
+@pytest.mark.parametrize(
+    "source, modules",
+    [
+        ("from . import closedform", {"closedform"}),
+        ("from .closedform import kl_column", {"closedform"}),
+        ("from bruhat_forge import closedform", {"closedform"}),
+        ("from bruhat_forge.closedform import kl_column", {"closedform"}),
+        ("import bruhat_forge.closedform as cf", {"closedform"}),
+        ("from bruhat_forge import kl_column", {"closedform"}),
+        ("def f():\n    from bruhat_forge import hecke, weyl", {"hecke", "weyl"}),
+        ("import bruhat_forge", {"__init__"}),
+        ("from bruhat_forge import Element", {"__init__"}),
+        ("import itertools\nfrom collections import Counter", set()),
+    ],
+)
+def test_the_import_walker_sees_every_package_import(source, modules):
+    assert _imported_modules(source) == modules
 
 
 def _reachable(graph: dict[str, set[str]], start: str) -> set[str]:
@@ -481,9 +523,32 @@ def test_recursion_cannot_reach_the_closed_forms():
     graph = _package_imports()
     assert "closedform" not in _reachable(graph, "hecke")
     assert {"weyl", "laurent"} <= _reachable(graph, "hecke")
-    # the walk does find the closed forms where they are imported
+    # the walk does find the closed forms where they are imported, and
+    # through the package's lazy names
     assert "closedform" in _reachable(graph, "verify")
-    assert "closedform" in _reachable(graph, "poset")
+    assert "closedform" in _reachable(graph, "__init__")
+
+
+def test_the_poset_layer_cannot_reach_the_kl_code():
+    # isomorphism is decided without P: no chain of imports leads from poset
+    # to a KL module, so "isomorphic intervals share P" compares two
+    # independent invariants; hashlib loads inside fingerprint alone
+    graph = _package_imports()
+    reach = _reachable(graph, "poset")
+    assert not reach & {"closedform", "hecke", "regions", "laurent"}
+    assert reach == {"weyl"}
+    tree = ast.parse((pathlib.Path(bruhat_forge.__file__).parent / "poset.py").read_text())
+
+    def hashlib_imports(node):
+        return [
+            n
+            for n in ast.walk(node)
+            if isinstance(n, ast.Import) and "hashlib" in {a.name for a in n.names}
+            or isinstance(n, ast.ImportFrom) and n.module == "hashlib"
+        ]
+
+    fingerprint = next(n for n in tree.body if getattr(n, "name", None) == "fingerprint")
+    assert hashlib_imports(tree) == hashlib_imports(fingerprint) != []
 
 
 def test_closedform_uses_only_public_hecke_names():

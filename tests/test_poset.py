@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from bruhat_forge import poset, regions, weyl
+from bruhat_forge import poset, regions, verify, weyl
 from bruhat_forge.poset import (
     ComposedCertificate,
     IsoCertificate,
@@ -18,9 +18,9 @@ from bruhat_forge.poset import (
     fingerprint,
     is_isomorphic,
     parents,
-    structural_lemma_checks,
 )
 from bruhat_forge.regions import theta, theta1, theta2, x_chain
+from bruhat_forge.verify import structural_lemma_checks
 from bruhat_forge.weyl import RHO, from_word, generator, identity
 
 ID = identity()
@@ -525,13 +525,13 @@ def test_four_parent_set_for_even_chains():
 def _z_set(interval, m):
     # Z^m of [x, y] as the stages read it: z_masks(y)[m] met with up(x)
     x, y = interval.bottom, interval.top
-    return frozenset(weyl.ball_elements(poset.z_masks(y).get(m, 0) & weyl.upper_set(x, y.length)))
+    return frozenset(weyl.ball_elements(verify.z_masks(y).get(m, 0) & weyl.upper_set(x, y.length)))
 
 
 def _z_kept(a, b, cert):
-    # poset._z_preserved on two (bottom, top) pairs, with their tops' z_masks
-    masks = {y.ball_index: poset.z_masks(y) for _, y in (a, b)}
-    return poset._z_preserved(masks, cert, a, b)
+    # verify._z_preserved on two (bottom, top) pairs, with their tops' z_masks
+    masks = {y.ball_index: verify.z_masks(y) for _, y in (a, b)}
+    return verify._z_preserved(masks, cert, a, b)
 
 
 def test_z_invariant_examples():
@@ -851,7 +851,7 @@ def test_structural_counts_match_the_reference_z_sets():
         kind = regions.classify(y).kind
         if y.is_identity or kind is RegionKind.THETA:
             continue
-        masks = poset.z_masks(y)
+        masks = verify.z_masks(y)
         for x, p in closedform.kl_column(y).items():
             ref = oracles.reference_z_sets(x, y, (3, 4))
             upper = weyl.upper_set(x, y.length)

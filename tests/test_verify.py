@@ -178,8 +178,8 @@ def test_composed_certificates_connect_class_members():
         composed = oracles.cert_compose(oracles.cert_inverse(cls.certs[b]), cls.certs[a])
         ia, ib = build_interval(*a), build_interval(*b)
         assert composed.is_valid(ia, ib)
-        masks = {y.ball_index: poset.z_masks(y) for _, y in (a, b)}
-        assert poset._z_preserved(masks, composed, a, b)
+        masks = {y.ball_index: verify.z_masks(y) for _, y in (a, b)}
+        assert verify._z_preserved(masks, composed, a, b)
         checked += 1
     assert checked > 0
 
@@ -517,7 +517,7 @@ def _moved_z_pair(pair):
     # reads, and a same-rank member outside it: exchanging their images
     # moves that Z-set; None if none
     x, y = pair
-    zs, members = poset.z_masks(y), poset.interval_mask(x, y)
+    zs, members = verify.z_masks(y), poset.interval_mask(x, y)
     for m, mask in sorted(zs.items()):
         inside = mask & members if m <= 4 else 0
         rank = [i for i in poset._bits(members) if weyl.ball_element(i).length == y.length - m]
@@ -649,7 +649,7 @@ def test_z_stage_checks_that_each_list_carries_the_z_sets(monkeypatch):
         for m, c in cls.certs.items()
         if type(c) is poset.IsoCertificate
     }
-    real = poset.z_masks
+    real = verify.z_masks
     y, dropped = next(
         (y, (m, low))
         for cls in survey.classes
@@ -661,7 +661,7 @@ def test_z_stage_checks_that_each_list_carries_the_z_sets(monkeypatch):
     m, low = dropped
     masks = dict(real(y))
     masks[m] ^= low & -low
-    monkeypatch.setattr(poset, "z_masks", lambda w: masks if w is y else real(w))
+    monkeypatch.setattr(verify, "z_masks", lambda w: masks if w is y else real(w))
     (_, bad), _ = _z_stage(monkeypatch, 6)
     _, ref_bad = oracles.reference_z_stage(survey)
     assert ref_bad and all(w in bad for w in ref_bad)
