@@ -29,7 +29,6 @@ import closedform), so the two routes to P_{x,y} stay independent.
 from __future__ import annotations
 
 import functools
-from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import weyl
@@ -247,17 +246,16 @@ def kl_mismatches(w: Element, column: Mapping[Element, QPoly]) -> list[Element]:
     against one row value v^l(w) P(v^-2) per distinct P.  A P of degree past
     l(w)/2 or with a coefficient outside the 32-bit fields is a mismatch."""
     rows = _rows(w, DEFAULT_KL_CAP)
-    lengths = weyl.ball(w.length).lengths
     raised: dict[Optional[QPoly], Optional[int]] = {None: None}
     bad = []
-    for x, i in zip(weyl.ball_elements(w.ideal), compress(count(), weyl._flags(w.ideal))):
+    for x in weyl.ball_elements(w.ideal):
         p = column.get(x)
         h = raised.get(p, False)
         if h is False:
             terms = [(c, w.length - 2 * k) for k, c in p.items()]
             fits = all(e >= 0 and -_HALF <= c < _HALF for c, e in terms)
             h = raised[p] = sum(c << (_FIELD * e) for c, e in terms) if fits else None
-        if rows.get(i, 0) << (_FIELD * lengths[i]) != h:
+        if rows.get(x.ball_index, 0) << (_FIELD * x.length) != h:
             bad.append(x)
     return bad
 

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from . import poset, regions, weyl
-from .regions import RegionKind
+from . import poset, weyl
 from .weyl import Element
 
 __all__ = ["render_regions", "render_interval", "alcove_vertices", "REGION_FILLS", "EDGE_COLORS"]
 
+# keyed by data-region name, which a RegionKind (a str enum) also indexes
 REGION_FILLS = {
-    RegionKind.X: "#e8e8e8",
-    RegionKind.THETA1: "#c0c0c0",
-    RegionKind.THETA2: "#909090",
-    RegionKind.THETA: "#585858",
-    RegionKind.IDENTITY: "#ffd700",
+    "X": "#e8e8e8",
+    "Theta1": "#c0c0c0",
+    "Theta2": "#909090",
+    "Theta": "#585858",
+    "Identity": "#ffd700",
 }
 
 EDGE_COLORS = {0: "#1f4fd8", 1: "#1a9c3e", 2: "#d82f2f"}  # s0 blue, s1 green, s2 red
@@ -100,10 +100,12 @@ def _document(alcoves: list[tuple[Element, str, str]]) -> str:
 def render_regions(radius: int) -> str:
     """Tessellation of all alcoves with word length <= radius, shaded by
     region, the identity alcove highlighted."""
+    from . import regions
+
     alcoves = []
     for w in weyl.enumerate_up_to_length(radius):
-        kind = regions.classify(w).kind
-        alcoves.append((w, REGION_FILLS[kind], kind.value))
+        kind = regions.classify(w).kind.value
+        alcoves.append((w, REGION_FILLS[kind], kind))
     return _document(alcoves)
 
 
@@ -114,7 +116,7 @@ def render_interval(x: Element, y: Element) -> str:
     alcoves = []
     for w in interval.members:
         if w.is_identity:
-            alcoves.append((w, REGION_FILLS[RegionKind.IDENTITY], "Identity"))
+            alcoves.append((w, REGION_FILLS["Identity"], "Identity"))
         else:
             alcoves.append((w, "#9bb7e8", "member"))
     return _document(alcoves)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import bruhat_forge
-from bruhat_forge import hecke, regions, weyl
+from bruhat_forge import closedform, hecke, regions, weyl
 from bruhat_forge.hecke import (
     M_element,
     N_element,
@@ -212,6 +212,15 @@ def test_kl_mismatches_is_exact():
         hecke.kl_mismatches(regions.x_chain(25), {})
 
 
+def test_kl_mismatches_reads_no_ball_table(monkeypatch):
+    # the lengths come off the decoded elements: no ball table is built
+    y = regions.x_chain(12)
+    assert y.length == 12
+    column = closedform.kl_column(y)
+    monkeypatch.setattr(weyl, "ball", lambda *a: pytest.fail("kl_mismatches read weyl.ball"))
+    assert hecke.kl_mismatches(y, column) == []
+
+
 def test_kl_basis_shares_one_polynomial_per_row_value():
     # the rows are the one memo; each call decodes them, and equal row
     # values give one LaurentPoly, within a column and across calls
@@ -244,6 +253,10 @@ def test_N_element_examples():
     assert N_element(ID) == standard_basis(ID)
     assert N_element(S1) == kl_basis(S1)
     assert content(N_element(T00)) == 6
+    # the lemma suite counts lower ideals by their bitsets: the content of
+    # N_w, the old route, is the reference
+    for w in weyl.enumerate_up_to_length(12):
+        assert content(N_element(w)) == w.ideal.bit_count(), w.word()
 
 
 def test_M_element_examples():
@@ -261,6 +274,13 @@ def test_M_content_formula_value():
     a = weyl.RHO.apply(regions.theta1((1, 0)))
     b = (weyl.RHO * weyl.RHO).apply(regions.theta1((0, 1)))
     assert content(M_element(a, b)) == 38
+    # the lemma suite's cardinalities are bitset counts: the content of
+    # N and M, the old route, is the reference over its whole grid
+    singles, pairs = _cardinality_tops()
+    for x in singles:
+        assert content(N_element(x)) == x.ideal.bit_count(), x.word()
+    for a, b in pairs:
+        assert content(M_element(a, b)) == (a.ideal | b.ideal).bit_count(), (a.word(), b.word())
 
 
 def test_G_coefficient():
@@ -282,8 +302,10 @@ def test_content_multiplicative_at_v_equals_one():
 
 
 def test_is_monotonic_examples():
-    for w in weyl.enumerate_up_to_length(5):
-        assert is_monotonic(N_element(w))
+    # N_w is monotonic by construction; the lemma suite checks it only at
+    # its closure samples (l(w) <= 5), so every N_w up to 12 is checked here
+    for w in weyl.enumerate_up_to_length(12):
+        assert is_monotonic(N_element(w)), w.word()
     for w in weyl.enumerate_up_to_length(4):
         assert is_monotonic(kl_basis(w))
     assert not is_monotonic(standard_basis(S1))

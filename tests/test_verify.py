@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from bruhat_forge import closedform, hecke, poset, verify, weyl
-from bruhat_forge.laurent import QPoly
+from bruhat_forge.laurent import LaurentPoly, QPoly
 from bruhat_forge.poset import build_interval
 from bruhat_forge.regions import RegionKind, theta2
 from bruhat_forge.verify import (
@@ -893,17 +893,56 @@ def test_a_non_monotone_recursion_row_fails_the_oracle_stage(monkeypatch):
 def test_the_lemma_suite_decodes_only_the_closure_samples(monkeypatch):
     # every P the stages read comes from kl_column, checked once by the
     # oracle stage on undecoded rows; kl_basis serves only the closure
-    # stage's sums, over elements of length at most 5
-    lengths = []
-    kl_basis = hecke.kl_basis
+    # stage's sums, over elements of length at most 5.  N_w too is built
+    # only for those samples, and no stage counts a union through M_{x,y}
+    lengths, n_lengths, m_tops = [], [], []
+    kl_basis, N_element, M_element = hecke.kl_basis, hecke.N_element, hecke.M_element
 
     def spy(w, *args):
         lengths.append(w.length)
         return kl_basis(w, *args)
 
+    def n_spy(w):
+        n_lengths.append(w.length)
+        return N_element(w)
+
+    def m_spy(x, y):
+        m_tops.append((x, y))
+        return M_element(x, y)
+
     monkeypatch.setattr(hecke, "kl_basis", spy)
+    monkeypatch.setattr(hecke, "N_element", n_spy)
+    monkeypatch.setattr(hecke, "M_element", m_spy)
     assert verify_lemma_suite(10, 4).passed
     assert lengths and max(lengths) <= 5
+    assert n_lengths and max(n_lengths) <= 5
+    assert m_tops and all(x == y for x, y in m_tops)
+
+
+@pytest.mark.parametrize("corruption", ["identity dropped", "coatom raised"])
+def test_a_broken_N_constructor_still_fails_the_lemma_suite(monkeypatch, corruption):
+    # N_w checked only at the closure samples still guards the constructor:
+    # M_{x,y} without H_e, or with one coatom's v^1 raised to v^2, fails
+    # the appendix identity and the closure stage, and nothing else
+    M_element = hecke.M_element
+
+    def broken(x, y):
+        good = M_element(x, y)
+        terms = dict(good.items())
+        if corruption == "identity dropped":
+            terms.pop(weyl.identity(), None)
+        else:
+            coatoms = [z for z in good.support() if z.length == x.length - 1]
+            if coatoms:
+                terms[coatoms[0]] = terms[coatoms[0]] * LaurentPoly({1: 1})
+        return hecke.HeckeElement(terms)
+
+    monkeypatch.setattr(hecke, "M_element", broken)
+    report = verify_lemma_suite(4, 2)
+    assert [s.name for s in report.suites if not s.passed] == [
+        f"appendix identity (m, n <= {verify.IDENTITY_BOUND})",
+        "monotonic element closure properties",
+    ]
 
 
 def test_survey_matches_the_orbit_table_reference():
