@@ -5,19 +5,20 @@ and its ball tables (weyl.ball).  No KL polynomial enters here, so the
 surveys' "isomorphic intervals share P_{x,y}" compares two invariants
 computed apart.
 
-Isomorphism search refines the rank partition by iterated neighborhood
-colors and then backtracks over class-respecting, rank-by-rank
-assignments checking cover preservation; Bruhat intervals are graded,
-so rank is forced and cover preservation suffices for order
-isomorphism.  Each [x, y] is cut from a cover table of [e, y], one per
-top in the survey, and refinement leaves ``Interval.key``, on which the
+Isomorphism search refines the rank partition by one round of colors,
+each member's (rank, down count, up count), and then backtracks over
+color-respecting, rank-by-rank assignments checking cover preservation;
+Bruhat intervals are graded, so rank is forced and cover preservation
+suffices for order isomorphism.  The automorphism groups are small, so
+the search settles what that round leaves together with little
+backtracking.  Each [x, y] is cut from a cover table of [e, y], one per
+top in the survey, and the round leaves ``Interval.key``, on which the
 survey buckets intervals; it keeps classes in founding order.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress, count
-from operator import itemgetter
 from typing import Optional
 
 from . import weyl
@@ -48,7 +49,9 @@ class Interval:
     covers are read from ``table``, the cover_table of the top, and kept
     where they stay inside.  ``down_masks[i]`` holds, as a position
     bitset, the members that member i covers.  ``colors`` and their
-    invariant ``key`` (see _refine) are refined from the same lists.
+    invariant ``key`` (see _refine) are one round of refinement over the
+    same lists: equal keys do not make intervals isomorphic, the search
+    decides that.
     """
 
     __slots__ = (
@@ -110,50 +113,17 @@ class Interval:
 
 
 def _refine(ranks: tuple[int, ...], downs: list, ups: list) -> tuple[tuple[int, ...], int]:
-    """Stable colors from iterated (rank, neighbor-multiset) refinement,
-    and a key; ``downs[i]`` and ``ups[i]`` list the neighbors of member i,
-    and the ranks take every value in 0..k-1.  The palette sorts by old
-    color first, so a round that splits no class gives back the colors it
-    read: the loop stops there, or at a discrete partition.  Round one
-    reads cover counts, as the neighbors of a rank-r member have colors
-    r +- 1.  The key hashes the sorted colors with the palette held at the
-    stop: round one's (rank, down count, up count) triples, the last
-    round's, or the one that made the colors discrete.  Refinement is
-    canonical, so isomorphic intervals share keys.
+    """One round of color refinement, and a key: member i's color is the
+    index of its (rank, down count, up count) in the sorted palette of
+    those triples, where ``downs[i]`` and ``ups[i]`` list its neighbors.
+    Neither depends on the member numbering, so isomorphic intervals share
+    colors up to relabelling and share keys; is_isomorphic does the rest.
     """
-    n, k = len(ranks), max(ranks) + 1
-    colors = ranks
     data = [(r, len(down), len(up)) for r, down, up in zip(ranks, downs, ups)]
-    palette, reads = set(), None
-    while k < n:
-        palette = set(data)
-        if len(palette) == k:
-            break
-        palette = sorted(palette)
-        k = len(palette)
-        index = {d: c for c, d in enumerate(palette)}
-        colors = [index[d] for d in data]
-        if k == n:
-            break
-        # per side, (member, its one neighbor) and (member, itemgetter of its neighbors)
-        reads = reads or [
-            (
-                [(i, nbrs[0]) for i, nbrs in enumerate(side) if len(nbrs) == 1],
-                [(i, itemgetter(*nbrs)) for i, nbrs in enumerate(side) if len(nbrs) > 1],
-            )
-            for side in (downs, ups)
-        ]
-        data = list(zip(colors, *(_multisets(*read, colors) for read in reads)))
-    return tuple(colors), hash((frozenset(palette), tuple(sorted(colors))))
-
-
-def _multisets(one: list, many: list, colors: list) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()] * len(colors)
-    for i, j in one:
-        out[i] = (colors[j],)
-    for i, get in many:
-        out[i] = tuple(sorted(get(colors)))
-    return out
+    palette = sorted(set(data))
+    index = {d: c for c, d in enumerate(palette)}
+    colors = tuple(map(index.__getitem__, data))
+    return colors, hash((frozenset(palette), tuple(sorted(colors))))
 
 
 def interval_mask(x: Element, y: Element) -> int:
@@ -352,10 +322,12 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
 
 
 def fingerprint(a: Interval) -> str:
-    """Isomorphism-invariant digest of the refined color structure.
+    """Isomorphism-invariant digest of the one-round colors and the
+    color pairs along covers.
 
-    Equal for isomorphic intervals by construction.  No survey reads it:
-    they bucket on Interval.key.
+    Equal for isomorphic intervals by construction, and unequal digests
+    make intervals non-isomorphic; equal ones do not make them
+    isomorphic.  No survey reads it: they bucket on Interval.key.
     """
     import hashlib  # loaded only here: it maps libcrypto into the process
     colors = a.colors

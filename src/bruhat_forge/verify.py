@@ -10,9 +10,11 @@ automorphisms (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
 ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
 so [x, y] and [tau x, tau y] are isomorphic.  Each orbit representative
 is classified, in the order the classes are founded, as soon as it is
-built from its top's cover table: bucketed by (rank vector, refinement
-key), searched against the class representatives in its bucket, and
-kept only if it founds a class, until the last orbit is classified.
+built from its top's cover table: bucketed by (rank vector, the key of
+one round of color refinement), searched against the class
+representatives in its bucket, and kept only if it founds a class,
+until the last orbit is classified.  The key only narrows the search:
+intervals can share it and differ, and the search tells them apart.
 Every other interval inherits its orbit representative's class and
 certificate, stored with the action of G on ball indices (weyl.ball)
 and composed only when read.  Every stage reads P_{x,y} from the KL

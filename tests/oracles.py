@@ -379,18 +379,35 @@ def reference_refine(ranks, downs, ups) -> tuple[int, ...]:
         colors = new
 
 
-def reference_colors(interval) -> tuple[int, ...]:
-    """Iterated (rank, neighbour-multiset) colour refinement, neighbours
-    read bit by bit from cover masks built out of leq_masks."""
+def reference_round_one(ranks, downs, ups) -> tuple[tuple[int, ...], int]:
+    """One round of colour refinement and its key, from the ranks and the
+    neighbour lists: each member's colour is the place of its (rank, down
+    count, up count) in the sorted list of the distinct triples, and the
+    key hashes that palette, as a frozenset, with the sorted colours."""
+    triples = [(rank, len(down), len(up)) for rank, down, up in zip(ranks, downs, ups)]
+    palette = sorted(set(triples))
+    colors = tuple(palette.index(t) for t in triples)
+    return colors, hash((frozenset(palette), tuple(sorted(colors))))
+
+
+def reference_covers(interval) -> tuple[list[list[int]], list[list[int]]]:
+    """Each member's down- and up-neighbour lists, read bit by bit from
+    cover masks built out of leq_masks."""
     down_masks, up_masks = _cover_masks(interval)
-    downs = [list(_bits(m)) for m in down_masks]
-    ups = [list(_bits(m)) for m in up_masks]
-    return reference_refine(interval.ranks, downs, ups)
+    return [list(_bits(m)) for m in down_masks], [list(_bits(m)) for m in up_masks]
 
 
-def reference_fingerprint(interval) -> str:
-    """The fingerprint digest of reference_colors over the covers of leq_masks."""
-    colors = reference_colors(interval)
+def reference_colors(interval) -> tuple[int, ...]:
+    """Iterated (rank, neighbour-multiset) colour refinement over
+    reference_covers."""
+    return reference_refine(interval.ranks, *reference_covers(interval))
+
+
+def reference_fingerprint(interval, colors=None) -> str:
+    """The fingerprint digest of ``colors``, reference_colors by default,
+    over the covers of leq_masks."""
+    if colors is None:
+        colors = reference_colors(interval)
     _, up_masks = _cover_masks(interval)
     edge_profile = sorted(
         (colors[i], colors[j]) for i, mask in enumerate(up_masks) for j in _bits(mask)
@@ -403,7 +420,8 @@ def reference_interval(x, y):
     """[x, y] built on its own, with no cover table: a position dict over
     its members, and the down-covers of each member read bit by bit off
     the ball's covers met with the interval mask.  A namespace holding
-    members, ranks, mask, down_masks, colors and key."""
+    members, ranks, mask, down_masks, and the colors and key of
+    reference_round_one."""
     from types import SimpleNamespace
 
     from bruhat_forge import poset, weyl
@@ -425,7 +443,7 @@ def reference_interval(x, y):
             ups[q].append(p)
             down_masks[p] |= 1 << q
             covers ^= low
-    colors, key = poset._refine(ranks, downs, ups)
+    colors, key = reference_round_one(ranks, downs, ups)
     return SimpleNamespace(
         members=members, ranks=ranks, mask=mask, down_masks=tuple(down_masks),
         colors=colors, key=key,

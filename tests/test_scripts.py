@@ -137,6 +137,20 @@ def test_survey_digest_is_pinned_at_length_8(tmp_path):
     ]
 
 
+def test_survey_digest_is_pinned_at_length_12(tmp_path):
+    # the search breaks ties by color; from L=11 on, some intervals have
+    # rank-mates that one round of refinement leaves together, so this
+    # pins certificates that the length-8 digest does not reach
+    proc = _run_script("survey_digest.py", "--max-length", "12", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "fd8e9803419963d84bc922d2e05819f619ae1296eb4452a4ca968271e2cda334",
+        "max_length=12",
+        "intervals=15786",
+        "classes=467",
+    ]
+
+
 def test_render_figures_writes_gallery(tmp_path):
     out = tmp_path / "figs"
     proc = _run_script("render_figures.py", "--out-dir", str(out), cwd=tmp_path)
