@@ -20,8 +20,8 @@ rows instead: ball index of x -> h_{x,w} at v = 2^32, one int whose
 32-bit fields are the coefficients.  Multiplying by H_s + v is then an
 add and a one-field shift per x, with s x read off the weyl
 left-multiplication table, and a mu correction one multiply-and-subtract
-per x.  The rows are the one memo, decoded at the kl_basis and
-kl_polynomial boundary; kl_mismatches reads them undecoded.  The
+per x.  The rows are the one memo, decoded afresh on each kl_basis and
+kl_polynomial call; kl_mismatches reads them undecoded.  The
 recursion uses nothing from the closed forms (this module does not
 import closedform), so the two routes to P_{x,y} stay independent.
 """
@@ -173,13 +173,14 @@ def kl_basis(w: Element, max_length: int = DEFAULT_KL_CAP) -> HeckeElement:
     involution.  With s = min D_L(w) it is (H_s + v) * kl_basis(sw) minus
     mu(x, sw) * kl_basis(x) for every x with sx < x, where mu is the
     coefficient of v^1.  The memo holds the rows of w (ball index of x ->
-    h_{x,w} at v = 2^32); each call decodes them into a new HeckeElement,
-    one shared LaurentPoly per distinct row value.  This module never
-    reads the closed forms, so the recursion stays an independent check
-    on them.  The cap is checked on every call, memoized or not.
+    h_{x,w} at v = 2^32); each call decodes them afresh, one shared
+    LaurentPoly per distinct row value.  This module never reads the
+    closed forms, so the recursion stays an independent check on them.
+    The cap is checked on every call, memoized or not.
     """
     rows = _rows(w, max_length)
-    return HeckeElement({weyl.ball_element(i): _decode(h) for i, h in rows.items()})
+    polys = {h: _decode(h) for h in set(rows.values())}
+    return HeckeElement({weyl.ball_element(i): polys[h] for i, h in rows.items()})
 
 
 def _rows(w: Element, max_length: int) -> dict[int, int]:
@@ -217,7 +218,6 @@ def _kl_rows(w: Element) -> dict[int, int]:
     return acc
 
 
-@functools.cache
 def _decode(h: int) -> LaurentPoly:
     """The polynomial of a row value, one balanced digit per field."""
     coeffs = {}

@@ -5,21 +5,22 @@ and its ball tables (weyl.ball).  No KL polynomial enters here, so the
 surveys' "isomorphic intervals share P_{x,y}" compares two invariants
 computed apart.
 
-Isomorphism search refines the rank partition by one round of colors,
-each member's (rank, down count, up count), and then backtracks over
-color-respecting, rank-by-rank assignments checking cover preservation;
-Bruhat intervals are graded, so rank is forced and cover preservation
-suffices for order isomorphism.  The automorphism groups are small, so
-the search settles what that round leaves together with little
-backtracking.  Each [x, y] is cut from a cover table of [e, y], one per
-top in the survey, and the round leaves ``Interval.key``, on which the
-survey buckets intervals; it keeps classes in founding order.
+Isomorphism search colors each member by one round of refinement, its
+(rank, down count, up count), and backtracks over color-respecting
+assignments in color order, which is rank order, checking cover
+preservation; Bruhat intervals are graded, so rank is forced and cover
+preservation suffices for order isomorphism.  The automorphism groups are
+small, so the search settles what that round leaves together with little
+backtracking.  Each [x, y] is cut from the down-cover lists and up-cover
+counts of [e, y], one table per top, and the round leaves
+``Interval.key``, which fixes the rank sizes, the survey's one bucket
+key; it keeps classes in founding order.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, count
-from typing import Optional
+from itertools import accumulate, chain, compress, count
+from typing import Iterable, Optional
 
 from . import weyl
 from .weyl import Element, _bits, _flags
@@ -45,18 +46,17 @@ class Interval:
     """The graded poset on {z : x <= z <= y}, rank = l(z) - l(x).
 
     Members are indexed in (rank, canonical word) order, which is their
-    ball-index order, and ``mask`` holds them as a ball bitset.  The
-    covers are read from ``table``, the cover_table of the top, and kept
-    where they stay inside.  ``down_masks[i]`` holds, as a position
-    bitset, the members that member i covers.  ``colors`` and their
-    invariant ``key`` (see _refine) are one round of refinement over the
-    same lists: equal keys do not make intervals isomorphic, the search
-    decides that.
+    ball-index order, and ``mask`` holds them as a ball bitset.  Covers
+    are read from ``table``, the cover_table of the top: down-covers kept
+    where they stay inside, up counts as they are.  ``down_masks[i]``
+    holds, as a position bitset, the members that member i covers.
+    ``colors``, which carry the ranks, and their invariant ``key`` (see
+    _refine) are one round of refinement over those covers: equal keys do
+    not make intervals isomorphic, the search decides that.
     """
 
     __slots__ = (
-        "bottom", "top", "members", "mask", "ranks", "span", "rank_sizes", "down_masks", "colors",
-        "key",
+        "bottom", "top", "members", "mask", "span", "rank_sizes", "down_masks", "colors", "key",
     )
 
     def __init__(self, bottom: Element, top: Element, table: tuple):
@@ -69,14 +69,13 @@ class Interval:
         position = dict(zip(chosen, count()))
         self.members = tuple(map(top_members.__getitem__, chosen))
         base = bottom.length
-        self.ranks = tuple(z.length - base for z in self.members)
+        ranks = [z.length - base for z in self.members]
         self.span = top.length - base
-        self.rank_sizes = tuple(self.ranks.count(r) for r in range(self.span + 1))
-        # every member covering a member of [x, y] lies in [x, y]
-        ups = [list(map(position.__getitem__, top_ups[p])) for p in chosen]
+        self.rank_sizes = tuple(ranks.count(r) for r in range(self.span + 1))
         downs = [[position[q] for q in top_downs[p] if q in position] for p in chosen]
         self.down_masks = tuple(sum(map((1).__lshift__, down)) for down in downs)
-        self.colors, self.key = _refine(self.ranks, downs, ups)
+        # every member covering a member of [x, y] lies in [x, y]: same up counts
+        self.colors, self.key = _refine(ranks, downs, map(top_ups.__getitem__, chosen))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -112,14 +111,15 @@ class Interval:
         }
 
 
-def _refine(ranks: tuple[int, ...], downs: list, ups: list) -> tuple[tuple[int, ...], int]:
+def _refine(ranks: list[int], downs: list, ups: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """One round of color refinement, and a key: member i's color is the
     index of its (rank, down count, up count) in the sorted palette of
-    those triples, where ``downs[i]`` and ``ups[i]`` list its neighbors.
+    those triples, so color order is rank order; ``downs[i]`` lists the
+    members it covers and ``ups[i]`` counts those covering it.
     Neither depends on the member numbering, so isomorphic intervals share
     colors up to relabelling and share keys; is_isomorphic does the rest.
     """
-    data = [(r, len(down), len(up)) for r, down, up in zip(ranks, downs, ups)]
+    data = [(r, len(down), up) for r, down, up in zip(ranks, downs, ups)]
     palette = sorted(set(data))
     index = {d: c for c, d in enumerate(palette)}
     colors = tuple(map(index.__getitem__, data))
@@ -136,15 +136,15 @@ def cover_table(y: Element) -> tuple:
     """The covers of [e, y], cut by Interval to each [x, y]: its members in
     ball order; ``local``, by ball index, each member's position among
     them; per position, the positions of the members it covers (the rest
-    of its lower ideal one length down) and of those covering it."""
+    of its lower ideal one length down) and the count of those covering
+    it."""
     members = weyl.ball_elements(y.ideal)
     covers = weyl.ball(y.length).covers
     local = list(accumulate(_flags(y.ideal), initial=0))
     downs = [[local[i] for i in _bits(covers[z.ball_index])] for z in members]
-    ups: list[list[int]] = [[] for _ in members]
-    for p, down in enumerate(downs):
-        for q in down:
-            ups[q].append(p)
+    ups = [0] * len(members)
+    for q in chain.from_iterable(downs):
+        ups[q] += 1
     return members, local, downs, ups
 
 
@@ -280,8 +280,8 @@ def is_automorphism(act: tuple[int, ...], max_length: int) -> bool:
 def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
     """A certificate iff the two intervals are order isomorphic.
 
-    Deterministic for fixed inputs: members are scanned in canonical
-    order and the first completed assignment wins.
+    Deterministic for fixed inputs: members are scanned by color, in
+    canonical order within one, and the first completed assignment wins.
     """
     if a.rank_sizes != b.rank_sizes:  # so spans and sizes agree
         return None
@@ -289,10 +289,11 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
     if sorted(ca) != sorted(cb):
         return None
     n = len(a.members)
-    by_color_b: dict[tuple[int, int], list[int]] = {}
-    for j in range(n):
-        by_color_b.setdefault((b.ranks[j], cb[j]), []).append(j)
-    order = sorted(range(n), key=lambda i: (a.ranks[i], ca[i], i))
+    by_color_b: dict[int, list[int]] = {}
+    for j, c in enumerate(cb):
+        by_color_b.setdefault(c, []).append(j)
+    # stable, and color order is rank order: down-covers are mapped first
+    order = sorted(range(n), key=ca.__getitem__)
     amap = [-1] * n
     used = 0
 
@@ -302,7 +303,7 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
             return True
         i = order[pos]
         req = sum(1 << amap[k] for k in _bits(a.down_masks[i]))
-        for j in by_color_b.get((a.ranks[i], ca[i]), ()):
+        for j in by_color_b.get(ca[i], ()):
             bit = 1 << j
             if used & bit or b.down_masks[j] != req:
                 continue

@@ -19,7 +19,6 @@ of the six alcoves u * theta(m, n), u in the finite Weyl group <s1, s2>.
 
 from __future__ import annotations
 
-import functools
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -204,7 +203,6 @@ def _hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 _WF = tuple(weyl.from_word(word) for word in ("", "1", "2", "12", "21", "121"))
 
 
-@functools.cache
 def _theta_hull(idx: ThetaIndex) -> list[tuple[int, int]]:
     t = theta(idx)
     return _hull([(u * t)._scaled_centroid() for u in _WF])
@@ -234,10 +232,9 @@ def in_theta_lower(w: Element, idx: ThetaIndex | tuple[int, int]) -> bool:
 def theta_lower_geometric(idx: ThetaIndex | tuple[int, int]) -> tuple[Element, ...]:
     """All elements below theta(m, n), by the geometric test."""
     idx = ThetaIndex(*idx)
-    top = theta(idx)
-    return tuple(
-        w for w in weyl.enumerate_up_to_length(top.length) if in_theta_lower(w, idx)
-    )
+    hull = _theta_hull(idx)
+    elements = weyl.enumerate_up_to_length(theta(idx).length)
+    return tuple(w for w in elements if _inside_hull(hull, w._scaled_centroid()))
 
 
 def boundary_set(idx: ThetaIndex | tuple[int, int]) -> frozenset[Element]:
@@ -249,11 +246,11 @@ def boundary_set(idx: ThetaIndex | tuple[int, int]) -> frozenset[Element]:
     generator s -- is outside the region.
     """
     idx = ThetaIndex(*idx)
-    members = theta_lower_geometric(idx)
+    hull = _theta_hull(idx)
     return frozenset(
         w
-        for w in members
-        if any(not in_theta_lower(w.right_mult(s), idx) for s in (0, 1, 2))
+        for w in theta_lower_geometric(idx)
+        if any(not _inside_hull(hull, w.right_mult(s)._scaled_centroid()) for s in (0, 1, 2))
     )
 
 

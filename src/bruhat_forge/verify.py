@@ -10,8 +10,8 @@ automorphisms (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
 ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
 so [x, y] and [tau x, tau y] are isomorphic.  Each orbit representative
 is classified, in the order the classes are founded, as soon as it is
-built from its top's cover table: bucketed by (rank vector, the key of
-one round of color refinement), searched against the class
+built from its top's cover table: bucketed by the key of one round of
+color refinement, which fixes the rank sizes, searched against the class
 representatives in its bucket, and kept only if it founds a class,
 until the last orbit is classified.  The key only narrows the search:
 intervals can share it and differ, and the search tells them apart.
@@ -234,10 +234,10 @@ def interval_survey(max_length: int) -> Survey:
     action lists.  No orbit table is kept: to_low[j] and from_low[j] hold
     the lists, in SYMMETRY_GROUP order, carrying element j onto its least
     image and back.  Only first pairs are built, from one poset.cover_table
-    per top, each bucketed by (rank sizes, Interval.key) and searched
-    against the representatives in its bucket; only a founder of a class
-    keeps its Interval, until the last is classified.  Classes stay in
-    founding order.  Every other pair (tau x, tau y) takes the class of
+    per top, each bucketed by Interval.key and searched against the
+    representatives in its bucket; only a founder of a class keeps its
+    Interval, until the last is classified.  Classes stay in founding
+    order.  Every other pair (tau x, tau y) takes the class of
     its first pair (x, y) and the ComposedCertificate of c with the
     least-k tau_k carrying (x, y) onto it, c being the certificate of
     (x, y) or, for a representative, a poset.IdentityCertificate of the
@@ -255,7 +255,7 @@ def interval_survey(max_length: int) -> Survey:
     # first pair (top, bottom) -> (its class, certificate onto the representative)
     placed: dict[tuple[int, int], tuple[IsoClass, IsoCertificate]] = {}
     # key -> (class, representative Interval) entries in creation order
-    buckets: dict[tuple, list[tuple[IsoClass, poset.Interval]]] = {}
+    buckets: dict[int, list[tuple[IsoClass, poset.Interval]]] = {}
     classes: list[IsoClass] = []
     top = table = None
     for x, y in pairs:
@@ -267,7 +267,7 @@ def interval_survey(max_length: int) -> Survey:
         if y is not top:
             top, table = y, poset.cover_table(y)
         interval = poset.Interval(x, y, table)
-        bucket = buckets.setdefault((interval.rank_sizes, interval.key), [])
+        bucket = buckets.setdefault(interval.key, [])
         for cls, rep in bucket:
             cert = is_isomorphic(interval, rep)
             if cert is not None:

@@ -339,6 +339,13 @@ def leq_masks(interval) -> tuple[int, ...]:
     )
 
 
+def interval_ranks(interval) -> tuple[int, ...]:
+    """Each member's rank, l(z) - l(x), read off the member lengths: the
+    first member is the bottom."""
+    base = interval.members[0].length
+    return tuple(z.length - base for z in interval.members)
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -348,7 +355,7 @@ def _bits(mask: int):
 
 def _cover_masks(interval) -> tuple[list[int], list[int]]:
     # covers are the comparable pairs one rank apart, taken from leq_masks
-    leq, ranks = leq_masks(interval), interval.ranks
+    leq, ranks = leq_masks(interval), interval_ranks(interval)
     n = len(ranks)
     ups = [
         sum(1 << j for j in _bits(leq[i]) if ranks[j] == ranks[i] + 1) for i in range(n)
@@ -400,7 +407,7 @@ def reference_covers(interval) -> tuple[list[list[int]], list[list[int]]]:
 def reference_colors(interval) -> tuple[int, ...]:
     """Iterated (rank, neighbour-multiset) colour refinement over
     reference_covers."""
-    return reference_refine(interval.ranks, *reference_covers(interval))
+    return reference_refine(interval_ranks(interval), *reference_covers(interval))
 
 
 def reference_fingerprint(interval, colors=None) -> str:
@@ -420,7 +427,7 @@ def reference_interval(x, y):
     """[x, y] built on its own, with no cover table: a position dict over
     its members, and the down-covers of each member read bit by bit off
     the ball's covers met with the interval mask.  A namespace holding
-    members, ranks, mask, down_masks, and the colors and key of
+    members, mask, down_masks, and the colors and key of
     reference_round_one."""
     from types import SimpleNamespace
 
@@ -445,8 +452,7 @@ def reference_interval(x, y):
             covers ^= low
     colors, key = reference_round_one(ranks, downs, ups)
     return SimpleNamespace(
-        members=members, ranks=ranks, mask=mask, down_masks=tuple(down_masks),
-        colors=colors, key=key,
+        members=members, mask=mask, down_masks=tuple(down_masks), colors=colors, key=key
     )
 
 
@@ -463,11 +469,12 @@ def brute_force_isomorphic(a, b) -> bool:
     if len(a.members) != len(b.members) or a.rank_sizes != b.rank_sizes:
         return False
     n = len(a.members)
+    ranks_a, ranks_b = interval_ranks(a), interval_ranks(b)
     by_rank_a: dict[int, list[int]] = {}
     by_rank_b: dict[int, list[int]] = {}
     for i in range(n):
-        by_rank_a.setdefault(a.ranks[i], []).append(i)
-        by_rank_b.setdefault(b.ranks[i], []).append(i)
+        by_rank_a.setdefault(ranks_a[i], []).append(i)
+        by_rank_b.setdefault(ranks_b[i], []).append(i)
     la, lb = leq_masks(a), leq_masks(b)
     ranks = sorted(by_rank_a)
     perm_sets = [
@@ -490,6 +497,52 @@ def brute_force_isomorphic(a, b) -> bool:
         if ok:
             return True
     return False
+
+
+def reference_is_isomorphic(a, b):
+    """poset.is_isomorphic as it was with the search keyed on (rank,
+    color): candidates in b share a member's rank and color, and a's
+    members are scanned by (rank, color, position).  A certificate, or
+    None."""
+    from bruhat_forge.poset import IsoCertificate
+
+    if a.rank_sizes != b.rank_sizes:
+        return None
+    ca, cb = a.colors, b.colors
+    if sorted(ca) != sorted(cb):
+        return None
+    ranks_a, ranks_b = interval_ranks(a), interval_ranks(b)
+    n = len(a.members)
+    by_color_b: dict[tuple[int, int], list[int]] = {}
+    for j in range(n):
+        by_color_b.setdefault((ranks_b[j], cb[j]), []).append(j)
+    order = sorted(range(n), key=lambda i: (ranks_a[i], ca[i], i))
+    amap = [-1] * n
+    used = 0
+
+    def extend(pos: int) -> bool:
+        nonlocal used
+        if pos == n:
+            return True
+        i = order[pos]
+        req = sum(1 << amap[k] for k in _bits(a.down_masks[i]))
+        for j in by_color_b.get((ranks_a[i], ca[i]), ()):
+            bit = 1 << j
+            if used & bit or b.down_masks[j] != req:
+                continue
+            amap[i] = j
+            used |= bit
+            if extend(pos + 1):
+                return True
+            amap[i] = -1
+            used &= ~bit
+        return False
+
+    if not extend(0):
+        return None
+    return IsoCertificate(
+        {z.ball_index: b.members[j].ball_index for z, j in zip(a.members, amap)}
+    )
 
 
 # -- the interval survey, one pair at a time ---------------------------------

@@ -102,7 +102,7 @@ def test_lazy_names_are_their_modules_objects():
         bruhat_forge.no_such
 
 
-def test_the_package_holds_six_memos():
+def test_the_package_holds_four_memos():
     # every module-level function with a cache to clear, named by the module
     # that defines it; a new memo is new state that a reset must reach
     memos = sorted(
@@ -113,9 +113,7 @@ def test_the_package_holds_six_memos():
     )
     assert memos == [
         "closedform.kl_column",
-        "hecke._decode",
         "hecke._kl_rows",
-        "regions._theta_hull",
         "verify.interval_survey",
         "weyl.ball",
     ]
@@ -127,3 +125,17 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
     assert len(blocks) == 1 and "kl_column" in blocks[0]
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_census_sample_is_the_cli_output(capsys):
+    # the README's census sample is the first rows that census prints at
+    # --max-length 7; a change to the survey or the table must update it
+    from bruhat_forge import cli
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"\n\n((?:    .*\n)+)\n\(the first rows at `--max-length 7`\)", readme)
+    assert len(blocks) == 1
+    sample = [line.removeprefix("    ") for line in blocks[0].splitlines()]
+    assert cli.main(["census", "--max-length", "7"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(sample) >= 2 and printed[: len(sample)] == sample

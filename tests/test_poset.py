@@ -63,7 +63,7 @@ def test_interval_order_matches_subword_oracle_to_length_7():
                 for j, zj in enumerate(members):
                     leq = zi in below[zj]
                     assert leq_masks[i] >> j & 1 == leq, (x, y, zi, zj)
-                    cover = leq and interval.ranks[j] == interval.ranks[i] + 1
+                    cover = leq and zj.length == zi.length + 1
                     assert interval.down_masks[j] >> i & 1 == cover, (x, y, zi, zj)
             checked += 1
     assert checked == 1969
@@ -247,7 +247,7 @@ def test_colors_and_fingerprint_match_reference_to_length_8():
     checked = 0
     for interval in _all_intervals(8):
         colors, key = oracles.reference_round_one(
-            interval.ranks, *oracles.reference_covers(interval)
+            oracles.interval_ranks(interval), *oracles.reference_covers(interval)
         )
         assert (interval.colors, interval.key) == (colors, key), interval
         assert fingerprint(interval) == oracles.reference_fingerprint(interval, colors), interval
@@ -256,7 +256,7 @@ def test_colors_and_fingerprint_match_reference_to_length_8():
 
 
 def _built_fields(interval) -> tuple:
-    names = ("members", "ranks", "mask", "down_masks", "colors", "key")
+    names = ("members", "mask", "down_masks", "colors", "key")
     return tuple(getattr(interval, name) for name in names)
 
 
@@ -285,10 +285,41 @@ def test_intervals_match_the_reference_builder():
     assert checked == 1515
 
 
+def test_cover_table_up_counts_match_the_reference_to_length_8():
+    # the table keeps only how many members cover each member of [e, y]:
+    # the lengths of the reference's up lists, read from the whole order
+    checked = 0
+    for y in weyl.enumerate_up_to_length(8):
+        members, _, _, ups = poset.cover_table(y)
+        interval = build_interval(ID, y)
+        assert list(members) == list(interval.members)
+        assert ups == [len(up) for up in oracles.reference_covers(interval)[1]], y
+        checked += 1
+    assert checked == 109
+
+
+def test_color_keyed_search_matches_the_rank_and_color_search_to_length_10(monkeypatch):
+    from bruhat_forge import verify
+
+    # every search the survey makes gives the certificate of the search
+    # keyed on (rank, color), or None where that gives None
+    outcomes = collections.Counter()
+
+    def spying(a, b):
+        cert, expected = is_isomorphic(a, b), oracles.reference_is_isomorphic(a, b)
+        assert (cert and cert.index) == (expected and expected.index), (a, b)
+        outcomes[cert is None] += 1
+        return cert
+
+    monkeypatch.setattr(verify, "is_isomorphic", spying)
+    verify.interval_survey.__wrapped__(10)
+    assert outcomes[False] and outcomes[True]
+
+
 @st.composite
 def _layered_posets(draw):
     # ranks 0..k-1, each taken, members in a drawn order, and covers only
-    # between adjacent ranks: (ranks, downs, ups) as _refine reads them
+    # between adjacent ranks: (ranks, downs, ups), ups as lists
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
     ranks = [r for r, size in enumerate(sizes) for _ in range(size)]
     order = draw(st.permutations(range(len(ranks))))
@@ -314,8 +345,10 @@ def _poset(sizes, covers):
 
 
 def _round_one(poset_lists):
-    # _refine against the round-one reference: the same colors and key
-    colors, key = poset._refine(*poset_lists)
+    # _refine, which reads up counts, against the round-one reference on
+    # the up lists: the same colors and key
+    ranks, downs, ups = poset_lists
+    colors, key = poset._refine(ranks, downs, map(len, ups))
     assert (colors, key) == oracles.reference_round_one(*poset_lists)
     return colors
 
@@ -362,9 +395,14 @@ def test_survey_is_unchanged_under_the_reference_refinement(monkeypatch):
     calls = []
 
     def reference(ranks, downs, ups):
-        # the reference's colors, with the key of the refinement under test
+        # the reference's colors, on up lists inverted from the down lists,
+        # with the key of the refinement under test
         calls.append(ranks)
-        return oracles.reference_refine(ranks, downs, ups), refine(ranks, downs, ups)[1]
+        up_lists = [[] for _ in downs]
+        for i, down in enumerate(downs):
+            for j in down:
+                up_lists[j].append(i)
+        return oracles.reference_refine(ranks, downs, up_lists), refine(ranks, downs, ups)[1]
 
     monkeypatch.setattr(poset, "_refine", reference)
     assert classes() == fast
@@ -621,7 +659,7 @@ def _swap_unlike_pair(cert, a):
     # members of every rank have equal covers
     _, up_masks = oracles._cover_masks(a)
     for r in range(1, a.span):
-        same = [i for i in range(len(a)) if a.ranks[i] == r]
+        same = [i for i, z in enumerate(a.members) if z.length - a.bottom.length == r]
         for u, v in itertools.combinations(same, 2):
             if (a.down_masks[u], up_masks[u]) != (a.down_masks[v], up_masks[v]):
                 index = dict(cert.index)

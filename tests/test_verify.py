@@ -203,7 +203,7 @@ def _unlike_pair(pair):
     a = build_interval(*pair)
     _, up_masks = oracles._cover_masks(a)
     for r in range(1, a.span):
-        same = [i for i in range(len(a)) if a.ranks[i] == r]
+        same = [i for i, z in enumerate(a.members) if z.length - a.bottom.length == r]
         for u, v in itertools.combinations(same, 2):
             if (a.down_masks[u], up_masks[u]) != (a.down_masks[v], up_masks[v]):
                 return a.members[u].ball_index, a.members[v].ball_index
