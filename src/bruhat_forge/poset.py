@@ -5,21 +5,27 @@ and its ball tables (weyl.ball).  No KL polynomial enters here, so the
 surveys' "isomorphic intervals share P_{x,y}" compares two invariants
 computed apart.
 
-Isomorphism search colors each member by one round of refinement, its
-(rank, down count, up count), and backtracks over color-respecting
-assignments in color order, which is rank order, checking cover
+Everything runs in the ball's numbering.  An interval is its ball bitset,
+and each member's down-covers are the ball's covers met with it, held as
+a mask over the layer one length below the member; the up-cover counts
+come from one table per top, by ball index.  Isomorphism search colors
+each member by one round of refinement, its (rank, down count, up
+count), and backtracks over color-respecting assignments from ball index
+to ball index in color order, which is rank order, checking cover
 preservation; Bruhat intervals are graded, so rank is forced and cover
 preservation suffices for order isomorphism.  The automorphism groups are
 small, so the search settles what that round leaves together with little
-backtracking.  Each [x, y] is cut from the down-cover lists and up-cover
-counts of [e, y], one table per top, and the round leaves
-``Interval.key``, which fixes the rank sizes, the survey's one bucket
-key; it keeps classes in founding order.
+backtracking, and the map it completes is the certificate.  The round
+leaves ``Interval.key``, which fixes the rank sizes, the survey's one
+bucket key; it keeps classes in founding order.  Only the readers that
+print or hash positions (to_json_obj, is_graded, fingerprint) translate
+the masks back to member positions.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, count
+from itertools import chain, compress, count
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from . import weyl
@@ -46,36 +52,38 @@ class Interval:
     """The graded poset on {z : x <= z <= y}, rank = l(z) - l(x).
 
     Members are indexed in (rank, canonical word) order, which is their
-    ball-index order, and ``mask`` holds them as a ball bitset.  Covers
-    are read from ``table``, the cover_table of the top: down-covers kept
-    where they stay inside, up counts as they are.  ``down_masks[i]``
-    holds, as a position bitset, the members that member i covers.
-    ``colors``, which carry the ranks, and their invariant ``key`` (see
-    _refine) are one round of refinement over those covers: equal keys do
-    not make intervals isomorphic, the search decides that.
+    ball-index order, and ``mask`` holds them as a ball bitset.
+    ``down_masks[i]`` holds the members that member i covers, its
+    down-covers in the ball (weyl.ball) met with ``mask``, as a bitset
+    over the layer one length below it: bit k is the k-th element of
+    weyl.elements_of_length(l(z_i) - 1).  Up counts are read by ball
+    index from ``ups``, the cover_table of the top.  ``colors``, which
+    carry the ranks, and their invariant ``key`` (see _refine) are one
+    round of refinement over those covers: equal keys do not make
+    intervals isomorphic, the search decides that.
     """
 
     __slots__ = (
         "bottom", "top", "members", "mask", "span", "rank_sizes", "down_masks", "colors", "key",
     )
 
-    def __init__(self, bottom: Element, top: Element, table: tuple):
-        top_members, local, top_downs, top_ups = table
+    def __init__(self, bottom: Element, top: Element, ups: list[int]):
         self.bottom = bottom
         self.top = top
-        self.mask = interval_mask(bottom, top)
-        # the members' positions in the table, by one pass in C over flags
-        chosen = list(compress(local, _flags(self.mask)))
-        position = dict(zip(chosen, count()))
-        self.members = tuple(map(top_members.__getitem__, chosen))
+        self.mask = mask = interval_mask(bottom, top)
+        self.members = weyl.ball_elements(mask)
+        lengths, _, covers, _, starts = weyl.ball(top.length)
+        index = _indices(mask)
         base = bottom.length
-        ranks = [z.length - base for z in self.members]
+        ranks = [lengths[i] - base for i in index]
         self.span = top.length - base
         self.rank_sizes = tuple(ranks.count(r) for r in range(self.span + 1))
-        downs = [[position[q] for q in top_downs[p] if q in position] for p in chosen]
-        self.down_masks = tuple(sum(map((1).__lshift__, down)) for down in downs)
+        # the bottom covers no member, so its shift (by starts[-1] at e) is moot
+        self.down_masks = tuple([(covers[i] & mask) >> starts[lengths[i] - 1] for i in index])
         # every member covering a member of [x, y] lies in [x, y]: same up counts
-        self.colors, self.key = _refine(ranks, downs, map(top_ups.__getitem__, chosen))
+        self.colors, self.key = _refine(
+            ranks, map(int.bit_count, self.down_masks), map(ups.__getitem__, index)
+        )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -89,16 +97,28 @@ class Interval:
             f"size={len(self.members)})"
         )
 
+    def _position_masks(self) -> list[int]:
+        """down_masks over the member positions: bit p of entry i is set
+        when member i covers member p."""
+        index = _indices(self.mask)
+        position = dict(zip(index, count()))
+        lengths, _, _, _, starts = weyl.ball(self.top.length)
+        return [
+            sum(1 << position[starts[lengths[i] - 1] + k] for k in _bits(down))
+            for i, down in zip(index, self.down_masks)
+        ]
+
     def is_graded(self) -> bool:
         """Every maximal chain climbs one rank at a time from x to y."""
         if self.rank_sizes[0] != 1 or self.rank_sizes[-1] != 1:
             return False
         # members are in rank order, bottom first and top last; a member is
         # covered exactly when its bit is set in some down mask
+        masks = self._position_masks()
         covered = 0
-        for mask in self.down_masks:
+        for mask in masks:
             covered |= mask
-        return covered == (1 << len(self.members) - 1) - 1 and all(self.down_masks[1:])
+        return covered == (1 << len(self.members) - 1) - 1 and all(masks[1:])
 
     def to_json_obj(self) -> dict:
         return {
@@ -106,20 +126,25 @@ class Interval:
             "top": self.top.word(),
             "members": [z.word() for z in self.members],
             "covers": sorted(
-                [i, j] for j, mask in enumerate(self.down_masks) for i in _bits(mask)
+                [i, j] for j, mask in enumerate(self._position_masks()) for i in _bits(mask)
             ),
         }
 
 
-def _refine(ranks: list[int], downs: list, ups: Iterable[int]) -> tuple[tuple[int, ...], int]:
+def _indices(mask: int) -> list[int]:
+    """The set bits of a dense ``mask``, lowest first, by one pass in C."""
+    return list(compress(count(), _flags(mask)))
+
+
+def _refine(ranks: list[int], downs: Iterable, ups: Iterable) -> tuple[tuple[int, ...], int]:
     """One round of color refinement, and a key: member i's color is the
     index of its (rank, down count, up count) in the sorted palette of
-    those triples, so color order is rank order; ``downs[i]`` lists the
-    members it covers and ``ups[i]`` counts those covering it.
+    those triples, so color order is rank order; ``downs[i]`` counts the
+    members it covers and ``ups[i]`` those covering it.
     Neither depends on the member numbering, so isomorphic intervals share
     colors up to relabelling and share keys; is_isomorphic does the rest.
     """
-    data = [(r, len(down), up) for r, down, up in zip(ranks, downs, ups)]
+    data = list(zip(ranks, downs, ups))
     palette = sorted(set(data))
     index = {d: c for c, d in enumerate(palette)}
     colors = tuple(map(index.__getitem__, data))
@@ -132,20 +157,16 @@ def interval_mask(x: Element, y: Element) -> int:
     return y.ideal & weyl.upper_set(x, y.length)
 
 
-def cover_table(y: Element) -> tuple:
-    """The covers of [e, y], cut by Interval to each [x, y]: its members in
-    ball order; ``local``, by ball index, each member's position among
-    them; per position, the positions of the members it covers (the rest
-    of its lower ideal one length down) and the count of those covering
-    it."""
-    members = weyl.ball_elements(y.ideal)
+def cover_table(y: Element) -> list[int]:
+    """The up-cover counts of [e, y] by ball index: entry i, for i up to
+    y's ball index, counts the members of [e, y] covering element i (0
+    off the ideal).  Interval reads its members' up counts here and their
+    down-covers straight off the ball's covers."""
     covers = weyl.ball(y.length).covers
-    local = list(accumulate(_flags(y.ideal), initial=0))
-    downs = [[local[i] for i in _bits(covers[z.ball_index])] for z in members]
-    ups = [0] * len(members)
-    for q in chain.from_iterable(downs):
+    ups = [0] * (y.ball_index + 1)
+    for q in chain.from_iterable(map(_bits, map(covers.__getitem__, _indices(y.ideal)))):
         ups[q] += 1
-    return members, local, downs, ups
+    return ups
 
 
 def build_interval(x: Element, y: Element) -> Interval:
@@ -211,7 +232,8 @@ class IsoCertificate:
         # the keys are distinct, so equal counts make the images distinct
         if domain != members_a or image != members_b or image.bit_count() != len(index):
             return False
-        lengths, _, lower_covers, _ = weyl.ball(max(ay.length, by.length))
+        table = weyl.ball(max(ay.length, by.length))
+        lengths, lower_covers = table.lengths, table.covers
         shift = bx.length - ax.length
         for i, j in index.items():
             if lengths[j] - lengths[i] != shift:
@@ -280,46 +302,58 @@ def is_automorphism(act: tuple[int, ...], max_length: int) -> bool:
 def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
     """A certificate iff the two intervals are order isomorphic.
 
-    Deterministic for fixed inputs: members are scanned by color, in
-    canonical order within one, and the first completed assignment wins.
+    The search maps ball index to ball index: a member's required image
+    covers are the images of its down-covers, read as a mask over the
+    image layer, and compared with the down masks of b, which are kept
+    over that layer.  Deterministic for fixed inputs: members are scanned
+    by color, in canonical order within one, candidates in canonical
+    order, and the first completed assignment, which is the certificate's
+    index, wins.
     """
     if a.rank_sizes != b.rank_sizes:  # so spans and sizes agree
         return None
     ca, cb = a.colors, b.colors
     if sorted(ca) != sorted(cb):
         return None
-    n = len(a.members)
-    by_color_b: dict[int, list[int]] = {}
-    for j, c in enumerate(cb):
-        by_color_b.setdefault(c, []).append(j)
-    # stable, and color order is rank order: down-covers are mapped first
-    order = sorted(range(n), key=ca.__getitem__)
-    amap = [-1] * n
-    used = 0
+    # ball indices as the int objects the members hold, shared by the index
+    ball_index = attrgetter("ball_index")
+    by_color_b: dict[int, list[tuple[int, int]]] = {}
+    for j, c, down in zip(map(ball_index, b.members), cb, b.down_masks):
+        by_color_b.setdefault(c, []).append((j, down))
+    table = weyl.ball(max(a.top.length, b.top.length))
+    lengths, starts = table.lengths, table.starts
+    shift = b.bottom.length - a.bottom.length
+    # stable, and color order is rank order: down-covers are mapped first;
+    # per member, its ball index, its down mask, the first ball indices of
+    # the layers below it and below its image, and its candidates in b
+    members_a = sorted(zip(ca, map(ball_index, a.members), a.down_masks), key=itemgetter(0))
+    steps = [
+        (i, down, starts[lengths[i] - 1], starts[lengths[i] - 1 + shift], by_color_b[c])
+        for c, i, down in members_a
+    ]
+    n = len(steps)
+    # an entry left by a failed branch is set again before it is read
+    index: dict[int, int] = {}
+    used: set[int] = set()
 
     def extend(pos: int) -> bool:
-        nonlocal used
         if pos == n:
             return True
-        i = order[pos]
-        req = sum(1 << amap[k] for k in _bits(a.down_masks[i]))
-        for j in by_color_b.get(ca[i], ()):
-            bit = 1 << j
-            if used & bit or b.down_masks[j] != req:
+        i, down, start, image_start, candidates = steps[pos]
+        req = 0
+        for k in _bits(down):
+            req |= 1 << index[start + k] - image_start
+        for j, image_down in candidates:
+            if image_down != req or j in used:
                 continue
-            amap[i] = j
-            used |= bit
+            index[i] = j
+            used.add(j)
             if extend(pos + 1):
                 return True
-            amap[i] = -1
-            used &= ~bit
+            used.discard(j)
         return False
 
-    if not extend(0):
-        return None
-    return IsoCertificate(
-        {z.ball_index: b.members[j].ball_index for z, j in zip(a.members, amap)}
-    )
+    return IsoCertificate(index) if extend(0) else None
 
 
 def fingerprint(a: Interval) -> str:
@@ -333,7 +367,7 @@ def fingerprint(a: Interval) -> str:
     import hashlib  # loaded only here: it maps libcrypto into the process
     colors = a.colors
     edge_profile = sorted(
-        (colors[i], cj) for cj, mask in zip(colors, a.down_masks) for i in _bits(mask)
+        (colors[i], cj) for cj, mask in zip(colors, a._position_masks()) for i in _bits(mask)
     )
     blob = repr((a.span, a.rank_sizes, sorted(colors), edge_profile))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

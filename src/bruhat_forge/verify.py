@@ -233,17 +233,19 @@ def interval_survey(max_length: int) -> Survey:
     of the G-orbit of (x, y) is the least (tau y, tau x) over the weyl.ball
     action lists.  No orbit table is kept: to_low[j] and from_low[j] hold
     the lists, in SYMMETRY_GROUP order, carrying element j onto its least
-    image and back.  Only first pairs are built, from one poset.cover_table
-    per top, each bucketed by Interval.key and searched against the
-    representatives in its bucket; only a founder of a class keeps its
-    Interval, until the last is classified.  Classes stay in founding
-    order.  Every other pair (tau x, tau y) takes the class of
-    its first pair (x, y) and the ComposedCertificate of c with the
-    least-k tau_k carrying (x, y) onto it, c being the certificate of
-    (x, y) or, for a representative, a poset.IdentityCertificate of the
-    pair alone.  The first pair of a class is the first of its orbit, so
-    representatives, class ids and member order are those of classifying
-    every pair.
+    image and back.  Only first pairs are built: the tops least in their
+    orbits, each bottom unless a list fixing its top lowers it, each
+    interval cut in ball indices from one poset.cover_table per top,
+    bucketed by Interval.key and searched against the representatives in
+    its bucket; only a founder of a class keeps its Interval, until the
+    last is classified.  Classes stay in founding order.  Every other pair
+    (tau x, tau y) takes the class of its first pair (x, y) and the
+    ComposedCertificate of c with the least-k tau_k carrying (x, y) onto
+    it (the one list, when the least image of y has a trivial
+    stabiliser), c being the certificate of (x, y) or, for a
+    representative, a poset.IdentityCertificate of the pair alone.  The
+    first pair of a class is the first of its orbit, so representatives,
+    class ids and member order are those of classifying every pair.
     """
     _within_kl_cap(max_length)
     pairs = _interval_pairs(max_length)
@@ -257,37 +259,46 @@ def interval_survey(max_length: int) -> Survey:
     # key -> (class, representative Interval) entries in creation order
     buckets: dict[int, list[tuple[IsoClass, poset.Interval]]] = {}
     classes: list[IsoClass] = []
-    top = table = None
-    for x, y in pairs:
-        i, j = x.ball_index, y.ball_index
-        # a pair is first in its orbit iff its top is its least image over
-        # G and no list fixing the top lowers its bottom
-        if j != low[j] or min(act[i] for act in to_low[j]) != i:
+    for j, y in enumerate(weyl.enumerate_up_to_length(max_length)):
+        if j != low[j]:
             continue
-        if y is not top:
-            top, table = y, poset.cover_table(y)
-        interval = poset.Interval(x, y, table)
-        bucket = buckets.setdefault(interval.key, [])
-        for cls, rep in bucket:
-            cert = is_isomorphic(interval, rep)
-            if cert is not None:
-                placed[j, i] = (cls, cert)
-                break
-        else:
-            cls = IsoClass(rep=(x, y), members=[], certs={})
-            bucket.append((cls, interval))
-            classes.append(cls)
-            placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
+        # the lists fixing y; a bottom is first iff none of them lowers it
+        stabiliser = to_low[j] if len(to_low[j]) > 1 else ()
+        ups = poset.cover_table(y)
+        for x in weyl.lower_interval(y)[:-1]:
+            i = x.ball_index
+            if stabiliser and min(act[i] for act in stabiliser) != i:
+                continue
+            interval = poset.Interval(x, y, ups)
+            bucket = buckets.setdefault(interval.key, [])
+            for cls, rep in bucket:
+                cert = is_isomorphic(interval, rep)
+                if cert is not None:
+                    placed[j, i] = (cls, cert)
+                    break
+            else:
+                cls = IsoClass(rep=(x, y), members=[], certs={})
+                bucket.append((cls, interval))
+                classes.append(cls)
+                placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
     # the representatives' intervals go before any certificate is composed
-    del buckets, table
+    del buckets, ups
 
+    top = None
     for pair in pairs:
-        i, j = pair[0].ball_index, pair[1].ball_index
-        fj, fi = low[j], min(act[i] for act in to_low[j])
-        cls, cert = placed[fj, fi]
+        x, y = pair
+        if y is not top:
+            top, j = y, y.ball_index
+            to, back = to_low[j], from_low[j]
+        i = x.ball_index
+        if len(to) == 1:
+            fi, act = to[0][i], back[0]
+        else:
+            fi = min(act[i] for act in to)
+            act = next(act for act in back if act[fi] == i)
+        cls, cert = placed[low[j], fi]
         cls.members.append(pair)
-        if (fi, fj) != (i, j):
-            act = next(act for act in from_low[j] if act[fi] == i)
+        if (fi, low[j]) != (i, j):
             cls.certs[pair] = poset.ComposedCertificate(cert, act)
         elif pair != cls.rep:
             cls.certs[pair] = cert

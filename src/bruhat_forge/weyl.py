@@ -380,12 +380,14 @@ class Ball(NamedTuple):
     lengths, their upper sets, and their down-covers (the elements one
     length below them in their lower ideals) as ball bitsets.
     ``actions[k][i]`` is the ball index of SYMMETRY_GROUP[k] applied to
-    element i, one list per symmetry in SYMMETRY_GROUP order."""
+    element i, one list per symmetry in SYMMETRY_GROUP order.
+    ``starts[n]`` is the ball index of the first element of length n."""
 
     lengths: tuple[int, ...]
     uppers: tuple[int, ...]
     covers: tuple[int, ...]
     actions: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
 
 
 @functools.cache
@@ -397,8 +399,8 @@ def ball(max_length: int) -> Ball:
     # are the rest of its ideal cut to the layer below; each symmetry
     # maps the layer onto itself
     if max_length < 0:
-        return Ball((), (), (), ((),) * len(SYMMETRY_GROUP))
-    lengths, uppers, covers, actions = ball(max_length - 1)
+        return Ball((), (), (), ((),) * len(SYMMETRY_GROUP), ())
+    lengths, uppers, covers, actions, starts = ball(max_length - 1)
     layer = elements_of_length(max_length)
     start = _layer_start(max_length - 1)
     ups = list(uppers)
@@ -412,7 +414,9 @@ def ball(max_length: int) -> Ball:
             ups[i] |= bit
     images = (tuple(tau.apply(w).ball_index for w in layer) for tau in SYMMETRY_GROUP)
     actions = tuple(act + image for act, image in zip(actions, images))
-    return Ball(lengths + (max_length,) * len(layer), tuple(ups), covers + tuple(downs), actions)
+    starts += (len(lengths),)
+    lengths += (max_length,) * len(layer)
+    return Ball(lengths, tuple(ups), covers + tuple(downs), actions, starts)
 
 
 def ball_element(i: int) -> Element:

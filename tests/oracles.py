@@ -423,12 +423,28 @@ def reference_fingerprint(interval, colors=None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def position_down_masks(interval) -> tuple[int, ...]:
+    """interval.down_masks over member positions: bit k of down mask i
+    names the k-th element of weyl.elements_of_length(l(z_i) - 1), found
+    among the members by a dict, so bit p of the result is set when
+    member i covers member p."""
+    from bruhat_forge import weyl
+
+    members = interval.members
+    position = {z: p for p, z in enumerate(members)}
+    out = []
+    for z, down in zip(members, interval.down_masks):
+        layer = weyl.elements_of_length(z.length - 1) if z.length else ()
+        out.append(sum(1 << position[layer[k]] for k in _bits(down)))
+    return tuple(out)
+
+
 def reference_interval(x, y):
     """[x, y] built on its own, with no cover table: a position dict over
     its members, and the down-covers of each member read bit by bit off
     the ball's covers met with the interval mask.  A namespace holding
-    members, mask, down_masks, and the colors and key of
-    reference_round_one."""
+    members, mask, down_masks over member positions, and the colors and
+    key of reference_round_one."""
     from types import SimpleNamespace
 
     from bruhat_forge import poset, weyl
@@ -454,6 +470,37 @@ def reference_interval(x, y):
     return SimpleNamespace(
         members=members, mask=mask, down_masks=tuple(down_masks), colors=colors, key=key
     )
+
+
+def reference_readers(x, y) -> tuple[dict, bool, str]:
+    """What the CLI and the tests read off [x, y], from reference_interval
+    and its position down masks, as poset computed them over positions:
+    the to_json_obj dict, is_graded, and the fingerprint of the one-round
+    colors."""
+    ref = reference_interval(x, y)
+    masks, colors = ref.down_masks, ref.colors
+    obj = {
+        "bottom": x.word(),
+        "top": y.word(),
+        "members": [z.word() for z in ref.members],
+        "covers": sorted([i, j] for j, mask in enumerate(masks) for i in _bits(mask)),
+    }
+    sizes = [0] * (y.length - x.length + 1)
+    for z in ref.members:
+        sizes[z.length - x.length] += 1
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    graded = (
+        sizes[0] == sizes[-1] == 1
+        and covered == (1 << len(masks) - 1) - 1
+        and all(masks[1:])
+    )
+    edge_profile = sorted(
+        (colors[i], cj) for cj, mask in zip(colors, masks) for i in _bits(mask)
+    )
+    blob = repr((y.length - x.length, tuple(sizes), sorted(colors), edge_profile))
+    return obj, graded, hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # -- brute-force interval isomorphism ----------------------------------------
@@ -501,9 +548,10 @@ def brute_force_isomorphic(a, b) -> bool:
 
 def reference_is_isomorphic(a, b):
     """poset.is_isomorphic as it was with the search keyed on (rank,
-    color): candidates in b share a member's rank and color, and a's
-    members are scanned by (rank, color, position).  A certificate, or
-    None."""
+    color) and run over member positions: candidates in b share a
+    member's rank and color, a's members are scanned by (rank, color,
+    position), and the covers are position_down_masks.  A certificate,
+    or None."""
     from bruhat_forge.poset import IsoCertificate
 
     if a.rank_sizes != b.rank_sizes:
@@ -517,6 +565,7 @@ def reference_is_isomorphic(a, b):
     for j in range(n):
         by_color_b.setdefault((ranks_b[j], cb[j]), []).append(j)
     order = sorted(range(n), key=lambda i: (ranks_a[i], ca[i], i))
+    downs_a, downs_b = position_down_masks(a), position_down_masks(b)
     amap = [-1] * n
     used = 0
 
@@ -525,10 +574,10 @@ def reference_is_isomorphic(a, b):
         if pos == n:
             return True
         i = order[pos]
-        req = sum(1 << amap[k] for k in _bits(a.down_masks[i]))
+        req = sum(1 << amap[k] for k in _bits(downs_a[i]))
         for j in by_color_b.get((ranks_a[i], ca[i]), ()):
             bit = 1 << j
-            if used & bit or b.down_masks[j] != req:
+            if used & bit or downs_b[j] != req:
                 continue
             amap[i] = j
             used |= bit

@@ -50,7 +50,8 @@ def test_build_examples():
 
 def test_interval_order_matches_subword_oracle_to_length_7():
     # every [x, y] with l(y) <= 7, x = y included, against the subword
-    # property: oracles.leq_masks is the order and down_masks the covers
+    # property: oracles.leq_masks is the order and down_masks, read over
+    # member positions, the covers
     below = {y: oracles.subword_lower_set(y) for y in weyl.enumerate_up_to_length(7)}
     checked = 0
     for y, lower in below.items():
@@ -59,12 +60,13 @@ def test_interval_order_matches_subword_oracle_to_length_7():
             members = interval.members
             assert set(members) == {z for z in lower if x in below[z]}
             leq_masks = oracles.leq_masks(interval)
+            down_masks = oracles.position_down_masks(interval)
             for i, zi in enumerate(members):
                 for j, zj in enumerate(members):
                     leq = zi in below[zj]
                     assert leq_masks[i] >> j & 1 == leq, (x, y, zi, zj)
                     cover = leq and zj.length == zi.length + 1
-                    assert interval.down_masks[j] >> i & 1 == cover, (x, y, zi, zj)
+                    assert down_masks[j] >> i & 1 == cover, (x, y, zi, zj)
             checked += 1
     assert checked == 1969
 
@@ -75,6 +77,16 @@ def test_interval_json():
     assert obj["members"] == ["", "1", "2", "12", "21", "121"]
     assert [0, 1] in obj["covers"]
     assert all(i < j for i, j in obj["covers"])
+    # what the CLI and the tests read, translated from the layer masks back
+    # to member positions, against the position-space reference
+    checked = 0
+    for y in weyl.enumerate_up_to_length(7):
+        for x in weyl.lower_interval(y):
+            interval = build_interval(x, y)
+            read = interval.to_json_obj(), interval.is_graded(), fingerprint(interval)
+            assert read == oracles.reference_readers(x, y), (x, y)
+            checked += 1
+    assert checked == 1969
 
 
 def test_gradedness_to_length_6():
@@ -87,7 +99,8 @@ def test_is_graded_rejects_a_member_left_uncovered_or_covering_nothing():
     assert uncovered.is_graded()
     top = len(uncovered) - 1
     downs = list(uncovered.down_masks)
-    downs[top] &= ~(1 << top - 1)  # the last coatom is no longer covered by the top
+    # the last coatom, the top bit of the top's layer mask, is no longer covered
+    downs[top] &= ~(1 << downs[top].bit_length() - 1)
     uncovered.down_masks = tuple(downs)
     assert not uncovered.is_graded()
     covering_nothing = build_interval(ID, from_word("121"))
@@ -256,8 +269,12 @@ def test_colors_and_fingerprint_match_reference_to_length_8():
 
 
 def _built_fields(interval) -> tuple:
-    names = ("members", "mask", "down_masks", "colors", "key")
-    return tuple(getattr(interval, name) for name in names)
+    # the package's layer masks are compared over member positions
+    names = ("members", "mask", "colors", "key")
+    fields = tuple(getattr(interval, name) for name in names)
+    if isinstance(interval, poset.Interval):
+        return fields + (oracles.position_down_masks(interval),)
+    return fields + (interval.down_masks,)
 
 
 def test_intervals_match_the_reference_builder():
@@ -286,14 +303,17 @@ def test_intervals_match_the_reference_builder():
 
 
 def test_cover_table_up_counts_match_the_reference_to_length_8():
-    # the table keeps only how many members cover each member of [e, y]:
-    # the lengths of the reference's up lists, read from the whole order
+    # the table keeps only how many members cover each member of [e, y],
+    # by ball index: the lengths of the reference's up lists, read from
+    # the whole order, and 0 off the ideal
     checked = 0
     for y in weyl.enumerate_up_to_length(8):
-        members, _, _, ups = poset.cover_table(y)
+        ups = poset.cover_table(y)
         interval = build_interval(ID, y)
-        assert list(members) == list(interval.members)
-        assert ups == [len(up) for up in oracles.reference_covers(interval)[1]], y
+        expected = [0] * (y.ball_index + 1)
+        for z, up in zip(interval.members, oracles.reference_covers(interval)[1]):
+            expected[z.ball_index] = len(up)
+        assert ups == expected, y
         checked += 1
     assert checked == 109
 
@@ -345,10 +365,10 @@ def _poset(sizes, covers):
 
 
 def _round_one(poset_lists):
-    # _refine, which reads up counts, against the round-one reference on
-    # the up lists: the same colors and key
+    # _refine, which reads down and up counts, against the round-one
+    # reference on the lists: the same colors and key
     ranks, downs, ups = poset_lists
-    colors, key = poset._refine(ranks, downs, map(len, ups))
+    colors, key = poset._refine(ranks, map(len, downs), map(len, ups))
     assert (colors, key) == oracles.reference_round_one(*poset_lists)
     return colors
 
@@ -391,20 +411,22 @@ def test_survey_is_unchanged_under_the_reference_refinement(monkeypatch):
         return [(cls.rep, cls.members) for cls in interval_survey(10).classes]
 
     fast = classes()
-    refine = poset._refine
+    build = poset.Interval.__init__
     calls = []
 
-    def reference(ranks, downs, ups):
-        # the reference's colors, on up lists inverted from the down lists,
-        # with the key of the refinement under test
-        calls.append(ranks)
+    def reference(self, bottom, top, ups):
+        # the reference's colors, on down lists read over member positions
+        # and up lists inverted from them, with the key under test
+        build(self, bottom, top, ups)
+        calls.append(len(self))
+        downs = [list(oracles._bits(m)) for m in oracles.position_down_masks(self)]
         up_lists = [[] for _ in downs]
         for i, down in enumerate(downs):
             for j in down:
                 up_lists[j].append(i)
-        return oracles.reference_refine(ranks, downs, up_lists), refine(ranks, downs, ups)[1]
+        self.colors = oracles.reference_refine(oracles.interval_ranks(self), downs, up_lists)
 
-    monkeypatch.setattr(poset, "_refine", reference)
+    monkeypatch.setattr(poset.Interval, "__init__", reference)
     assert classes() == fast
     assert calls
     interval_survey.cache_clear()

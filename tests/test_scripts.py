@@ -151,6 +151,20 @@ def test_survey_digest_is_pinned_at_length_12(tmp_path):
     ]
 
 
+def test_survey_digest_is_pinned_at_length_16(tmp_path):
+    # 49 tops least in their orbits have a non-trivial stabiliser and 453
+    # of 3687 searches fail (50 of 1098 at L=12), so this pins the
+    # stabiliser test of the bottoms and the failed searches more widely
+    proc = _run_script("survey_digest.py", "--max-length", "16", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "9eb4891bc570146ff60f6597d3221e7769a8b7ec38c6db8fd06a2da6c447f111",
+        "max_length=16",
+        "intervals=49560",
+        "classes=1432",
+    ]
+
+
 def test_render_figures_writes_gallery(tmp_path):
     out = tmp_path / "figs"
     proc = _run_script("render_figures.py", "--out-dir", str(out), cwd=tmp_path)
