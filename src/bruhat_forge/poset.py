@@ -24,7 +24,7 @@ the masks back to member positions.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count
+from itertools import compress, count
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
@@ -164,8 +164,9 @@ def cover_table(y: Element) -> list[int]:
     down-covers straight off the ball's covers."""
     covers = weyl.ball(y.length).covers
     ups = [0] * (y.ball_index + 1)
-    for q in chain.from_iterable(map(_bits, map(covers.__getitem__, _indices(y.ideal)))):
-        ups[q] += 1
+    for i in _indices(y.ideal):
+        for q in _bits(covers[i]):
+            ups[q] += 1
     return ups
 
 
@@ -331,29 +332,30 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
         (i, down, starts[lengths[i] - 1], starts[lengths[i] - 1 + shift], by_color_b[c])
         for c, i, down in members_a
     ]
-    n = len(steps)
-    # an entry left by a failed branch is set again before it is read
     index: dict[int, int] = {}
-    used: set[int] = set()
+    return IsoCertificate(index) if _extend(steps, 0, index, set()) else None
 
-    def extend(pos: int) -> bool:
-        if pos == n:
+
+def _extend(steps: list[tuple], pos: int, index: dict[int, int], used: set[int]) -> bool:
+    """is_isomorphic's search from ``steps[pos]`` on, depth first: whether
+    ``index`` completes, taking images outside ``used``.  An entry left by
+    a failed branch is set again before it is read.  A module function,
+    not a closure, so no call leaves a reference cycle for the collector."""
+    if pos == len(steps):
+        return True
+    i, down, start, image_start, candidates = steps[pos]
+    req = 0
+    for k in _bits(down):
+        req |= 1 << index[start + k] - image_start
+    for j, image_down in candidates:
+        if image_down != req or j in used:
+            continue
+        index[i] = j
+        used.add(j)
+        if _extend(steps, pos + 1, index, used):
             return True
-        i, down, start, image_start, candidates = steps[pos]
-        req = 0
-        for k in _bits(down):
-            req |= 1 << index[start + k] - image_start
-        for j, image_down in candidates:
-            if image_down != req or j in used:
-                continue
-            index[i] = j
-            used.add(j)
-            if extend(pos + 1):
-                return True
-            used.discard(j)
-        return False
-
-    return IsoCertificate(index) if extend(0) else None
+        used.discard(j)
+    return False
 
 
 def fingerprint(a: Interval) -> str:
