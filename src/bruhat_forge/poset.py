@@ -233,8 +233,7 @@ class IsoCertificate:
         # the keys are distinct, so equal counts make the images distinct
         if domain != members_a or image != members_b or image.bit_count() != len(index):
             return False
-        table = weyl.ball(max(ay.length, by.length))
-        lengths, lower_covers = table.lengths, table.covers
+        lengths, _, lower_covers, _, _ = weyl.ball(max(ay.length, by.length))
         shift = bx.length - ax.length
         for i, j in index.items():
             if lengths[j] - lengths[i] != shift:
@@ -321,8 +320,7 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
     by_color_b: dict[int, list[tuple[int, int]]] = {}
     for j, c, down in zip(map(ball_index, b.members), cb, b.down_masks):
         by_color_b.setdefault(c, []).append((j, down))
-    table = weyl.ball(max(a.top.length, b.top.length))
-    lengths, starts = table.lengths, table.starts
+    lengths, _, _, _, starts = weyl.ball(max(a.top.length, b.top.length))
     shift = b.bottom.length - a.bottom.length
     # stable, and color order is rank order: down-covers are mapped first;
     # per member, its ball index, its down mask, the first ball indices of
