@@ -7,12 +7,11 @@ same digest classify every interval alike.
 Usage: python scripts/survey_digest.py [--max-length 8]
 """
 
-import argparse
 import hashlib
 import json
 import sys
 
-from bruhat_forge import verify, weyl
+from bruhat_forge import cli, verify, weyl
 
 
 def digest(survey) -> str:
@@ -43,16 +42,10 @@ def digest(survey) -> str:
     return sha.hexdigest()
 
 
-def _length(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--max-length", type=_length, default=8)
+    # the CLI's parser and length type: usage errors exit 1, as the CLI's do
+    parser = cli._Parser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--max-length", type=cli._length, default=8)
     args = parser.parse_args()
     try:
         survey = verify.interval_survey(args.max_length)

@@ -7,8 +7,8 @@ computed apart.
 
 Everything runs in the ball's numbering.  An interval is its ball bitset,
 and each member's down-covers are the ball's covers met with it, held as
-a mask over the layer one length below the member; the up-cover counts
-come from one table per top, by ball index.  Isomorphism search colors
+a mask over the layer one length below the member; its up-cover count is
+the ball's up-covers met with it, counted.  Isomorphism search colors
 each member by one round of refinement, its (rank, down count, up
 count), and backtracks over color-respecting assignments from ball index
 to ball index in color order, which is rank order, checking cover
@@ -24,12 +24,12 @@ the masks back to member positions.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import count
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from . import weyl
-from .weyl import Element, _bits, _flags
+from .weyl import Element, _bits, _indices
 
 __all__ = [
     "Interval",
@@ -56,23 +56,24 @@ class Interval:
     ``down_masks[i]`` holds the members that member i covers, its
     down-covers in the ball (weyl.ball) met with ``mask``, as a bitset
     over the layer one length below it: bit k is the k-th element of
-    weyl.elements_of_length(l(z_i) - 1).  Up counts are read by ball
-    index from ``ups``, the cover_table of the top.  ``colors``, which
-    carry the ranks, and their invariant ``key`` (see _refine) are one
-    round of refinement over those covers: equal keys do not make
-    intervals isomorphic, the search decides that.
+    weyl.elements_of_length(l(z_i) - 1).  Up counts are the ball's
+    up-covers met with ``mask``, counted.  ``colors``, which carry the
+    ranks, and their invariant ``key`` (see _refine) are one round of
+    refinement over those covers: equal keys do not make intervals
+    isomorphic, the search decides that.
     """
 
     __slots__ = (
         "bottom", "top", "members", "mask", "span", "rank_sizes", "down_masks", "colors", "key",
     )
 
-    def __init__(self, bottom: Element, top: Element, ups: list[int]):
+    def __init__(self, bottom: Element, top: Element):
         self.bottom = bottom
         self.top = top
         self.mask = mask = interval_mask(bottom, top)
         self.members = weyl.ball_elements(mask)
-        lengths, _, covers, _, starts = weyl.ball(top.length)
+        table = weyl.ball(top.length)
+        lengths, covers, starts = table.lengths, table.covers, table.starts
         index = _indices(mask)
         base = bottom.length
         ranks = [lengths[i] - base for i in index]
@@ -80,10 +81,9 @@ class Interval:
         self.rank_sizes = tuple(ranks.count(r) for r in range(self.span + 1))
         # the bottom covers no member, so its shift (by starts[-1] at e) is moot
         self.down_masks = tuple([(covers[i] & mask) >> starts[lengths[i] - 1] for i in index])
-        # every member covering a member of [x, y] lies in [x, y]: same up counts
-        self.colors, self.key = _refine(
-            ranks, map(int.bit_count, self.down_masks), map(ups.__getitem__, index)
-        )
+        # an element covering a member of [x, y] and below y lies in [x, y]
+        ups = map(int.bit_count, map(mask.__and__, map(table.upcovers.__getitem__, index)))
+        self.colors, self.key = _refine(ranks, map(int.bit_count, self.down_masks), ups)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -102,9 +102,9 @@ class Interval:
         when member i covers member p."""
         index = _indices(self.mask)
         position = dict(zip(index, count()))
-        lengths, _, _, _, starts = weyl.ball(self.top.length)
+        table = weyl.ball(self.top.length)
         return [
-            sum(1 << position[starts[lengths[i] - 1] + k] for k in _bits(down))
+            sum(1 << position[table.starts[table.lengths[i] - 1] + k] for k in _bits(down))
             for i, down in zip(index, self.down_masks)
         ]
 
@@ -131,11 +131,6 @@ class Interval:
         }
 
 
-def _indices(mask: int) -> list[int]:
-    """The set bits of a dense ``mask``, lowest first, by one pass in C."""
-    return list(compress(count(), _flags(mask)))
-
-
 def _refine(ranks: list[int], downs: Iterable, ups: Iterable) -> tuple[tuple[int, ...], int]:
     """One round of color refinement, and a key: member i's color is the
     index of its (rank, down count, up count) in the sorted palette of
@@ -157,26 +152,13 @@ def interval_mask(x: Element, y: Element) -> int:
     return y.ideal & weyl.upper_set(x, y.length)
 
 
-def cover_table(y: Element) -> list[int]:
-    """The up-cover counts of [e, y] by ball index: entry i, for i up to
-    y's ball index, counts the members of [e, y] covering element i (0
-    off the ideal).  Interval reads its members' up counts here and their
-    down-covers straight off the ball's covers."""
-    covers = weyl.ball(y.length).covers
-    ups = [0] * (y.ball_index + 1)
-    for i in _indices(y.ideal):
-        for q in _bits(covers[i]):
-            ups[q] += 1
-    return ups
-
-
 def build_interval(x: Element, y: Element) -> Interval:
     """The interval [x, y]; raises NotComparableError when x is not below y."""
     if not weyl.bruhat_leq(x, y):
         raise NotComparableError(
             f"{x.word() or 'id'!s} is not below {y.word() or 'id'!s} in Bruhat order"
         )
-    return Interval(x, y, cover_table(y))
+    return Interval(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +215,8 @@ class IsoCertificate:
         # the keys are distinct, so equal counts make the images distinct
         if domain != members_a or image != members_b or image.bit_count() != len(index):
             return False
-        lengths, _, lower_covers, _, _ = weyl.ball(max(ay.length, by.length))
+        table = weyl.ball(max(ay.length, by.length))
+        lengths, lower_covers = table.lengths, table.covers
         shift = bx.length - ax.length
         for i, j in index.items():
             if lengths[j] - lengths[i] != shift:
@@ -260,7 +243,7 @@ class IdentityCertificate(IsoCertificate):
 
     @property
     def index(self) -> dict[int, int]:
-        return {i: i for i in _bits(interval_mask(*self.pair))}
+        return {i: i for i in _indices(interval_mask(*self.pair))}
 
     def apply(self, z: Element) -> Element:
         return z
@@ -320,7 +303,8 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
     by_color_b: dict[int, list[tuple[int, int]]] = {}
     for j, c, down in zip(map(ball_index, b.members), cb, b.down_masks):
         by_color_b.setdefault(c, []).append((j, down))
-    lengths, _, _, _, starts = weyl.ball(max(a.top.length, b.top.length))
+    table = weyl.ball(max(a.top.length, b.top.length))
+    lengths, starts = table.lengths, table.starts
     shift = b.bottom.length - a.bottom.length
     # stable, and color order is rank order: down-covers are mapped first;
     # per member, its ball index, its down mask, the first ball indices of

@@ -10,7 +10,7 @@ automorphisms (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
 ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
 so [x, y] and [tau x, tau y] are isomorphic.  Each orbit representative
 is classified, in the order the classes are founded, as soon as it is
-built from its top's cover table: bucketed by the key of one round of
+built from the ball tables: bucketed by the key of one round of
 color refinement, which fixes the rank sizes, searched against the class
 representatives in its bucket, and kept only if it founds a class,
 until the last orbit is classified.  The key only narrows the search:
@@ -235,10 +235,10 @@ def interval_survey(max_length: int) -> Survey:
     the lists, in SYMMETRY_GROUP order, carrying element j onto its least
     image and back.  Only first pairs are built: the tops least in their
     orbits, each bottom unless a list fixing its top lowers it, each
-    interval cut in ball indices from one poset.cover_table per top,
-    bucketed by Interval.key and searched against the representatives in
-    its bucket; only a founder of a class keeps its Interval, until the
-    last is classified.  Classes stay in founding order.  Every other pair
+    interval cut in ball indices from the weyl.ball tables, bucketed by
+    Interval.key and searched against the representatives in its bucket;
+    only a founder of a class keeps its Interval, until the last is
+    classified.  Classes stay in founding order.  Every other pair
     (tau x, tau y) takes the class of its first pair (x, y) and the
     ComposedCertificate of c with the least-k tau_k carrying (x, y) onto
     it (the one list, when the least image of y has a trivial
@@ -264,12 +264,11 @@ def interval_survey(max_length: int) -> Survey:
             continue
         # the lists fixing y; a bottom is first iff none of them lowers it
         stabiliser = to_low[j] if len(to_low[j]) > 1 else ()
-        ups = poset.cover_table(y)
         for x in weyl.lower_interval(y)[:-1]:
             i = x.ball_index
             if stabiliser and min(act[i] for act in stabiliser) != i:
                 continue
-            interval = poset.Interval(x, y, ups)
+            interval = poset.Interval(x, y)
             bucket = buckets.setdefault(interval.key, [])
             for cls, rep in bucket:
                 cert = is_isomorphic(interval, rep)
@@ -282,7 +281,7 @@ def interval_survey(max_length: int) -> Survey:
                 classes.append(cls)
                 placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
     # the representatives' intervals go before any certificate is composed
-    del buckets, ups
+    del buckets
 
     top = None
     for pair in pairs:

@@ -25,10 +25,11 @@ s[e, sw] for s in D_L(w) (Bjorner-Brenti, GTM 231, 2.2), with s[e, sw]
 one gather through the table.  Dense masks such as ideals are decoded and
 mapped in C over one 0/1 byte per bit, sparse ones such as covers bit by
 bit.  The upper sets {z : x <= z} within a length bound are the transpose
-of those ideals; ``ball(n)`` holds them with the lengths and down-covers.
-It also holds the one action of the symmetry group G on ball indices:
-for each tau, the ball index of tau w by that of w (tau preserves
-length, so each layer maps onto itself).
+of those ideals; ``ball(n)`` holds them with the lengths, the down-covers
+and their transpose, the up-covers, and the layer starts recorded by the
+enumeration.  It also holds the one action of the symmetry group G on
+ball indices: for each tau, the ball index of tau w by that of w (tau
+preserves length, so each layer maps onto itself).
 
 The symmetry group G (order 12) is generated by the diagram rotation rho
 (s0 -> s1 -> s2 -> s0), the diagram flip sigma (fixes s0, swaps s1 and
@@ -42,7 +43,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
@@ -377,15 +377,18 @@ def upper_set(x: Element, max_length: int) -> int:
 
 class Ball(NamedTuple):
     """The elements of length <= a bound, read by ball index: their
-    lengths, their upper sets, and their down-covers (the elements one
-    length below them in their lower ideals) as ball bitsets.
+    lengths, their upper sets, their down-covers (the elements one length
+    below them in their lower ideals) and their up-covers (the elements
+    one length above them whose down-covers hold them) as ball bitsets.
     ``actions[k][i]`` is the ball index of SYMMETRY_GROUP[k] applied to
     element i, one list per symmetry in SYMMETRY_GROUP order.
-    ``starts[n]`` is the ball index of the first element of length n."""
+    ``starts[n]`` is the ball index of the first element of length n, as
+    recorded by the enumeration."""
 
     lengths: tuple[int, ...]
     uppers: tuple[int, ...]
     covers: tuple[int, ...]
+    upcovers: tuple[int, ...]
     actions: tuple[tuple[int, ...], ...]
     starts: tuple[int, ...]
 
@@ -394,29 +397,34 @@ class Ball(NamedTuple):
 def ball(max_length: int) -> Ball:
     """The Ball table of the elements of length <= max_length."""
     # grown from the table one length down: each element of the new
-    # layer is maximal in the ball, so its upper set is itself, and it
-    # joins the upper set of everything in its ideal; its down-covers
-    # are the rest of its ideal cut to the layer below; each symmetry
-    # maps the layer onto itself
+    # layer is maximal in the ball, so its upper set is itself and it
+    # has no up-covers, and it joins the upper set of everything in its
+    # ideal; its down-covers are the rest of its ideal cut to the layer
+    # below, and it joins the up-covers of each; each symmetry maps the
+    # layer onto itself
     if max_length < 0:
-        return Ball((), (), (), ((),) * len(SYMMETRY_GROUP), ())
-    lengths, uppers, covers, actions, starts = ball(max_length - 1)
+        return Ball((), (), (), (), ((),) * len(SYMMETRY_GROUP), ())
+    below = ball(max_length - 1)
     layer = elements_of_length(max_length)
-    start = _layer_start(max_length - 1)
-    ups = list(uppers)
+    # at length 0 this is the end of the ball, and the identity covers nothing
+    start = _STARTS[max_length - 1]
+    ups = list(below.uppers)
+    upcovers = list(below.upcovers) + [0] * len(layer)
     downs = []
     for w in layer:
         bit = 1 << w.ball_index
         ups.append(bit)
         mask = w.ideal ^ bit
         downs.append(mask >> start << start)
-        for i in itertools.compress(itertools.count(), _flags(mask)):
+        for i in _indices(mask):
             ups[i] |= bit
+        for i in _bits(downs[-1]):
+            upcovers[i] |= bit
     images = (tuple(tau.apply(w).ball_index for w in layer) for tau in SYMMETRY_GROUP)
-    actions = tuple(act + image for act, image in zip(actions, images))
-    starts += (len(lengths),)
-    lengths += (max_length,) * len(layer)
-    return Ball(lengths, tuple(ups), covers + tuple(downs), actions, starts)
+    actions = tuple(act + image for act, image in zip(below.actions, images))
+    lengths = below.lengths + (max_length,) * len(layer)
+    starts = tuple(_STARTS[: max_length + 1])
+    return Ball(lengths, tuple(ups), below.covers + tuple(downs), tuple(upcovers), actions, starts)
 
 
 def ball_element(i: int) -> Element:
@@ -447,6 +455,11 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_TO_FLAGS)
 
 
+def _indices(mask: int) -> list[int]:
+    """The set bits of a dense ``mask``, lowest first, by one pass in C."""
+    return list(itertools.compress(itertools.count(), _flags(mask)))
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -462,6 +475,9 @@ def _bits(mask: int) -> Iterator[int]:
 _BALL: list[Element] = [_IDENTITY]
 _IDENTITY._index = 0
 _IDENTITY._word = ""
+# _STARTS[n] is the ball index of the first element of length n; one entry
+# past the last layer holds len(_BALL), so layer n is _BALL[_STARTS[n]:_STARTS[n + 1]]
+_STARTS: list[int] = [0, 1]
 # _LEFT[s][i] is the ball index of s w for the element w with ball index i,
 # or -1 while s w lies beyond the enumerated layers
 _LEFT: tuple[list[int], list[int], list[int]] = ([-1], [-1], [-1])
@@ -484,7 +500,7 @@ def elements_of_length(n: int) -> tuple[Element, ...]:
         # each left ascent u = s w of the last layer, with its pairs (s, w): those s are its
         # left descents, its word is s + word(w) for the least s, each pair fills two _LEFT entries
         below: dict[Element, dict[int, Element]] = {}
-        for w in _BALL[_layer_start(depth - 1) :]:
+        for w in _BALL[_STARTS[depth - 1] :]:
             for s in {0, 1, 2} - w.left_descents():
                 below.setdefault(w.left_mult(s), {})[s] = w
         for u, down in below.items():
@@ -500,12 +516,8 @@ def elements_of_length(n: int) -> tuple[Element, ...]:
                 _LEFT[s][i] = w._index
                 _LEFT[s][w._index] = i
         _BALL.extend(layer)
-    return tuple(_BALL[_layer_start(n) : _layer_start(n + 1)])
-
-
-def _layer_start(n: int) -> int:
-    """The number of enumerated elements shorter than n (a layer's first ball index)."""
-    return bisect_left(_BALL, n, key=Element.length.fget)
+        _STARTS.append(len(_BALL))
+    return tuple(_BALL[_STARTS[n] : _STARTS[n + 1]])
 
 
 def enumerate_up_to_length(max_length: int) -> tuple[Element, ...]:
@@ -515,7 +527,7 @@ def enumerate_up_to_length(max_length: int) -> tuple[Element, ...]:
     4
     """
     elements_of_length(max_length)  # checks the bound, then fills every layer up to it
-    return tuple(_BALL[: _layer_start(max_length + 1)])
+    return tuple(_BALL[: _STARTS[max_length + 1]])
 
 
 # ---------------------------------------------------------------------------

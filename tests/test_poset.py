@@ -287,33 +287,34 @@ def test_intervals_match_the_reference_builder():
             checked += 1
     assert checked == 3180 + 109
     # and every orbit-first [x, y] at L=12, cut as the survey cuts them
-    # from one cover table per top
+    # from the ball tables
     actions = weyl.ball(12).actions
     checked = 0
     for y in weyl.enumerate_up_to_length(12):
-        table = poset.cover_table(y)
         for x in weyl.lower_interval(y):
             i, j = x.ball_index, y.ball_index
             if x == y or min((act[j], act[i]) for act in actions) != (j, i):
                 continue
             expected = _built_fields(oracles.reference_interval(x, y))
-            assert _built_fields(poset.Interval(x, y, table)) == expected, (x, y)
+            assert _built_fields(poset.Interval(x, y)) == expected, (x, y)
             checked += 1
     assert checked == 1515
 
 
-def test_cover_table_up_counts_match_the_reference_to_length_8():
-    # the table keeps only how many members cover each member of [e, y],
-    # by ball index: the lengths of the reference's up lists, read from
-    # the whole order, and 0 off the ideal
+def test_ball_up_covers_match_the_reference_to_length_8():
+    # the up-covers are the transpose of the down-covers, and met with
+    # [e, y] they count the reference's up lists, read from the whole order
+    for n in range(9):
+        table = weyl.ball(n)
+        for p, ups in enumerate(table.upcovers):
+            for q, downs in enumerate(table.covers):
+                assert (ups >> q & 1) == (downs >> p & 1), (n, p, q)
+    upcovers = weyl.ball(8).upcovers
     checked = 0
     for y in weyl.enumerate_up_to_length(8):
-        ups = poset.cover_table(y)
         interval = build_interval(ID, y)
-        expected = [0] * (y.ball_index + 1)
         for z, up in zip(interval.members, oracles.reference_covers(interval)[1]):
-            expected[z.ball_index] = len(up)
-        assert ups == expected, y
+            assert (upcovers[z.ball_index] & interval.mask).bit_count() == len(up), (y, z)
         checked += 1
     assert checked == 109
 
@@ -414,10 +415,10 @@ def test_survey_is_unchanged_under_the_reference_refinement(monkeypatch):
     build = poset.Interval.__init__
     calls = []
 
-    def reference(self, bottom, top, ups):
+    def reference(self, bottom, top):
         # the reference's colors, on down lists read over member positions
         # and up lists inverted from them, with the key under test
-        build(self, bottom, top, ups)
+        build(self, bottom, top)
         calls.append(len(self))
         downs = [list(oracles._bits(m)) for m in oracles.position_down_masks(self)]
         up_lists = [[] for _ in downs]

@@ -83,6 +83,7 @@ LENGTH_OPTIONS = [
     ("isomorphism_census.py", "--max-length"),
     ("run_full_verification.py", "--max-length"),
     ("render_figures.py", "--radius"),
+    ("survey_digest.py", "--max-length"),
 ]
 
 

@@ -351,6 +351,15 @@ def test_upper_sets_and_ball_bitsets_to_length_7():
         below = weyl.ball_elements(table.covers[i])
         assert below == tuple(z for z in ball if z.length == w.length - 1 and bruhat_leq(z, w))
     assert weyl.ball_elements(identity().ideal) == (identity(),)
+    # the layer starts are those the enumeration recorded, also once it
+    # has run past the table's bound
+    longer = enumerate_up_to_length(12)
+    assert weyl.ball(7).starts == tuple(table.lengths.index(k) for k in range(8))
+    lengths = [z.length for z in longer]
+    for k in range(13):
+        layer, start = weyl.elements_of_length(k), lengths.index(k)
+        assert longer[start : start + len(layer)] == layer
+        assert lengths.count(k) == len(layer)
 
 
 def test_bit_elements_read_every_mask_like_ball_elements():
