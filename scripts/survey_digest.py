@@ -21,12 +21,14 @@ def digest(survey) -> str:
     one class at a time with the separators json.dumps writes, so no more
     than one class is ever held as JSON."""
 
+    # the word of each ball index, read once per digest
+    table = [z.word() for z in weyl.enumerate_up_to_length(survey.max_length)]
+
     def words(pair):
-        return [z.word() for z in pair]
+        return [table[z.ball_index] for z in pair]
 
     def word_map(cert):
-        at = weyl.ball_element
-        return sorted((at(i).word(), at(j).word()) for i, j in cert.index.items())
+        return sorted((table[i], table[j]) for i, j in cert.index.items())
 
     sha = hashlib.sha256(b"[[")
     for k, cls in enumerate(survey.classes):

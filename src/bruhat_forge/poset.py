@@ -13,13 +13,13 @@ each member by one round of refinement, its (rank, down count, up
 count), and backtracks over color-respecting assignments from ball index
 to ball index in color order, which is rank order, checking cover
 preservation; Bruhat intervals are graded, so rank is forced and cover
-preservation suffices for order isomorphism.  The automorphism groups are
-small, so the search settles what that round leaves together with little
-backtracking, and the map it completes is the certificate.  The round
-leaves ``Interval.key``, which fixes the rank sizes, the survey's one
-bucket key; it keeps classes in founding order.  Only the readers that
-print or hash positions (to_json_obj, is_graded, fingerprint) translate
-the masks back to member positions.
+preservation suffices for order isomorphism.  The automorphism groups
+are small, so the search settles what that round leaves together with
+little backtracking; the map it completes, and each restriction of it,
+is a certificate.  The round leaves ``Interval.key``, which fixes the
+rank sizes, the survey's one bucket key; it keeps classes in founding
+order.  Only the readers that print or hash positions (to_json_obj,
+is_graded, fingerprint) translate the masks back to member positions.
 """
 
 from __future__ import annotations
@@ -299,10 +299,10 @@ def is_isomorphic(a: Interval, b: Interval) -> Optional[IsoCertificate]:
     if sorted(ca) != sorted(cb):
         return None
     # ball indices as the int objects the members hold, shared by the index
-    ball_index = attrgetter("ball_index")
-    by_color_b: dict[int, list[tuple[int, int]]] = {}
+    ball_index = attrgetter("_index")
+    by_color_b: dict[int, dict[int, list[int]]] = {}
     for j, c, down in zip(map(ball_index, b.members), cb, b.down_masks):
-        by_color_b.setdefault(c, []).append((j, down))
+        by_color_b.setdefault(c, {}).setdefault(down, []).append(j)
     table = weyl.ball(max(a.top.length, b.top.length))
     lengths, starts = table.lengths, table.starts
     shift = b.bottom.length - a.bottom.length
@@ -327,10 +327,12 @@ def _extend(steps: list[tuple], pos: int, index: dict[int, int], used: set[int])
         return True
     i, down, start, image_start, candidates = steps[pos]
     req = 0
-    for k in _bits(down):
-        req |= 1 << index[start + k] - image_start
-    for j, image_down in candidates:
-        if image_down != req or j in used:
+    while down:
+        low = down & -down
+        req |= 1 << index[start + low.bit_length() - 1] - image_start
+        down ^= low
+    for j in candidates.get(req, ()):
+        if j in used:
             continue
         index[i] = j
         used.add(j)

@@ -9,18 +9,18 @@ group G: diagram automorphisms and w -> w^-1 are Bruhat-order
 automorphisms (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
 ch. 2) that fix KL polynomials (Kazhdan-Lusztig, Invent. Math. 53, 1979),
 so [x, y] and [tau x, tau y] are isomorphic.  Each orbit representative
-is classified, in the order the classes are founded, as soon as it is
-built from the ball tables: bucketed by the key of one round of
-color refinement, which fixes the rank sizes, searched against the class
-representatives in its bucket, and kept only if it founds a class,
-until the last orbit is classified.  The key only narrows the search:
-intervals can share it and differ, and the search tells them apart.
-Every other interval inherits its orbit representative's class and
-certificate, stored with the action of G on ball indices (weyl.ball)
-and composed only when read.  Every stage reads P_{x,y} from the KL
+is classified in turn: by restricting a certificate already found for
+[x, y] when it is [z, y] with z in [x, y], or else built from the ball
+tables, bucketed by the key of one round of color refinement and
+searched against the class representatives in its bucket, and kept
+only if it founds a class.  The key only narrows the search: intervals
+can share it and differ, and the search tells them apart.  Every other
+interval inherits its orbit representative's class and certificate,
+stored with the action of G on ball indices (weyl.ball) and composed
+only when read.  Every stage reads P_{x,y} from the KL
 column of y, each entry of which the oracle stage checks by the recursion.
 Neither citation is taken on trust: the KL equality runs over every
-interval, each searched certificate is re-validated, and every stage
+interval, each plain certificate is re-validated, and every stage
 that leans on a symmetry takes one poset.is_automorphism verdict per
 action list, which composed certificates inherit.
 
@@ -48,6 +48,7 @@ import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 from . import closedform, hecke, poset, regions, weyl
 from .laurent import QPoly, Q_PLUS_ONE
@@ -233,23 +234,23 @@ def interval_survey(max_length: int) -> Survey:
     of the G-orbit of (x, y) is the least (tau y, tau x) over the weyl.ball
     action lists.  No orbit table is kept: to_low[j] and from_low[j] hold
     the lists, in SYMMETRY_GROUP order, carrying element j onto its least
-    image and back.  Only first pairs are built: the tops least in their
-    orbits, each bottom unless a list fixing its top lowers it, each
-    interval cut in ball indices from the weyl.ball tables, bucketed by
-    Interval.key and searched against the representatives in its bucket;
-    only a founder of a class keeps its Interval, until the last is
-    classified.  Classes stay in founding order.  Every other pair
+    image and back.  Only first pairs are classified: the tops least in
+    their orbits, each bottom unless a list fixing its top lowers it.  One
+    above an earlier non-founder bottom of its top restricts that bottom's
+    certificate (_restricted); any other is cut from the weyl.ball tables,
+    bucketed by Interval.key and searched against its bucket's
+    representatives, and only a founder keeps its Interval.  Every other pair
     (tau x, tau y) takes the class of its first pair (x, y) and the
     ComposedCertificate of c with the least-k tau_k carrying (x, y) onto
-    it (the one list, when the least image of y has a trivial
-    stabiliser), c being the certificate of (x, y) or, for a
-    representative, a poset.IdentityCertificate of the pair alone.  The
-    first pair of a class is the first of its orbit, so representatives,
-    class ids and member order are those of classifying every pair.
+    it (the one list, when y's least image has a trivial stabiliser), c
+    being the certificate of (x, y) or, for a representative, a
+    poset.IdentityCertificate of the pair alone.  Restricted pairs found
+    no class, and a class's first pair is the first of its orbit, so its
+    representative, id and member order are those of searching every pair.
     """
     _within_kl_cap(max_length)
     pairs = _interval_pairs(max_length)
-    actions = weyl.ball(max_length).actions
+    actions, uppers = weyl.ball(max_length).actions, weyl.ball(max_length).uppers
     low = [min(images) for images in zip(*actions)]
     to_low = [tuple(act for act in actions if act[j] == m) for j, m in enumerate(low)]
     from_low = [tuple(act for act in actions if act[m] == j) for j, m in enumerate(low)]
@@ -264,22 +265,30 @@ def interval_survey(max_length: int) -> Survey:
             continue
         # the lists fixing y; a bottom is first iff none of them lowers it
         stabiliser = to_low[j] if len(to_low[j]) > 1 else ()
+        # y's placed non-founder bottoms (see _restricted) and their upper sets' union
+        kept, reach = [], 0
         for x in weyl.lower_interval(y)[:-1]:
             i = x.ball_index
             if stabiliser and min(act[i] for act in stabiliser) != i:
                 continue
-            interval = poset.Interval(x, y)
-            bucket = buckets.setdefault(interval.key, [])
-            for cls, rep in bucket:
-                cert = is_isomorphic(interval, rep)
-                if cert is not None:
-                    placed[j, i] = (cls, cert)
-                    break
-            else:
-                cls = IsoClass(rep=(x, y), members=[], certs={})
-                bucket.append((cls, interval))
-                classes.append(cls)
-                placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
+            hit = _restricted(i, uppers[i], kept, to_low, placed) if reach >> i & 1 else None
+            if hit is None:
+                interval = poset.Interval(x, y)
+                bucket = buckets.setdefault(interval.key, [])
+                for cls, rep in bucket:
+                    cert = is_isomorphic(interval, rep)
+                    if cert is not None:
+                        hit = cls, cert
+                        break
+                else:
+                    cls = IsoClass(rep=(x, y), members=[], certs={})
+                    bucket.append((cls, interval))
+                    classes.append(cls)
+                    placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
+                    continue
+            placed[j, i] = cls, cert = hit
+            kept.append((uppers[i], cert.index, cls.rep[1].ball_index))
+            reach |= uppers[i]
     # the representatives' intervals go before any certificate is composed
     del buckets
 
@@ -302,6 +311,25 @@ def interval_survey(max_length: int) -> Survey:
         elif pair != cls.rep:
             cls.certs[pair] = cert
     return Survey(max_length, pairs, classes)
+
+
+def _restricted(i: int, inside: int, kept: list, to_low: list, placed: dict):
+    """(class, certificate) of [z, y], z the bottom with ball index i and
+    upper set ``inside``, or None: the first kept (upper set, index, y')
+    below z has c: [x, y] -> [x', y'], which restricts to [z, y] ->
+    [c(z), y'], and the first list fixing y' that lowers c(z) most carries
+    that onto a first pair, if placed yet.  Keys and images share ints."""
+    _, index, k = next(entry for entry in kept if entry[0] >> i & 1)
+    act = min(to_low[k], key=itemgetter(index[i]))
+    keys = [w for w in index if inside >> w & 1]
+    images = map(act.__getitem__, map(index.__getitem__, keys))
+    try:
+        cls, cert = placed[k, act[index[i]]]
+        if not isinstance(cert, poset.IdentityCertificate):
+            images = map(cert.index.__getitem__, images)
+        return cls, IsoCertificate(dict(zip(keys, images)))
+    except KeyError:  # that pair comes later, or c is faulty: search instead
+        return None
 
 
 def _failing_certificates(classes, max_length: int, valid, list_ok) -> list:

@@ -833,11 +833,8 @@ def subword_order_check(cert, a_pair, b_pair) -> bool:
     if set(cert.mapping) != dom or set(cert.mapping.values()) != img:
         return False
     below = {z: subword_lower_set(z) for z in dom | img}
-    return all(
-        (p in below[q]) == (cert.apply(p) in below[cert.apply(q)])
-        for p in dom
-        for q in dom
-    )
+    image = {p: cert.apply(p) for p in dom}
+    return all((p in below[q]) == (image[p] in below[image[q]]) for p in dom for q in dom)
 
 
 # -- symmetries by composing affine maps --------------------------------------

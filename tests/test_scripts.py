@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from bruhat_forge import regions, weyl
+from bruhat_forge import regions, verify, weyl
 from bruhat_forge.cli import main
 from bruhat_forge.render import render_interval, render_regions
 
@@ -119,19 +119,27 @@ def test_survey_digest_matches_the_orbit_table_reference(tmp_path):
     spec = importlib.util.spec_from_file_location("survey_digest", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    expected = script.digest(oracles.orbit_table_survey(4))
+    # the reference searches every first pair, so it gives the pairs,
+    # representatives and member order; restriction changes certificates
+    # alone, and those are the survey's
+    survey, ref = verify.interval_survey(4), oracles.orbit_table_survey(4)
+    classes = [
+        verify.IsoClass(ref_cls.rep, ref_cls.members, cls.certs)
+        for cls, ref_cls in zip(survey.classes, ref.classes, strict=True)
+    ]
+    expected = script.digest(verify.Survey(4, ref.intervals, classes))
     assert len(expected) == 64
     assert proc.stdout.split() == [expected, "max_length=4", "intervals=222", "classes=7"]
 
 
 def test_survey_digest_is_pinned_at_length_8(tmp_path):
     # classes in founding order: a change to how intervals are built,
-    # refined or searched that moves any class, member or certificate
-    # moves this digest
+    # refined, searched or restricted that moves any class, member or
+    # certificate moves this digest
     proc = _run_script("survey_digest.py", "--max-length", "8", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "ccfc9daba933a99aee741079d6ed3cd07eb032be9326e3297a46a23f08cd9970",
+        "36c1b4f9a3561eccb3f7b7f929bd2c5720e7e089836720f3a89b960695bb6d01",
         "max_length=8",
         "intervals=3180",
         "classes=86",
@@ -145,7 +153,7 @@ def test_survey_digest_is_pinned_at_length_12(tmp_path):
     proc = _run_script("survey_digest.py", "--max-length", "12", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "fd8e9803419963d84bc922d2e05819f619ae1296eb4452a4ca968271e2cda334",
+        "4a0d6c4df506e475df407d7464c5689fb215233db16dea9f963e8200f94e4644",
         "max_length=12",
         "intervals=15786",
         "classes=467",
@@ -153,13 +161,13 @@ def test_survey_digest_is_pinned_at_length_12(tmp_path):
 
 
 def test_survey_digest_is_pinned_at_length_16(tmp_path):
-    # 49 tops least in their orbits have a non-trivial stabiliser and 453
-    # of 3687 searches fail (50 of 1098 at L=12), so this pins the
+    # 49 tops least in their orbits have a non-trivial stabiliser and 406
+    # of 601 searches fail (47 of 157 at L=12), so this pins the
     # stabiliser test of the bottoms and the failed searches more widely
     proc = _run_script("survey_digest.py", "--max-length", "16", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "9eb4891bc570146ff60f6597d3221e7769a8b7ec38c6db8fd06a2da6c447f111",
+        "d2b1acad1f0a0e1b1f13b76825c5ffc99734a8e011fc6f7e90636c2c382077f0",
         "max_length=16",
         "intervals=49560",
         "classes=1432",

@@ -1,6 +1,7 @@
 """The verification harness: suites, determinism, reports."""
 
 import ast
+import collections
 import functools
 import gc
 import itertools
@@ -945,23 +946,38 @@ def test_a_broken_N_constructor_still_fails_the_lemma_suite(monkeypatch, corrupt
     ]
 
 
-def test_survey_matches_the_orbit_table_reference():
+def test_survey_matches_the_orbit_table_reference(monkeypatch):
     # first pairs and their least-k action lists, read off the lists, give
-    # the representatives, class ids, member order and certificates (as
-    # word maps) of the survey that kept a per-pair orbit table
-    survey, ref = interval_survey(12), oracles.orbit_table_survey(12)
+    # the representatives, class ids and member order of the survey that
+    # kept a per-pair orbit table and searched every first pair; the
+    # members holding certificates are the same, and every certificate
+    # not built on a restricted one is the same word map
+    restricted = set()
+    restrict = verify._restricted
+
+    def spying(*args):
+        hit = restrict(*args)
+        if hit is not None:
+            restricted.add(id(hit[1]))
+        return hit
+
+    monkeypatch.setattr(verify, "_restricted", spying)
+    survey, ref = interval_survey.__wrapped__(12), oracles.orbit_table_survey(12)
     assert survey.intervals == ref.intervals
     assert [c.rep for c in survey.classes] == [c.rep for c in ref.classes]
     assert [c.members for c in survey.classes] == [c.members for c in ref.classes]
 
-    def word_maps(cls):
-        return [
-            (_words(m), {z.word(): w.word() for z, w in cert.mapping.items()})
-            for m, cert in cls.certs.items()
-        ]
+    def word_map(cert):
+        return {z.word(): w.word() for z, w in cert.mapping.items()}
 
+    compared = 0
     for cls, ref_cls in zip(survey.classes, ref.classes):
-        assert word_maps(cls) == word_maps(ref_cls), cls.rep
+        assert list(cls.certs) == list(ref_cls.certs), cls.rep
+        for member, cert in cls.certs.items():
+            if id(getattr(cert, "base", cert)) not in restricted:
+                assert word_map(cert) == word_map(ref_cls.certs[member]), member
+                compared += 1
+    assert restricted and compared
 
 
 def test_survey_peak_memory_stays_small():
@@ -977,19 +993,93 @@ def test_survey_peak_memory_stays_small():
     assert peak < 6_000_000
 
 
-def test_survey_certificates_match_the_eager_reference():
-    # certificates stored as (orbit base, action) read like the dicts
-    # the survey used to compose for every pair
+def test_survey_certificates_match_the_eager_reference(monkeypatch):
+    # certificates stored as (orbit base, action) go to the members the
+    # eager reference gives one; a base restricted from another one need
+    # not be the isomorphism the reference's search finds, so each is
+    # checked as an order isomorphism onto its representative by the
+    # subword property, not by is_valid, and its index, mapping and apply
+    # must agree
+    monkeypatch.setattr(oracles, "subword_lower_set", functools.cache(oracles.subword_lower_set))
     for max_length in range(9):
         survey = interval_survey(max_length)
         ref = oracles.composed_certificates(max_length)
-        certs = {m: c for cls in survey.classes for m, c in cls.certs.items()}
+        certs = {m: (c, cls.rep) for cls in survey.classes for m, c in cls.certs.items()}
         assert certs.keys() == ref.keys()
-        for pair, cert in certs.items():
-            expected = ref[pair]
-            assert cert.index == expected.index, pair
-            assert cert.mapping == expected.mapping, pair
-            assert all(cert.apply(z) == w for z, w in expected.mapping.items()), pair
+        for pair, (cert, rep) in certs.items():
+            mapping = cert.mapping
+            assert {z.ball_index: w.ball_index for z, w in mapping.items()} == cert.index, pair
+            assert all(cert.apply(z) == w for z, w in mapping.items()), pair
+            assert oracles.subword_order_check(cert, pair, rep), pair
+
+
+def test_survey_restricts_most_first_pairs_at_length_10(monkeypatch):
+    # searching every first pair builds 746 intervals and makes 535
+    # searches; restricting certificates to [z, y] leaves 298 and 87
+    counts = collections.Counter()
+    build, search = poset.Interval, verify.is_isomorphic
+
+    def building(*args):
+        counts["intervals"] += 1
+        return build(*args)
+
+    def searching(a, b):
+        counts["searches"] += 1
+        return search(a, b)
+
+    reps = [c.rep for c in interval_survey(10).classes]
+    monkeypatch.setattr(poset, "Interval", building)
+    monkeypatch.setattr(verify, "is_isomorphic", searching)
+    assert [c.rep for c in interval_survey.__wrapped__(10).classes] == reps
+    assert 0 < counts["intervals"] <= 300
+    assert 0 < counts["searches"] <= 90
+
+
+def test_a_corrupted_search_certificate_fails_with_its_restrictions(monkeypatch):
+    # one searched certificate with the images of the top and a coatom
+    # swapped: every certificate restricted from it maps the top to a
+    # lower rank, so the certificate stage, which re-validates restricted
+    # certificates like searched ones, fails it and each of them
+    corrupted: dict = {}
+    derived: set = set()
+    search, restrict = verify.is_isomorphic, verify._restricted
+
+    def corrupting(a, b):
+        cert = search(a, b)
+        if cert is not None and not corrupted and a.span >= 3:
+            index, top = cert.index, a.top.ball_index
+            coatom = next(z.ball_index for z in a.members if z.length == a.top.length - 1)
+            index[top], index[coatom] = index[coatom], index[top]
+            corrupted.update(index=index, pair=(a.bottom, a.top))
+        return cert
+
+    def spying(i, inside, kept, to_low, placed):
+        hit = restrict(i, inside, kept, to_low, placed)
+        source = next(entry[1] for entry in kept if entry[0] >> i & 1)
+        if hit is not None and source is corrupted.get("index"):
+            derived.add(id(hit[1]))
+        return hit
+
+    monkeypatch.setattr(verify, "is_isomorphic", corrupting)
+    monkeypatch.setattr(verify, "_restricted", spying)
+    interval_survey.cache_clear()
+    try:
+        report = verify_conjecture(10)
+        assert [s.name for s in report.suites if not s.passed] == [CERTIFICATES]
+        (counts, bad), _ = _run_stages(monkeypatch, 10)[CERTIFICATES]
+        survey = interval_survey(10)
+        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        failing = [w["member"] for w in bad]
+        assert _words(corrupted["pair"]) in failing
+        built_on = [
+            member
+            for cls in survey.classes
+            for member, cert in cls.certs.items()
+            if id(getattr(cert, "base", cert)) in derived
+        ]
+        assert built_on and all(_words(m) in failing for m in built_on)
+    finally:
+        interval_survey.cache_clear()
 
 
 def _live_intervals() -> int:
