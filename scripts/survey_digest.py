@@ -35,7 +35,7 @@ def digest(survey) -> str:
         obj = {
             "rep": words(cls.rep),
             "members": [words(m) for m in cls.members],
-            "certs": [[words(m), word_map(cls.certs[m])] for m in cls.members if m in cls.certs],
+            "certs": [[words(m), word_map(cert)] for m, cert in cls.certs.items()],
         }
         if k:
             sha.update(b", ")

@@ -35,7 +35,6 @@ __all__ = [
     "theta1",
     "theta2",
     "classify",
-    "in_theta_lower",
     "theta_lower_geometric",
     "boundary_set",
     "intersection_check",
@@ -141,6 +140,10 @@ class RegionTag(NamedTuple):
         return obj
 
 
+# (tau^-1, tau) for each tau, in SYMMETRY_GROUP order
+_INVERSES = tuple((tau.inverse_symmetry(), tau) for tau in SYMMETRY_GROUP)
+
+
 def classify(w: Element) -> RegionTag:
     """The region tag of w, with deterministic tie-breaking.
 
@@ -159,8 +162,8 @@ def classify(w: Element) -> RegionTag:
     L = w.length
     # each preimage keeps the first symmetry in SYMMETRY_GROUP order mapping it to w
     preimages: dict[Element, Symmetry] = {}
-    for tau in SYMMETRY_GROUP:
-        preimages.setdefault(tau.inverse_symmetry().apply(w), tau)
+    for inverse, tau in _INVERSES:
+        preimages.setdefault(inverse.apply(w), tau)
     # scanned in kind order, each theta family by (m, n) with 2m + 2n + shift = L
     scan = [(RegionKind.X, x_chain, L)]
     for shift, (kind, build) in enumerate(_THETA_BUILDERS.items(), 3):
@@ -217,16 +220,6 @@ def _inside_hull(hull: list[tuple[int, int]], p: tuple[int, int]) -> bool:
         if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < 0:
             return False
     return True
-
-
-def in_theta_lower(w: Element, idx: ThetaIndex | tuple[int, int]) -> bool:
-    """Geometric membership test for w <= theta(m, n).
-
-    True exactly when the centroid of w(A0) lies in the convex hexagon
-    spanned by the centroids of the six alcoves u * theta(m, n) for u in
-    the finite Weyl group; agrees with ``weyl.bruhat_leq``.
-    """
-    return _inside_hull(_theta_hull(ThetaIndex(*idx)), w._scaled_centroid())
 
 
 def theta_lower_geometric(idx: ThetaIndex | tuple[int, int]) -> tuple[Element, ...]:

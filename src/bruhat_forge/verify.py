@@ -15,10 +15,12 @@ tables, bucketed by the key of one round of color refinement and
 searched against the class representatives in its bucket, and kept
 only if it founds a class.  The key only narrows the search: intervals
 can share it and differ, and the search tells them apart.  Every other
-interval inherits its orbit representative's class and certificate,
-stored with the action of G on ball indices (weyl.ball) and composed
-only when read.  Every stage reads P_{x,y} from the KL
-column of y, each entry of which the oracle stage checks by the recursion.
+interval joins its orbit representative's class, and no certificate is
+kept for it: IsoClass.certs composes one from the representative's and
+an action list of G on ball indices (weyl.ball) when read, and the
+certificate stage checks a top's intervals at once.  Every stage reads
+P_{x,y} from the KL column of y, each entry of which the oracle stage
+checks by the recursion.
 Neither citation is taken on trust: the KL equality runs over every
 interval, each plain certificate is re-validated, and every stage
 that leans on a symmetry takes one poset.is_automorphism verdict per
@@ -47,6 +49,8 @@ import functools
 import itertools
 import json
 import time
+from collections import deque, namedtuple
+from collections.abc import Iterator, Mapping
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
@@ -54,7 +58,7 @@ from . import closedform, hecke, poset, regions, weyl
 from .laurent import QPoly, Q_PLUS_ONE
 from .poset import IsoCertificate, build_interval, is_isomorphic
 from .regions import RegionKind, RegionTag, ThetaIndex
-from .weyl import IDENTITY_SYMMETRY, RHO, SIGMA, Element, SYMMETRY_GROUP, _bits
+from .weyl import IDENTITY_SYMMETRY, RHO, SIGMA, Element, SYMMETRY_GROUP, _bits, _indices
 
 # bounds no caller varies: index bounds of the lemma and product checks
 LEMMA22_BOUND = 4
@@ -196,11 +200,75 @@ def _oracle_stage(max_length: int) -> tuple:
 # ---------------------------------------------------------------------------
 # the interval survey shared by the conjecture suite and the census
 
+# what interval_survey keeps of the G-orbits, by ball index: placed[j][i] is
+# the (class, base certificate) of the first pair (i, j), low[j] is j's least
+# image under G, to_low[j] and from_low[j] the lists carrying j onto low[j]
+# and back, in SYMMETRY_GROUP order
+_Orbits = namedtuple("_Orbits", "placed low to_low from_low")
+
+
+def _firsts(to: tuple, bottoms) -> Iterator[int]:
+    # the first bottom of each ball index in ``bottoms`` under a top whose
+    # lists onto its least image are ``to``: its least image under them
+    if len(to) == 1:
+        return map(to[0].__getitem__, bottoms)
+    return map(min, *[map(act.__getitem__, bottoms) for act in to])
+
+
+def _join(orbits: _Orbits, pairs: list, max_length: int, lists: dict) -> None:
+    # append each of ``pairs``, by top and then bottom, to lists[j][i] for its
+    # first pair (i, j), one top's bottoms in one pass in C
+    rest = iter(pairs)
+    for j, y in enumerate(weyl.enumerate_up_to_length(max_length)):
+        firsts = _firsts(orbits.to_low[j], _indices(y.ideal)[:-1])
+        deque(map(list.append, map(lists[orbits.low[j]].__getitem__, firsts), rest), 0)
+
+
+def _composed(orbits: _Orbits, pair: tuple[Element, Element]) -> IsoCertificate:
+    # the base of pair's first pair: a first pair's own, else composed with
+    # the lone list of from_low[j] or the first one carrying the first
+    # bottom onto pair's (the first, if a faulty record holds none)
+    i, j = pair[0].ball_index, pair[1].ball_index
+    first, back = next(_firsts(orbits.to_low[j], (i,))), orbits.from_low[j]
+    base = orbits.placed[orbits.low[j]][first][1]
+    if (first, orbits.low[j]) == (i, j):
+        return base
+    act = back[0] if len(back) == 1 else next((a for a in back if a[first] == i), back[0])
+    return poset.ComposedCertificate(base, act)
+
+
+class _Certs(Mapping):
+    """IsoClass.certs of a survey class: its members but the representative,
+    in member order, each to its certificate, composed on read (_composed)."""
+
+    __slots__ = ("rep", "members", "orbits")
+
+    def __init__(self, rep: tuple[Element, Element], members: list, orbits: _Orbits):
+        self.rep, self.members, self.orbits = rep, members, orbits
+
+    def __iter__(self):
+        return (pair for pair in self.members if pair != self.rep)
+
+    def __len__(self) -> int:
+        return len(self.members) - 1
+
+    def __getitem__(self, pair) -> IsoCertificate:
+        if pair == self.rep or pair not in self.members:
+            raise KeyError(pair)
+        return _composed(self.orbits, pair)
+
+    def items(self):  # one pass, looking no member up
+        return ((pair, _composed(self.orbits, pair)) for pair in self)
+
+    def values(self):
+        return (cert for _, cert in self.items())
+
+
 @dataclass
 class IsoClass:
     rep: tuple[Element, Element]
     members: list[tuple[Element, Element]]
-    certs: dict[tuple[Element, Element], IsoCertificate]
+    certs: Mapping[tuple[Element, Element], IsoCertificate]
 
 
 @dataclass
@@ -208,6 +276,7 @@ class Survey:
     max_length: int
     intervals: list[tuple[Element, Element]]
     classes: list[IsoClass]
+    orbits: _Orbits | None = field(default=None, repr=False)
 
     def census_rows(self) -> list[dict]:
         # isomorphic intervals have one span, so each class counts under its rep's
@@ -232,21 +301,19 @@ def interval_survey(max_length: int) -> Survey:
 
     Pairs run by top, then bottom, in ball-index order, so the first pair
     of the G-orbit of (x, y) is the least (tau y, tau x) over the weyl.ball
-    action lists.  No orbit table is kept: to_low[j] and from_low[j] hold
-    the lists, in SYMMETRY_GROUP order, carrying element j onto its least
-    image and back.  Only first pairs are classified: the tops least in
-    their orbits, each bottom unless a list fixing its top lowers it.  One
-    above an earlier non-founder bottom of its top restricts that bottom's
-    certificate (_restricted); any other is cut from the weyl.ball tables,
-    bucketed by Interval.key and searched against its bucket's
-    representatives, and only a founder keeps its Interval.  Every other pair
-    (tau x, tau y) takes the class of its first pair (x, y) and the
-    ComposedCertificate of c with the least-k tau_k carrying (x, y) onto
-    it (the one list, when y's least image has a trivial stabiliser), c
-    being the certificate of (x, y) or, for a representative, a
-    poset.IdentityCertificate of the pair alone.  Restricted pairs found
-    no class, and a class's first pair is the first of its orbit, so its
-    representative, id and member order are those of searching every pair.
+    action lists (_Orbits holds them by element).  Only first pairs are
+    classified: the tops least in their orbits, each bottom unless a list
+    fixing its top lowers it.  One above an earlier non-founder bottom of
+    its top restricts that bottom's certificate (_restricted); any other
+    is cut from the weyl.ball tables, bucketed by Interval.key and
+    searched against its bucket's representatives, and only a founder
+    keeps its Interval.  ``placed`` keeps each first pair's class and base
+    certificate, an IdentityCertificate of the pair for a representative.
+    Then every pair joins the class of its first pair (_join); none keeps
+    a certificate, as IsoClass.certs composes them on read.  Restricted
+    pairs found no class, and a class's first pair is the first of its
+    orbit, so its representative, id and member order are those of
+    searching every pair.
     """
     _within_kl_cap(max_length)
     pairs = _interval_pairs(max_length)
@@ -254,22 +321,21 @@ def interval_survey(max_length: int) -> Survey:
     low = [min(images) for images in zip(*actions)]
     to_low = [tuple(act for act in actions if act[j] == m) for j, m in enumerate(low)]
     from_low = [tuple(act for act in actions if act[m] == j) for j, m in enumerate(low)]
-
-    # first pair (top, bottom) -> (its class, certificate onto the representative)
-    placed: dict[tuple[int, int], tuple[IsoClass, IsoCertificate]] = {}
+    placed: dict[int, dict[int, tuple[IsoClass, IsoCertificate]]] = {}
+    orbits = _Orbits(placed, low, to_low, from_low)
     # key -> (class, representative Interval) entries in creation order
     buckets: dict[int, list[tuple[IsoClass, poset.Interval]]] = {}
     classes: list[IsoClass] = []
     for j, y in enumerate(weyl.enumerate_up_to_length(max_length)):
         if j != low[j]:
             continue
-        # the lists fixing y; a bottom is first iff none of them lowers it
-        stabiliser = to_low[j] if len(to_low[j]) > 1 else ()
+        row = placed[j] = {}
+        bottoms = _indices(y.ideal)[:-1]
         # y's placed non-founder bottoms (see _restricted) and their upper sets' union
         kept, reach = [], 0
-        for x in weyl.lower_interval(y)[:-1]:
-            i = x.ball_index
-            if stabiliser and min(act[i] for act in stabiliser) != i:
+        for x, first in zip(weyl.lower_interval(y), _firsts(to_low[j], bottoms)):
+            i = x.ball_index  # an int the ball holds already, shared by the keys
+            if first != i:  # a list fixing y lowers x
                 continue
             hit = _restricted(i, uppers[i], kept, to_low, placed) if reach >> i & 1 else None
             if hit is None:
@@ -281,36 +347,21 @@ def interval_survey(max_length: int) -> Survey:
                         hit = cls, cert
                         break
                 else:
-                    cls = IsoClass(rep=(x, y), members=[], certs={})
+                    pair, members = (x, y), []
+                    cls = IsoClass(pair, members, _Certs(pair, members, orbits))
                     bucket.append((cls, interval))
                     classes.append(cls)
-                    placed[j, i] = (cls, poset.IdentityCertificate((x, y)))
+                    row[i] = cls, poset.IdentityCertificate(pair)
                     continue
-            placed[j, i] = cls, cert = hit
+            row[i] = cls, cert = hit
             kept.append((uppers[i], cert.index, cls.rep[1].ball_index))
             reach |= uppers[i]
-    # the representatives' intervals go before any certificate is composed
+    # the representatives' intervals go before any pair joins a class
     del buckets
 
-    top = None
-    for pair in pairs:
-        x, y = pair
-        if y is not top:
-            top, j = y, y.ball_index
-            to, back = to_low[j], from_low[j]
-        i = x.ball_index
-        if len(to) == 1:
-            fi, act = to[0][i], back[0]
-        else:
-            fi = min(act[i] for act in to)
-            act = next(act for act in back if act[fi] == i)
-        cls, cert = placed[low[j], fi]
-        cls.members.append(pair)
-        if (fi, low[j]) != (i, j):
-            cls.certs[pair] = poset.ComposedCertificate(cert, act)
-        elif pair != cls.rep:
-            cls.certs[pair] = cert
-    return Survey(max_length, pairs, classes)
+    lists = {j: {i: cls.members for i, (cls, _) in row.items()} for j, row in placed.items()}
+    _join(orbits, pairs, max_length, lists)
+    return Survey(max_length, pairs, classes, orbits)
 
 
 def _restricted(i: int, inside: int, kept: list, to_low: list, placed: dict):
@@ -324,7 +375,7 @@ def _restricted(i: int, inside: int, kept: list, to_low: list, placed: dict):
     keys = [w for w in index if inside >> w & 1]
     images = map(act.__getitem__, map(index.__getitem__, keys))
     try:
-        cls, cert = placed[k, act[index[i]]]
+        cls, cert = placed[k][act[index[i]]]
         if not isinstance(cert, poset.IdentityCertificate):
             images = map(cert.index.__getitem__, images)
         return cls, IsoCertificate(dict(zip(keys, images)))
@@ -332,37 +383,65 @@ def _restricted(i: int, inside: int, kept: list, to_low: list, placed: dict):
         return None
 
 
-def _failing_certificates(classes, max_length: int, valid, list_ok) -> list:
-    """The members, by top and then bottom, whose certificate fails.
+def _failing_certificates(survey: Survey, valid, list_ok) -> list:
+    """The members, by top and then bottom, whose certificate, as
+    IsoClass.certs composes it, fails.
 
     A certificate z -> base(tau^-1 z) holds tau's action list (a plain one,
-    the identity).  Each base is judged once: an IdentityCertificate passes
-    iff it names its class's representative, any other by valid(base,
-    source, rep), with source the pair of its least and greatest key; each
-    list once, by list_ok(act), which must include poset.is_automorphism.
-    A certificate passes when both do and act carries the source onto the
-    member.
+    the identity).  Each base in the survey's _Orbits is judged once: an
+    IdentityCertificate passes iff it names its class's representative,
+    any other by valid(base, source, rep), with source the pair of its
+    least and greatest key, which must be its first pair; each list once,
+    by list_ok(act), which must include poset.is_automorphism.  A
+    certificate passes when both do, act carries the source onto the
+    member, and the member sits in its first pair's class.  That holds
+    for every member at once when each base passes from its first pair,
+    each list of from_low[j] passes and carries low[j] onto j, each of
+    to_low[j] has its inverse there, and the record (_join) lists each
+    class's members again as they are; else each member is checked alone.
     """
-    same = weyl.ball(max_length).actions[0]  # the identity's list
-    acts: dict[int, bool] = {}  # by ids of lists the survey holds
-    bad = []
-    for cls in classes:
-        bases = {}
-        for (x, y), cert in cls.certs.items():
-            base, act = getattr(cert, "base", cert), getattr(cert, "act", same)
-            if base not in bases:
-                if isinstance(base, poset.IdentityCertificate):
-                    source, ok = base.pair, base.pair == cls.rep
-                else:
-                    source = weyl.ball_element(min(base.index)), weyl.ball_element(max(base.index))
-                    ok = valid(base, source, cls.rep)
-                bases[base] = ok, source[0].ball_index, source[1].ball_index
-            if id(act) not in acts:
-                acts[id(act)] = list_ok(act)
-            ok, i, j = bases[base]
-            if not (ok and acts[id(act)]) or (act[i], act[j]) != (x.ball_index, y.ball_index):
-                bad.append((_by_top((x, y)), _words((x, y)), _words(cls.rep)))
-    return [{"member": member, "rep": rep} for _, member, rep in sorted(bad)]
+    placed, low, to_low, from_low = orbits = survey.orbits
+    same = weyl.ball(survey.max_length).actions[0]  # the identity's list
+    listed = {id(cls): [] for cls in survey.classes}  # each class's members, by the record
+    where = {j: {i: listed[id(cls)] for i, (cls, _) in row.items()} for j, row in placed.items()}
+    failed = set()  # the first pairs (j, i) whose base fails
+    for j, row in placed.items():
+        for i, (cls, base) in row.items():
+            if isinstance(base, poset.IdentityCertificate):
+                source, ok = base.pair, base.pair == cls.rep
+            else:
+                source = weyl.ball_element(min(base.index)), weyl.ball_element(max(base.index))
+                ok = valid(base, source, cls.rep)
+            if not ok or [w.ball_index for w in source] != [i, j]:
+                failed.add((j, i))
+    held = {id(act): act for act in itertools.chain([same], *from_low)}.values()
+    acts = {id(act): list_ok(act) for act in held}
+    inverse = {(id(t), id(f)) for t in held for f in held if tuple(map(f.__getitem__, t)) == same}
+    sound = (not failed
+             and all(acts[id(a)] and a[low[j]] == j for j, back in enumerate(from_low) for a in back)
+             and all(any((id(t), id(f)) in inverse for f in back)
+                     for to, back in zip(to_low, from_low) for t in to))
+    try:
+        _join(orbits, survey.intervals, survey.max_length, where)
+    except KeyError:  # a list onto a least image names no first pair
+        sound = False
+    if sound and all(cls.members == listed[id(cls)] for cls in survey.classes):
+        return []
+
+    def fails(cls, pair) -> bool:
+        i, j = pair[0].ball_index, pair[1].ball_index
+        first, row = next(_firsts(to_low[j], (i,))), placed[low[j]]
+        if first not in row:
+            return True
+        act = getattr(_composed(orbits, pair), "act", same)
+        return ((low[j], first) in failed or row[first][0] is not cls
+                or not acts[id(act)] or (act[first], act[low[j]]) != (i, j))
+
+    bad = sorted(
+        (_by_top(m), _words(m), _words(cls.rep)) for cls in survey.classes for m in cls.certs
+        if fails(cls, m)
+    )
+    return [{"member": member, "rep": rep} for _, member, rep in bad]
 
 
 def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> VerificationReport:
@@ -395,11 +474,12 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
 
     def equal_within_classes():
         survey = interval_survey(max_length)
+        columns = {y: column(y) for y in weyl.enumerate_up_to_length(max_length)}  # one per top
         violations = []
         for cls in survey.classes:
             rx, ry = cls.rep
-            p_rep = column(ry)[rx]
-            violations.extend((cls.rep, (x, y)) for x, y in cls.members if column(y)[x] != p_rep)
+            p_rep = columns[ry][rx]
+            violations.extend((cls.rep, (x, y)) for x, y in cls.members if columns[y][x] != p_rep)
         violations.sort(key=lambda v: _by_top(v[1]))
         counts = {
             "intervals": len(survey.intervals),
@@ -417,10 +497,10 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
         ]
 
     def certificates():
-        classes = interval_survey(max_length).classes
+        survey = interval_survey(max_length)
         automorphism = functools.partial(poset.is_automorphism, max_length=max_length)
-        bad = _failing_certificates(classes, max_length, IsoCertificate.is_valid, automorphism)
-        return {"certificates": sum(len(c.certs) for c in classes), "invalid": len(bad)}, bad
+        bad = _failing_certificates(survey, IsoCertificate.is_valid, automorphism)
+        return {"certificates": sum(len(c.certs) for c in survey.classes), "invalid": len(bad)}, bad
 
     return _report(
         {"suite": "conjecture", "max_length": max_length, "jobs": jobs},
@@ -873,7 +953,7 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
         return {"checked": checked}, bad
 
     def z_preservation():
-        classes = interval_survey(max_length).classes
+        survey = interval_survey(max_length)
         masks = [z_masks(y) for y in weyl.enumerate_up_to_length(max_length)]
 
         def mapped(act):
@@ -886,7 +966,8 @@ def verify_lemma_suite(max_length: int = 10, partition_bound: int = 14) -> Verif
             ]
 
         preserved = functools.partial(_z_preserved, masks)
-        bad = _failing_certificates(classes, max_length, preserved, mapped)
+        bad = _failing_certificates(survey, preserved, mapped)
+        classes = survey.classes
         return {"certificates": sum(len(c.certs) for c in classes), "classes": len(classes)}, bad
 
     def structural():

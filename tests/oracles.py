@@ -742,6 +742,80 @@ def composed_certificates(max_length: int) -> dict:
     return certs
 
 
+def per_pair_pass(survey) -> list:
+    """verify.interval_survey's second pass as it was, one pair at a time,
+    on the record the survey keeps (survey.orbits).
+
+    Each pair of survey.intervals joins the class of its first pair and,
+    unless it is the representative, stores its certificate: the first
+    pair's base, for a first pair, else a ComposedCertificate of it with
+    the one list of from_low[j], or the first carrying the first bottom
+    onto its bottom when the top's least image has a non-trivial
+    stabiliser.  Returns each class's (members, certificates by member).
+    """
+    from bruhat_forge import poset
+
+    placed, low, to_low, from_low = survey.orbits
+    out = {id(cls): ([], {}) for cls in survey.classes}
+    top = None
+    for pair in survey.intervals:
+        x, y = pair
+        if y is not top:
+            top, j = y, y.ball_index
+            to, back = to_low[j], from_low[j]
+        i = x.ball_index
+        if len(to) == 1:
+            fi, act = to[0][i], back[0]
+        else:
+            fi = min(act[i] for act in to)
+            act = next(act for act in back if act[fi] == i)
+        cls, cert = placed[low[j]][fi]
+        members, certs = out[id(cls)]
+        members.append(pair)
+        if (fi, low[j]) != (i, j):
+            certs[pair] = poset.ComposedCertificate(cert, act)
+        elif pair != cls.rep:
+            certs[pair] = cert
+    return [out[id(cls)] for cls in survey.classes]
+
+
+def per_member_certificate_check(survey, valid, list_ok) -> list:
+    """verify._failing_certificates as it was, one member at a time: the
+    members, by top and then bottom, whose certificate fails, read from
+    each class's certs.
+
+    A certificate z -> base(tau^-1 z) holds tau's action list (a plain
+    one, the identity).  Each base is judged once per class: an
+    IdentityCertificate passes iff it names its class's representative,
+    any other by valid(base, source, rep), with source the pair of its
+    least and greatest key; each list once, by list_ok(act).  A
+    certificate passes when both do and act carries the source onto the
+    member.
+    """
+    from bruhat_forge import poset, verify, weyl
+
+    same = weyl.ball(survey.max_length).actions[0]
+    acts: dict = {}
+    bad = []
+    for cls in survey.classes:
+        bases = {}
+        for (x, y), cert in cls.certs.items():
+            base, act = getattr(cert, "base", cert), getattr(cert, "act", same)
+            if base not in bases:
+                if isinstance(base, poset.IdentityCertificate):
+                    source, ok = base.pair, base.pair == cls.rep
+                else:
+                    source = weyl.ball_element(min(base.index)), weyl.ball_element(max(base.index))
+                    ok = valid(base, source, cls.rep)
+                bases[base] = ok, source[0].ball_index, source[1].ball_index
+            if id(act) not in acts:
+                acts[id(act)] = list_ok(act)
+            ok, i, j = bases[base]
+            if not (ok and acts[id(act)]) or (act[i], act[j]) != (x.ball_index, y.ball_index):
+                bad.append((verify._by_top((x, y)), verify._words((x, y)), verify._words(cls.rep)))
+    return [{"member": member, "rep": rep} for _, member, rep in sorted(bad)]
+
+
 def by_top_then_bottom(witnesses: list) -> list:
     # witnesses {"member": [x, y], ...} sorted by y, then x, each by (length, word)
     return sorted(witnesses, key=lambda w: [(len(z), z) for z in reversed(w["member"])])
@@ -884,6 +958,20 @@ def reference_classify(w):
             if tau.apply(member) == w:
                 return RegionTag(kind, tau, params)
     raise AssertionError(f"unclassifiable element {w!r}")
+
+
+# -- theta lower intervals by the hexagon --------------------------------------
+
+def in_theta_lower(w, idx) -> bool:
+    """Geometric membership test for w <= theta(m, n).
+
+    True exactly when the centroid of w(A0) lies in the convex hexagon
+    spanned by the centroids of the six alcoves u * theta(m, n) for u in
+    the finite Weyl group; agrees with ``weyl.bruhat_leq``.
+    """
+    from bruhat_forge.regions import ThetaIndex, _inside_hull, _theta_hull
+
+    return _inside_hull(_theta_hull(ThetaIndex(*idx)), w._scaled_centroid())
 
 
 # -- lower ideals by decoding and left multiplication ------------------------

@@ -220,7 +220,7 @@ def _built_on(cls, base):
     return [m for m, c in cls.certs.items() if c is base or getattr(c, "base", None) is base]
 
 
-def test_certificate_stage_names_the_failing_members():
+def test_certificate_stage_names_the_failing_members(monkeypatch):
     survey = interval_survey(6)
     try:
         # a base certificate the survey stored for an orbit-first pair,
@@ -243,26 +243,28 @@ def test_certificate_stage_names_the_failing_members():
         index[u], index[v] = index[v], index[u]
         assert _certificate_stage(6).passed
 
-        # one composed certificate reading a corrupted copy of its action
-        # list: the shared list and every other member stay intact; its
-        # base maps from the interval whose ends are the least and the
-        # greatest key in ball order
-        def source(cert):
-            return weyl.ball_element(min(cert.base.index)), weyl.ball_element(max(cert.base.index))
-
-        cls, member, composed = next(
-            (cls, m, c)
-            for cls in survey.classes
-            for m, c in cls.certs.items()
-            if isinstance(c, poset.ComposedCertificate) and _unlike_pair(source(c))
+        # a corrupted copy of the one list the record holds to carry the
+        # least image of a top y onto y, its images of that least image and
+        # of another element of its length exchanged: every certificate of
+        # a pair of y maps from the wrong set, and every other top and the
+        # shared list stay intact
+        orbits = survey.orbits
+        j, y = next(
+            (j, y)
+            for j, y in enumerate(weyl.enumerate_up_to_length(6))
+            if orbits.low[j] != j and len(orbits.from_low[j]) == 1 and y.length > 2
         )
-        u, v = _unlike_pair(source(composed))
-        act = list(composed.act)
-        act[u], act[v] = act[v], act[u]
-        composed.act = tuple(act)
-        certs = _certificate_stage(6)
-        assert certs.counts["invalid"] == 1 and not certs.passed
-        assert certs.witnesses == [{"member": _words(member), "rep": _words(cls.rep)}]
+        low = orbits.low[j]
+        other = next(z.ball_index for z in weyl.elements_of_length(y.length) if z.ball_index != low)
+        act = list(orbits.from_low[j][0])
+        act[low], act[other] = act[other], act[low]
+        orbits.from_low[j] = (tuple(act),)
+        class_of = {m: c for c in survey.classes for m in c.members}
+        members = [(x, y) for x in weyl.lower_interval(y)[:-1]]
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        assert bad == [{"member": _words(m), "rep": _words(class_of[m].rep)} for m in members]
+        assert counts["invalid"] == len(members) > 10
     finally:
         interval_survey.cache_clear()
 
@@ -352,82 +354,221 @@ def test_certificate_stage_fails_the_members_of_a_corrupted_identity(monkeypatch
         assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
         assert bad == expected and bad
         identity.pair = cls.rep
-        # a member given the identity on its own interval: the ends match,
-        # so only the rule that an identity names its representative fails it
-        member = next(iter(cls.certs))
-        stored, cls.certs[member] = cls.certs[member], poset.IdentityCertificate(member)
+        # a wrong base in the record: a first pair given the identity on its
+        # own interval, so its ends match and only the rule that an identity
+        # names its representative fails it and every member composed on it
+        # the Z-set reference reads Z-sets alone, so take one whose Z-sets
+        # the identity moves
+        for j, i in _first_pairs(survey):
+            row = survey.orbits.placed[j]
+            cls, base = row[i]
+            built = _built_on(cls, base)
+            expected = [{"member": _words(m), "rep": _words(cls.rep)} for m in built]
+            first = weyl.ball_element(i), weyl.ball_element(j)
+            row[i] = cls, poset.IdentityCertificate(first)
+            if oracles.reference_z_stage(survey)[1] == expected:
+                break
+            row[i] = cls, base
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
-        assert bad == [{"member": _words(member), "rep": _words(cls.rep)}]
-        cls.certs[member] = stored
+        assert bad == expected and _words(first) == bad[0]["member"]
+        z_stage, _ = _z_stage(monkeypatch, 6)
+        assert z_stage == oracles.reference_z_stage(survey) and z_stage[1] == expected
+        row[i] = cls, base
         assert _certificate_stage(6).passed
     finally:
         interval_survey.cache_clear()
 
 
+def _composing_through(survey, shared) -> list:
+    # the tops whose record carries their least image onto them by the one
+    # list ``shared``, and the (class, member) pairs of those tops, every
+    # one of them composed through it
+    tops = [j for j, back in enumerate(survey.orbits.from_low) if back == (shared,)]
+    users = [(cls, m) for cls in survey.classes for m in cls.certs if m[1].ball_index in tops]
+    return tops, users
+
+
 def test_certificate_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
     survey = interval_survey(6)
-    users = []
+    from_low = list(survey.orbits.from_low)
     try:
-        composed = next(
-            c
+        member, composed = next(
+            (m, c)
             for cls in survey.classes
-            for c in cls.certs.values()
-            if isinstance(c, poset.ComposedCertificate) and _unlike_pair(_source_ends(c))
+            for m, c in cls.certs.items()
+            if isinstance(c, poset.ComposedCertificate)
+            and len(from_low[m[1].ball_index]) == 1
+            and _unlike_pair(_source_ends(c))
         )
-        # one corrupted copy of the action list of one tau, set on every
-        # composed certificate that shares it: a permutation that keeps
-        # lengths, so only the covers tell
+        # one corrupted copy of the action list of one tau, set in the
+        # record for every top that composes through it alone: a
+        # permutation that keeps lengths, so only the covers tell
         shared = composed.act
         u, v = _unlike_pair(_source_ends(composed))
         act = list(shared)
         act[u], act[v] = act[v], act[u]
-        corrupted = tuple(act)
-        users = [
-            (cls, m, c)
-            for cls in survey.classes
-            for m, c in cls.certs.items()
-            if getattr(c, "act", None) is shared
-        ]
-        for _, _, c in users:
-            c.act = corrupted
+        tops, users = _composing_through(survey, shared)
+        for j in tops:
+            survey.orbits.from_low[j] = (tuple(act),)
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         _, ref_bad = oracles.reference_certificate_verdicts(survey)
         assert ref_bad and all(w in bad for w in ref_bad)
         # the list fails as a whole: every member composed through it
         assert bad == oracles.by_top_then_bottom(
-            [{"member": _words(m), "rep": _words(cls.rep)} for cls, m, _ in users]
+            [{"member": _words(m), "rep": _words(cls.rep)} for cls, m in users]
         )
         assert counts["invalid"] == len(users)
+        automorphism = functools.partial(poset.is_automorphism, max_length=6)
+        assert bad == oracles.per_member_certificate_check(
+            survey, poset.IsoCertificate.is_valid, automorphism
+        )
     finally:
-        for _, _, c in users:
-            c.act = shared
+        survey.orbits.from_low[:] = from_low
         interval_survey.cache_clear()
 
 
-def test_certificate_stage_fails_certificates_stored_under_the_wrong_member(monkeypatch):
-    # two valid certificates swapped between members: each maps from the
-    # other member's interval, so both fail, as the reference says
+def test_certificate_stage_fails_the_pairs_of_a_corrupted_list_onto_a_least_image(monkeypatch):
+    # a top's one list onto its least image with its images of two bottoms
+    # exchanged, bottoms whose first pairs share a class: the record still
+    # lists every class as it is, but each of the two pairs now reads the
+    # other's first pair, and no list carries that one onto it
     survey = interval_survey(6)
+    orbits = survey.orbits
+    to_low = list(orbits.to_low)
+
+    def class_of(j, i):
+        return orbits.placed[orbits.low[j]][to_low[j][0][i]][0]
+
     try:
-        cls = next(c for c in survey.classes if len(c.certs) >= 2)
-        a, b = list(cls.certs)[:2]
-        cls.certs[a], cls.certs[b] = cls.certs[b], cls.certs[a]
+        j, a, b = next(
+            (j, a, b)
+            for j, y in enumerate(weyl.enumerate_up_to_length(6))
+            if len(to_low[j]) == 1
+            for a, b in itertools.combinations(weyl.lower_interval(y)[:-1], 2)
+            if class_of(j, a.ball_index) is class_of(j, b.ball_index)
+        )
+        cls = class_of(j, a.ball_index)
+        act = list(to_low[j][0])
+        act[a.ball_index], act[b.ball_index] = act[b.ball_index], act[a.ball_index]
+        orbits.to_low[j] = (tuple(act),)
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
-        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for m in (a, b)]
+        y = weyl.ball_element(j)
+        assert bad == [{"member": _words((x, y)), "rep": _words(cls.rep)} for x in (a, b)]
+    finally:
+        orbits.to_low[:] = to_low
+        interval_survey.cache_clear()
+
+
+def test_certificate_stage_fails_the_pairs_a_list_carries_off_their_top(monkeypatch):
+    # the identity's list put before the one list back from a top's least
+    # image: an automorphism, and the lists onto that image keep their
+    # inverses, but the bottoms their list fixes now read the identity,
+    # which leaves the least image where it is
+    survey = interval_survey(6)
+    orbits = survey.orbits
+    from_low = list(orbits.from_low)
+    same = weyl.ball(6).actions[0]
+    try:
+        j, y = next(
+            (j, y)
+            for j, y in enumerate(weyl.enumerate_up_to_length(6))
+            if orbits.low[j] != j and len(from_low[j]) == 1 and y.length > 2
+        )
+        orbits.from_low[j] = (same,) + from_low[j]
+        to = orbits.to_low[j][0]
+        fixed = [x for x in weyl.lower_interval(y)[:-1] if to[x.ball_index] == x.ball_index]
+        class_of = {m: c for c in survey.classes for m in c.members}
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        assert bad == [{"member": _words((x, y)), "rep": _words(class_of[x, y].rep)} for x in fixed]
+        assert fixed
+    finally:
+        orbits.from_low[:] = from_low
+        interval_survey.cache_clear()
+
+
+def test_certificate_stage_fails_a_pair_whose_list_names_no_first_pair(monkeypatch):
+    # a top's one list onto its least image made to send a bottom onto that
+    # image itself: the pair has no first pair in the record, so the stage
+    # fails it rather than raising, and every other pair still passes
+    survey = interval_survey(6)
+    orbits = survey.orbits
+    to_low = list(orbits.to_low)
+    try:
+        j, y = next(
+            (j, y)
+            for j, y in enumerate(weyl.enumerate_up_to_length(6))
+            if orbits.low[j] != j and len(to_low[j]) == 1 and y.length > 2
+        )
+        x = weyl.lower_interval(y)[1]
+        act = list(to_low[j][0])
+        act[x.ball_index] = orbits.low[j]
+        orbits.to_low[j] = (tuple(act),)
+        cls = next(c for c in survey.classes if (x, y) in c.members)
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert bad == [{"member": _words((x, y)), "rep": _words(cls.rep)}]
+    finally:
+        orbits.to_low[:] = to_low
+        interval_survey.cache_clear()
+
+
+def _first_pairs(survey, cls=None) -> list:
+    # the record's first pairs (top, bottom) on a plain base, in cls if given
+    return [
+        (j, i)
+        for j, row in survey.orbits.placed.items()
+        for i, (c, base) in row.items()
+        if type(base) is poset.IsoCertificate and (cls is None or c is cls)
+    ]
+
+
+def _base(survey, first):
+    return survey.orbits.placed[first[0]][first[1]][1]
+
+
+def _swap_entries(survey, a, b):
+    # exchange the record's entries of the first pairs a and b
+    placed = survey.orbits.placed
+    placed[a[0]][a[1]], placed[b[0]][b[1]] = placed[b[0]][b[1]], placed[a[0]][a[1]]
+
+
+def test_certificate_stage_fails_certificates_stored_under_the_wrong_member(monkeypatch):
+    # two first pairs' entries swapped in the record: each base maps from
+    # the other first pair's interval, so every member composed on either
+    # fails, as the reference says
+    survey = interval_survey(6)
+    try:
+        cls = next(c for c in survey.classes if len(_first_pairs(survey, c)) >= 2)
+        a, b = _first_pairs(survey, cls)[:2]
+        built = _built_on(cls, _base(survey, a)) + _built_on(cls, _base(survey, b))
+        _swap_entries(survey, a, b)
+        (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
+        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        assert bad == oracles.by_top_then_bottom(
+            [{"member": _words(m), "rep": _words(cls.rep)} for m in built]
+        )
+        assert len(bad) > 2
     finally:
         interval_survey.cache_clear()
 
 
 def test_certificate_witnesses_run_by_top_then_bottom(monkeypatch):
-    # one certificate corrupted in each of two classes, the class founded
-    # later holding the earlier member: the witnesses follow (y, x), not
-    # class order
+    # a pair listed under the wrong class in each of two classes, the class
+    # founded later holding the earlier pair: each fails, as its
+    # certificate maps onto the other class's representative, and the
+    # witnesses follow (y, x), not class order
     survey = interval_survey(6)
 
     def at(pair):
         return pair[1].ball_index, pair[0].ball_index
+
+    def z_sets(pair):
+        # Z^1..Z^4 of the pair, which the Z-set reference compares alone
+        x, y = pair
+        zs, inside = verify.z_masks(y), poset.interval_mask(x, y)
+        return [zs.get(m, 0) & inside for m in range(1, 5)]
 
     try:
         (first, a), (later, b) = next(
@@ -435,18 +576,21 @@ def test_certificate_witnesses_run_by_top_then_bottom(monkeypatch):
             for n, cls in enumerate(survey.classes)
             for a in cls.certs
             for other in survey.classes[n + 1 :]
+            if z_sets(other.rep) != z_sets(cls.rep)
             for b in other.certs
             if at(b) < at(a)
         )
-        stored = first.certs[a], later.certs[b]
-        first.certs[a], later.certs[b] = poset.IdentityCertificate(a), poset.IdentityCertificate(b)
+        ia, ib = first.members.index(a), later.members.index(b)
+        first.members[ia], later.members[ib] = b, a
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
         assert bad == [
-            {"member": _words(b), "rep": _words(later.rep)},
-            {"member": _words(a), "rep": _words(first.rep)},
+            {"member": _words(b), "rep": _words(first.rep)},
+            {"member": _words(a), "rep": _words(later.rep)},
         ]
-        first.certs[a], later.certs[b] = stored
+        z_stage, _ = _z_stage(monkeypatch, 6)
+        assert z_stage == oracles.reference_z_stage(survey) and z_stage[1] == bad
+        first.members[ia], later.members[ib] = a, b
         assert _certificate_stage(6).passed
     finally:
         interval_survey.cache_clear()
@@ -575,24 +719,27 @@ def test_z_stage_fails_the_members_of_a_corrupted_base(monkeypatch):
 
 
 def test_z_stage_fails_certificates_stored_under_the_wrong_member(monkeypatch):
-    # two certificates swapped between members of one class, where the
-    # per-certificate reference finds both moving a Z-set
+    # two first pairs' entries of one class swapped in the record, where the
+    # per-certificate reference finds every member composed on either
+    # moving a Z-set
     survey = interval_survey(6)
     try:
         found = None
         for cls in survey.classes:
-            members = list(cls.certs)
-            for a, b in itertools.combinations(members[:6], 2):
-                cls.certs[a], cls.certs[b] = cls.certs[b], cls.certs[a]
+            for a, b in itertools.combinations(_first_pairs(survey, cls)[:6], 2):
+                built = _built_on(cls, _base(survey, a)) + _built_on(cls, _base(survey, b))
+                expected = oracles.by_top_then_bottom(
+                    [{"member": _words(m), "rep": _words(cls.rep)} for m in built]
+                )
+                _swap_entries(survey, a, b)
                 try:
                     _, ref_bad = oracles.reference_z_stage(survey)
                 except KeyError:  # a Z-set member the other domain lacks
                     ref_bad = None
-                expected = [{"member": _words(m), "rep": _words(cls.rep)} for m in (a, b)]
                 if ref_bad == expected:
                     found = expected
                     break
-                cls.certs[a], cls.certs[b] = cls.certs[b], cls.certs[a]
+                _swap_entries(survey, a, b)
             if found:
                 break
         assert found
@@ -606,10 +753,10 @@ def test_z_stage_fails_certificates_stored_under_the_wrong_member(monkeypatch):
 def test_z_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
     survey = interval_survey(6)
     table = weyl.ball(6)
-    users = []
+    from_low = list(survey.orbits.from_low)
     try:
         shared = next(
-            c.act for cls in survey.classes for c in cls.certs.values() if hasattr(c, "act")
+            back[0] for back in from_low if len(back) == 1 and back[0] != table.actions[0]
         )
         # exchange two images of one length whose covers differ: still a
         # length-keeping permutation, no longer an automorphism
@@ -620,22 +767,16 @@ def test_z_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
         )
         act = list(shared)
         act[u], act[v] = act[v], act[u]
-        users = [
-            (cls, m, c)
-            for cls in survey.classes
-            for m, c in cls.certs.items()
-            if getattr(c, "act", None) is shared
-        ]
-        for _, _, c in users:
-            c.act = tuple(act)
+        tops, users = _composing_through(survey, shared)
+        for j in tops:
+            survey.orbits.from_low[j] = (tuple(act),)
         (counts, bad), _ = _z_stage(monkeypatch, 6)
         assert len(users) > 10
         assert bad == oracles.by_top_then_bottom(
-            [{"member": _words(m), "rep": _words(cls.rep)} for cls, m, _ in users]
+            [{"member": _words(m), "rep": _words(cls.rep)} for cls, m in users]
         )
     finally:
-        for _, _, c in users:
-            c.act = shared
+        survey.orbits.from_low[:] = from_low
         interval_survey.cache_clear()
 
 
@@ -1088,21 +1229,100 @@ def _live_intervals() -> int:
 
 
 def test_survey_keeps_only_class_representatives_alive(monkeypatch):
-    # by the time the first certificate is composed every orbit-first
-    # pair is classified, so at most the class representatives may still
-    # hold an Interval; keeping every orbit-first one fails this
+    # by the time the first pair joins a class every orbit-first pair is
+    # classified, so at most the class representatives may still hold an
+    # Interval; keeping every orbit-first one fails this
     baseline = _live_intervals()
     alive = []
-    composed = poset.ComposedCertificate
+    join = verify._join
 
     def counting(*args):
         if not alive:
             alive.append(_live_intervals() - baseline)
+        return join(*args)
+
+    monkeypatch.setattr(verify, "_join", counting)
+    survey = interval_survey.__wrapped__(10)
+    assert alive and alive[0] <= len(survey.classes)
+
+
+def test_a_conjecture_report_composes_no_certificate(monkeypatch):
+    # the survey stores no certificate per pair, and no stage composes one:
+    # IsoClass.certs composes on read, and only the tests read it
+    built = []
+    composed = poset.ComposedCertificate
+
+    def counting(*args):
+        built.append(None)
         return composed(*args)
 
     monkeypatch.setattr(poset, "ComposedCertificate", counting)
-    survey = interval_survey.__wrapped__(10)
-    assert alive and alive[0] <= len(survey.classes)
+    interval_survey.cache_clear()
+    try:
+        report = verify_conjecture(10)
+        assert report.passed and report.suites[1].counts["certificates"] == 7442
+        assert not built
+        assert sum(1 for cls in interval_survey(10).classes for _ in cls.certs.items()) == 7442
+        # each of them but the plain bases, which no list composes
+        assert len(built) == 7442 - len(_first_pairs(interval_survey(10)))
+    finally:
+        interval_survey.cache_clear()
+
+
+def test_certificates_compose_what_the_per_pair_pass_stored(monkeypatch):
+    # IsoClass.certs reads, member by member, the certificates that the
+    # per-pair pass stored: the same keys in the same order, the same
+    # classes of certificate and the same maps; every key and, off the
+    # restricted bases, every map is the eager reference's too
+    restricted = set()
+    restrict = verify._restricted
+
+    def spying(*args):
+        hit = restrict(*args)
+        if hit is not None:
+            restricted.add(id(hit[1]))
+        return hit
+
+    monkeypatch.setattr(verify, "_restricted", spying)
+    for max_length in (6, 8, 10, 12):
+        restricted.clear()
+        survey = interval_survey.__wrapped__(max_length)
+        eager = oracles.composed_certificates(max_length)
+        passed = oracles.per_pair_pass(survey)
+        assert [members for members, _ in passed] == [cls.members for cls in survey.classes]
+        keys = []
+        for cls, (_, stored) in zip(survey.classes, passed):
+            assert list(cls.certs) == list(stored) and len(cls.certs) == len(stored)
+            for (member, cert), (key, ref) in zip(cls.certs.items(), stored.items()):
+                assert member == key and type(cert) is type(ref) and cert.index == ref.index
+                if id(getattr(cert, "base", cert)) not in restricted:
+                    assert cert.index == eager[member].index, member
+            keys += cls.certs
+        assert sorted(keys, key=_by_top_key) == list(eager)
+        assert restricted
+
+
+def _by_top_key(pair):
+    return pair[1].ball_index, pair[0].ball_index
+
+
+def test_certificate_stage_matches_the_per_member_loop(monkeypatch):
+    # read off the record a top at a time, the verdict is the one the
+    # member-by-member loop gives on IsoClass.certs, here on a base
+    # swapped into the wrong first pair
+    survey = interval_survey(10)
+    automorphism = functools.partial(poset.is_automorphism, max_length=10)
+    args = survey, poset.IsoCertificate.is_valid, automorphism
+    try:
+        assert verify._failing_certificates(*args) == []
+        assert oracles.per_member_certificate_check(*args) == []
+        cls = next(c for c in survey.classes if len(_first_pairs(survey, c)) >= 3)
+        a, _, b = _first_pairs(survey, cls)[:3]
+        _swap_entries(survey, a, b)
+        bad = verify._failing_certificates(*args)
+        assert bad and bad == oracles.per_member_certificate_check(*args)
+    finally:
+        interval_survey.cache_clear()
 
 
 def _chain_stage(max_length):
