@@ -34,8 +34,6 @@ from .weyl import Element, _bits, _indices
 __all__ = [
     "Interval",
     "IsoCertificate",
-    "IdentityCertificate",
-    "ComposedCertificate",
     "NotComparableError",
     "build_interval",
     "is_isomorphic",
@@ -165,7 +163,8 @@ def build_interval(x: Element, y: Element) -> Interval:
 # isomorphism
 
 class IsoCertificate:
-    """An order isomorphism between two intervals.
+    """An order isomorphism between two intervals, the one certificate
+    class: searched, restricted, or composed through a symmetry by verify.
 
     Stored as ``index``, a dict from the ball index of each member to the
     ball index of its image; ``mapping`` decodes it to elements on
@@ -230,43 +229,6 @@ class IsoCertificate:
             if mapped != lower_covers[j] & members_b:
                 return False
         return True
-
-
-class IdentityCertificate(IsoCertificate):
-    """The identity on [x, y], held as ``pair`` = (x, y) alone: ``index``
-    is read off the interval mask when read, and ``apply`` gives z back."""
-
-    __slots__ = ("pair",)
-
-    def __init__(self, pair: tuple[Element, Element]):
-        self.pair = pair
-
-    @property
-    def index(self) -> dict[int, int]:
-        return {i: i for i in _indices(interval_mask(*self.pair))}
-
-    def apply(self, z: Element) -> Element:
-        return z
-
-
-class ComposedCertificate(IsoCertificate):
-    """``base`` after the inverse of a symmetry tau: z -> base(tau^-1 z),
-    held as ``base`` and the weyl.ball action list ``act`` of tau, which
-    verify checks once with is_automorphism.  ``index`` is composed on
-    each read, not kept, and ``apply`` goes through ``base.apply``."""
-
-    __slots__ = ("base", "act")
-
-    def __init__(self, base: IsoCertificate, act: tuple[int, ...]):
-        self.base, self.act = base, act
-
-    @property
-    def index(self) -> dict[int, int]:
-        act = self.act
-        return {act[i]: j for i, j in self.base.index.items()}
-
-    def apply(self, z: Element) -> Element:
-        return self.base.apply(weyl.ball_element(self.act.index(z.ball_index)))
 
 
 def is_automorphism(act: tuple[int, ...], max_length: int) -> bool:

@@ -15,16 +15,15 @@ tables, bucketed by the key of one round of color refinement and
 searched against the class representatives in its bucket, and kept
 only if it founds a class.  The key only narrows the search: intervals
 can share it and differ, and the search tells them apart.  Every other
-interval joins its orbit representative's class, and no certificate is
-kept for it: IsoClass.certs composes one from the representative's and
-an action list of G on ball indices (weyl.ball) when read, and the
-certificate stage checks a top's intervals at once.  Every stage reads
-P_{x,y} from the KL column of y, each entry of which the oracle stage
-checks by the recursion.
-Neither citation is taken on trust: the KL equality runs over every
-interval, each plain certificate is re-validated, and every stage
-that leans on a symmetry takes one poset.is_automorphism verdict per
-action list, which composed certificates inherit.
+interval joins its orbit representative's class and keeps no
+certificate: IsoClass.certs composes z -> c(t z) on read, c the orbit
+representative's certificate and t the weyl.ball list of a tau in G
+carrying [x, y] onto it; the certificate stage checks a top's intervals
+at once.  Every stage reads P_{x,y} from the KL column of y, each entry
+of which the oracle stage checks by the recursion.  Neither citation is
+taken on trust: the KL equality runs over every interval, each plain
+certificate is re-validated, and every stage that leans on a symmetry
+takes one poset.is_automorphism verdict per action list.
 
 ``verify_closed_forms`` replays every closed formula against the
 canonical-basis recursion; ``verify_lemma_suite`` runs the same oracle
@@ -201,10 +200,10 @@ def _oracle_stage(max_length: int) -> tuple:
 # the interval survey shared by the conjecture suite and the census
 
 # what interval_survey keeps of the G-orbits, by ball index: placed[j][i] is
-# the (class, base certificate) of the first pair (i, j), low[j] is j's least
-# image under G, to_low[j] and from_low[j] the lists carrying j onto low[j]
-# and back, in SYMMETRY_GROUP order
-_Orbits = namedtuple("_Orbits", "placed low to_low from_low")
+# the (class, base certificate) of the first pair (i, j), the base None for a
+# representative, whose identity it stands for; low[j] is j's least image
+# under G and to_low[j] the lists carrying j onto it, in SYMMETRY_GROUP order
+_Orbits = namedtuple("_Orbits", "placed low to_low")
 
 
 def _firsts(to: tuple, bottoms) -> Iterator[int]:
@@ -224,22 +223,32 @@ def _join(orbits: _Orbits, pairs: list, max_length: int, lists: dict) -> None:
         deque(map(list.append, map(lists[orbits.low[j]].__getitem__, firsts), rest), 0)
 
 
+def _source(orbits: _Orbits, i: int, j: int) -> tuple:
+    # (first bottom, class, base, t) of the pair (i, j): t is the first list
+    # of to_low[j] taking i least, so onto the bottom of its first pair (as
+    # in _firsts), whose entry in placed gives class and base; a faulty list
+    # may name an unplaced pair, whose class is None and base maps nothing
+    t = min(orbits.to_low[j], key=itemgetter(i))
+    return (t[i], *orbits.placed[orbits.low[j]].get(t[i], (None, IsoCertificate({}))), t)
+
+
 def _composed(orbits: _Orbits, pair: tuple[Element, Element]) -> IsoCertificate:
-    # the base of pair's first pair: a first pair's own, else composed with
-    # the lone list of from_low[j] or the first one carrying the first
-    # bottom onto pair's (the first, if a faulty record holds none)
-    i, j = pair[0].ball_index, pair[1].ball_index
-    first, back = next(_firsts(orbits.to_low[j], (i,))), orbits.from_low[j]
-    base = orbits.placed[orbits.low[j]][first][1]
-    if (first, orbits.low[j]) == (i, j):
-        return base
-    act = back[0] if len(back) == 1 else next((a for a in back if a[first] == i), back[0])
-    return poset.ComposedCertificate(base, act)
+    # z -> base(t z) over the members of pair (t z for a None base), base and
+    # t from _source: a certificate when t carries pair onto the first pair
+    # of a valid base.  Members whose image a faulty base lacks are left out.
+    _, _, base, t = _source(orbits, pair[0].ball_index, pair[1].ball_index)
+    keys = _indices(poset.interval_mask(*pair))
+    images = map(t.__getitem__, keys)
+    index = dict(zip(keys, images if base is None else map(base.index.get, images)))
+    if None in index.values():
+        index = {k: w for k, w in index.items() if w is not None}
+    return IsoCertificate(index)
 
 
 class _Certs(Mapping):
     """IsoClass.certs of a survey class: its members but the representative,
-    in member order, each to its certificate, composed on read (_composed)."""
+    in member order, each to its certificate, composed on read (_composed);
+    any other key, whatever its type, is missing."""
 
     __slots__ = ("rep", "members", "orbits")
 
@@ -253,7 +262,12 @@ class _Certs(Mapping):
         return len(self.members) - 1
 
     def __getitem__(self, pair) -> IsoCertificate:
-        if pair == self.rep or pair not in self.members:
+        try:  # a tuple of two ball elements under the survey's bound
+            x, y = pair if type(pair) is tuple else ()
+            owner = _source(self.orbits, x.ball_index, y.ball_index)[1]
+        except (LookupError, TypeError, ValueError, AttributeError):
+            owner = None
+        if getattr(owner, "certs", None) is not self or pair == self.rep:
             raise KeyError(pair)
         return _composed(self.orbits, pair)
 
@@ -308,21 +322,19 @@ def interval_survey(max_length: int) -> Survey:
     is cut from the weyl.ball tables, bucketed by Interval.key and
     searched against its bucket's representatives, and only a founder
     keeps its Interval.  ``placed`` keeps each first pair's class and base
-    certificate, an IdentityCertificate of the pair for a representative.
-    Then every pair joins the class of its first pair (_join); none keeps
-    a certificate, as IsoClass.certs composes them on read.  Restricted
-    pairs found no class, and a class's first pair is the first of its
-    orbit, so its representative, id and member order are those of
-    searching every pair.
+    certificate, None for a representative.  Then every pair joins the
+    class of its first pair (_join); none keeps a certificate, as
+    IsoClass.certs composes them on read.  Restricted pairs found no
+    class, and a class's first pair is the first of its orbit, so its
+    representative, id and member order are those of searching every pair.
     """
     _within_kl_cap(max_length)
     pairs = _interval_pairs(max_length)
     actions, uppers = weyl.ball(max_length).actions, weyl.ball(max_length).uppers
     low = [min(images) for images in zip(*actions)]
     to_low = [tuple(act for act in actions if act[j] == m) for j, m in enumerate(low)]
-    from_low = [tuple(act for act in actions if act[m] == j) for j, m in enumerate(low)]
-    placed: dict[int, dict[int, tuple[IsoClass, IsoCertificate]]] = {}
-    orbits = _Orbits(placed, low, to_low, from_low)
+    placed: dict[int, dict[int, tuple[IsoClass, IsoCertificate | None]]] = {}
+    orbits = _Orbits(placed, low, to_low)
     # key -> (class, representative Interval) entries in creation order
     buckets: dict[int, list[tuple[IsoClass, poset.Interval]]] = {}
     classes: list[IsoClass] = []
@@ -351,7 +363,7 @@ def interval_survey(max_length: int) -> Survey:
                     cls = IsoClass(pair, members, _Certs(pair, members, orbits))
                     bucket.append((cls, interval))
                     classes.append(cls)
-                    row[i] = cls, poset.IdentityCertificate(pair)
+                    row[i] = cls, None
                     continue
             row[i] = cls, cert = hit
             kept.append((uppers[i], cert.index, cls.rep[1].ball_index))
@@ -376,7 +388,7 @@ def _restricted(i: int, inside: int, kept: list, to_low: list, placed: dict):
     images = map(act.__getitem__, map(index.__getitem__, keys))
     try:
         cls, cert = placed[k][act[index[i]]]
-        if not isinstance(cert, poset.IdentityCertificate):
+        if cert is not None:
             images = map(cert.index.__getitem__, images)
         return cls, IsoCertificate(dict(zip(keys, images)))
     except KeyError:  # that pair comes later, or c is faulty: search instead
@@ -384,43 +396,34 @@ def _restricted(i: int, inside: int, kept: list, to_low: list, placed: dict):
 
 
 def _failing_certificates(survey: Survey, valid, list_ok) -> list:
-    """The members, by top and then bottom, whose certificate, as
-    IsoClass.certs composes it, fails.
+    """The members, by top and then bottom, whose certificate z -> base(t z),
+    as IsoClass.certs composes it from _source, fails.
 
-    A certificate z -> base(tau^-1 z) holds tau's action list (a plain one,
-    the identity).  Each base in the survey's _Orbits is judged once: an
-    IdentityCertificate passes iff it names its class's representative,
-    any other by valid(base, source, rep), with source the pair of its
-    least and greatest key, which must be its first pair; each list once,
-    by list_ok(act), which must include poset.is_automorphism.  A
-    certificate passes when both do, act carries the source onto the
-    member, and the member sits in its first pair's class.  That holds
-    for every member at once when each base passes from its first pair,
-    each list of from_low[j] passes and carries low[j] onto j, each of
-    to_low[j] has its inverse there, and the record (_join) lists each
-    class's members again as they are; else each member is checked alone.
+    Each base in the survey's _Orbits is judged once: None iff its first
+    pair is its class's representative, any other by valid(base, source,
+    rep), with source the pair of its least and greatest key, which must
+    be its first pair.  Each list t of to_low[j] is judged once, by
+    list_ok(t), which must include poset.is_automorphism, and t[j] =
+    low[j]; t then carries each pair it is read for onto its first pair.
+    If all pass and the record (_join) lists each class's members again as
+    they are, every certificate passes; else each member is checked alone.
     """
-    placed, low, to_low, from_low = orbits = survey.orbits
-    same = weyl.ball(survey.max_length).actions[0]  # the identity's list
+    placed, low, to_low = orbits = survey.orbits
     listed = {id(cls): [] for cls in survey.classes}  # each class's members, by the record
     where = {j: {i: listed[id(cls)] for i, (cls, _) in row.items()} for j, row in placed.items()}
     failed = set()  # the first pairs (j, i) whose base fails
     for j, row in placed.items():
         for i, (cls, base) in row.items():
-            if isinstance(base, poset.IdentityCertificate):
-                source, ok = base.pair, base.pair == cls.rep
+            if base is None:  # the identity, so its source is the representative
+                source, ok = cls.rep, True
             else:
                 source = weyl.ball_element(min(base.index)), weyl.ball_element(max(base.index))
                 ok = valid(base, source, cls.rep)
             if not ok or [w.ball_index for w in source] != [i, j]:
                 failed.add((j, i))
-    held = {id(act): act for act in itertools.chain([same], *from_low)}.values()
-    acts = {id(act): list_ok(act) for act in held}
-    inverse = {(id(t), id(f)) for t in held for f in held if tuple(map(f.__getitem__, t)) == same}
-    sound = (not failed
-             and all(acts[id(a)] and a[low[j]] == j for j, back in enumerate(from_low) for a in back)
-             and all(any((id(t), id(f)) in inverse for f in back)
-                     for to, back in zip(to_low, from_low) for t in to))
+    acts = {id(t): list_ok(t) for t in {id(t): t for t in itertools.chain(*to_low)}.values()}
+    sound = not failed and all(
+        acts[id(t)] and t[j] == low[j] for j, to in enumerate(to_low) for t in to)
     try:
         _join(orbits, survey.intervals, survey.max_length, where)
     except KeyError:  # a list onto a least image names no first pair
@@ -429,13 +432,9 @@ def _failing_certificates(survey: Survey, valid, list_ok) -> list:
         return []
 
     def fails(cls, pair) -> bool:
-        i, j = pair[0].ball_index, pair[1].ball_index
-        first, row = next(_firsts(to_low[j], (i,))), placed[low[j]]
-        if first not in row:
-            return True
-        act = getattr(_composed(orbits, pair), "act", same)
-        return ((low[j], first) in failed or row[first][0] is not cls
-                or not acts[id(act)] or (act[first], act[low[j]]) != (i, j))
+        j = pair[1].ball_index
+        first, owner, _, t = _source(orbits, pair[0].ball_index, j)
+        return (low[j], first) in failed or owner is not cls or not acts[id(t)] or t[j] != low[j]
 
     bad = sorted(
         (_by_top(m), _words(m), _words(cls.rep)) for cls in survey.classes for m in cls.certs
@@ -450,8 +449,8 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     The survey classifies one interval per G-orbit (interval_survey); the
     KL equality is still checked over every interval.  The report also
     judges every survey certificate through _failing_certificates: each
-    plain base once on covers, each representative's identity by the pair
-    it names, and each of the 12 action lists once by
+    plain base once on covers, each representative's None base by its
+    first pair, and each of the 12 action lists once by
     poset.is_automorphism.  Its oracle stage, which the lemma suite runs
     too, compares every KL column it reads with the recursion.  No stage
     checks P_{tau x, tau y} = P_{x,y} apart: (tau x, tau y) is a member

@@ -21,7 +21,9 @@ import hashlib
 import itertools
 from functools import lru_cache
 
+from bruhat_forge import weyl
 from bruhat_forge.laurent import LaurentPoly
+from bruhat_forge.poset import IsoCertificate, interval_mask
 
 # -- the group as 3x3 matrices in root coordinates ---------------------------
 
@@ -594,6 +596,53 @@ def reference_is_isomorphic(a, b):
     )
 
 
+# -- the survey's certificate classes, before every one was an IsoCertificate --
+
+class IdentityCertificate(IsoCertificate):
+    """The identity on [x, y], held as ``pair`` = (x, y) alone: ``index``
+    is read off the interval mask when read, and ``apply`` gives z back."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    @property
+    def index(self) -> dict[int, int]:
+        return {i: i for i in weyl._indices(interval_mask(*self.pair))}
+
+    def apply(self, z):
+        return z
+
+
+class ComposedCertificate(IsoCertificate):
+    """``base`` after the inverse of a symmetry tau: z -> base(tau^-1 z),
+    held as ``base`` and the weyl.ball action list ``act`` of tau.
+    ``index`` is composed on each read, not kept, and ``apply`` goes
+    through ``base.apply``."""
+
+    __slots__ = ("base", "act")
+
+    def __init__(self, base, act):
+        self.base, self.act = base, act
+
+    @property
+    def index(self) -> dict[int, int]:
+        act = self.act
+        return {act[i]: j for i, j in self.base.index.items()}
+
+    def apply(self, z):
+        return self.base.apply(weyl.ball_element(self.act.index(z.ball_index)))
+
+
+def inverse_list(act) -> tuple[int, ...]:
+    """The ball-index list of the inverse of the permutation ``act``."""
+    out = [0] * len(act)
+    for i, j in enumerate(act):
+        out[j] = i
+    return tuple(out)
+
+
 # -- the interval survey, one pair at a time ---------------------------------
 
 def per_pair_survey(max_length: int):
@@ -642,8 +691,7 @@ def orbit_table_survey(max_length: int):
     {z: z} IsoCertificate.  Classes are listed in the order they are
     founded.  Returns a verify.Survey.
     """
-    from bruhat_forge import poset, weyl
-    from bruhat_forge.poset import IsoCertificate, build_interval, fingerprint, is_isomorphic
+    from bruhat_forge.poset import build_interval, fingerprint, is_isomorphic
     from bruhat_forge.verify import IsoClass, Survey, _interval_pairs
 
     pairs = _interval_pairs(max_length)
@@ -677,7 +725,7 @@ def orbit_table_survey(max_length: int):
         cls, cert = placed[first]
         cls.members.append(pair)
         if pair != cls.rep:
-            cls.certs[pair] = cert if pair == first else poset.ComposedCertificate(cert, actions[k])
+            cls.certs[pair] = cert if pair == first else ComposedCertificate(cert, actions[k])
     return Survey(max_length, pairs, classes)
 
 
@@ -744,18 +792,20 @@ def composed_certificates(max_length: int) -> dict:
 
 def per_pair_pass(survey) -> list:
     """verify.interval_survey's second pass as it was, one pair at a time,
-    on the record the survey keeps (survey.orbits).
+    on the record the survey keeps (survey.orbits) and the lists back from
+    each least image, from_low[j], worked out from the ball's lists.
 
     Each pair of survey.intervals joins the class of its first pair and,
     unless it is the representative, stores its certificate: the first
-    pair's base, for a first pair, else a ComposedCertificate of it with
-    the one list of from_low[j], or the first carrying the first bottom
-    onto its bottom when the top's least image has a non-trivial
-    stabiliser.  Returns each class's (members, certificates by member).
+    pair's base, for a first pair, else a ComposedCertificate of it, or of
+    the IdentityCertificate of a representative, with the one list of
+    from_low[j], or the first carrying the first bottom onto its bottom
+    when the top's least image has a non-trivial stabiliser.  Returns each
+    class's (members, certificates by member).
     """
-    from bruhat_forge import poset
-
-    placed, low, to_low, from_low = survey.orbits
+    placed, low, to_low = survey.orbits
+    actions = weyl.ball(survey.max_length).actions
+    from_low = [tuple(act for act in actions if act[m] == j) for j, m in enumerate(low)]
     out = {id(cls): ([], {}) for cls in survey.classes}
     top = None
     for pair in survey.intervals:
@@ -770,48 +820,63 @@ def per_pair_pass(survey) -> list:
             fi = min(act[i] for act in to)
             act = next(act for act in back if act[fi] == i)
         cls, cert = placed[low[j]][fi]
+        if cert is None:
+            cert = IdentityCertificate((weyl.ball_element(fi), weyl.ball_element(low[j])))
         members, certs = out[id(cls)]
         members.append(pair)
         if (fi, low[j]) != (i, j):
-            certs[pair] = poset.ComposedCertificate(cert, act)
+            certs[pair] = ComposedCertificate(cert, act)
         elif pair != cls.rep:
             certs[pair] = cert
     return [out[id(cls)] for cls in survey.classes]
 
 
 def per_member_certificate_check(survey, valid, list_ok) -> list:
-    """verify._failing_certificates as it was, one member at a time: the
-    members, by top and then bottom, whose certificate fails, read from
-    each class's certs.
+    """verify._failing_certificates before it judged a top's bottoms at
+    once, one member of each class's certs at a time: the members, by top
+    and then bottom, whose certificate fails.
 
-    A certificate z -> base(tau^-1 z) holds tau's action list (a plain
-    one, the identity).  Each base is judged once per class: an
-    IdentityCertificate passes iff it names its class's representative,
-    any other by valid(base, source, rep), with source the pair of its
-    least and greatest key; each list once, by list_ok(act).  A
-    certificate passes when both do and act carries the source onto the
-    member.
+    A member (x, y)'s certificate is rebuilt from the record as a
+    ComposedCertificate of its first pair's base (an IdentityCertificate
+    for None) with the inverse of t, so z -> base(t z), t being the first
+    list of to_low[j] that takes x to its least image.  Each base is
+    judged once per class: an IdentityCertificate passes iff it names its
+    class's representative, any other by valid(base, source, rep), with
+    source the pair of its least and greatest key; each list t once, by
+    list_ok(t).  A certificate passes when both do and its act carries the
+    source onto the member; a member whose first pair the record does not
+    place fails.
     """
-    from bruhat_forge import poset, verify, weyl
+    from bruhat_forge import verify
 
-    same = weyl.ball(survey.max_length).actions[0]
+    placed, low, to_low = survey.orbits
     acts: dict = {}
     bad = []
     for cls in survey.classes:
-        bases = {}
-        for (x, y), cert in cls.certs.items():
-            base, act = getattr(cert, "base", cert), getattr(cert, "act", same)
-            if base not in bases:
-                if isinstance(base, poset.IdentityCertificate):
+        bases: dict = {}
+        for x, y in cls.certs:
+            i, j = x.ball_index, y.ball_index
+            first = min(t[i] for t in to_low[j])
+            t = next(t for t in to_low[j] if t[i] == first)
+            if first not in placed[low[j]]:
+                bad.append((verify._by_top((x, y)), verify._words((x, y)), verify._words(cls.rep)))
+                continue
+            base = placed[low[j]][first][1]
+            if base is None:
+                base = IdentityCertificate((weyl.ball_element(first), weyl.ball_element(low[j])))
+            if id(t) not in acts:
+                acts[id(t)] = list_ok(t), inverse_list(t)
+            cert = ComposedCertificate(base, acts[id(t)][1])
+            key = getattr(base, "pair", id(base))
+            if key not in bases:
+                if isinstance(base, IdentityCertificate):
                     source, ok = base.pair, base.pair == cls.rep
                 else:
                     source = weyl.ball_element(min(base.index)), weyl.ball_element(max(base.index))
                     ok = valid(base, source, cls.rep)
-                bases[base] = ok, source[0].ball_index, source[1].ball_index
-            if id(act) not in acts:
-                acts[id(act)] = list_ok(act)
-            ok, i, j = bases[base]
-            if not (ok and acts[id(act)]) or (act[i], act[j]) != (x.ball_index, y.ball_index):
+                bases[key] = ok, source[0].ball_index, source[1].ball_index
+            ok, si, sj = bases[key]
+            if not (ok and acts[id(t)][0]) or (cert.act[si], cert.act[sj]) != (i, j):
                 bad.append((verify._by_top((x, y)), verify._words((x, y)), verify._words(cls.rep)))
     return [{"member": member, "rep": rep} for _, member, rep in sorted(bad)]
 

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 import oracles
 from bruhat_forge import poset, regions, verify, weyl
 from bruhat_forge.poset import (
-    ComposedCertificate,
     IsoCertificate,
     NotComparableError,
     build_interval,
@@ -773,8 +772,9 @@ def test_cover_check_agrees_with_subword_order_on_a_sample():
 
 
 def test_composed_certificate_with_wrong_symmetry_is_rejected():
-    # z -> c(tau^-1 z) certifies [tau x, tau y] -> rep only for a tau
-    # that carries [x, y] onto [tau x, tau y]
+    # z -> c(t z) certifies [tau x, tau y] -> rep only for a t that
+    # carries [tau x, tau y] onto [x, y]; built with any other t it maps
+    # from elsewhere, where c is not defined, or onto the wrong members
     from bruhat_forge.verify import interval_survey
 
     survey = interval_survey(6)
@@ -783,45 +783,49 @@ def test_composed_certificate_with_wrong_symmetry_is_rejected():
         for first in cls.members[:3]:
             members = build_interval(*first).members
             cert = cls.certs.get(first)
-            images = [cert.apply(z) if cert is not None else z for z in members]
+            image = {z: cert.apply(z) if cert is not None else z for z in members}
             for tau in weyl.SYMMETRY_GROUP:
                 target = (tau.apply(first[0]), tau.apply(first[1]))
-                for built_with in weyl.SYMMETRY_GROUP:
+                for t in weyl.SYMMETRY_GROUP:
                     composed = IsoCertificate({
-                        built_with.apply(z).ball_index: c.ball_index
-                        for z, c in zip(members, images)
+                        z.ball_index: image[t.apply(z)].ball_index
+                        for z in build_interval(*target).members
+                        if t.apply(z) in image
                     })
-                    carried = (built_with.apply(first[0]), built_with.apply(first[1]))
-                    assert composed.is_valid(target, cls.rep) == (carried == target)
-                    rejected += carried != target
+                    carried = (t.apply(target[0]), t.apply(target[1]))
+                    assert composed.is_valid(target, cls.rep) == (carried == first)
+                    rejected += carried != first
     assert rejected > 0
 
 
 def test_lazily_composed_certificate_with_wrong_action_is_rejected():
-    # an orbit certificate stands for z -> base(tau^-1 z); built with the
-    # action of a tau that does not carry the base's pair onto the
-    # member, it fails is_valid
-    from bruhat_forge.verify import interval_survey
+    # a member's certificate stands for z -> base(t z), base its first
+    # pair's; built with the list of a t that does not carry the member
+    # onto that first pair, it fails is_valid
+    from bruhat_forge.verify import _source, interval_survey
 
     survey = interval_survey(6)
     table = weyl.ball(6)
-    composed = [
-        (member, cls.rep, cert)
-        for cls in survey.classes
-        for member, cert in cls.certs.items()
-        if isinstance(cert, ComposedCertificate)
-    ]
+    composed = []
+    for cls in survey.classes:
+        for member in cls.certs:
+            i, j = member[0].ball_index, member[1].ball_index
+            first, _, base, _ = _source(survey.orbits, i, j)
+            low = survey.orbits.low[j]
+            if (first, low) != (i, j):
+                pair = weyl.ball_element(first), weyl.ball_element(low)
+                if base is None:  # the representative's identity
+                    base = oracles.IdentityCertificate(pair)
+                composed.append((member, cls.rep, base, pair))
     rejected = 0
-    for member, rep, cert in composed[::13]:
-        assert cert.is_valid(member, rep)
-        # the base certificate's domain is the orbit's first pair
-        first = (min(cert.base.index), max(cert.base.index))
+    for member, rep, base, (x, y) in composed[::13]:
         target = (member[0].ball_index, member[1].ball_index)
         for act in table.actions:
-            moved = ComposedCertificate(cert.base, act)
-            carried = (act[first[0]], act[first[1]])
-            assert moved.is_valid(member, rep) == (carried == target)
-            rejected += carried != target
+            # z -> base(act z), as a composition with the inverse list
+            moved = oracles.ComposedCertificate(base, oracles.inverse_list(act))
+            carried = (act[target[0]], act[target[1]])
+            assert moved.is_valid(member, rep) == (carried == (x.ball_index, y.ball_index))
+            rejected += carried != (x.ball_index, y.ball_index)
     assert rejected > 0
 
 

@@ -215,9 +215,26 @@ def _certificate_stage(max_length):
     return next(s for s in verify_conjecture(max_length).suites if s.name.startswith("certif"))
 
 
-def _built_on(cls, base):
-    # the members whose certificate is base or is composed on it
-    return [m for m, c in cls.certs.items() if c is base or getattr(c, "base", None) is base]
+def _first_of(survey, member):
+    # the record's first pair (top, bottom) of a member, by ball index
+    j = member[1].ball_index
+    return survey.orbits.low[j], verify._source(survey.orbits, member[0].ball_index, j)[0]
+
+
+def _base_of(survey, member):
+    # the base in the record that a member's certificate is composed on
+    return verify._source(survey.orbits, member[0].ball_index, member[1].ball_index)[2]
+
+
+def _built_on(survey, cls, first):
+    # the members of cls whose certificate is composed on the base of the
+    # record's first pair (top, bottom)
+    return [m for m in cls.certs if _first_of(survey, m) == first]
+
+
+def _at(first):
+    # the pair (x, y) of a first pair (top, bottom)
+    return weyl.ball_element(first[1]), weyl.ball_element(first[0])
 
 
 def test_certificate_stage_names_the_failing_members(monkeypatch):
@@ -225,13 +242,12 @@ def test_certificate_stage_names_the_failing_members(monkeypatch):
     try:
         # a base certificate the survey stored for an orbit-first pair,
         # with more members built on it than a stage lists as witnesses
-        cls, pair, base = next(
-            (cls, m, c)
-            for cls in survey.classes
-            for m, c in cls.certs.items()
-            if type(c) is poset.IsoCertificate and len(_built_on(cls, c)) > 10 and _unlike_pair(m)
+        first = next(
+            f for f in _first_pairs(survey)
+            if len(_built_on(survey, _entry(survey, f)[0], f)) > 10 and _unlike_pair(_at(f))
         )
-        dependants, rep = _built_on(cls, base), cls.rep
+        (cls, base), pair = _entry(survey, first), _at(first)
+        dependants, rep = _built_on(survey, cls, first), cls.rep
         assert base.is_valid(pair, rep)
         u, v = _unlike_pair(pair)
         index = base.index
@@ -243,22 +259,21 @@ def test_certificate_stage_names_the_failing_members(monkeypatch):
         index[u], index[v] = index[v], index[u]
         assert _certificate_stage(6).passed
 
-        # a corrupted copy of the one list the record holds to carry the
-        # least image of a top y onto y, its images of that least image and
-        # of another element of its length exchanged: every certificate of
-        # a pair of y maps from the wrong set, and every other top and the
-        # shared list stay intact
+        # a corrupted copy of the one list the record holds to carry a top y
+        # onto its least image, its images of y and of another element of
+        # y's length exchanged: every certificate of a pair of y maps y off
+        # the least image, and every other top and the shared list stay
+        # intact
         orbits = survey.orbits
         j, y = next(
             (j, y)
             for j, y in enumerate(weyl.enumerate_up_to_length(6))
-            if orbits.low[j] != j and len(orbits.from_low[j]) == 1 and y.length > 2
+            if orbits.low[j] != j and len(orbits.to_low[j]) == 1 and y.length > 2
         )
-        low = orbits.low[j]
-        other = next(z.ball_index for z in weyl.elements_of_length(y.length) if z.ball_index != low)
-        act = list(orbits.from_low[j][0])
-        act[low], act[other] = act[other], act[low]
-        orbits.from_low[j] = (tuple(act),)
+        other = next(z.ball_index for z in weyl.elements_of_length(y.length) if z.ball_index != j)
+        act = list(orbits.to_low[j][0])
+        act[j], act[other] = act[other], act[j]
+        orbits.to_low[j] = (tuple(act),)
         class_of = {m: c for c in survey.classes for m in c.members}
         members = [(x, y) for x in weyl.lower_interval(y)[:-1]]
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
@@ -307,11 +322,6 @@ def _run_stages(monkeypatch, max_length):
         return _stage_results(patch, lambda: verify_conjecture(max_length), calls)
 
 
-def _source_ends(cert):
-    # a composed certificate's base maps from the interval whose ends are
-    # its least and greatest key in ball order
-    return weyl.ball_element(min(cert.base.index)), weyl.ball_element(max(cert.base.index))
-
 
 def test_certificate_stage_matches_the_is_valid_reference(monkeypatch):
     (counts, bad), _ = _run_stages(monkeypatch, 12)[CERTIFICATES]
@@ -320,52 +330,48 @@ def test_certificate_stage_matches_the_is_valid_reference(monkeypatch):
 
 
 def test_certificate_stage_validates_each_base_once(monkeypatch):
-    # one is_valid per plain certificate, not one per certificate; the
-    # representatives' identities, the bases of their orbit-mates, are
-    # judged by the pair they name, as a cover walk on each would double
+    # one is_valid per plain base in the record, not one per certificate;
+    # the representatives' None bases, the bases of their orbit-mates, are
+    # judged by their first pair, as a cover walk on each would double
     # the stage at L=20
     (counts, _), calls = _run_stages(monkeypatch, 8)[CERTIFICATES]
-    classes = interval_survey(8).classes
-    plain = sum(type(c) is poset.IsoCertificate for cls in classes for c in cls.certs.values())
+    survey = interval_survey(8)
+    plain = len(_first_pairs(survey))
     assert counts == {"certificates": 3094, "invalid": 0}
     assert calls == plain
-    assert plain + len(classes) < 3094
+    assert plain + len(survey.classes) < 3094
 
 
 def test_certificate_stage_fails_the_members_of_a_corrupted_identity(monkeypatch):
     survey = interval_survey(6)
     try:
-        # a representative's identity, the base of its orbit-mates, made to
-        # name the representative of another class of the same span
-        def span(c):
-            return c.rep[1].length - c.rep[0].length
-
-        cls, identity, other = next(
-            (cls, c.base, o.rep)
-            for cls in survey.classes
-            for c in cls.certs.values()
-            if isinstance(getattr(c, "base", None), poset.IdentityCertificate)
-            for o in survey.classes
-            if o is not cls and span(o) == span(cls)
+        # a wrong base in the record: a first pair with more members built
+        # on it than a stage lists given a None base, the identity on its
+        # own interval, so its ends match and only the rule that a None
+        # base stands at its class's representative fails it and every
+        # member composed on it
+        first = next(
+            f for f in _first_pairs(survey) if len(_built_on(survey, _entry(survey, f)[0], f)) > 10
         )
-        expected = [{"member": _words(m), "rep": _words(cls.rep)} for m in _built_on(cls, identity)]
-        identity.pair = other
+        row = survey.orbits.placed[first[0]]
+        cls, base = row[first[1]]
+        built = _built_on(survey, cls, first)
+        expected = [{"member": _words(m), "rep": _words(cls.rep)} for m in built]
+        row[first[1]] = cls, None
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
-        assert bad == expected and bad
-        identity.pair = cls.rep
-        # a wrong base in the record: a first pair given the identity on its
-        # own interval, so its ends match and only the rule that an identity
-        # names its representative fails it and every member composed on it
-        # the Z-set reference reads Z-sets alone, so take one whose Z-sets
-        # the identity moves
+        assert bad == expected and counts["invalid"] == len(expected)
+        assert _certificate_stage(6).witnesses == expected[:10]
+        row[first[1]] = cls, base
+        # the same at a first pair whose Z-sets the identity moves, as the
+        # Z-set reference reads Z-sets alone
         for j, i in _first_pairs(survey):
             row = survey.orbits.placed[j]
             cls, base = row[i]
-            built = _built_on(cls, base)
+            built = _built_on(survey, cls, (j, i))
             expected = [{"member": _words(m), "rep": _words(cls.rep)} for m in built]
             first = weyl.ball_element(i), weyl.ball_element(j)
-            row[i] = cls, poset.IdentityCertificate(first)
+            row[i] = cls, None
             if oracles.reference_z_stage(survey)[1] == expected:
                 break
             row[i] = cls, base
@@ -381,36 +387,42 @@ def test_certificate_stage_fails_the_members_of_a_corrupted_identity(monkeypatch
 
 
 def _composing_through(survey, shared) -> list:
-    # the tops whose record carries their least image onto them by the one
+    # the tops whose record carries them onto their least image by the one
     # list ``shared``, and the (class, member) pairs of those tops, every
     # one of them composed through it
-    tops = [j for j, back in enumerate(survey.orbits.from_low) if back == (shared,)]
+    tops = [j for j, to in enumerate(survey.orbits.to_low) if to == (shared,)]
     users = [(cls, m) for cls in survey.classes for m in cls.certs if m[1].ball_index in tops]
     return tops, users
 
 
 def test_certificate_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
     survey = interval_survey(6)
-    from_low = list(survey.orbits.from_low)
+    to_low = list(survey.orbits.to_low)
+    same = weyl.ball(6).actions[0]
+
+    def keeps_first_pairs(shared, u, v):
+        # u and v lie below the same tops of those reading shared alone, so
+        # with their images exchanged each pair still names a first pair
+        ideals = [weyl.ball_element(j).ideal for j in _composing_through(survey, shared)[0]]
+        return all(d >> u & 1 == d >> v & 1 for d in ideals)
+
     try:
-        member, composed = next(
-            (m, c)
-            for cls in survey.classes
-            for m, c in cls.certs.items()
-            if isinstance(c, poset.ComposedCertificate)
-            and len(from_low[m[1].ball_index]) == 1
-            and _unlike_pair(_source_ends(c))
-        )
         # one corrupted copy of the action list of one tau, set in the
-        # record for every top that composes through it alone: a
-        # permutation that keeps lengths, so only the covers tell
-        shared = composed.act
-        u, v = _unlike_pair(_source_ends(composed))
+        # record for every top that composes through it alone: its images
+        # of two members of one member's interval exchanged, a permutation
+        # that keeps lengths, so only the covers tell
+        shared, (u, v) = next(
+            (to[0], _unlike_pair(m))
+            for cls in survey.classes
+            for m in cls.certs
+            if len(to := to_low[m[1].ball_index]) == 1 and to[0] != same
+            and _unlike_pair(m) and keeps_first_pairs(to[0], *_unlike_pair(m))
+        )
         act = list(shared)
         act[u], act[v] = act[v], act[u]
         tops, users = _composing_through(survey, shared)
         for j in tops:
-            survey.orbits.from_low[j] = (tuple(act),)
+            survey.orbits.to_low[j] = (tuple(act),)
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         _, ref_bad = oracles.reference_certificate_verdicts(survey)
         assert ref_bad and all(w in bad for w in ref_bad)
@@ -424,7 +436,7 @@ def test_certificate_stage_fails_every_member_of_a_corrupted_action_list(monkeyp
             survey, poset.IsoCertificate.is_valid, automorphism
         )
     finally:
-        survey.orbits.from_low[:] = from_low
+        survey.orbits.to_low[:] = to_low
         interval_survey.cache_clear()
 
 
@@ -432,7 +444,9 @@ def test_certificate_stage_fails_the_pairs_of_a_corrupted_list_onto_a_least_imag
     # a top's one list onto its least image with its images of two bottoms
     # exchanged, bottoms whose first pairs share a class: the record still
     # lists every class as it is, but each of the two pairs now reads the
-    # other's first pair, and no list carries that one onto it
+    # other's first pair, which that list does not carry it onto; the list
+    # fails as a whole, so the stage names every pair the reference does
+    # and more
     survey = interval_survey(6)
     orbits = survey.orbits
     to_low = list(orbits.to_low)
@@ -453,46 +467,51 @@ def test_certificate_stage_fails_the_pairs_of_a_corrupted_list_onto_a_least_imag
         act[a.ball_index], act[b.ball_index] = act[b.ball_index], act[a.ball_index]
         orbits.to_low[j] = (tuple(act),)
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
-        assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
+        _, ref_bad = oracles.reference_certificate_verdicts(survey)
+        assert ref_bad and all(w in bad for w in ref_bad)
+        automorphism = functools.partial(poset.is_automorphism, max_length=6)
+        assert bad == oracles.per_member_certificate_check(
+            survey, poset.IsoCertificate.is_valid, automorphism
+        )
         y = weyl.ball_element(j)
-        assert bad == [{"member": _words((x, y)), "rep": _words(cls.rep)} for x in (a, b)]
+        assert all({"member": _words((x, y)), "rep": _words(cls.rep)} in bad for x in (a, b))
     finally:
         orbits.to_low[:] = to_low
         interval_survey.cache_clear()
 
 
 def test_certificate_stage_fails_the_pairs_a_list_carries_off_their_top(monkeypatch):
-    # the identity's list put before the one list back from a top's least
-    # image: an automorphism, and the lists onto that image keep their
-    # inverses, but the bottoms their list fixes now read the identity,
-    # which leaves the least image where it is
+    # the identity's list put before the one list onto a top's least
+    # image: an automorphism, but the bottoms it takes no higher than that
+    # list does now read it, and it leaves the top where it is
     survey = interval_survey(6)
     orbits = survey.orbits
-    from_low = list(orbits.from_low)
+    to_low = list(orbits.to_low)
     same = weyl.ball(6).actions[0]
     try:
         j, y = next(
             (j, y)
             for j, y in enumerate(weyl.enumerate_up_to_length(6))
-            if orbits.low[j] != j and len(from_low[j]) == 1 and y.length > 2
+            if orbits.low[j] != j and len(to_low[j]) == 1 and y.length > 2
         )
-        orbits.from_low[j] = (same,) + from_low[j]
-        to = orbits.to_low[j][0]
-        fixed = [x for x in weyl.lower_interval(y)[:-1] if to[x.ball_index] == x.ball_index]
+        orbits.to_low[j] = (same,) + to_low[j]
+        to = to_low[j][0]
+        off = [x for x in weyl.lower_interval(y)[:-1] if x.ball_index <= to[x.ball_index]]
         class_of = {m: c for c in survey.classes for m in c.members}
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
-        assert bad == [{"member": _words((x, y)), "rep": _words(class_of[x, y].rep)} for x in fixed]
-        assert fixed
+        assert bad == [{"member": _words((x, y)), "rep": _words(class_of[x, y].rep)} for x in off]
+        assert off
     finally:
-        orbits.from_low[:] = from_low
+        orbits.to_low[:] = to_low
         interval_survey.cache_clear()
 
 
 def test_certificate_stage_fails_a_pair_whose_list_names_no_first_pair(monkeypatch):
     # a top's one list onto its least image made to send a bottom onto that
     # image itself: the pair has no first pair in the record, so the stage
-    # fails it rather than raising, and every other pair still passes
+    # fails it rather than raising, and the list, no permutation now,
+    # fails every pair of the top with it
     survey = interval_survey(6)
     orbits = survey.orbits
     to_low = list(orbits.to_low)
@@ -506,9 +525,15 @@ def test_certificate_stage_fails_a_pair_whose_list_names_no_first_pair(monkeypat
         act = list(to_low[j][0])
         act[x.ball_index] = orbits.low[j]
         orbits.to_low[j] = (tuple(act),)
-        cls = next(c for c in survey.classes if (x, y) in c.members)
+        class_of = {m: c for c in survey.classes for m in c.members}
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
-        assert bad == [{"member": _words((x, y)), "rep": _words(cls.rep)}]
+        _, ref_bad = oracles.reference_certificate_verdicts(survey)
+        assert {"member": _words((x, y)), "rep": _words(class_of[x, y].rep)} in ref_bad
+        assert all(w in bad for w in ref_bad)
+        assert bad == [
+            {"member": _words((z, y)), "rep": _words(class_of[z, y].rep)}
+            for z in weyl.lower_interval(y)[:-1]
+        ]
     finally:
         orbits.to_low[:] = to_low
         interval_survey.cache_clear()
@@ -524,8 +549,9 @@ def _first_pairs(survey, cls=None) -> list:
     ]
 
 
-def _base(survey, first):
-    return survey.orbits.placed[first[0]][first[1]][1]
+def _entry(survey, first):
+    # the record's (class, base) of a first pair (top, bottom)
+    return survey.orbits.placed[first[0]][first[1]]
 
 
 def _swap_entries(survey, a, b):
@@ -542,7 +568,7 @@ def test_certificate_stage_fails_certificates_stored_under_the_wrong_member(monk
     try:
         cls = next(c for c in survey.classes if len(_first_pairs(survey, c)) >= 2)
         a, b = _first_pairs(survey, cls)[:2]
-        built = _built_on(cls, _base(survey, a)) + _built_on(cls, _base(survey, b))
+        built = _built_on(survey, cls, a) + _built_on(survey, cls, b)
         _swap_entries(survey, a, b)
         (counts, bad), _ = _run_stages(monkeypatch, 6)[CERTIFICATES]
         assert (counts, bad) == oracles.reference_certificate_verdicts(survey)
@@ -679,17 +705,16 @@ def test_z_stage_matches_the_per_certificate_reference(monkeypatch):
 
 
 def test_z_stage_composes_no_certificate(monkeypatch):
-    # bases and action lists are judged once each, so no composed index
-    # dict is built; a per-certificate read builds one for each of the 6919
-    # composed certificates of the 7442 at L=10
+    # bases and action lists are judged once each, so no certificate is
+    # composed; a per-certificate read composes each of the 7442 at L=10
     reads = []
-    index = poset.ComposedCertificate.index
+    composed = verify._composed
 
-    def counting(self):
+    def counting(*args):
         reads.append(None)
-        return index.fget(self)
+        return composed(*args)
 
-    monkeypatch.setattr(poset.ComposedCertificate, "index", property(counting))
+    monkeypatch.setattr(verify, "_composed", counting)
     (counts, bad), stage_reads = _z_stage(monkeypatch, 10, reads)
     assert counts["certificates"] == 7442 and not bad
     assert stage_reads == 0
@@ -698,20 +723,20 @@ def test_z_stage_composes_no_certificate(monkeypatch):
 def test_z_stage_fails_the_members_of_a_corrupted_base(monkeypatch):
     survey = interval_survey(6)
     try:
-        # a plain certificate that moves a Z-set of its member once two
-        # images are swapped, with more members composed on it
-        cls, member, base = next(
-            (cls, m, c)
-            for cls in survey.classes
-            for m, c in cls.certs.items()
-            if type(c) is poset.IsoCertificate and len(_built_on(cls, c)) > 1 and _moved_z_pair(m)
+        # a plain base that moves a Z-set of its first pair once two images
+        # are swapped, with more members composed on it
+        first = next(
+            f for f in _first_pairs(survey)
+            if len(_built_on(survey, _entry(survey, f)[0], f)) > 1 and _moved_z_pair(_at(f))
         )
-        u, v = _moved_z_pair(member)
+        cls, base = _entry(survey, first)
+        u, v = _moved_z_pair(_at(first))
         index = base.index
         index[u], index[v] = index[v], index[u]
         (counts, bad), _ = _z_stage(monkeypatch, 6)
         assert (counts, bad) == oracles.reference_z_stage(survey)
-        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for m in _built_on(cls, base)]
+        built = _built_on(survey, cls, first)
+        assert bad == [{"member": _words(m), "rep": _words(cls.rep)} for m in built]
         index[u], index[v] = index[v], index[u]
         assert not _z_stage(monkeypatch, 6)[0][1]
     finally:
@@ -727,7 +752,7 @@ def test_z_stage_fails_certificates_stored_under_the_wrong_member(monkeypatch):
         found = None
         for cls in survey.classes:
             for a, b in itertools.combinations(_first_pairs(survey, cls)[:6], 2):
-                built = _built_on(cls, _base(survey, a)) + _built_on(cls, _base(survey, b))
+                built = _built_on(survey, cls, a) + _built_on(survey, cls, b)
                 expected = oracles.by_top_then_bottom(
                     [{"member": _words(m), "rep": _words(cls.rep)} for m in built]
                 )
@@ -753,11 +778,9 @@ def test_z_stage_fails_certificates_stored_under_the_wrong_member(monkeypatch):
 def test_z_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
     survey = interval_survey(6)
     table = weyl.ball(6)
-    from_low = list(survey.orbits.from_low)
+    to_low = list(survey.orbits.to_low)
     try:
-        shared = next(
-            back[0] for back in from_low if len(back) == 1 and back[0] != table.actions[0]
-        )
+        shared = next(to[0] for to in to_low if len(to) == 1 and to[0] != table.actions[0])
         # exchange two images of one length whose covers differ: still a
         # length-keeping permutation, no longer an automorphism
         u, v = next(
@@ -769,14 +792,14 @@ def test_z_stage_fails_every_member_of_a_corrupted_action_list(monkeypatch):
         act[u], act[v] = act[v], act[u]
         tops, users = _composing_through(survey, shared)
         for j in tops:
-            survey.orbits.from_low[j] = (tuple(act),)
+            survey.orbits.to_low[j] = (tuple(act),)
         (counts, bad), _ = _z_stage(monkeypatch, 6)
         assert len(users) > 10
         assert bad == oracles.by_top_then_bottom(
             [{"member": _words(m), "rep": _words(cls.rep)} for cls, m in users]
         )
     finally:
-        survey.orbits.from_low[:] = from_low
+        survey.orbits.to_low[:] = to_low
         interval_survey.cache_clear()
 
 
@@ -785,17 +808,12 @@ def test_z_stage_checks_that_each_list_carries_the_z_sets(monkeypatch):
     # certificates reach: every base still keeps its Z-sets, so only the
     # per-list check that tau carries z_masks(y) onto z_masks(tau y) sees it
     survey = interval_survey(6)
-    judged = {cls.rep[1] for cls in survey.classes} | {
-        m[1]
-        for cls in survey.classes
-        for m, c in cls.certs.items()
-        if type(c) is poset.IsoCertificate
-    }
+    judged = {weyl.ball_element(j) for j in survey.orbits.placed}  # the tops of first pairs
     real = verify.z_masks
     y, dropped = next(
         (y, (m, low))
         for cls in survey.classes
-        for (x, y), c in cls.certs.items()
+        for x, y in cls.certs
         if y not in judged
         for m, mask in sorted(real(y).items())
         if m <= 4 and (low := mask & weyl.upper_set(x, y.length))
@@ -1115,7 +1133,7 @@ def test_survey_matches_the_orbit_table_reference(monkeypatch):
     for cls, ref_cls in zip(survey.classes, ref.classes):
         assert list(cls.certs) == list(ref_cls.certs), cls.rep
         for member, cert in cls.certs.items():
-            if id(getattr(cert, "base", cert)) not in restricted:
+            if id(_base_of(survey, member)) not in restricted:
                 assert word_map(cert) == word_map(ref_cls.certs[member]), member
                 compared += 1
     assert restricted and compared
@@ -1135,7 +1153,7 @@ def test_survey_peak_memory_stays_small():
 
 
 def test_survey_certificates_match_the_eager_reference(monkeypatch):
-    # certificates stored as (orbit base, action) go to the members the
+    # certificates composed from (first pair's base, list) go to the members the
     # eager reference gives one; a base restricted from another one need
     # not be the isomorphism the reference's search finds, so each is
     # checked as an order isomorphism onto its representative by the
@@ -1215,8 +1233,8 @@ def test_a_corrupted_search_certificate_fails_with_its_restrictions(monkeypatch)
         built_on = [
             member
             for cls in survey.classes
-            for member, cert in cls.certs.items()
-            if id(getattr(cert, "base", cert)) in derived
+            for member in cls.certs
+            if id(_base_of(survey, member)) in derived
         ]
         assert built_on and all(_words(m) in failing for m in built_on)
     finally:
@@ -1250,30 +1268,30 @@ def test_a_conjecture_report_composes_no_certificate(monkeypatch):
     # the survey stores no certificate per pair, and no stage composes one:
     # IsoClass.certs composes on read, and only the tests read it
     built = []
-    composed = poset.ComposedCertificate
+    composed = verify._composed
 
     def counting(*args):
         built.append(None)
         return composed(*args)
 
-    monkeypatch.setattr(poset, "ComposedCertificate", counting)
+    monkeypatch.setattr(verify, "_composed", counting)
     interval_survey.cache_clear()
     try:
         report = verify_conjecture(10)
         assert report.passed and report.suites[1].counts["certificates"] == 7442
         assert not built
+        # a read composes each of them, the first pairs' plain bases too
         assert sum(1 for cls in interval_survey(10).classes for _ in cls.certs.items()) == 7442
-        # each of them but the plain bases, which no list composes
-        assert len(built) == 7442 - len(_first_pairs(interval_survey(10)))
+        assert len(built) == 7442
     finally:
         interval_survey.cache_clear()
 
 
 def test_certificates_compose_what_the_per_pair_pass_stored(monkeypatch):
     # IsoClass.certs reads, member by member, the certificates that the
-    # per-pair pass stored: the same keys in the same order, the same
-    # classes of certificate and the same maps; every key and, off the
-    # restricted bases, every map is the eager reference's too
+    # per-pair pass stored: the same keys in the same order and the same
+    # maps; every key and, off the restricted bases, every map is the
+    # eager reference's too
     restricted = set()
     restrict = verify._restricted
 
@@ -1294,12 +1312,55 @@ def test_certificates_compose_what_the_per_pair_pass_stored(monkeypatch):
         for cls, (_, stored) in zip(survey.classes, passed):
             assert list(cls.certs) == list(stored) and len(cls.certs) == len(stored)
             for (member, cert), (key, ref) in zip(cls.certs.items(), stored.items()):
-                assert member == key and type(cert) is type(ref) and cert.index == ref.index
-                if id(getattr(cert, "base", cert)) not in restricted:
+                assert member == key and cert.index == ref.index
+                if id(getattr(ref, "base", ref)) not in restricted:
                     assert cert.index == eager[member].index, member
             keys += cls.certs
         assert sorted(keys, key=_by_top_key) == list(eager)
         assert restricted
+
+
+class _Unsearchable(list):
+    # a class's members that a lookup may not scan
+    def __contains__(self, item):
+        raise AssertionError("a certificate lookup scanned the members")
+
+
+def test_certificate_lookups_read_the_record_not_the_members():
+    # cls.certs[pair], pair in cls.certs and .get decide membership from
+    # the record, not by scanning members; any key that is no member is
+    # missing, whatever its type
+    survey = interval_survey(8)
+    try:
+        for cls in survey.classes:
+            cls.certs.members = _Unsearchable(cls.members)
+        for cls in survey.classes:
+            for member, cert in cls.certs.items():
+                assert member in cls.certs
+                assert cls.certs[member].index == cert.index == cls.certs.get(member).index
+        first, other = survey.classes[0], survey.classes[1]
+        (x, y), beyond = next(iter(other.certs)), weyl.elements_of_length(9)[0]
+        missing = [
+            first.rep,  # the representative
+            (x, y),  # a member of another class
+            (y, y),
+            (y, x),  # the bottom not below the top
+            (weyl.identity(), beyond),  # a top past the survey's bound
+            (beyond, y),
+            [x, y],
+            (x,),
+            (x, y, y),
+            (x.ball_index, y.ball_index),
+            None,
+            3,
+            "member",
+        ]
+        for key in missing:
+            with pytest.raises(KeyError):
+                first.certs[key]
+            assert key not in first.certs and first.certs.get(key) is None, key
+    finally:
+        interval_survey.cache_clear()
 
 
 def _by_top_key(pair):
