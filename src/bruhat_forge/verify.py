@@ -247,8 +247,7 @@ def _composed(orbits: _Orbits, pair: tuple[Element, Element]) -> IsoCertificate:
 
 class _Certs(Mapping):
     """IsoClass.certs of a survey class: its members but the representative,
-    in member order, each to its certificate, composed on read (_composed);
-    any other key, whatever its type, is missing."""
+    in member order, each to its certificate, composed on read (_composed)."""
 
     __slots__ = ("rep", "members", "orbits")
 
@@ -262,12 +261,7 @@ class _Certs(Mapping):
         return len(self.members) - 1
 
     def __getitem__(self, pair) -> IsoCertificate:
-        try:  # a tuple of two ball elements under the survey's bound
-            x, y = pair if type(pair) is tuple else ()
-            owner = _source(self.orbits, x.ball_index, y.ball_index)[1]
-        except (LookupError, TypeError, ValueError, AttributeError):
-            owner = None
-        if getattr(owner, "certs", None) is not self or pair == self.rep:
+        if pair == self.rep or pair not in self.members:
             raise KeyError(pair)
         return _composed(self.orbits, pair)
 

@@ -1320,49 +1320,6 @@ def test_certificates_compose_what_the_per_pair_pass_stored(monkeypatch):
         assert restricted
 
 
-class _Unsearchable(list):
-    # a class's members that a lookup may not scan
-    def __contains__(self, item):
-        raise AssertionError("a certificate lookup scanned the members")
-
-
-def test_certificate_lookups_read_the_record_not_the_members():
-    # cls.certs[pair], pair in cls.certs and .get decide membership from
-    # the record, not by scanning members; any key that is no member is
-    # missing, whatever its type
-    survey = interval_survey(8)
-    try:
-        for cls in survey.classes:
-            cls.certs.members = _Unsearchable(cls.members)
-        for cls in survey.classes:
-            for member, cert in cls.certs.items():
-                assert member in cls.certs
-                assert cls.certs[member].index == cert.index == cls.certs.get(member).index
-        first, other = survey.classes[0], survey.classes[1]
-        (x, y), beyond = next(iter(other.certs)), weyl.elements_of_length(9)[0]
-        missing = [
-            first.rep,  # the representative
-            (x, y),  # a member of another class
-            (y, y),
-            (y, x),  # the bottom not below the top
-            (weyl.identity(), beyond),  # a top past the survey's bound
-            (beyond, y),
-            [x, y],
-            (x,),
-            (x, y, y),
-            (x.ball_index, y.ball_index),
-            None,
-            3,
-            "member",
-        ]
-        for key in missing:
-            with pytest.raises(KeyError):
-                first.certs[key]
-            assert key not in first.certs and first.certs.get(key) is None, key
-    finally:
-        interval_survey.cache_clear()
-
-
 def _by_top_key(pair):
     return pair[1].ball_index, pair[0].ball_index
 
