@@ -19,11 +19,12 @@ interval joins its orbit representative's class and keeps no
 certificate: IsoClass.certs composes z -> c(t z) on read, c the orbit
 representative's certificate and t the weyl.ball list of a tau in G
 carrying [x, y] onto it; the certificate stage checks a top's intervals
-at once.  Every stage reads P_{x,y} from the KL column of y, each entry
-of which the oracle stage checks by the recursion.  Neither citation is
-taken on trust: the KL equality runs over every interval, each plain
-certificate is re-validated, and every stage that leans on a symmetry
-takes one poset.is_automorphism verdict per action list.
+at once and composes certificates only once a record check fails.  Every
+stage reads P_{x,y} from the KL column of y, each entry of which the
+oracle stage checks by the recursion.  Neither citation is taken on
+trust: the KL equality runs over every interval, each plain certificate
+is re-validated, and every stage that leans on a symmetry takes one
+poset.is_automorphism verdict per action list.
 
 ``verify_closed_forms`` replays every closed formula against the
 canonical-basis recursion; ``verify_lemma_suite`` runs the same oracle
@@ -390,49 +391,42 @@ def _restricted(i: int, inside: int, kept: list, to_low: list, placed: dict):
 
 
 def _failing_certificates(survey: Survey, valid, list_ok) -> list:
-    """The members, by top and then bottom, whose certificate z -> base(t z),
-    as IsoClass.certs composes it from _source, fails.
+    """The members, by top and then bottom, whose certificate in
+    IsoClass.certs fails valid(cert, member, rep).
 
-    Each base in the survey's _Orbits is judged once: None iff its first
-    pair is its class's representative, any other by valid(base, source,
-    rep), with source the pair of its least and greatest key, which must
-    be its first pair.  Each list t of to_low[j] is judged once, by
-    list_ok(t), which must include poset.is_automorphism, and t[j] =
-    low[j]; t then carries each pair it is read for onto its first pair.
-    If all pass and the record (_join) lists each class's members again as
-    they are, every certificate passes; else each member is checked alone.
+    The record proves that none fails, composing none: each base in the
+    survey's _Orbits is judged once, None iff its first pair is its
+    class's representative, any other by valid(base, source, rep), with
+    source the pair of its least and greatest key, which must be its first
+    pair; each list t of to_low[j] once, by list_ok(t), which must include
+    poset.is_automorphism, and t[j] = low[j], so that t carries each pair
+    it is read for onto its first pair; and the record (_join) must list
+    each class's members again as they are.  If any check fails, each
+    member's certificate is composed and judged by valid alone.
     """
     placed, low, to_low = orbits = survey.orbits
+
+    def base_ok(i: int, j: int, cls: IsoClass, base: IsoCertificate | None) -> bool:
+        if base is None:  # the identity, so its source is the representative
+            return [w.ball_index for w in cls.rep] == [i, j]
+        source = weyl.ball_element(min(base.index)), weyl.ball_element(max(base.index))
+        return valid(base, source, cls.rep) and [w.ball_index for w in source] == [i, j]
+
     listed = {id(cls): [] for cls in survey.classes}  # each class's members, by the record
     where = {j: {i: listed[id(cls)] for i, (cls, _) in row.items()} for j, row in placed.items()}
-    failed = set()  # the first pairs (j, i) whose base fails
-    for j, row in placed.items():
-        for i, (cls, base) in row.items():
-            if base is None:  # the identity, so its source is the representative
-                source, ok = cls.rep, True
-            else:
-                source = weyl.ball_element(min(base.index)), weyl.ball_element(max(base.index))
-                ok = valid(base, source, cls.rep)
-            if not ok or [w.ball_index for w in source] != [i, j]:
-                failed.add((j, i))
-    acts = {id(t): list_ok(t) for t in {id(t): t for t in itertools.chain(*to_low)}.values()}
-    sound = not failed and all(
-        acts[id(t)] and t[j] == low[j] for j, to in enumerate(to_low) for t in to)
+    lists = {id(t): t for t in itertools.chain(*to_low)}.values()
+    sound = all(base_ok(i, j, *entry) for j, row in placed.items() for i, entry in row.items())
+    sound = sound and all(map(list_ok, lists)) and all(
+        t[j] == low[j] for j, to in enumerate(to_low) for t in to)
     try:
         _join(orbits, survey.intervals, survey.max_length, where)
     except KeyError:  # a list onto a least image names no first pair
         sound = False
     if sound and all(cls.members == listed[id(cls)] for cls in survey.classes):
         return []
-
-    def fails(cls, pair) -> bool:
-        j = pair[1].ball_index
-        first, owner, _, t = _source(orbits, pair[0].ball_index, j)
-        return (low[j], first) in failed or owner is not cls or not acts[id(t)] or t[j] != low[j]
-
     bad = sorted(
-        (_by_top(m), _words(m), _words(cls.rep)) for cls in survey.classes for m in cls.certs
-        if fails(cls, m)
+        (_by_top(m), _words(m), _words(cls.rep)) for cls in survey.classes
+        for m, cert in cls.certs.items() if not valid(cert, m, cls.rep)
     )
     return [{"member": member, "rep": rep} for _, member, rep in bad]
 
@@ -443,14 +437,14 @@ def verify_conjecture(max_length: int = 8, jobs: int = 1, seed: int = 0) -> Veri
     The survey classifies one interval per G-orbit (interval_survey); the
     KL equality is still checked over every interval.  The report also
     judges every survey certificate through _failing_certificates: each
-    plain base once on covers, each representative's None base by its
-    first pair, and each of the 12 action lists once by
-    poset.is_automorphism.  Its oracle stage, which the lemma suite runs
-    too, compares every KL column it reads with the recursion.  No stage
-    checks P_{tau x, tau y} = P_{x,y} apart: (tau x, tau y) is a member
-    of the class of (x, y), which the first stage compares with its
-    representative.  A closed form that fails fails every stage that
-    reads its column, as in every lemma suite.
+    plain base once on covers, each representative's None base by its first
+    pair, and each of the 12 action lists once by poset.is_automorphism;
+    once one fails, each certificate by IsoCertificate.is_valid.  Its oracle
+    stage, which the lemma suite runs too, compares every KL column it reads
+    with the recursion.  No stage checks P_{tau x, tau y} = P_{x,y} apart:
+    (tau x, tau y) is a member of the class of (x, y), which the first stage
+    compares with its representative.  A closed form that fails fails every
+    stage that reads its column, as in every lemma suite.
 
     The survey runs in one process.  ``jobs`` accepts only 1 and ``seed``
     is ignored, as nothing is sampled; both stay, ``jobs`` with its report
@@ -597,7 +591,7 @@ def _z_preserved(masks, cert: IsoCertificate, a: tuple, b: tuple) -> bool:
     upper_a, upper_b = weyl.upper_set(a[0], a[1].length), weyl.upper_set(b[0], b[1].length)
     index = cert.index
     return all(
-        {index[i] for i in _bits(za.get(m, 0) & upper_a)} == set(_bits(zb.get(m, 0) & upper_b))
+        {index.get(i) for i in _bits(za.get(m, 0) & upper_a)} == set(_bits(zb.get(m, 0) & upper_b))
         for m in range(1, 5)
     )
 
