@@ -134,8 +134,6 @@ def _cmd_interval(args) -> int:
 
 
 def _write_reports(reports, json_fh, csv_fh) -> None:
-    import csv
-
     # one suite writes one JSON object, ``all`` an array in run order
     if json_fh:
         with json_fh:
@@ -144,6 +142,8 @@ def _write_reports(reports, json_fh, csv_fh) -> None:
             else:
                 json_fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
     if csv_fh:
+        import csv
+
         with csv_fh:
             writer = csv.writer(csv_fh)
             for report in reports:

@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import time
 from collections import deque, namedtuple
 from collections.abc import Iterator, Mapping
-from dataclasses import asdict, dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import closedform, hecke, poset, regions, weyl
 from .laurent import QPoly, Q_PLUS_ONE
@@ -80,42 +79,40 @@ __all__ = [
 ]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
-    counts: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    elapsed: float = 0.0
+    counts: dict
+    witnesses: list
+    elapsed: float
 
     def to_json_obj(self) -> dict:
-        return {**asdict(self), "elapsed": round(self.elapsed, 3)}
+        return {**self._asdict(), "elapsed": round(self.elapsed, 3)}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     scope: dict
-    suites: list[SuiteResult] = field(default_factory=list)
-    census: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
+    suites: list[SuiteResult]
+    census: list[dict]
+    elapsed: float
 
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.suites)
 
     def to_json_obj(self) -> dict:
-        return {
-            "scope": self.scope,
-            "passed": self.passed,
-            "suites": [s.to_json_obj() for s in self.suites],
-            "census": self.census,
-            "elapsed": round(self.elapsed, 3),
-        }
+        suites = [s.to_json_obj() for s in self.suites]
+        return {**self._asdict(), "passed": self.passed, "suites": suites,
+                "elapsed": round(self.elapsed, 3)}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
     def to_csv_rows(self) -> list[list]:
+        import json
+
         return [["suite", "passed", "counts", "witnesses"]] + [
             [s.name, "pass" if s.passed else "FAIL", json.dumps(s.counts, sort_keys=True),
              len(s.witnesses)]
@@ -225,19 +222,19 @@ def _join(orbits: _Orbits, pairs: list, max_length: int, lists: dict) -> None:
 
 
 def _source(orbits: _Orbits, i: int, j: int) -> tuple:
-    # (first bottom, class, base, t) of the pair (i, j): t is the first list
-    # of to_low[j] taking i least, so onto the bottom of its first pair (as
-    # in _firsts), whose entry in placed gives class and base; a faulty list
-    # may name an unplaced pair, whose class is None and base maps nothing
+    # (first bottom, base, t) of the pair (i, j): t is the first list of
+    # to_low[j] taking i least, so onto the bottom of its first pair (as in
+    # _firsts), whose entry in placed gives the base; a faulty list may name
+    # an unplaced pair, whose base maps nothing
     t = min(orbits.to_low[j], key=itemgetter(i))
-    return (t[i], *orbits.placed[orbits.low[j]].get(t[i], (None, IsoCertificate({}))), t)
+    return t[i], orbits.placed[orbits.low[j]].get(t[i], (None, IsoCertificate({})))[1], t
 
 
 def _composed(orbits: _Orbits, pair: tuple[Element, Element]) -> IsoCertificate:
     # z -> base(t z) over the members of pair (t z for a None base), base and
     # t from _source: a certificate when t carries pair onto the first pair
     # of a valid base.  Members whose image a faulty base lacks are left out.
-    _, _, base, t = _source(orbits, pair[0].ball_index, pair[1].ball_index)
+    _, base, t = _source(orbits, pair[0].ball_index, pair[1].ball_index)
     keys = _indices(poset.interval_mask(*pair))
     images = map(t.__getitem__, keys)
     index = dict(zip(keys, images if base is None else map(base.index.get, images)))
@@ -273,19 +270,21 @@ class _Certs(Mapping):
         return (cert for _, cert in self.items())
 
 
-@dataclass
-class IsoClass:
+class IsoClass(NamedTuple):
     rep: tuple[Element, Element]
     members: list[tuple[Element, Element]]
     certs: Mapping[tuple[Element, Element], IsoCertificate]
 
 
-@dataclass
-class Survey:
+class Survey(NamedTuple):
     max_length: int
     intervals: list[tuple[Element, Element]]
     classes: list[IsoClass]
-    orbits: _Orbits | None = field(default=None, repr=False)
+    orbits: _Orbits | None = None
+
+    def __repr__(self) -> str:  # without the orbit tables
+        return (f"Survey(max_length={self.max_length!r}, intervals={self.intervals!r}, "
+                f"classes={self.classes!r})")
 
     def census_rows(self) -> list[dict]:
         # isomorphic intervals have one span, so each class counts under its rep's

@@ -331,6 +331,33 @@ def test_interval_and_render_load_no_kl_code(tmp_path):
         assert proc.stderr.strip() == loaded, argv
 
 
+def test_verification_loads_no_dataclasses_machinery_and_text_runs_no_writers():
+    # a cold verification loads neither dataclasses nor what it imports, and
+    # the call itself loads no module, so a timed call times no import; a
+    # census or a verify without report files loads neither json nor csv
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from bruhat_forge import verify\n"
+        "imported = set(sys.modules)\n"
+        "assert verify.verify_conjecture(6).passed\n"
+        "assert set(sys.modules) == imported, sorted(set(sys.modules) - imported)\n"
+        "from bruhat_forge import cli\n"
+        "assert cli.main(['census', '--max-length', '6']) == 0\n"
+        "assert cli.main(['verify', 'conjecture', '--max-length', '6']) == 0\n"
+        "watched = ['dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json', 'csv']\n"
+        "print(*[m for m in watched if m in sys.modules and m not in before], sep=',', file=sys.stderr)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != cache_mod.CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == ""
+    assert "ALL SUITES PASS" in proc.stdout
+
+
 def test_kl_cache_hit_loads_neither_the_closed_forms_nor_the_recursion(tmp_path):
     # a miss computes through closedform, which loads hecke and regions; a
     # hit only parses two words and reads one record.  Neither loads the

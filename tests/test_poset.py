@@ -810,7 +810,7 @@ def test_lazily_composed_certificate_with_wrong_action_is_rejected():
     for cls in survey.classes:
         for member in cls.certs:
             i, j = member[0].ball_index, member[1].ball_index
-            first, _, base, _ = _source(survey.orbits, i, j)
+            first, base, _ = _source(survey.orbits, i, j)
             low = survey.orbits.low[j]
             if (first, low) != (i, j):
                 pair = weyl.ball_element(first), weyl.ball_element(low)

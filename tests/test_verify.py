@@ -223,7 +223,7 @@ def _first_of(survey, member):
 
 def _base_of(survey, member):
     # the base in the record that a member's certificate is composed on
-    return verify._source(survey.orbits, member[0].ball_index, member[1].ball_index)[2]
+    return verify._source(survey.orbits, member[0].ball_index, member[1].ball_index)[1]
 
 
 def _built_on(survey, cls, first):
@@ -1007,6 +1007,7 @@ def test_orbit_survey_matches_per_pair_reference():
         assert [c.rep for c in survey.classes] == [c.rep for c in ref.classes]
         assert [c.members for c in survey.classes] == [c.members for c in ref.classes]
         assert survey.census_rows() == ref.census_rows()
+        assert repr(survey) == repr(survey._replace(orbits=None))  # the repr shows no orbit tables
         for cls in survey.classes:
             assert set(cls.certs) == set(cls.members) - {cls.rep}
 
